@@ -32,7 +32,7 @@ print("verifies against current root:", mt_verify(202, path, tree.root, params))
 
 # the historical root that existed right after leaf 1 was added still works,
 # provided the path is computed for that tree snapshot
-old_index, old_root = tree.root_history[2]  # entry k = root after k+... leaf 1
+old_root = tree.root_history[2]  # entry k is the root after k leaves
 old_path = mt_path(tree, 1, leaf_count=2)
 print("old root (2 leaves):", fe_hex(old_root))
 print("old path vs old root:", mt_verify(202, old_path, old_root, params))

@@ -125,13 +125,8 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_races(config: RunConfig) -> int:
     try:
         scenario = load_scenario(config)
-        if scenario.adversary is None:
-            raise simnet.ScenarioError("adversary", "races mode requires an adversary spec")
+        # validate_scenario keeps relay_delay + epsilon >= 0, so t_max >= 0
         t_max = 2 * (scenario.relay_delay + scenario.epsilon)
-        if t_max < 0:
-            raise simnet.ScenarioError(
-                "t_prime_range", f"2*(relay_delay+epsilon) = {t_max} leaves nothing to sweep"
-            )
         report = simnet.explore_races(scenario, range(0, t_max + 1))
     except (OSError, simnet.ScenarioError) as err:
         _fail(str(err))

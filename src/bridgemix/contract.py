@@ -78,8 +78,7 @@ class ContractState:
     balance: int = 0
     total_deposited: int = 0
     wrapped_minted: int = 0
-    # local accumulator roots, mirrored from tree.root_history
-    local_roots: list = field(default_factory=list)
+    # membership index of tree.root_history
     local_root_set: set = field(default_factory=set)
     local_root_digests: list = field(default_factory=lambda: [0])
     # nullifiers this contract exposed itself, in exposure order (committed)
@@ -162,7 +161,6 @@ def contract_setup(
     state.params = zkrel.zk_setup(security, f"or-membership-h{h}", state.hash_params)
     state.denomination = denomination
     empty_root = state.tree.root
-    state.local_roots.append(empty_root)
     state.local_root_set.add(empty_root)
     state.local_root_digests.append(hash2(0, empty_root, state.hash_params))
     # the remote side runs the same tree shape, so its empty root is known
@@ -203,7 +201,6 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
         raise ContractError("tree-full", "accumulator at capacity")
     state.commitments.add(commitment)
     new_root = state.tree.root
-    state.local_roots.append(new_root)
     state.local_root_set.add(new_root)
     state.local_root_digests.append(
         hash2(state.local_root_digests[-1], new_root, state.hash_params)
@@ -381,10 +378,8 @@ def conservation_holds(states) -> bool:
 def check_contract_invariants(state: ContractState):
     """Debug assertions used by the simulator after every tick."""
     assert state.balance >= 0, f"{state.chain_id} balance negative"
-    assert state.local_roots == [r for _, r in state.tree.root_history], "root mirror broken"
-    assert len(state.local_root_set) == len(set(state.local_roots))
     assert len(state.remote_roots) == len(state.remote_root_set)
-    assert len(state.local_root_digests) == len(state.local_roots) + 1
+    assert len(state.local_root_digests) == len(state.tree.root_history) + 1
     assert len(state.remote_root_digests) == len(state.remote_roots) + 1
     assert len(state.exposed_digests) == len(state.exposed_nullifiers) + 1
     for sn in state.exposed_nullifiers:

@@ -15,6 +15,12 @@ from typing import Iterable, Sequence
 from .field_hash import DEFAULT_PARAMS, FieldElement, HashParams, encode_fe, hash2, hash_bytes
 
 
+MINING_TRIES = 1 << 20
+# at target p >> k a try succeeds with probability about 2**-k, so mining fails
+# with probability about exp(-MINING_TRIES / 2**k): e**-64 at k = MAX_POW_SHIFT
+MAX_POW_SHIFT = MINING_TRIES.bit_length() - 1 - 6
+
+
 class MiningError(Exception):
     pass
 
@@ -49,7 +55,7 @@ def mine_header(
     state_commitment: FieldElement,
     work_target: FieldElement,
     params: HashParams | None = None,
-    max_tries: int = 1 << 20,
+    max_tries: int = MINING_TRIES,
 ) -> BlockHeader:
     """Deterministic nonce search from 0; raises if the target is too hard."""
     for nonce in range(max_tries):

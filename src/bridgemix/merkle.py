@@ -52,7 +52,7 @@ class MerkleTree:
     leaves: list = field(default_factory=list)
     zero_roots: tuple = ()
     filled_subtrees: list = field(default_factory=list)
-    root_history: list = field(default_factory=list)  # (leaf index, root); (-1, Z_h) at setup
+    root_history: list = field(default_factory=list)  # entry k: the root after k leaves
     # cache of completed-subtree node values, keyed (level, index); valid
     # forever because leaves are append-only
     _complete: dict = field(default_factory=dict)
@@ -64,11 +64,11 @@ class MerkleTree:
 
     @property
     def root(self) -> FieldElement:
-        return self.root_history[-1][1]
+        return self.root_history[-1]
 
 
 def mt_setup(h: int, params: HashParams | None = None) -> MerkleTree:
-    """Empty tree of height h; root history starts at (-1, Z_h)."""
+    """Empty tree of height h; root history starts at Z_h."""
     if params is None:
         params = DEFAULT_PARAMS
     if not 1 <= h <= MAX_HEIGHT:
@@ -79,7 +79,7 @@ def mt_setup(h: int, params: HashParams | None = None) -> MerkleTree:
         params=params,
         zero_roots=zeros,
         filled_subtrees=list(zeros[:h]),
-        root_history=[(-1, zeros[h])],
+        root_history=[zeros[h]],
     )
 
 
@@ -103,7 +103,7 @@ def mt_add(tree: MerkleTree, y: FieldElement) -> bool:
             else:
                 node = hash2(tree.filled_subtrees[level], node, tree.params)
             idx //= 2
-        tree.root_history.append((index, node))
+        tree.root_history.append(node)
     finally:
         tree._mutating = False
     return True

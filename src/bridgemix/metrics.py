@@ -235,7 +235,7 @@ def storage_report(transcript) -> StorageReport:
         rows.append(
             StorageRow(
                 chain=chain,
-                local_roots=len(c.local_roots) - 1,
+                local_roots=len(c.tree.root_history) - 1,
                 remote_roots=len(c.remote_roots) - 1,
                 nullifiers=len(c.nullifiers),
                 remote_headers=len(c.remote_headers) - 1,

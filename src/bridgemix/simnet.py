@@ -24,6 +24,7 @@ from . import incentives as incentives_mod
 from .contract import ContractError, ContractState
 from .field_hash import P, fe_hex, hash2, make_params
 from .lightclient import (
+    MAX_POW_SHIFT,
     StateAttestation,
     header_digest,
     mine_header,
@@ -91,13 +92,13 @@ class AdversarySpec:
     deposit_at: int
     first_chain: str
     first_at: int
-    gap: int
+    gap: int = 0
 
 
 @dataclass(frozen=True)
 class RewardSpec:
-    rate: int
-    min_lock: int
+    rate: int = 0
+    min_lock: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,10 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         raise ScenarioError("epsilon", "relay_delay + epsilon must be >= 0")
     if sc.native_chain not in CHAINS:
         raise ScenarioError("native_chain", "must be 'A' or 'B'")
-    if not 1 <= sc.pow_shift <= 32:
-        raise ScenarioError("pow_shift", "must be in [1, 32]")
+    if not 1 <= sc.pow_shift <= MAX_POW_SHIFT:
+        raise ScenarioError("pow_shift", f"must be in [1, {MAX_POW_SHIFT}]")
+    if sc.security < 1:
+        raise ScenarioError("security", "must be >= 1")
     if sc.hash_rounds < 1:
         raise ScenarioError("hash_rounds", "must be >= 1")
     if not sc.relayers:
@@ -165,6 +168,8 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
             raise ScenarioError(f"{where}.action", f"unknown action {ev.action!r}")
         if not ev.arg("note"):
             raise ScenarioError(f"{where}.note", "note id required")
+        if ev.arg("age", 0) < 0:
+            raise ScenarioError(f"{where}.age", "must be >= 0")
         if ev.action == "submit_withdrawal" and not _NAME_RE.match(ev.arg("recipient", "")):
             raise ScenarioError(f"{where}.recipient", "recipient required")
         if ev.action == "incentive_claim":
@@ -190,13 +195,16 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         last = adv.first_at + adv.gap
         if last >= sc.horizon:
             raise ScenarioError("horizon", f"too short for adversary submissions (need > {last})")
+    # the shared `rewards: {rate, min_lock}` block gives both chains one spec
+    shared = len(sc.rewards) == 2 and sc.rewards[0][1] is sc.rewards[1][1]
     for chain, spec in sc.rewards:
         if chain not in CHAINS:
             raise ScenarioError("rewards", f"unknown chain {chain!r}")
+        where = "rewards" if shared else f"rewards.{chain}"
         if spec.rate < 0:
-            raise ScenarioError(f"rewards.{chain}.rate", "must be >= 0")
+            raise ScenarioError(f"{where}.rate", "must be >= 0")
         if spec.min_lock < 0:
-            raise ScenarioError(f"rewards.{chain}.min_lock", "must be >= 0")
+            raise ScenarioError(f"{where}.min_lock", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -319,12 +327,6 @@ class _Engine:
         self.notes[note_id] = note
         return note
 
-    def _leaf_count_for_root(self, chain: str, root: int) -> int:
-        for index, r in self.nodes[chain].contract.tree.root_history:
-            if r == root:
-                return index + 1
-        return -1
-
     def build_withdrawal(self, note_id: str, on_chain: str, allow_unproven=False):
         dep = self.deposits.get(note_id)
         if dep is None:
@@ -334,22 +336,20 @@ class _Engine:
         source = self.nodes[dep.chain].contract
         if dep.chain == on_chain:
             selector = 0
-            root_a = target.local_roots[-1]
+            root_a = target.tree.root
             root_b = target.remote_roots[-1]
             path = mt_path(target.tree, dep.index)
         else:
             selector = 1
-            root_a = target.local_roots[-1]
-            # newest relayed root that already contains the deposit; if none
-            # has been relayed yet, target the source's live root and let the
-            # contract reject it as unknown
-            root_b = source.local_roots[-1]
-            for root in reversed(target.remote_roots):
-                if self._leaf_count_for_root(dep.chain, root) > dep.index:
-                    root_b = root
-                    break
-            count = self._leaf_count_for_root(dep.chain, root_b)
-            path = mt_path(source.tree, dep.index, leaf_count=count if count > 0 else None)
+            root_a = target.tree.root
+            # remote_roots is a prefix of the source's root history, so its newest
+            # root covers len - 1 leaves; if that misses the deposit, target the
+            # source's live root and let the contract reject it as unknown
+            count = len(target.remote_roots) - 1
+            if count <= dep.index:
+                count = len(source.tree.leaves)
+            root_b = source.tree.root_history[count]
+            path = mt_path(source.tree, dep.index, leaf_count=count)
         stmt = Statement(root_a, root_b, note.nullifier)
         try:
             proof = zk_prove(target.params, stmt, Witness(note.r, note.s, path, selector))
@@ -404,9 +404,7 @@ class _Engine:
                         ("reason", err.reason),
                     )
                     continue
-                self.deposits[note_id] = DepositInfo(
-                    ev.target, index, now, c.local_roots[-1]
-                )
+                self.deposits[note_id] = DepositInfo(ev.target, index, now, c.tree.root)
             elif ev.action == "submit_withdrawal":
                 recipient = ev.arg("recipient", "user")
                 try:
@@ -465,18 +463,18 @@ class _Engine:
                 if not spec.honest:
                     continue  # withholds bridge state
                 c = node.contract
-                new_roots = tuple(c.local_roots[cursor.roots:])
+                new_roots = tuple(c.tree.root_history[cursor.roots:])
                 new_nulls = tuple(c.exposed_nullifiers[cursor.nulls:])
                 if new_roots or new_nulls:
                     att = StateAttestation(
                         header_index=node.headers[-1].height,
                         new_roots=new_roots,
                         new_nullifiers=new_nulls,
-                        opening_roots=tuple(c.local_roots),
+                        opening_roots=tuple(c.tree.root_history),
                         opening_nullifiers=tuple(c.exposed_nullifiers),
                     )
                     bucket.append(("state", dst, att))
-                    cursor.roots = len(c.local_roots)
+                    cursor.roots = len(c.tree.root_history)
                     cursor.nulls = len(c.exposed_nullifiers)
 
     def _finalize(self, now: int):
@@ -658,170 +656,94 @@ def payout_table(transcript: Transcript) -> list:
 
 # -- scenario parsing ---------------------------------------------------------
 
-def _expect_int(value, field_name, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(field_name, f"expected integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(field_name, f"must be >= {minimum}")
-    return value
-
-
-def _expect_str(value, field_name):
-    if not isinstance(value, str):
-        raise ScenarioError(field_name, f"expected string, got {value!r}")
-    return value
-
-
-def _expect_bool(value, field_name):
-    if not isinstance(value, bool):
-        raise ScenarioError(field_name, f"expected boolean, got {value!r}")
-    return value
-
-
-def _check_keys(mapping, allowed, where):
-    for key in mapping:
-        if key not in allowed:
-            raise ScenarioError(f"{where}.{key}" if where else str(key), "unknown field")
-
-
-_EVENT_KEYS = {"at", "chain", "action", "note", "recipient", "claimant", "age"}
-_TOP_KEYS = {
-    "seed", "horizon", "tree_height", "denomination", "epsilon", "relay_delay",
-    "native_chain", "pow_shift", "security", "hash_rounds", "name",
-    "relayers", "events", "adversary", "rewards",
+_SCALARS = {"int": int, "str": str, "bool": bool}
+# the flat event form: SimEvent.target is the key `chain`, and SimEvent.payload
+# gathers these optional keys, in this order, into (key, value) pairs
+_EVENT_KEYS = {
+    "target": "chain",
+    "payload": {"note": "str", "recipient": "str", "claimant": "str", "age": "int"},
 }
 
 
-def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
-    """Build a Scenario from parsed structured text, with field-precise errors."""
-    if not isinstance(data, dict):
-        raise ScenarioError("<root>", "scenario file must be a mapping")
-    _check_keys(data, _TOP_KEYS, "")
-    if "seed" not in data:
-        raise ScenarioError("seed", "required")
-    if "horizon" not in data:
-        raise ScenarioError("horizon", "required")
-    seed = _expect_int(data["seed"], "seed")
-    horizon = _expect_int(data["horizon"], "horizon", minimum=1)
-    relay_delay = _expect_int(data.get("relay_delay", 2), "relay_delay", minimum=1)
+def _at(where, key):
+    return f"{where}.{key}" if where else str(key)
 
-    relayers = []
-    raw_relayers = data.get("relayers", [{"id": "relayer0", "delay": relay_delay}])
-    if not isinstance(raw_relayers, list):
-        raise ScenarioError("relayers", "expected a list")
-    for i, entry in enumerate(raw_relayers):
-        where = f"relayers[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(where, "expected a mapping")
-        _check_keys(entry, {"id", "delay", "censored", "honest"}, where)
-        relayers.append(
-            RelayerSpec(
-                id=_expect_str(entry.get("id", f"relayer{i}"), f"{where}.id"),
-                delay=_expect_int(entry.get("delay", relay_delay), f"{where}.delay", 1),
-                censored=_expect_bool(entry.get("censored", False), f"{where}.censored"),
-                honest=_expect_bool(entry.get("honest", True), f"{where}.honest"),
+
+def _typed(value, annotation, where, key):
+    kind = _SCALARS.get(annotation)
+    if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
+        raise ScenarioError(_at(where, key), f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _entries(raw, where):
+    if not isinstance(raw, list):
+        raise ScenarioError(where, "expected a list")
+    return [(i, f"{where}[{i}]", entry) for i, entry in enumerate(raw)]
+
+
+def _build(cls, raw, where, keys=None, **defaults):
+    """Type-checked keyword arguments for dataclass `cls` from mapping `raw`.
+    Field f is read from key keys[f.name] (default f.name); a dict there maps
+    flat keys to annotations, gathered as (key, value) pairs.  A missing field
+    takes defaults[f.name], then its dataclass default, else it is required."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(where or "<root>", "expected a mapping")
+    fields = [(f, (keys or {}).get(f.name, f.name)) for f in dataclasses.fields(cls)]
+    allowed = set().union(*(key if isinstance(key, dict) else {key} for _, key in fields))
+    for key in raw:
+        if key not in allowed:
+            raise ScenarioError(_at(where, key), "unknown field")
+    kwargs = {}
+    for f, key in fields:
+        if isinstance(key, dict):
+            kwargs[f.name] = tuple(
+                (k, _typed(raw[k], t, where, k)) for k, t in key.items() if k in raw
             )
-        )
+        elif key in raw:
+            kwargs[f.name] = _typed(raw[key], f.type, where, key)
+        elif f.name in defaults:
+            kwargs[f.name] = defaults[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise ScenarioError(_at(where, key), "required")
+    return kwargs
 
-    events = []
-    raw_events = data.get("events", [])
-    if not isinstance(raw_events, list):
-        raise ScenarioError("events", "expected a list")
-    for i, entry in enumerate(raw_events):
-        where = f"events[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(where, "expected a mapping")
-        _check_keys(entry, _EVENT_KEYS, where)
-        for required in ("at", "chain", "action"):
-            if required not in entry:
-                raise ScenarioError(f"{where}.{required}", "required")
-        action = _expect_str(entry["action"], f"{where}.action")
-        payload = []
-        if "note" in entry:
-            payload.append(("note", _expect_str(entry["note"], f"{where}.note")))
-        if "recipient" in entry:
-            payload.append(("recipient", _expect_str(entry["recipient"], f"{where}.recipient")))
-        if "claimant" in entry:
-            payload.append(("claimant", _expect_str(entry["claimant"], f"{where}.claimant")))
-        if "age" in entry:
-            payload.append(("age", _expect_int(entry["age"], f"{where}.age", 0)))
-        events.append(
-            SimEvent(
-                at=_expect_int(entry["at"], f"{where}.at", 0),
-                target=_expect_str(entry["chain"], f"{where}.chain"),
-                action=action,
-                payload=tuple(payload),
-            )
-        )
 
-    adversary = None
-    if data.get("adversary") is not None:
-        raw = data["adversary"]
-        if not isinstance(raw, dict):
-            raise ScenarioError("adversary", "expected a mapping")
-        _check_keys(
-            raw, {"note", "deposit_chain", "deposit_at", "first_chain", "first_at", "gap"},
-            "adversary",
-        )
-        for required in ("note", "deposit_chain", "deposit_at", "first_chain", "first_at"):
-            if required not in raw:
-                raise ScenarioError(f"adversary.{required}", "required")
-        adversary = AdversarySpec(
-            note=_expect_str(raw["note"], "adversary.note"),
-            deposit_chain=_expect_str(raw["deposit_chain"], "adversary.deposit_chain"),
-            deposit_at=_expect_int(raw["deposit_at"], "adversary.deposit_at", 0),
-            first_chain=_expect_str(raw["first_chain"], "adversary.first_chain"),
-            first_at=_expect_int(raw["first_at"], "adversary.first_at", 0),
-            gap=_expect_int(raw.get("gap", 0), "adversary.gap", 0),
-        )
-
+def _rewards(raw) -> tuple:
+    """`rewards: {rate, min_lock}` applies one spec to both chains;
+    otherwise each key names a chain and holds that chain's spec."""
+    if raw is None:
+        return ()
+    if not isinstance(raw, dict) or raw.keys() & {f.name for f in dataclasses.fields(RewardSpec)}:
+        spec = RewardSpec(**_build(RewardSpec, raw, "rewards"))
+        return tuple((chain, spec) for chain in CHAINS)
     rewards = []
-    raw_rewards = data.get("rewards")
-    if raw_rewards is not None:
-        if not isinstance(raw_rewards, dict):
-            raise ScenarioError("rewards", "expected a mapping")
-        if {"rate", "min_lock"} & set(raw_rewards.keys()):
-            _check_keys(raw_rewards, {"rate", "min_lock"}, "rewards")
-            spec = RewardSpec(
-                rate=_expect_int(raw_rewards.get("rate", 0), "rewards.rate", 0),
-                min_lock=_expect_int(raw_rewards.get("min_lock", 0), "rewards.min_lock", 0),
-            )
-            rewards = [("A", spec), ("B", spec)]
-        else:
-            for chain, entry in raw_rewards.items():
-                where = f"rewards.{chain}"
-                key = str(chain).upper()
-                if key not in CHAINS:
-                    raise ScenarioError(where, "chain must be A or B")
-                if not isinstance(entry, dict):
-                    raise ScenarioError(where, "expected a mapping")
-                _check_keys(entry, {"rate", "min_lock"}, where)
-                rewards.append(
-                    (
-                        key,
-                        RewardSpec(
-                            rate=_expect_int(entry.get("rate", 0), f"{where}.rate", 0),
-                            min_lock=_expect_int(entry.get("min_lock", 0), f"{where}.min_lock", 0),
-                        ),
-                    )
-                )
+    for chain, entry in raw.items():
+        where = f"rewards.{chain}"
+        if str(chain).upper() not in CHAINS:
+            raise ScenarioError(where, "chain must be A or B")
+        rewards.append((str(chain).upper(), RewardSpec(**_build(RewardSpec, entry, where))))
+    return tuple(rewards)
 
-    scenario = Scenario(
-        seed=seed,
-        horizon=horizon,
-        tree_height=_expect_int(data.get("tree_height", 4), "tree_height", 1),
-        denomination=_expect_int(data.get("denomination", 10), "denomination", 1),
-        epsilon=_expect_int(data.get("epsilon", 1), "epsilon"),
-        relay_delay=relay_delay,
-        native_chain=_expect_str(data.get("native_chain", "A"), "native_chain"),
-        pow_shift=_expect_int(data.get("pow_shift", 2), "pow_shift", 1),
-        security=_expect_int(data.get("security", 128), "security", 1),
-        hash_rounds=_expect_int(data.get("hash_rounds", 64), "hash_rounds", 1),
-        name=_expect_str(data.get("name", name), "name"),
-        relayers=tuple(relayers),
-        events=tuple(events),
-        adversary=adversary,
-        rewards=tuple(rewards),
+
+def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
+    """Build a Scenario from parsed structured text, with field-precise errors:
+    names, scalar types and defaults come from the dataclasses, and
+    validate_scenario checks the ranges."""
+    kwargs = _build(Scenario, data, "", name=name)
+    delay = kwargs.get("relay_delay", Scenario.relay_delay)
+    kwargs["relayers"] = tuple(
+        RelayerSpec(**_build(RelayerSpec, entry, where, id=f"relayer{i}", delay=delay))
+        for i, where, entry in _entries(kwargs.get("relayers", [{}]), "relayers")
     )
+    kwargs["events"] = tuple(
+        SimEvent(**_build(SimEvent, entry, where, _EVENT_KEYS))
+        for _, where, entry in _entries(kwargs.get("events", []), "events")
+    )
+    adversary = kwargs.get("adversary")
+    if adversary is not None:
+        kwargs["adversary"] = AdversarySpec(**_build(AdversarySpec, adversary, "adversary"))
+    kwargs["rewards"] = _rewards(kwargs.get("rewards"))
+    scenario = Scenario(**kwargs)
     validate_scenario(scenario)
     return scenario

@@ -58,9 +58,9 @@ def relay_all(src, dst, now):
     assert on_relayed_header(dst, header, now).accepted
     att = StateAttestation(
         header_index=header.height,
-        new_roots=tuple(src.local_roots[len(dst.remote_roots):]),
+        new_roots=tuple(src.tree.root_history[len(dst.remote_roots):]),
         new_nullifiers=tuple(src.exposed_nullifiers[len(dst.remote_exposed):]),
-        opening_roots=tuple(src.local_roots),
+        opening_roots=tuple(src.tree.root_history),
         opening_nullifiers=tuple(src.exposed_nullifiers),
     )
     return on_relayed_state(dst, att, now)
@@ -71,13 +71,13 @@ def withdrawal_for(note, index, deposit_contract, submit_contract):
     params = submit_contract.hash_params
     if deposit_contract is submit_contract:
         selector = 0
-        root_a = submit_contract.local_roots[-1]
+        root_a = submit_contract.tree.root
         root_b = submit_contract.remote_roots[-1]
         path = mt_path(deposit_contract.tree, index)
     else:
         selector = 1
-        root_a = submit_contract.local_roots[-1]
-        root_b = deposit_contract.local_roots[-1]
+        root_a = submit_contract.tree.root
+        root_b = deposit_contract.tree.root
         path = mt_path(deposit_contract.tree, index)
     stmt = Statement(root_a, root_b, note.nullifier)
     proof = zk_prove(submit_contract.params, stmt, Witness(note.r, note.s, path, selector))
@@ -90,7 +90,8 @@ class TestSetup:
         assert a.tree.leaves == []
         assert len(a.remote_headers) == 1
         assert a.balance == 0
-        assert a.local_roots == a.remote_roots == [a.tree.root]
+        assert a.tree.root_history == a.remote_roots == [a.tree.root]
+        assert a.local_root_set == {a.tree.root}
         assert a.initialised
 
     def test_double_setup_rejected(self, fast_params):
@@ -123,8 +124,8 @@ class TestDeposit:
         note = make_note(1, 2, fast_params)
         assert deposit(a, DENOM, note.commitment, now=0) == 0
         assert a.balance == DENOM
-        assert a.local_roots[-1] == a.tree.root
-        assert len(a.local_roots) == 2
+        assert a.tree.root in a.local_root_set
+        assert len(a.tree.root_history) == 2
 
     def test_wrong_amount_rejected(self, fast_params):
         a, _ = make_pair(fast_params)

@@ -32,7 +32,7 @@ class TestSetup:
         tree = mt_setup(20)
         assert tree.capacity == 2**20
         assert tree.leaves == []
-        assert tree.root_history == [(-1, tree.zero_roots[20])]
+        assert tree.root_history == [tree.zero_roots[20]]
 
     @pytest.mark.parametrize("h", [0, -1, 33])
     def test_height_out_of_range(self, h):
@@ -153,8 +153,7 @@ class TestInvariants:
             assert tree.root == naive_root(tree.leaves, h, fast_params)
         # history: n+1 entries, entry k matches a rebuild of the first k leaves
         assert len(tree.root_history) == n + 1
-        for k, (idx, root) in enumerate(tree.root_history):
-            assert idx == k - 1
+        for k, root in enumerate(tree.root_history):
             assert root == naive_root(tree.leaves[:k], h, fast_params)
 
     def test_path_against_history_entry(self, fast_params):
@@ -163,7 +162,7 @@ class TestInvariants:
         for _ in range(8):
             mt_add(tree, rng.randrange(P))
         for k in range(8):
-            _, root_k = tree.root_history[k + 1]
+            root_k = tree.root_history[k + 1]
             for i in range(8):
                 if i <= k:
                     path = mt_path(tree, i, leaf_count=k + 1)
@@ -177,5 +176,5 @@ class TestInvariants:
         for y in (1, 2, 3):
             mt_add(tree, y)
         current = mt_path(tree, 0)
-        _, old_root = tree.root_history[1]
+        old_root = tree.root_history[1]
         assert mt_verify(1, current, old_root, fast_params) is False

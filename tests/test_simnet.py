@@ -1,7 +1,12 @@
+import copy
 import random
 
 import pytest
+import yaml
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from bridgemix import cli
 from bridgemix import contract as contract_mod
 from bridgemix.simnet import (
     AdversarySpec,
@@ -302,6 +307,7 @@ def test_claim_on_wrong_chain_rejected():
             dict(adversary=AdversarySpec("a", "A", 0, "A", 11, 5)),
             "horizon",
         ),  # second submission would land past the end
+        (dict(pow_shift=32), "pow_shift"),  # unminable within the try budget
     ],
 )
 def test_scenario_validation_names_the_field(over, field):
@@ -310,24 +316,26 @@ def test_scenario_validation_names_the_field(over, field):
     assert err.value.field_name == field
 
 
+ROUND_TRIP = {
+    "seed": 5,
+    "horizon": 16,
+    "relay_delay": 3,
+    "hash_rounds": 8,
+    "relayers": [{"id": "r0", "delay": 3}, {"id": "mute", "censored": True}],
+    "events": [
+        {"at": 0, "chain": "A", "action": "deposit", "note": "n1"},
+        {"at": 6, "chain": "B", "action": "submit_withdrawal", "note": "n1", "recipient": "al"},
+    ],
+    "adversary": {
+        "note": "adv", "deposit_chain": "B", "deposit_at": 0,
+        "first_chain": "B", "first_at": 4, "gap": 1,
+    },
+    "rewards": {"A": {"rate": 2, "min_lock": 4}},
+}
+
+
 def test_scenario_from_dict_round_trip():
-    data = {
-        "seed": 5,
-        "horizon": 16,
-        "relay_delay": 3,
-        "hash_rounds": 8,
-        "relayers": [{"id": "r0", "delay": 3}, {"id": "mute", "censored": True}],
-        "events": [
-            {"at": 0, "chain": "A", "action": "deposit", "note": "n1"},
-            {"at": 6, "chain": "B", "action": "submit_withdrawal", "note": "n1", "recipient": "al"},
-        ],
-        "adversary": {
-            "note": "adv", "deposit_chain": "B", "deposit_at": 0,
-            "first_chain": "B", "first_at": 4, "gap": 1,
-        },
-        "rewards": {"A": {"rate": 2, "min_lock": 4}},
-    }
-    sc = scenario_from_dict(data, name="demo")
+    sc = scenario_from_dict(ROUND_TRIP, name="demo")
     assert sc.relay_delay == 3 and sc.name == "demo"
     assert sc.relayers[1].censored and sc.relayers[1].delay == 3  # defaults to relay_delay
     assert sc.events[1].arg("recipient") == "al"
@@ -339,6 +347,7 @@ def test_scenario_from_dict_round_trip():
 def test_scenario_from_dict_shared_reward_block():
     sc = scenario_from_dict({"seed": 1, "horizon": 4, "rewards": {"rate": 3, "min_lock": 2}})
     assert sc.reward_for("A") == RewardSpec(3, 2) == sc.reward_for("B")
+    assert scenario_from_dict({"seed": 1, "horizon": 4, "rewards": None}).rewards == ()
 
 
 @pytest.mark.parametrize(
@@ -355,12 +364,93 @@ def test_scenario_from_dict_shared_reward_block():
         ({"seed": 1, "horizon": 4, "relayers": [{"id": "r", "delay": "soon"}]}, "relayers[0].delay"),
         ({"seed": 1, "horizon": 4, "adversary": {"note": "a"}}, "adversary.deposit_chain"),
         ({"seed": 1, "horizon": 4, "rewards": {"C": {"rate": 1}}}, "rewards.C"),
+        ({"seed": 1, "horizon": 4, "security": 0}, "security"),
+        ({"seed": 1, "horizon": 4, "events": [
+            {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": -1}]}, "events[0].age"),
+        ({"seed": 1, "horizon": 4, "rewards": {"rate": -1}}, "rewards.rate"),
+        ({"seed": 1, "horizon": 4, "relayers": [{"id": "r", "censored": "yes"}]}, "relayers[0].censored"),
+        ({"seed": 1, "horizon": 9, "adversary": {
+            "note": "a", "deposit_chain": "A", "deposit_at": 0, "first_chain": "A", "first_at": 3,
+            "gap": -1}}, "adversary.gap"),
+        ({"seed": 1, "horizon": 4, "tree_height": 33}, "tree_height"),
+        (["seed", "horizon"], "<root>"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(data)
     assert err.value.field_name == field
+
+
+# valid scenarios covering every section, payload key and both reward forms
+FUZZ_BASES = (
+    ROUND_TRIP,
+    {
+        "seed": 2, "horizon": 12, "hash_rounds": 8, "security": 64, "pow_shift": 3,
+        "events": [
+            {"at": 0, "chain": "A", "action": "deposit", "note": "n1"},
+            {"at": 5, "chain": "A", "action": "incentive_claim", "note": "n1", "claimant": "c", "age": 4},
+        ],
+        "rewards": {"rate": 2, "min_lock": 1},
+    },
+)
+OTHER_TYPES = (None, "x", 1.5, True, 7, [], {}, [{}])
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A valid scenario with one fault at any depth: a dropped key, a value of
+    another type, a negated integer or an unknown key."""
+    holder = {"doc": copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))}
+    path = draw(st.sampled_from(list(_paths(holder))[1:]))
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    kind = draw(st.sampled_from(("drop", "retype", "negate", "unknown")))
+    if kind == "drop" and key != "doc":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(node)]))
+    elif kind == "negate" and type(node) is int:
+        parent[key] = -node
+    elif kind == "unknown" and isinstance(node, dict):
+        node[draw(st.sampled_from(("bogus", 3, "target", "payload")))] = 1
+    return holder["doc"]
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ScenarioError as err:
+        return err.field_name
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.yaml"
+
+
+@seed(2102)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=mutated_scenarios())
+def test_parser_returns_scenario_or_scenario_error(fuzz_file, data):
+    # any other exception escapes _outcome and fails the test
+    fuzz_file.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    parsed = _outcome(lambda: scenario_from_dict(data, name="fuzz"))
+    loaded = _outcome(lambda: cli.load_scenario(cli.RunConfig(str(fuzz_file), str(fuzz_file.parent))))
+    assert isinstance(parsed, (Scenario, str))
+    assert loaded == parsed  # the YAML route parses to the same result
 
 
 def test_randomized_scenarios_conserve_and_replay(fast_params):
