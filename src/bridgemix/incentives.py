@@ -27,9 +27,9 @@ class RewardError(ValueError):
 
 
 @dataclass(frozen=True)
-class RewardConfig:
-    rate: int      # governance tokens per tick of claimed lock age
-    min_lock: int  # minimum total claimed age before anything pays
+class RewardSpec:
+    rate: int = 0      # governance tokens per tick of claimed lock age
+    min_lock: int = 0  # minimum total claimed age before anything pays
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class RewardClaim:
     claimant: str
 
 
-def claim_reward(state, cfg: RewardConfig, claim: RewardClaim, now: int) -> int:
+def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
     """Validate a lock-age claim against ``state`` and mint governance tokens.
 
     Returns the amount minted.  Raises RewardError with reasons
@@ -248,5 +248,5 @@ def build_vampire_scenario(
         name=f"vampire-ra{rate_a}-rb{rate_b}",
         relayers=(simnet.RelayerSpec("relayer0", relay_delay),),
         events=tuple(events),
-        rewards=(("A", simnet.RewardSpec(rate_a, min_lock)), ("B", simnet.RewardSpec(rate_b, min_lock))),
+        rewards=(("A", RewardSpec(rate_a, min_lock)), ("B", RewardSpec(rate_b, min_lock))),
     )

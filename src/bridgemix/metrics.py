@@ -30,36 +30,44 @@ def _root_leaf_counts(transcript) -> dict:
     """Per chain, map root (hex) -> number of deposits it commits to."""
     counts = {"A": {}, "B": {}}
     for e in transcript.events:
-        fields = dict(e.fields)
         if e.kind == "setup":
-            counts[e.chain][fields["empty_root"]] = 0
+            counts[e.chain][dict(e.fields)["empty_root"]] = 0
         elif e.kind == "deposit":
+            fields = dict(e.fields)
             counts[e.chain][fields["new_root"]] = int(fields["index"]) + 1
     return counts
+
+
+def _submissions(transcript) -> dict:
+    """Map wid -> (chain, root_a, root_b) from its first withdraw-submitted event."""
+    subs = {}
+    for e in transcript.events:
+        if e.kind == "withdraw-submitted":
+            fields = dict(e.fields)
+            subs.setdefault(fields["wid"], (e.chain, fields["root_a"], fields["root_b"]))
+    return subs
 
 
 def _other(chain: str) -> str:
     return "B" if chain == "A" else "A"
 
 
+def _set_size(counts: dict, subs: dict, withdrawal_id: str) -> int:
+    if withdrawal_id not in subs:
+        raise MetricsError(f"no withdraw-submitted event with wid {withdrawal_id!r}")
+    chain, root_a, root_b = subs[withdrawal_id]
+    local = counts[chain].get(root_a)
+    if local is None:
+        raise MetricsError(f"root_a of {withdrawal_id} is not a known {chain} root")
+    # a remote root that never appeared on the other chain (e.g. the
+    # shared empty root before any deposit) contributes nothing
+    return local + counts[_other(chain)].get(root_b, 0)
+
+
 def anonymity_set(transcript, withdrawal_id: str) -> int:
     """Size of the set of deposits a withdrawal could plausibly spend: the
     deposits under its local root plus those under its relayed remote root."""
-    counts = _root_leaf_counts(transcript)
-    for e in transcript.events:
-        if e.kind != "withdraw-submitted":
-            continue
-        fields = dict(e.fields)
-        if fields["wid"] != withdrawal_id:
-            continue
-        local = counts[e.chain].get(fields["root_a"])
-        remote = counts[_other(e.chain)].get(fields["root_b"])
-        if local is None:
-            raise MetricsError(f"root_a of {withdrawal_id} is not a known {e.chain} root")
-        # a remote root that never appeared on the other chain (e.g. the
-        # shared empty root before any deposit) contributes nothing
-        return local + (remote or 0)
-    raise MetricsError(f"no withdraw-submitted event with wid {withdrawal_id!r}")
+    return _set_size(_root_leaf_counts(transcript), _submissions(transcript), withdrawal_id)
 
 
 @dataclass
@@ -89,11 +97,13 @@ class AnonymityReport:
 
 
 def anonymity_report(transcript) -> AnonymityReport:
-    finalized = []
+    counts = _root_leaf_counts(transcript)
+    subs = _submissions(transcript)
+    rows = []
     for e in transcript.events:
         if e.kind == "withdraw-finalized":
-            finalized.append((dict(e.fields)["wid"], e.chain))
-    rows = [(wid, chain, anonymity_set(transcript, wid)) for wid, chain in finalized]
+            wid = dict(e.fields)["wid"]
+            rows.append((wid, e.chain, _set_size(counts, subs, wid)))
     return AnonymityReport(rows)
 
 

@@ -23,6 +23,7 @@ from . import contract as contract_mod
 from . import incentives as incentives_mod
 from .contract import ContractError, ContractState
 from .field_hash import P, fe_hex, hash2, make_params
+from .incentives import RewardSpec
 from .lightclient import (
     MAX_POW_SHIFT,
     StateAttestation,
@@ -32,6 +33,7 @@ from .lightclient import (
 )
 from .merkle import mt_path, zero_subtree_roots
 from .zkrel import (
+    MAX_SECURITY,
     DepositNote,
     Statement,
     UnsatisfiedWitnessError,
@@ -96,12 +98,6 @@ class AdversarySpec:
 
 
 @dataclass(frozen=True)
-class RewardSpec:
-    rate: int = 0
-    min_lock: int = 0
-
-
-@dataclass(frozen=True)
 class Scenario:
     seed: int
     horizon: int
@@ -147,8 +143,8 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         raise ScenarioError("native_chain", "must be 'A' or 'B'")
     if not 1 <= sc.pow_shift <= MAX_POW_SHIFT:
         raise ScenarioError("pow_shift", f"must be in [1, {MAX_POW_SHIFT}]")
-    if sc.security < 1:
-        raise ScenarioError("security", "must be >= 1")
+    if not 1 <= sc.security <= MAX_SECURITY:
+        raise ScenarioError("security", f"must be in [1, {MAX_SECURITY}]")
     if sc.hash_rounds < 1:
         raise ScenarioError("hash_rounds", "must be >= 1")
     if not sc.relayers:
@@ -298,10 +294,6 @@ class _Engine:
                 now=0,
             )
             self.nodes[chain].headers.append(genesis)
-        self.reward_cfgs = {
-            chain: incentives_mod.RewardConfig(rate=spec.rate, min_lock=spec.min_lock)
-            for chain, spec in scenario.rewards
-        }
         self.notes: dict = {}
         self.deposits: dict = {}
         self.withdrawal_notes: dict = {}
@@ -425,7 +417,9 @@ class _Engine:
                     claim = self.build_reward_claim(
                         note_id, ev.target, claimant, ev.arg("age"), now
                     )
-                    incentives_mod.claim_reward(c, self.reward_cfgs[ev.target], claim, now)
+                    incentives_mod.claim_reward(
+                        c, dict(self.scenario.rewards)[ev.target], claim, now
+                    )
                 except (_UserActionError, incentives_mod.RewardError) as err:
                     c.emit(
                         now,
@@ -588,20 +582,28 @@ class RaceReport:
         }
 
 
-def _count_note_events(transcript: Transcript, nullifier_hex: str):
-    payouts = cancels = 0
-    rejected = False
+_TALLY_KINDS = ("withdraw-finalized", "withdraw-cancelled", "withdraw-rejected")
+_NO_EVENTS = (0, 0, False)
+
+
+def _note_tallies(transcript: Transcript) -> dict:
+    """Nullifier hex -> (payouts, cancels, rejected) from one walk of the
+    events; a nullifier with no such event reads _NO_EVENTS."""
+    tallies: dict = {}
     for e in transcript.events:
-        fields = dict(e.fields)
-        if fields.get("nullifier") != nullifier_hex:
+        if e.kind not in _TALLY_KINDS:
             continue
+        fields = dict(e.fields)
+        sn = fields.get("nullifier")
+        payouts, cancels, rejected = tallies.get(sn, _NO_EVENTS)
         if e.kind == "withdraw-finalized":
             payouts += 1
         elif e.kind == "withdraw-cancelled":
             cancels += 1
-        elif e.kind == "withdraw-rejected" and fields.get("reason") == "nullifier-known":
+        elif fields.get("reason") == "nullifier-known":
             rejected = True
-    return payouts, cancels, rejected
+        tallies[sn] = (payouts, cancels, rejected)
+    return tallies
 
 
 def explore_races(base: Scenario, t_prime_range) -> RaceReport:
@@ -624,10 +626,11 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
                 name=f"{base.name}/t{t_prime}/{first_chain}",
             )
             transcript = run(scenario, allow_negative_epsilon=True)
+            tallies = _note_tallies(transcript)
             adv_sn = fe_hex(transcript.notes[adv.note].nullifier)
-            payouts, cancels, rejected = _count_note_events(transcript, adv_sn)
+            payouts, cancels, rejected = tallies.get(adv_sn, _NO_EVENTS)
             honest = sum(
-                _count_note_events(transcript, fe_hex(note.nullifier))[0]
+                tallies.get(fe_hex(note.nullifier), _NO_EVENTS)[0]
                 for note_id, note in transcript.notes.items()
                 if note_id != adv.note
             )
@@ -646,11 +649,11 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
 
 def payout_table(transcript: Transcript) -> list:
     """Per-nullifier payout/cancellation tallies for a single run."""
+    tallies = _note_tallies(transcript)
     rows = []
-    for note_id, note in transcript.notes.items():
+    for note in transcript.notes.values():
         sn = fe_hex(note.nullifier)
-        payouts, cancels, rejected = _count_note_events(transcript, sn)
-        rows.append((sn, payouts, cancels, rejected))
+        rows.append((sn, *tallies.get(sn, _NO_EVENTS)))
     return rows
 
 

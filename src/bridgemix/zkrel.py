@@ -44,6 +44,8 @@ class UnsatisfiedWitnessError(ZkError):
 TRANSPARENT_BACKEND_TAG = 1
 
 _CIRCUIT_RE = re.compile(r"^or-membership-h(\d+)$")
+_SECURITY_BYTES = 4  # width of the security level in the zk_setup digest blob
+MAX_SECURITY = 2 ** (8 * _SECURITY_BYTES) - 1
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def zk_setup(
     blob = (
         circuit_id.encode()
         + height.to_bytes(4, "little")
-        + security.to_bytes(4, "little")
+        + security.to_bytes(_SECURITY_BYTES, "little")
         + encode_fe(params_digest(hash_params))
     )
     return ProofParams(

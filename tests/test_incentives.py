@@ -5,15 +5,15 @@ import pytest
 from bridgemix.incentives import (
     LIQUIDITY_COLUMNS,
     RewardClaim,
-    RewardConfig,
     RewardError,
+    RewardSpec,
     build_vampire_scenario,
     claim_reward,
     reward_conservation_holds,
     vampire_metrics,
 )
 from bridgemix.merkle import mt_path
-from bridgemix.simnet import RelayerSpec, RewardSpec, Scenario, SimEvent, run
+from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
 from bridgemix.zkrel import Statement, Witness, zk_prove
 
 
@@ -31,7 +31,7 @@ def scenario_state(events, horizon=10, rate=3, min_lock=5):
         events=tuple(events),
     )
     t = run(sc)
-    return t, t.contracts["A"], RewardConfig(rate, min_lock)
+    return t, t.contracts["A"], RewardSpec(rate, min_lock)
 
 
 def claim_for(t, state, note_id, age, root_a=None, root_b=None, claimant="alice"):

@@ -72,8 +72,44 @@ def test_same_chain_withdrawal_counts_local_population():
 
 def test_unknown_withdrawal_id_raises():
     t = run_events([ev(0, "A", "deposit", note="a0")])
-    with pytest.raises(MetricsError, match="Z9"):
+    with pytest.raises(MetricsError, match="^no withdraw-submitted event with wid 'Z9'$"):
         anonymity_set(t, "Z9")
+
+
+def with_unknown_root_a(transcript, wid):
+    """A copy whose withdraw-submitted event for `wid` names a root no
+    deposit ever produced."""
+    def tamper(e):
+        if e.kind != "withdraw-submitted" or dict(e.fields)["wid"] != wid:
+            return e
+        fields = tuple((k, "f" * 16 if k == "root_a" else v) for k, v in e.fields)
+        return dataclasses.replace(e, fields=fields)
+
+    out = dataclasses.replace(transcript)
+    out.events = [tamper(e) for e in transcript.events]
+    return out
+
+
+def test_unknown_root_a_raises_only_for_withdrawals_looked_up():
+    # B0 finalizes at 4 + 2 + 1; A0, submitted at 10, is still pending at the end
+    t = run_events(
+        [
+            ev(0, "A", "deposit", note="a0"),
+            ev(1, "A", "deposit", note="a1"),
+            ev(4, "B", "submit_withdrawal", note="a0", recipient="w0"),
+            ev(10, "A", "submit_withdrawal", note="a1", recipient="w1"),
+        ]
+    )
+    message = "^root_a of B0 is not a known B root$"
+    finalized = with_unknown_root_a(t, "B0")
+    with pytest.raises(MetricsError, match=message):
+        anonymity_report(finalized)
+    with pytest.raises(MetricsError, match=message):
+        anonymity_set(finalized, "B0")
+    pending = with_unknown_root_a(t, "A0")
+    assert anonymity_report(pending).rows == anonymity_report(t).rows == [("B0", "B", 2)]
+    with pytest.raises(MetricsError, match="^root_a of A0 is not a known A root$"):
+        anonymity_set(pending, "A0")
 
 
 def test_anonymity_report_covers_finalized_withdrawals():

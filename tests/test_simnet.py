@@ -374,6 +374,7 @@ def test_scenario_from_dict_shared_reward_block():
             "gap": -1}}, "adversary.gap"),
         ({"seed": 1, "horizon": 4, "tree_height": 33}, "tree_height"),
         (["seed", "horizon"], "<root>"),
+        ({"seed": 1, "horizon": 4, "security": 2**32}, "security"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):
