@@ -4,7 +4,9 @@ Proof-of-work light client and state relay
 
 Each contract embeds a light client of the other chain: a header chain with
 verified proof-of-work, plus state attestations that open a header's state
-commitment to the remote root and nullifier lists.  A relayed fact is trusted
+commitment to the remote root and nullifier lists.  An attestation carries
+only the list entries from the relayer's cursor onward; the receiver folds
+them onto the digest history it already verified.  A relayed fact is trusted
 because forging it would mean forging work, not because any relayer is.
 """
 
@@ -65,19 +67,20 @@ print("duplicate:", add_header(client, headers[1]).reason)
 bogus = mine_header(1, header_digest(genesis, params), 999, target, params)
 print("fork at height 1:", add_header(client, bogus).reason)
 
-# the attestation opens header 1's commitment to the full lists; the client
-# installs only the delta and remembers when each root arrived
+# the attestation opens header 1's commitment: the client already knows the
+# empty root, so the relayer sends each list from where the client's view ends;
+# the client installs the new entries and remembers when each root arrived
 att = StateAttestation(
     header_index=1,
-    new_roots=(roots[1],),
-    new_nullifiers=(67890,),
-    opening_roots=tuple(roots),
-    opening_nullifiers=tuple(nullifiers),
+    roots_from=1,
+    roots=(roots[1],),
+    nullifiers_from=0,
+    nullifiers=(67890,),
 )
 result = add_bridge_state(client, att, now=7)
 print("attestation accepted:", result.accepted, "| installed roots:", [fe_hex(r) for r in result.installed_roots])
 print("root timestamps:", {fe_hex(k): v for k, v in client.root_timestamps.items()})
 
 # an opening that does not match the committed state is rejected outright
-lying = StateAttestation(1, (4242,), (), tuple(roots[:1]) + (4242,), tuple(nullifiers))
+lying = StateAttestation(1, 1, (4242,), 0, tuple(nullifiers))
 print("forged opening:", add_bridge_state(client, lying, now=8).reason)

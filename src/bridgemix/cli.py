@@ -10,7 +10,8 @@ given (scenario, seed).
 
 Exit codes: 0 success; 1 a race interleaving double-paid (races mode);
 2 unusable input (unreadable file, parse error, bad field, empty sweep range);
-3 a protocol invariant broke mid-run (partial transcript is dumped).
+3 a protocol invariant broke mid-run, including a payout the paying contract
+cannot cover (partial transcript is dumped).
 """
 from __future__ import annotations
 
@@ -51,7 +52,9 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
     OSError with a message naming the problem."""
     path = Path(config.scenario_path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        # libyaml's parser when PyYAML was built with it; same safe constructors
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

@@ -80,11 +80,14 @@ class ContractState:
     wrapped_minted: int = 0
     # membership index of tree.root_history
     local_root_set: set = field(default_factory=set)
-    local_root_digests: list = field(default_factory=lambda: [0])
-    # nullifiers this contract exposed itself, in exposure order (committed)
+    # running digest of tree.root_history (committed)
+    local_root_digest: FieldElement = 0
+    # nullifiers this contract exposed itself, in exposure order
     exposed_nullifiers: list = field(default_factory=list)
-    exposed_digests: list = field(default_factory=lambda: [0])
-    # relayed view of the other chain
+    # running digest of exposed_nullifiers (committed)
+    exposed_digest: FieldElement = 0
+    # relayed view of the other chain; the digest lists are indexed by the
+    # `*_from` cursors of incoming attestations
     remote_roots: list = field(default_factory=list)
     remote_root_set: set = field(default_factory=set)
     remote_root_digests: list = field(default_factory=lambda: [0])
@@ -112,7 +115,7 @@ class ContractState:
     @property
     def state_commitment(self) -> FieldElement:
         return lightclient.state_commitment_value(
-            self.local_root_digests[-1], self.exposed_digests[-1], self.hash_params
+            self.local_root_digest, self.exposed_digest, self.hash_params
         )
 
 
@@ -162,7 +165,7 @@ def contract_setup(
     state.denomination = denomination
     empty_root = state.tree.root
     state.local_root_set.add(empty_root)
-    state.local_root_digests.append(hash2(0, empty_root, state.hash_params))
+    state.local_root_digest = hash2(0, empty_root, state.hash_params)
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
     state.remote_root_set.add(empty_root)
@@ -202,9 +205,7 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
     state.commitments.add(commitment)
     new_root = state.tree.root
     state.local_root_set.add(new_root)
-    state.local_root_digests.append(
-        hash2(state.local_root_digests[-1], new_root, state.hash_params)
-    )
+    state.local_root_digest = hash2(state.local_root_digest, new_root, state.hash_params)
     state.root_timestamps.setdefault(new_root, now)
     state.balance += amount
     state.total_deposited += amount
@@ -234,9 +235,7 @@ def submit_withdrawal(
         raise ContractError("invalid-proof", "proof rejected")
     state.nullifiers[stmt.nullifier] = NullifierRecord(now, LOCAL)
     state.exposed_nullifiers.append(stmt.nullifier)
-    state.exposed_digests.append(
-        hash2(state.exposed_digests[-1], stmt.nullifier, state.hash_params)
-    )
+    state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     pending_id = f"{state.chain_id}{state.next_pending_seq}"
     state.next_pending_seq += 1
     finalize_at = now + state.relay_delay + state.epsilon
@@ -379,9 +378,7 @@ def check_contract_invariants(state: ContractState):
     """Debug assertions used by the simulator after every tick."""
     assert state.balance >= 0, f"{state.chain_id} balance negative"
     assert len(state.remote_roots) == len(state.remote_root_set)
-    assert len(state.local_root_digests) == len(state.tree.root_history) + 1
     assert len(state.remote_root_digests) == len(state.remote_roots) + 1
-    assert len(state.exposed_digests) == len(state.exposed_nullifiers) + 1
     for sn in state.exposed_nullifiers:
         assert sn in state.nullifiers
     finalized = [p for p in state.pending_withdrawals if p.status == FINALIZED]

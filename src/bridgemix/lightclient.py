@@ -4,15 +4,16 @@ A header commits to the source contract's public bridge state (its root list
 and the list of nullifiers it has exposed) via a flat hash commitment over
 the two running list digests.  Relayed headers are accepted only if they
 extend the tracked chain with valid PoW; relayed state is accepted only if
-its opening matches the referenced header's commitment and extends what the
-receiver already knows.  Forks are rejected outright.
+its suffixes, folded onto the receiver's digest history, open the referenced
+header's commitment and agree with what the receiver already knows.  Forks
+are rejected outright.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .field_hash import DEFAULT_PARAMS, FieldElement, HashParams, encode_fe, hash2, hash_bytes
+from .field_hash import FieldElement, HashParams, encode_fe, hash2, hash_bytes
 
 
 MINING_TRIES = 1 << 20
@@ -82,14 +83,15 @@ def state_commitment_value(
 @dataclass(frozen=True)
 class StateAttestation:
     """Claim that, as of the header at `header_index` on the receiver's tracked
-    chain, the source contract's public lists were exactly `opening_*`, of
-    which `new_*` are the trailing entries the relayer believes are news."""
+    chain, the source contract's root list is the receiver's first
+    `roots_from` roots followed by `roots`, and likewise its exposed-nullifier
+    list is the first `nullifiers_from` entries followed by `nullifiers`."""
 
     header_index: int
-    new_roots: tuple
-    new_nullifiers: tuple
-    opening_roots: tuple
-    opening_nullifiers: tuple
+    roots_from: int
+    roots: tuple
+    nullifiers_from: int
+    nullifiers: tuple
 
 
 @dataclass(frozen=True)
@@ -145,18 +147,23 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
     return HeaderResult(True, "ok")
 
 
-def _verify_opening(known: list, digests: list, opening: tuple, params) -> FieldElement | None:
-    """Digest of `opening` given the receiver already verified `known`
-    (digest history `digests`), or None if the opening contradicts it."""
-    overlap = min(len(known), len(opening))
-    if list(opening[:overlap]) != known[:overlap]:
+def _verify_opening(known: list, digests: list, start: int, suffix: tuple, params) -> list | None:
+    """Running digests of the claimed list `known[:start] + suffix`: at the end
+    of its overlap with `known`, then after each new entry.  None when `start`
+    leaves a gap or `suffix` contradicts the overlap.
+
+    Each relayer's attestations arrive in send order and each starts where
+    its previous one ended, so an honest `start` never exceeds the receiver's
+    view; a gap is rejected, not repaired."""
+    if not 0 <= start <= len(known):
         return None
-    if len(opening) <= len(known):
-        return digests[len(opening)]
-    digest = digests[len(known)]
-    for v in opening[len(known):]:
-        digest = hash2(digest, v, params)
-    return digest
+    end = min(len(known), start + len(suffix))
+    if list(suffix[: end - start]) != known[start:end]:
+        return None
+    fresh = [digests[end]]
+    for v in suffix[end - start:]:
+        fresh.append(hash2(fresh[-1], v, params))
+    return fresh
 
 
 def add_bridge_state(state, att: StateAttestation, now: int = 0) -> StateResult:
@@ -172,34 +179,24 @@ def add_bridge_state(state, att: StateAttestation, now: int = 0) -> StateResult:
         return StateResult(False, "unknown-header")
     header = state.remote_headers[att.header_index]
 
-    roots_digest = _verify_opening(
-        state.remote_roots, state.remote_root_digests, att.opening_roots, params
+    roots_fresh = _verify_opening(
+        state.remote_roots, state.remote_root_digests, att.roots_from, att.roots, params
     )
-    nulls_digest = _verify_opening(
-        state.remote_exposed, state.remote_exposed_digests, att.opening_nullifiers, params
+    nulls_fresh = _verify_opening(
+        state.remote_exposed, state.remote_exposed_digests, att.nullifiers_from, att.nullifiers, params
     )
-    if roots_digest is None or nulls_digest is None:
+    if roots_fresh is None or nulls_fresh is None:
         return StateResult(False, "bad-opening")
-    if state_commitment_value(roots_digest, nulls_digest, params) != header.state_commitment:
-        return StateResult(False, "bad-opening")
-    if att.new_roots != att.opening_roots[len(att.opening_roots) - len(att.new_roots):]:
-        return StateResult(False, "bad-opening")
-    tail = len(att.opening_nullifiers) - len(att.new_nullifiers)
-    if att.new_nullifiers != att.opening_nullifiers[tail:]:
+    if state_commitment_value(roots_fresh[-1], nulls_fresh[-1], params) != header.state_commitment:
         return StateResult(False, "bad-opening")
 
-    installed_roots = tuple(att.opening_roots[len(state.remote_roots):])
+    installed_roots = tuple(att.roots[len(state.remote_roots) - att.roots_from:])
     for root in installed_roots:
         state.remote_roots.append(root)
-        state.remote_root_digests.append(
-            hash2(state.remote_root_digests[-1], root, params)
-        )
         state.remote_root_set.add(root)
         state.root_timestamps.setdefault(root, now)
-    installed_nulls = tuple(att.opening_nullifiers[len(state.remote_exposed):])
-    for sn in installed_nulls:
-        state.remote_exposed.append(sn)
-        state.remote_exposed_digests.append(
-            hash2(state.remote_exposed_digests[-1], sn, params)
-        )
+    state.remote_root_digests.extend(roots_fresh[1:])
+    installed_nulls = tuple(att.nullifiers[len(state.remote_exposed) - att.nullifiers_from:])
+    state.remote_exposed.extend(installed_nulls)
+    state.remote_exposed_digests.extend(nulls_fresh[1:])
     return StateResult(True, "ok", installed_roots, installed_nulls)

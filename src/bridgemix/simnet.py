@@ -418,7 +418,7 @@ class _Engine:
                         note_id, ev.target, claimant, ev.arg("age"), now
                     )
                     incentives_mod.claim_reward(
-                        c, dict(self.scenario.rewards)[ev.target], claim, now
+                        c, self.scenario.reward_for(ev.target), claim, now
                     )
                 except (_UserActionError, incentives_mod.RewardError) as err:
                     c.emit(
@@ -457,19 +457,15 @@ class _Engine:
                 if not spec.honest:
                     continue  # withholds bridge state
                 c = node.contract
-                new_roots = tuple(c.tree.root_history[cursor.roots:])
-                new_nulls = tuple(c.exposed_nullifiers[cursor.nulls:])
-                if new_roots or new_nulls:
+                roots = tuple(c.tree.root_history[cursor.roots:])
+                nulls = tuple(c.exposed_nullifiers[cursor.nulls:])
+                if roots or nulls:
                     att = StateAttestation(
-                        header_index=node.headers[-1].height,
-                        new_roots=new_roots,
-                        new_nullifiers=new_nulls,
-                        opening_roots=tuple(c.tree.root_history),
-                        opening_nullifiers=tuple(c.exposed_nullifiers),
+                        node.headers[-1].height, cursor.roots, roots, cursor.nulls, nulls
                     )
                     bucket.append(("state", dst, att))
-                    cursor.roots = len(c.tree.root_history)
-                    cursor.nulls = len(c.exposed_nullifiers)
+                    cursor.roots += len(roots)
+                    cursor.nulls += len(nulls)
 
     def _finalize(self, now: int):
         for chain in CHAINS:
@@ -492,13 +488,13 @@ class _Engine:
             self._user(now)
             self._mine(now)
             self._relay(now)
-            self._finalize(now)
             try:
+                self._finalize(now)  # a payout the contract cannot cover raises
                 for c in contracts:
                     contract_mod.check_contract_invariants(c)
                 if not contract_mod.conservation_holds(contracts):
                     raise AssertionError("value conservation broken")
-            except AssertionError as err:
+            except (ContractError, AssertionError) as err:
                 raise SimInvariantError(f"tick {now}: {err}", self._transcript())
         return self._transcript()
 

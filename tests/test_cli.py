@@ -32,6 +32,18 @@ events:
 adversary: {note: adv, deposit_chain: A, deposit_at: 0, first_chain: A, first_at: 3, gap: 0}
 """
 
+# a note deposited on B and withdrawn on native A, which holds no deposits
+INSOLVENT = """\
+seed: 5
+horizon: 12
+hash_rounds: 8
+relay_delay: 2
+epsilon: 1
+events:
+  - {at: 0, chain: B, action: deposit, note: n1}
+  - {at: 4, chain: A, action: submit_withdrawal, note: n1, recipient: alice}
+"""
+
 
 def write_scenario(tmp_path, text, name="scn.yaml"):
     path = tmp_path / name
@@ -173,3 +185,23 @@ def test_invariant_violation_dumps_partial_transcript(tmp_path, capsys, monkeypa
     assert rc == cli.EXIT_INVARIANT
     assert "conservation" in capsys.readouterr().err
     assert (out / "transcript-failure.txt").read_text().startswith("t=0 ")
+
+
+def test_insolvent_payout_exits_3_and_dumps_transcript(tmp_path, capsys):
+    scn = write_scenario(tmp_path, INSOLVENT)
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", scn, "--out", str(out)])
+    assert rc == cli.EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "tick 7: A cannot cover withdrawal A0" in err and "Traceback" not in err
+    dump = (out / "transcript-failure.txt").read_text()
+    assert "chain=A ev=withdraw-submitted wid=A0" in dump
+    assert "ev=withdraw-finalized" not in dump
+
+
+def test_races_insolvent_payout_exits_3(tmp_path, capsys):
+    adversary = "adversary: {note: adv, deposit_chain: B, deposit_at: 0, first_chain: B, first_at: 3}\n"
+    scn = write_scenario(tmp_path, INSOLVENT + adversary)
+    rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INVARIANT
+    assert "A cannot cover withdrawal A" in capsys.readouterr().err

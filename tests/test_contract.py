@@ -49,19 +49,20 @@ def make_pair(params, h=3, epsilon=1, delay=2, native_chain="A"):
 
 def relay_all(src, dst, now):
     """Hand-rolled relayer: mine a header committing src's current state,
-    deliver it, then deliver a full-opening attestation."""
+    deliver it, then attest src's list entries past dst's view."""
     params = src.hash_params
     prev = header_digest(dst.remote_headers[-1], params)
     header = mine_header(
         len(dst.remote_headers), prev, src.state_commitment, EASY_TARGET, params
     )
     assert on_relayed_header(dst, header, now).accepted
+    roots_from, nulls_from = len(dst.remote_roots), len(dst.remote_exposed)
     att = StateAttestation(
         header_index=header.height,
-        new_roots=tuple(src.tree.root_history[len(dst.remote_roots):]),
-        new_nullifiers=tuple(src.exposed_nullifiers[len(dst.remote_exposed):]),
-        opening_roots=tuple(src.tree.root_history),
-        opening_nullifiers=tuple(src.exposed_nullifiers),
+        roots_from=roots_from,
+        roots=tuple(src.tree.root_history[roots_from:]),
+        nullifiers_from=nulls_from,
+        nullifiers=tuple(src.exposed_nullifiers[nulls_from:]),
     )
     return on_relayed_state(dst, att, now)
 

@@ -2,8 +2,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from bridgemix.field_hash import P, encode_fe, hash_bytes, hash2
+from bridgemix.field_hash import P, encode_fe, hash_bytes, hash2, make_params
 from bridgemix.lightclient import (
     BlockHeader,
     MiningError,
@@ -18,6 +20,7 @@ from bridgemix.lightclient import (
 )
 
 EASY_TARGET = P >> 2
+TINY_PARAMS = make_params(4)  # the tiny_params fixture, for Hypothesis tests
 
 
 class FakeContract:
@@ -136,18 +139,47 @@ class TestAddHeader:
         assert add_header(contract, child).reason == "bad-target"
 
 
+def claimed_list(known, start, suffix):
+    """The source list an attestation claims, or None for a gap."""
+    if not 0 <= start <= len(known):
+        return None
+    return list(known[:start]) + list(suffix)
+
+
+def forge_start(rng, start, view):
+    """Keep `start`, shift it, or move it past the receiver's view."""
+    pick = rng.randrange(3)
+    if pick == 1:
+        return start + rng.choice((-2, -1, 1, 2))
+    if pick == 2:
+        return view + rng.randrange(1, 4)
+    return start
+
+
 class TestAddBridgeState:
     def _setup(self, params, roots, nulls):
         genesis = mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)
         contract = FakeContract(params, genesis)
         att = StateAttestation(
             header_index=0,
-            new_roots=tuple(roots),
-            new_nullifiers=tuple(nulls),
-            opening_roots=tuple(roots),
-            opening_nullifiers=tuple(nulls),
+            roots_from=0,
+            roots=tuple(roots),
+            nullifiers_from=0,
+            nullifiers=tuple(nulls),
         )
         return contract, att
+
+    def _extend(self, contract, roots, nulls, params):
+        """Append a header committing (roots, nulls) to the receiver's chain."""
+        child = mine_header(
+            len(contract.remote_headers),
+            header_digest(contract.remote_headers[-1], params),
+            commit(roots, nulls, params),
+            EASY_TARGET,
+            params,
+        )
+        assert add_header(contract, child).accepted
+        return child.height
 
     def test_honest_attestation_installs(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
@@ -157,6 +189,8 @@ class TestAddBridgeState:
         assert contract.remote_exposed == [77]
         assert result.installed_nullifiers == (77,)
         assert contract.root_timestamps == {10: 4, 11: 4}
+        assert contract.remote_root_digests == [chain_digest([10, 11][:k], fast_params) for k in range(3)]
+        assert contract.remote_exposed_digests == [0, chain_digest([77], fast_params)]
 
     def test_wrong_header_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10], [])
@@ -164,13 +198,55 @@ class TestAddBridgeState:
 
     def test_opening_not_matching_commitment_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [])
-        forged = dataclasses.replace(att, opening_roots=(10, 12), new_roots=(10, 12))
+        forged = dataclasses.replace(att, roots=(10, 12))
         assert add_bridge_state(contract, forged).reason == "bad-opening"
 
-    def test_new_entries_must_be_opening_suffix(self, fast_params):
-        contract, att = self._setup(fast_params, [10, 11], [])
-        bad = dataclasses.replace(att, new_roots=(10,))
+    def test_gap_after_view_rejected(self, fast_params):
+        contract, att = self._setup(fast_params, [10, 11], [77])
+        assert add_bridge_state(contract, att).accepted
+        # a negative cursor would index the view from its end
+        assert add_bridge_state(contract, StateAttestation(0, -2, (10,), 1, ())).reason == "bad-opening"
+        height = self._extend(contract, [10, 11, 12, 13], [77, 78], fast_params)
+        for start in (3, 4, -1):
+            gap = StateAttestation(height, start, (13,), 1, (78,))
+            assert add_bridge_state(contract, gap).reason == "bad-opening"
+            gap = StateAttestation(height, 2, (12, 13), start, (78,))
+            assert add_bridge_state(contract, gap).reason == "bad-opening"
+        assert contract.remote_roots == [10, 11] and contract.remote_exposed == [77]
+        # the same news from where the receiver's view ends is accepted
+        result = add_bridge_state(contract, StateAttestation(height, 2, (12, 13), 1, (78,)))
+        assert result.installed_roots == (12, 13) and result.installed_nullifiers == (78,)
+
+    def test_overlap_contradicting_view_rejected(self, fast_params):
+        contract, att = self._setup(fast_params, [10, 11], [77])
+        assert add_bridge_state(contract, att).accepted
+        height = self._extend(contract, [10, 11, 12], [77, 78], fast_params)
+        # the new entries are the committed ones, but the head of a suffix
+        # contradicts an entry the receiver already installed
+        bad = StateAttestation(height, 1, (99, 12), 1, (78,))
         assert add_bridge_state(contract, bad).reason == "bad-opening"
+        bad = StateAttestation(height, 2, (12,), 0, (76, 78))
+        assert add_bridge_state(contract, bad).reason == "bad-opening"
+        # a header committing to a rewrite of entry 1
+        height = self._extend(contract, [10, 99, 12], [77], fast_params)
+        bad = StateAttestation(height, 1, (99, 12), 1, ())
+        assert add_bridge_state(contract, bad).reason == "bad-opening"
+        assert contract.remote_roots == [10, 11] and contract.remote_exposed == [77]
+
+    def test_overlapping_and_stale_attestations_install_only_news(self, fast_params):
+        contract, att = self._setup(fast_params, [10, 11], [77])
+        assert add_bridge_state(contract, att).accepted
+        height = self._extend(contract, [10, 11, 12, 13], [77, 78], fast_params)
+        # a second relayer whose cursor lags the receiver's view
+        result = add_bridge_state(contract, StateAttestation(height, 1, (11, 12, 13), 0, (77, 78)))
+        assert result.accepted
+        assert result.installed_roots == (12, 13) and result.installed_nullifiers == (78,)
+        # a stale attestation of an older, shorter state installs nothing
+        stale = add_bridge_state(contract, StateAttestation(0, 1, (11,), 0, (77,)))
+        assert stale.accepted
+        assert stale.installed_roots == () and stale.installed_nullifiers == ()
+        assert contract.remote_roots == [10, 11, 12, 13]
+        assert contract.remote_exposed == [77, 78]
 
     def test_idempotent_redelivery(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
@@ -185,15 +261,8 @@ class TestAddBridgeState:
         assert add_bridge_state(contract, att).accepted
         # a second header commits to a history that rewrites entry 0
         rewrite = [12, 11, 13]
-        child = mine_header(
-            1,
-            header_digest(contract.remote_headers[0], fast_params),
-            commit(rewrite, [], fast_params),
-            EASY_TARGET,
-            fast_params,
-        )
-        assert add_header(contract, child).accepted
-        att2 = StateAttestation(1, (13,), (), tuple(rewrite), ())
+        height = self._extend(contract, rewrite, [], fast_params)
+        att2 = StateAttestation(height, 0, tuple(rewrite), 0, ())
         assert add_bridge_state(contract, att2).reason == "bad-opening"
 
     def test_forged_openings_never_accepted_fuzz(self, tiny_params):
@@ -201,7 +270,7 @@ class TestAddBridgeState:
         roots, nulls = [21, 22, 23], [31, 32]
         contract, att = self._setup(tiny_params, roots, nulls)
         add_bridge_state(contract, att)
-        accepted = 0
+        accepted = forgeries = 0
         for _ in range(10**4):
             fr = list(roots) + [rng.randrange(P) for _ in range(rng.randrange(0, 3))]
             fn = list(nulls) + [rng.randrange(P) for _ in range(rng.randrange(0, 3))]
@@ -209,12 +278,100 @@ class TestAddBridgeState:
                 fr[rng.randrange(len(fr))] = rng.randrange(P)
             elif fn:
                 fn[rng.randrange(len(fn))] = rng.randrange(P)
-            if fr == roots and fn == nulls:
-                continue  # not a forgery
-            forged = StateAttestation(0, tuple(fr), tuple(fn), tuple(fr), tuple(fn))
-            if add_bridge_state(contract, forged).accepted:
-                accepted += 1
+            # the forged lists whole, then cut at random points behind
+            # cursors that are kept, shifted or moved past the receiver's view
+            r_cut, n_cut = rng.randrange(len(fr) + 1), rng.randrange(len(fn) + 1)
+            r_from = forge_start(rng, r_cut, len(roots))
+            n_from = forge_start(rng, n_cut, len(nulls))
+            for forged in (
+                StateAttestation(0, 0, tuple(fr), 0, tuple(fn)),
+                StateAttestation(0, r_from, tuple(fr[r_cut:]), n_from, tuple(fn[n_cut:])),
+            ):
+                if (
+                    claimed_list(roots, forged.roots_from, forged.roots) == roots
+                    and claimed_list(nulls, forged.nullifiers_from, forged.nullifiers) == nulls
+                ):
+                    continue  # not a forgery
+                forgeries += 1
+                if add_bridge_state(contract, forged).accepted:
+                    accepted += 1
         assert accepted == 0
+        assert forgeries > 19000
+        assert contract.remote_roots == roots and contract.remote_exposed == nulls
+
+
+@st.composite
+def relay_runs(draw):
+    """A source history (entries appended per tick) and relayers as
+    (delay, carries_state) pairs; one relayer always carries state."""
+    ticks = draw(st.integers(1, 10))
+    appends = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=ticks, max_size=ticks
+        )
+    )
+    relayers = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=3)
+    )
+    relayers[0] = (relayers[0][0], True)
+    return appends, relayers
+
+
+@seed(4401)
+@settings(max_examples=60, deadline=None, database=None)
+@given(run=relay_runs())
+def test_relayed_views_stay_prefixes_of_the_source(run):
+    """Relayers with their own delays and cursors, as in the simulator, over a
+    random source history: no honest attestation is rejected, and the
+    receiver's lists are always a prefix of the source's."""
+    params = TINY_PARAMS
+    appends, relayers = run
+    roots, nulls = [], []
+    headers = [mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)]
+    receiver = FakeContract(params, headers[0])
+    cursors = [[1, 0, 0] for _ in relayers]  # headers, roots, nullifiers
+    deliveries = {}
+    value = iter(range(1000, 10**6))
+    horizon = len(appends) + max(delay for delay, _ in relayers) + 1
+    for now in range(horizon):
+        for kind, payload in deliveries.pop(now, []):
+            if kind == "header":
+                assert add_header(receiver, payload).reason in ("ok", "duplicate")
+            else:
+                assert add_bridge_state(receiver, payload, now).accepted
+            assert receiver.remote_roots == roots[: len(receiver.remote_roots)]
+            assert receiver.remote_exposed == nulls[: len(receiver.remote_exposed)]
+        if now >= len(appends):
+            continue
+        new_roots, new_nulls = appends[now]
+        roots.extend(next(value) for _ in range(new_roots))
+        nulls.extend(next(value) for _ in range(new_nulls))
+        headers.append(
+            mine_header(
+                len(headers),
+                header_digest(headers[-1], params),
+                commit(roots, nulls, params),
+                EASY_TARGET,
+                params,
+            )
+        )
+        for cursor, (delay, carries_state) in zip(cursors, relayers):
+            bucket = deliveries.setdefault(now + delay, [])
+            bucket.extend(("header", h) for h in headers[cursor[0]:])
+            cursor[0] = len(headers)
+            if carries_state and (roots[cursor[1]:] or nulls[cursor[2]:]):
+                att = StateAttestation(
+                    len(headers) - 1, cursor[1], tuple(roots[cursor[1]:]),
+                    cursor[2], tuple(nulls[cursor[2]:]),
+                )
+                bucket.append(("state", att))
+                cursor[1], cursor[2] = len(roots), len(nulls)
+    assert not deliveries
+    assert receiver.remote_roots == roots and receiver.remote_exposed == nulls
+    assert receiver.remote_root_digests == [chain_digest(roots[:k], params) for k in range(len(roots) + 1)]
+    assert receiver.remote_exposed_digests == [
+        chain_digest(nulls[:k], params) for k in range(len(nulls) + 1)
+    ]
 
 
 class TestDigests:
