@@ -31,18 +31,33 @@ class ContractError(Exception):
         self.reason = reason
 
 
+# event keys whose values are field elements: value_text prints them as fe_hex
+FE_KEYS = frozenset({"empty_root", "commitment", "new_root", "root_a", "root_b", "nullifier"})
+
+
 @dataclass(frozen=True)
 class EventRecord:
-    """One line of the public transcript."""
+    """One line of the public transcript.  `fields` holds (key, value) pairs with
+    typed values: ints for field elements and counts, strs for ids and reasons."""
 
     tick: int
     chain: str
     kind: str
-    fields: tuple  # ordered (key, value) string pairs
+    fields: tuple
+
+    def get(self, key: str, default=None):
+        for k, v in self.fields:
+            if k == key:
+                return v
+        return default
+
+    @staticmethod
+    def value_text(key: str, value) -> str:
+        return fe_hex(value) if key in FE_KEYS else str(value)
 
     def to_line(self) -> str:
         parts = [f"t={self.tick}", f"chain={self.chain}", f"ev={self.kind}"]
-        parts.extend(f"{k}={v}" for k, v in self.fields)
+        parts.extend(f"{k}={self.value_text(k, v)}" for k, v in self.fields)
         return " ".join(parts)
 
 
@@ -62,6 +77,7 @@ class NullifierRecord:
     first_seen: int
     provenance: str  # local (exposed here) or remote (installed via relay)
     burned: bool = False
+    withdrawal: PendingWithdrawal | None = None  # the local one that exposed it
 
 
 @dataclass
@@ -96,7 +112,10 @@ class ContractState:
     remote_headers: list = field(default_factory=list)
     # full nullifier knowledge (local + remote), with provenance
     nullifiers: dict = field(default_factory=dict)
+    # every withdrawal ever queued, in finalize order (finalize_at is the submit
+    # tick plus a constant); finalize_cursor is past every one already due
     pending_withdrawals: list = field(default_factory=list)
+    finalize_cursor: int = 0
     commitments: set = field(default_factory=set)
     root_timestamps: dict = field(default_factory=dict)
     credits: dict = field(default_factory=dict)
@@ -107,8 +126,8 @@ class ContractState:
     events: list = field(default_factory=list)
     next_pending_seq: int = 0
 
-    def emit(self, now: int, kind: str, *pairs) -> EventRecord:
-        record = EventRecord(now, self.chain_id, kind, tuple(pairs))
+    def emit(self, now: int, kind: str, **fields) -> EventRecord:
+        record = EventRecord(now, self.chain_id, kind, tuple(fields.items()))
         self.events.append(record)
         return record
 
@@ -176,11 +195,11 @@ def contract_setup(
     state.emit(
         now,
         "setup",
-        ("height", str(h)),
-        ("denomination", str(denomination)),
-        ("epsilon", str(state.epsilon)),
-        ("relay_delay", str(state.relay_delay)),
-        ("empty_root", fe_hex(empty_root)),
+        height=h,
+        denomination=denomination,
+        epsilon=state.epsilon,
+        relay_delay=state.relay_delay,
+        empty_root=empty_root,
     )
     return state
 
@@ -209,13 +228,7 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
     state.root_timestamps.setdefault(new_root, now)
     state.balance += amount
     state.total_deposited += amount
-    state.emit(
-        now,
-        "deposit",
-        ("index", str(index)),
-        ("commitment", fe_hex(commitment)),
-        ("new_root", fe_hex(new_root)),
-    )
+    state.emit(now, "deposit", index=index, commitment=commitment, new_root=new_root)
     return index
 
 
@@ -233,24 +246,23 @@ def submit_withdrawal(
         raise ContractError("nullifier-known", "nullifier already seen")
     if not zkrel.zk_verify(state.params, stmt, proof):
         raise ContractError("invalid-proof", "proof rejected")
-    state.nullifiers[stmt.nullifier] = NullifierRecord(now, LOCAL)
-    state.exposed_nullifiers.append(stmt.nullifier)
-    state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     pending_id = f"{state.chain_id}{state.next_pending_seq}"
     state.next_pending_seq += 1
     finalize_at = now + state.relay_delay + state.epsilon
-    state.pending_withdrawals.append(
-        PendingWithdrawal(pending_id, stmt, proof, recipient, now, finalize_at)
-    )
+    pw = PendingWithdrawal(pending_id, stmt, proof, recipient, now, finalize_at)
+    state.pending_withdrawals.append(pw)
+    state.nullifiers[stmt.nullifier] = NullifierRecord(now, LOCAL, withdrawal=pw)
+    state.exposed_nullifiers.append(stmt.nullifier)
+    state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     state.emit(
         now,
         "withdraw-submitted",
-        ("wid", pending_id),
-        ("root_a", fe_hex(stmt.root_a)),
-        ("root_b", fe_hex(stmt.root_b)),
-        ("nullifier", fe_hex(stmt.nullifier)),
-        ("recipient", recipient),
-        ("finalize_at", str(finalize_at)),
+        wid=pending_id,
+        root_a=stmt.root_a,
+        root_b=stmt.root_b,
+        nullifier=stmt.nullifier,
+        recipient=recipient,
+        finalize_at=finalize_at,
     )
     return pending_id
 
@@ -259,9 +271,12 @@ def process_tick(state: ContractState, now: int) -> list:
     """Finalize every still-pending withdrawal whose delay has elapsed."""
     _require_initialised(state)
     events = []
-    for pw in state.pending_withdrawals:
-        if pw.status != PENDING or pw.finalize_at > now:
-            continue
+    for pw in state.pending_withdrawals[state.finalize_cursor :]:
+        if pw.finalize_at > now:
+            break
+        state.finalize_cursor += 1
+        if pw.status != PENDING:
+            continue  # cancelled
         pw.status = FINALIZED
         if state.native:
             if state.balance < state.denomination:
@@ -278,47 +293,35 @@ def process_tick(state: ContractState, now: int) -> list:
             state.emit(
                 now,
                 "withdraw-finalized",
-                ("wid", pw.pending_id),
-                ("nullifier", fe_hex(pw.statement.nullifier)),
-                ("recipient", pw.recipient),
-                ("amount", str(state.denomination)),
-                ("mode", mode),
+                wid=pw.pending_id,
+                nullifier=pw.statement.nullifier,
+                recipient=pw.recipient,
+                amount=state.denomination,
+                mode=mode,
             )
         )
     return events
 
 
 def on_duplicate_nullifier(state: ContractState, sn: FieldElement, now: int) -> list:
-    """A relayed copy of a locally exposed nullifier arrived: cancel any
-    pending withdrawal carrying it and burn it permanently."""
+    """A relayed copy of a locally exposed nullifier arrived: burn it for good, and
+    cancel the withdrawal that exposed it if still pending; nullifier-known allows no other."""
     _require_initialised(state)
     record = state.nullifiers.get(sn)
     if record is None:
         raise ContractError("unknown-nullifier", "duplicate signal for unseen nullifier")
     record.burned = True
     events = []
-    cancelled = 0
-    for pw in state.pending_withdrawals:
-        if pw.statement.nullifier == sn and pw.status == PENDING:
-            pw.status = CANCELLED
-            cancelled += 1
-            events.append(
-                state.emit(
-                    now,
-                    "withdraw-cancelled",
-                    ("wid", pw.pending_id),
-                    ("nullifier", fe_hex(sn)),
-                    ("reason", "duplicate-nullifier"),
-                )
+    pw = record.withdrawal
+    cancelled = pw is not None and pw.status == PENDING
+    if cancelled:
+        pw.status = CANCELLED
+        events.append(
+            state.emit(
+                now, "withdraw-cancelled", wid=pw.pending_id, nullifier=sn, reason="duplicate-nullifier"
             )
-    events.append(
-        state.emit(
-            now,
-            "duplicate-detected",
-            ("nullifier", fe_hex(sn)),
-            ("cancelled", str(cancelled)),
         )
-    )
+    events.append(state.emit(now, "duplicate-detected", nullifier=sn, cancelled=int(cancelled)))
     return events
 
 
@@ -326,14 +329,9 @@ def on_relayed_header(state: ContractState, header: BlockHeader, now: int):
     """add_header plus transcript logging; silent on idempotent duplicates."""
     result = lightclient.add_header(state, header)
     if result.accepted:
-        state.emit(now, "header-accepted", ("height", str(header.height)))
+        state.emit(now, "header-accepted", height=header.height)
     elif result.reason != "duplicate":
-        state.emit(
-            now,
-            "header-rejected",
-            ("height", str(header.height)),
-            ("reason", result.reason),
-        )
+        state.emit(now, "header-rejected", height=header.height, reason=result.reason)
     return result
 
 
@@ -342,7 +340,7 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
     nullifiers that match a locally exposed one trigger cancellation."""
     result = lightclient.add_bridge_state(state, att, now)
     if not result.accepted:
-        state.emit(now, "state-rejected", ("reason", result.reason))
+        state.emit(now, "state-rejected", reason=result.reason)
         return result
     duplicates = []
     for sn in result.installed_nullifiers:
@@ -356,8 +354,8 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
         state.emit(
             now,
             "state-accepted",
-            ("roots_installed", str(len(result.installed_roots))),
-            ("nullifiers_installed", str(len(result.installed_nullifiers))),
+            roots_installed=len(result.installed_roots),
+            nullifiers_installed=len(result.installed_nullifiers),
         )
     for sn in duplicates:
         on_duplicate_nullifier(state, sn, now)
@@ -375,11 +373,21 @@ def conservation_holds(states) -> bool:
 
 
 def check_contract_invariants(state: ContractState):
-    """Debug assertions used by the simulator after every tick."""
-    assert state.balance >= 0, f"{state.chain_id} balance negative"
-    assert len(state.remote_roots) == len(state.remote_root_set)
-    assert len(state.remote_root_digests) == len(state.remote_roots) + 1
-    for sn in state.exposed_nullifiers:
-        assert sn in state.nullifiers
-    finalized = [p for p in state.pending_withdrawals if p.status == FINALIZED]
-    assert len({p.statement.nullifier for p in finalized}) == len(finalized)
+    """Checks the simulator runs after every tick.  A broken one raises
+    ContractError("invariant") naming the invariant and the values compared."""
+    roots, digests = len(state.remote_roots), len(state.remote_root_digests)
+    paid = [p.statement.nullifier for p in state.pending_withdrawals if p.status == FINALIZED]
+    if state.balance < 0:
+        broken = f"balance >= 0, but balance = {state.balance}"
+    elif roots != len(state.remote_root_set):
+        broken = f"remote roots distinct, but {roots} hold {len(state.remote_root_set)} values"
+    elif digests != roots + 1:
+        broken = f"one digest per remote root prefix, but {digests} for {roots} roots"
+    elif not all(map(state.nullifiers.__contains__, state.exposed_nullifiers)):
+        unknown = [sn for sn in state.exposed_nullifiers if sn not in state.nullifiers]
+        broken = f"exposed nullifiers known, but {len(unknown)} unknown, first {fe_hex(unknown[0])}"
+    elif len(set(paid)) != len(paid):
+        broken = f"one payout per nullifier, but {len(paid)} payouts for {len(set(paid))} nullifiers"
+    else:
+        return
+    raise ContractError("invariant", f"{state.chain_id} invariant broken: {broken}")

@@ -47,10 +47,6 @@ def fe_hex(x: FieldElement) -> str:
     return encode_fe(x).hex()
 
 
-def parse_fe_hex(text: str) -> FieldElement:
-    return decode_fe(bytes.fromhex(text))
-
-
 @dataclass(frozen=True)
 class HashParams:
     """Parameters of the round permutation.

@@ -78,10 +78,10 @@ def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
     state.emit(
         now,
         "reward-claimed",
-        ("nullifier", fe_hex(stmt.nullifier)),
-        ("claimant", claim.claimant),
-        ("age", str(claim.claimed_age)),
-        ("amount", str(amount)),
+        nullifier=stmt.nullifier,
+        claimant=claim.claimant,
+        age=claim.claimed_age,
+        amount=amount,
     )
     return amount
 
@@ -144,7 +144,6 @@ def vampire_metrics(transcript) -> LiquiditySeries:
     rows = []
     for tick in range(scenario.horizon):
         for e in by_tick.get(tick, ()):
-            fields = dict(e.fields)
             if e.kind == "deposit":
                 locked[e.chain] += denom
             elif e.kind == "withdraw-finalized":
@@ -153,7 +152,7 @@ def vampire_metrics(transcript) -> LiquiditySeries:
                 else:
                     wrapped[e.chain] += denom
             elif e.kind == "reward-claimed":
-                rewards[e.chain] += int(fields["amount"])
+                rewards[e.chain] += e.get("amount")
         rows.append(
             (
                 tick,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .contract import EventRecord
 from .lightclient import BlockHeader
 
 
@@ -27,14 +28,13 @@ _WITHDRAW_KINDS = (
 
 
 def _root_leaf_counts(transcript) -> dict:
-    """Per chain, map root (hex) -> number of deposits it commits to."""
+    """Per chain, map root -> number of deposits it commits to."""
     counts = {"A": {}, "B": {}}
     for e in transcript.events:
         if e.kind == "setup":
-            counts[e.chain][dict(e.fields)["empty_root"]] = 0
+            counts[e.chain][e.get("empty_root")] = 0
         elif e.kind == "deposit":
-            fields = dict(e.fields)
-            counts[e.chain][fields["new_root"]] = int(fields["index"]) + 1
+            counts[e.chain][e.get("new_root")] = e.get("index") + 1
     return counts
 
 
@@ -43,8 +43,7 @@ def _submissions(transcript) -> dict:
     subs = {}
     for e in transcript.events:
         if e.kind == "withdraw-submitted":
-            fields = dict(e.fields)
-            subs.setdefault(fields["wid"], (e.chain, fields["root_a"], fields["root_b"]))
+            subs.setdefault(e.get("wid"), (e.chain, e.get("root_a"), e.get("root_b")))
     return subs
 
 
@@ -102,7 +101,7 @@ def anonymity_report(transcript) -> AnonymityReport:
     rows = []
     for e in transcript.events:
         if e.kind == "withdraw-finalized":
-            wid = dict(e.fields)["wid"]
+            wid = e.get("wid")
             rows.append((wid, e.chain, _set_size(counts, subs, wid)))
     return AnonymityReport(rows)
 
@@ -145,24 +144,23 @@ _FORBIDDEN_KEYS = ("commitment", "leaf_index", "index")
 def linkability_audit(transcript) -> LinkabilityReport:
     """Flag any withdrawal-side event field that would let an observer tie the
     withdrawal back to a specific deposit: a forbidden key, or a value equal
-    to some deposit commitment."""
-    commitments = set()
-    for e in transcript.events:
-        if e.kind == "deposit":
-            commitments.add(dict(e.fields)["commitment"])
+    to some deposit commitment (a string value equal to a commitment's
+    printed form counts)."""
+    commitments = {e.get("commitment") for e in transcript.events if e.kind == "deposit"}
+    # an int never equals a str, so one set holds both forms of each commitment
+    commitments |= {EventRecord.value_text("commitment", c) for c in commitments}
     findings = []
     for i, e in enumerate(transcript.events):
         if e.kind not in _WITHDRAW_KINDS:
             continue
         for key, value in e.fields:
             if key in _FORBIDDEN_KEYS:
-                findings.append(
-                    LinkabilityFinding(i, e.kind, key, value, "deposit-identifying field")
-                )
+                reason = "deposit-identifying field"
             elif value in commitments:
-                findings.append(
-                    LinkabilityFinding(i, e.kind, key, value, "value equals a deposit commitment")
-                )
+                reason = "value equals a deposit commitment"
+            else:
+                continue
+            findings.append(LinkabilityFinding(i, e.kind, key, EventRecord.value_text(key, value), reason))
     return LinkabilityReport(findings)
 
 

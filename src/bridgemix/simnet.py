@@ -389,12 +389,7 @@ class _Engine:
                         c, self.scenario.denomination, note.commitment, now
                     )
                 except ContractError as err:
-                    c.emit(
-                        now,
-                        "deposit-rejected",
-                        ("commitment", fe_hex(note.commitment)),
-                        ("reason", err.reason),
-                    )
+                    c.emit(now, "deposit-rejected", commitment=note.commitment, reason=err.reason)
                     continue
                 self.deposits[note_id] = DepositInfo(ev.target, index, now, c.tree.root)
             elif ev.action == "submit_withdrawal":
@@ -407,9 +402,9 @@ class _Engine:
                     c.emit(
                         now,
                         "withdraw-rejected",
-                        ("nullifier", fe_hex(self.note(note_id).nullifier)),
-                        ("recipient", recipient),
-                        ("reason", err.reason),
+                        nullifier=self.note(note_id).nullifier,
+                        recipient=recipient,
+                        reason=err.reason,
                     )
             elif ev.action == "incentive_claim":
                 claimant = ev.arg("claimant", "user")
@@ -424,9 +419,9 @@ class _Engine:
                     c.emit(
                         now,
                         "reward-rejected",
-                        ("nullifier", fe_hex(self.note(note_id).nullifier)),
-                        ("claimant", claimant),
-                        ("reason", err.reason),
+                        nullifier=self.note(note_id).nullifier,
+                        claimant=claimant,
+                        reason=err.reason,
                     )
 
     def _mine(self, now: int):
@@ -440,7 +435,7 @@ class _Engine:
                 self.params,
             )
             node.headers.append(header)
-            node.contract.emit(now, "header-mined", ("height", str(header.height)))
+            node.contract.emit(now, "header-mined", height=header.height)
 
     def _relay(self, now: int):
         for spec in self.scenario.relayers:
@@ -493,8 +488,13 @@ class _Engine:
                 for c in contracts:
                     contract_mod.check_contract_invariants(c)
                 if not contract_mod.conservation_holds(contracts):
-                    raise AssertionError("value conservation broken")
-            except (ContractError, AssertionError) as err:
+                    terms = "; ".join(
+                        f"{c.chain_id} balance {c.balance}, credits {sum(c.credits.values())},"
+                        f" deposited {c.total_deposited}, wrapped {c.wrapped_minted}"
+                        for c in contracts
+                    )
+                    raise ContractError("invariant", f"value conservation broken: {terms}")
+            except ContractError as err:
                 raise SimInvariantError(f"tick {now}: {err}", self._transcript())
         return self._transcript()
 
@@ -583,20 +583,19 @@ _NO_EVENTS = (0, 0, False)
 
 
 def _note_tallies(transcript: Transcript) -> dict:
-    """Nullifier hex -> (payouts, cancels, rejected) from one walk of the
-    events; a nullifier with no such event reads _NO_EVENTS."""
+    """Nullifier -> (payouts, cancels, rejected) from one walk of the events;
+    a nullifier with no such event reads _NO_EVENTS."""
     tallies: dict = {}
     for e in transcript.events:
         if e.kind not in _TALLY_KINDS:
             continue
-        fields = dict(e.fields)
-        sn = fields.get("nullifier")
+        sn = e.get("nullifier")
         payouts, cancels, rejected = tallies.get(sn, _NO_EVENTS)
         if e.kind == "withdraw-finalized":
             payouts += 1
         elif e.kind == "withdraw-cancelled":
             cancels += 1
-        elif fields.get("reason") == "nullifier-known":
+        elif e.get("reason") == "nullifier-known":
             rejected = True
         tallies[sn] = (payouts, cancels, rejected)
     return tallies
@@ -623,10 +622,9 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
             )
             transcript = run(scenario, allow_negative_epsilon=True)
             tallies = _note_tallies(transcript)
-            adv_sn = fe_hex(transcript.notes[adv.note].nullifier)
-            payouts, cancels, rejected = tallies.get(adv_sn, _NO_EVENTS)
+            payouts, cancels, rejected = tallies.get(transcript.notes[adv.note].nullifier, _NO_EVENTS)
             honest = sum(
-                tallies.get(fe_hex(note.nullifier), _NO_EVENTS)[0]
+                tallies.get(note.nullifier, _NO_EVENTS)[0]
                 for note_id, note in transcript.notes.items()
                 if note_id != adv.note
             )
@@ -644,13 +642,13 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
 
 
 def payout_table(transcript: Transcript) -> list:
-    """Per-nullifier payout/cancellation tallies for a single run."""
+    """Per-nullifier payout/cancellation tallies for a single run, one row
+    (nullifier hex, payouts, cancels, rejected) per note."""
     tallies = _note_tallies(transcript)
-    rows = []
-    for note in transcript.notes.values():
-        sn = fe_hex(note.nullifier)
-        rows.append((sn, *tallies.get(sn, _NO_EVENTS)))
-    return rows
+    return [
+        (fe_hex(note.nullifier), *tallies.get(note.nullifier, _NO_EVENTS))
+        for note in transcript.notes.values()
+    ]
 
 
 # -- scenario parsing ---------------------------------------------------------

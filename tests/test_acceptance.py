@@ -12,7 +12,6 @@ from bridgemix.field_hash import (
     DEFAULT_PARAMS,
     P,
     encode_fe,
-    fe_hex,
     hash2,
     hash_bytes,
     make_params,
@@ -57,12 +56,8 @@ def ev(at, chain, action, **kw):
 
 
 def finals_for(transcript, note_id):
-    sn = fe_hex(transcript.notes[note_id].nullifier)
-    return [
-        e
-        for e in transcript.events
-        if e.kind == "withdraw-finalized" and dict(e.fields)["nullifier"] == sn
-    ]
+    sn = transcript.notes[note_id].nullifier
+    return [e for e in transcript.events if e.kind == "withdraw-finalized" and e.get("nullifier") == sn]
 
 
 def test_criterion_1_liveness_randomized(report):

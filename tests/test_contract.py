@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +332,66 @@ class TestInvariantHelpers:
         check_contract_invariants(a)
         check_contract_invariants(b)
         assert conservation_holds([a, b])
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda c: setattr(c, "balance", -5), "balance >= 0, but balance = -5"),
+            (
+                lambda c: c.remote_roots.append(c.remote_roots[0]),
+                "remote roots distinct, but 2 hold 1 values",
+            ),
+            (
+                lambda c: c.remote_root_digests.append(0),
+                "one digest per remote root prefix, but 3 for 1 roots",
+            ),
+            (
+                lambda c: c.exposed_nullifiers.append(1),
+                "exposed nullifiers known, but 1 unknown, first 0100000000000000",
+            ),
+        ],
+        ids=["balance", "remote-roots", "root-digests", "exposed-nullifier"],
+    )
+    def test_broken_invariant_raises_naming_it(self, fast_params, tamper, message):
+        a, _ = make_pair(fast_params)
+        check_contract_invariants(a)
+        tamper(a)
+        with pytest.raises(ContractError) as err:
+            check_contract_invariants(a)
+        assert err.value.reason == "invariant"
+        assert str(err.value) == f"A invariant broken: {message}"
+
+    def test_second_payout_of_a_nullifier_raises(self, fast_params):
+        a, b = make_pair(fast_params)
+        note = make_note(91, 92, fast_params)
+        index = deposit(a, DENOM, note.commitment, now=0)
+        relay_all(a, b, now=2)
+        stmt, proof = withdrawal_for(note, index, a, b)
+        submit_withdrawal(b, stmt, proof, "gina", now=2)
+        process_tick(b, 5)
+        b.pending_withdrawals.append(dataclasses.replace(b.pending_withdrawals[0]))
+        with pytest.raises(ContractError, match="one payout per nullifier, but 2 payouts for 1 nullifiers"):
+            check_contract_invariants(b)
+
+    def test_invariants_are_checked_under_python_O(self):
+        # `assert` statements vanish under -O; the checks must not
+        script = (
+            "from bridgemix.contract import ContractError, blank_contract, check_contract_invariants\n"
+            "c = blank_contract('A')\n"
+            "c.balance = -5\n"
+            "try:\n"
+            "    check_contract_invariants(c)\n"
+            "except ContractError as err:\n"
+            "    print(err.reason, err)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "invariant A invariant broken: balance >= 0, but balance = -5\n"
 
     def test_event_lines_render(self, fast_params):
         a, _ = make_pair(fast_params)

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from bridgemix.contract import EventRecord
+from bridgemix.field_hash import fe_hex
 from bridgemix.metrics import (
     FE_BYTES,
     HEADER_BYTES,
@@ -151,21 +152,22 @@ def test_linkability_flags_planted_leaks():
             ev(4, "B", "submit_withdrawal", note="a0", recipient="w"),
         ]
     )
-    commitment_hex = dict(
-        next(e for e in t.events if e.kind == "deposit").fields
-    )["commitment"]
+    commitment = next(e for e in t.events if e.kind == "deposit").get("commitment")
     leaky = dataclasses.replace(t)
     leaky.events = list(t.events) + [
-        # positive controls: a value that equals the deposit commitment, and a
-        # field that names the leaf position outright
-        EventRecord(9, "B", "withdraw-finalized", (("wid", "B9"), ("memo", commitment_hex))),
+        # positive controls: a value that equals the deposit commitment, as
+        # its printed text or as the field element, and a field that names
+        # the leaf position outright
+        EventRecord(9, "B", "withdraw-finalized", (("wid", "B9"), ("memo", fe_hex(commitment)))),
+        EventRecord(9, "B", "withdraw-finalized", (("wid", "B7"), ("root_b", commitment))),
         EventRecord(9, "B", "withdraw-submitted", (("wid", "B8"), ("leaf_index", "0"))),
     ]
     report = linkability_audit(leaky)
-    assert not report.clean and len(report.findings) == 2
+    assert not report.clean and len(report.findings) == 3
     reasons = {f.reason for f in report.findings}
     assert reasons == {"value equals a deposit commitment", "deposit-identifying field"}
     assert all("wid" != f.key for f in report.findings)
+    assert [f.value for f in report.findings[:2]] == [fe_hex(commitment)] * 2
 
 
 def test_storage_report_counts_growth_since_setup():

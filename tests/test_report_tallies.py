@@ -1,6 +1,7 @@
 """The payout and anonymity tallies against a naive reference.
 
-The reference below rescans the whole transcript once per note and once per
+The reference below reads the published transcript text, not the typed event
+values the analyses read, and rescans it once per note and once per
 withdrawal, the obvious reading of what the reports mean.  The analyses must
 give the same rows while walking the transcript a fixed number of times,
 whatever its length."""
@@ -34,18 +35,22 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 # -- naive reference ------------------------------------------------------------
 
+def published(transcript):
+    """Each rendered transcript line as a dict of its key=value texts."""
+    return [dict(tok.split("=", 1) for tok in line.split(" ")) for line in transcript.render_lines()]
+
+
 def naive_note_events(transcript, nullifier_hex):
     payouts = cancels = 0
     rejected = False
-    for e in transcript.events:
-        fields = dict(e.fields)
+    for fields in published(transcript):
         if fields.get("nullifier") != nullifier_hex:
             continue
-        if e.kind == "withdraw-finalized":
+        if fields["ev"] == "withdraw-finalized":
             payouts += 1
-        elif e.kind == "withdraw-cancelled":
+        elif fields["ev"] == "withdraw-cancelled":
             cancels += 1
-        elif e.kind == "withdraw-rejected" and fields.get("reason") == "nullifier-known":
+        elif fields["ev"] == "withdraw-rejected" and fields.get("reason") == "nullifier-known":
             rejected = True
     return payouts, cancels, rejected
 
@@ -60,28 +65,27 @@ def naive_payout_table(transcript):
 
 def naive_anonymity_set(transcript, wid):
     counts = {"A": {}, "B": {}}
-    for e in transcript.events:
-        fields = dict(e.fields)
-        if e.kind == "setup":
-            counts[e.chain][fields["empty_root"]] = 0
-        elif e.kind == "deposit":
-            counts[e.chain][fields["new_root"]] = int(fields["index"]) + 1
-    for e in transcript.events:
-        fields = dict(e.fields)
-        if e.kind != "withdraw-submitted" or fields["wid"] != wid:
+    for fields in published(transcript):
+        if fields["ev"] == "setup":
+            counts[fields["chain"]][fields["empty_root"]] = 0
+        elif fields["ev"] == "deposit":
+            counts[fields["chain"]][fields["new_root"]] = int(fields["index"]) + 1
+    for fields in published(transcript):
+        if fields["ev"] != "withdraw-submitted" or fields["wid"] != wid:
             continue
-        local = counts[e.chain].get(fields["root_a"])
+        chain = fields["chain"]
+        local = counts[chain].get(fields["root_a"])
         if local is None:
-            raise MetricsError(f"root_a of {wid} is not a known {e.chain} root")
-        return local + (counts[other_chain(e.chain)].get(fields["root_b"]) or 0)
+            raise MetricsError(f"root_a of {wid} is not a known {chain} root")
+        return local + (counts[other_chain(chain)].get(fields["root_b"]) or 0)
     raise MetricsError(f"no withdraw-submitted event with wid {wid!r}")
 
 
 def naive_anonymity_rows(transcript):
     return [
-        (dict(e.fields)["wid"], e.chain, naive_anonymity_set(transcript, dict(e.fields)["wid"]))
-        for e in transcript.events
-        if e.kind == "withdraw-finalized"
+        (fields["wid"], fields["chain"], naive_anonymity_set(transcript, fields["wid"]))
+        for fields in published(transcript)
+        if fields["ev"] == "withdraw-finalized"
     ]
 
 

@@ -15,6 +15,7 @@ from bridgemix.simnet import (
     Scenario,
     ScenarioError,
     SimEvent,
+    SimInvariantError,
     explore_races,
     payout_table,
     run,
@@ -51,6 +52,30 @@ def test_cross_chain_happy_path():
     assert b.credits == {"alice": 10}
     assert b.wrapped_minted == 10
     assert contract_mod.conservation_holds([t.contracts["A"], b])
+
+
+def test_broken_value_conservation_stops_the_run(monkeypatch):
+    sc = base_scenario(
+        events=(
+            ev(0, "A", "deposit", note="n1"),
+            ev(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
+        )
+    )
+    real_tick = contract_mod.process_tick
+
+    def leaky_tick(state, now):
+        events = real_tick(state, now)
+        if now == 5 and state.chain_id == "A":
+            state.credits["mallory"] = 3  # value from nowhere
+        return events
+
+    monkeypatch.setattr(contract_mod, "process_tick", leaky_tick)
+    with pytest.raises(SimInvariantError) as err:
+        run(sc)
+    assert str(err.value) == (
+        "tick 5: value conservation broken: A balance 10, credits 3, deposited 10, wrapped 0;"
+        " B balance 0, credits 0, deposited 0, wrapped 0"
+    )
 
 
 def test_same_chain_withdrawal_pays_from_balance():
