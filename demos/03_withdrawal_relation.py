@@ -11,14 +11,13 @@ therefore serves same-chain mixing and cross-chain bridging.
 
 import random
 
-from bridgemix.field_hash import fe_hex, make_params
+from bridgemix.field_hash import P, fe_hex, make_params
 from bridgemix.merkle import mt_add, mt_path, mt_setup
 from bridgemix.zkrel import (
     Statement,
     UnsatisfiedWitnessError,
     Witness,
-    note_from_rng,
-    proof_to_bytes,
+    make_note,
     zk_prove,
     zk_setup,
     zk_verify,
@@ -31,7 +30,7 @@ print("circuit:", pp.circuit_id, "| height:", pp.height)
 # a note is two secrets; commitment = H(r || s) goes on chain at deposit,
 # nullifier = H(r) is revealed only at withdrawal
 rng = random.Random(42)
-note = note_from_rng(rng, params)
+note = make_note(rng.randrange(P), rng.randrange(P), params)
 print("commitment:", fe_hex(note.commitment))
 print("nullifier: ", fe_hex(note.nullifier))
 
@@ -45,7 +44,7 @@ mt_add(remote, note.commitment)            # ours, at leaf 1
 stmt = Statement(root_a=local.root, root_b=remote.root, nullifier=note.nullifier)
 wit = Witness(note.r, note.s, mt_path(remote, 1), tree_selector=1)
 proof = zk_prove(pp, stmt, wit)
-print("proof bytes:", len(proof_to_bytes(proof)))
+print("proof payload bytes:", len(proof.payload))
 print("verifies:", zk_verify(pp, stmt, proof))
 
 # the proof binds the whole statement: touching any field kills it

@@ -13,22 +13,29 @@ because forging it would mean forging work, not because any relayer is.
 from bridgemix.field_hash import P, fe_hex, hash2, make_params
 from bridgemix.lightclient import (
     StateAttestation,
-    chain_digest,
     header_digest,
     mine_header,
     state_commitment_value,
-    validate_chain,
 )
 from bridgemix.merkle import zero_subtree_roots
 
 params = make_params(8)
 target = P >> 2  # deliberately easy: one in four digests qualifies
 
+
+def chain_digest(values):
+    # a header commits to each list through its running digest: fold hash2 from 0
+    digest = 0
+    for v in values:
+        digest = hash2(digest, v, params)
+    return digest
+
+
 # the remote chain starts from a genesis committing its empty contract state
 empty_root = zero_subtree_roots(4, params)[-1]
 roots = [empty_root]
 nullifiers = []
-commitment = state_commitment_value(chain_digest(roots, params), chain_digest(nullifiers, params), params)
+commitment = state_commitment_value(chain_digest(roots), chain_digest(nullifiers), params)
 genesis = mine_header(0, 0, commitment, target, params)
 print("genesis digest:", fe_hex(header_digest(genesis, params)))
 print("pow ok:", header_digest(genesis, params) < target)
@@ -37,9 +44,14 @@ print("pow ok:", header_digest(genesis, params) < target)
 headers = [genesis]
 roots.append(hash2(empty_root, 12345, params))      # stand-in for a new root
 nullifiers.append(67890)
-commitment = state_commitment_value(chain_digest(roots, params), chain_digest(nullifiers, params), params)
+commitment = state_commitment_value(chain_digest(roots), chain_digest(nullifiers), params)
 headers.append(mine_header(1, header_digest(genesis, params), commitment, target, params))
-print("chain of", len(headers), "headers valid:", validate_chain(headers, params))
+# the whole chain checks out: every header meets the target and links to its parent
+valid = all(header_digest(h, params) < target for h in headers) and all(
+    h.height == prev.height + 1 and h.prev_hash == header_digest(prev, params)
+    for prev, h in zip(headers, headers[1:])
+)
+print("chain of", len(headers), "headers valid:", valid)
 
 # a light client embedded in a contract accepts headers one by one; feed it
 # through a minimal stand-in for the contract state

@@ -9,7 +9,8 @@ machine-readable JSON summary as the last line.  Outputs are byte-reproducible
 given (scenario, seed).
 
 Exit codes: 0 success; 1 a race interleaving double-paid (races mode);
-2 unusable input (unreadable file, parse error, bad field, empty sweep range);
+2 unusable input (unreadable or non-UTF-8 scenario file, parse error, bad
+field, empty sweep range, an --out that cannot be made a directory);
 3 a protocol invariant broke mid-run, including a payout the paying contract
 cannot cover (partial transcript is dumped).
 """
@@ -55,6 +56,8 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
         # libyaml's parser when PyYAML was built with it; same safe constructors
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+    except UnicodeDecodeError as err:
+        raise simnet.ScenarioError("<syntax>", f"not UTF-8 text: {err}")
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -95,11 +98,11 @@ def cmd_run(config: RunConfig) -> int:
             return EXIT_BAD_INPUT
     try:
         scenario = load_scenario(config)
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
     except (OSError, simnet.ScenarioError) as err:
         _fail(str(err))
         return EXIT_BAD_INPUT
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         transcript = simnet.run(scenario, allow_negative_epsilon=True)
     except simnet.SimInvariantError as err:
@@ -128,6 +131,8 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_races(config: RunConfig) -> int:
     try:
         scenario = load_scenario(config)
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
         # validate_scenario keeps relay_delay + epsilon >= 0, so t_max >= 0
         t_max = 2 * (scenario.relay_delay + scenario.epsilon)
         report = simnet.explore_races(scenario, range(0, t_max + 1))
@@ -137,8 +142,6 @@ def cmd_races(config: RunConfig) -> int:
     except simnet.SimInvariantError as err:
         _fail(f"invariant violation during sweep: {err}")
         return EXIT_INVARIANT
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir, "races", report.render_lines(), report.summary())
     if report.double_payout_rows:
         for row in report.double_payout_rows:

@@ -45,11 +45,11 @@ class EventRecord:
     kind: str
     fields: tuple
 
-    def get(self, key: str, default=None):
+    def get(self, key: str):
         for k, v in self.fields:
             if k == key:
                 return v
-        return default
+        return None
 
     @staticmethod
     def value_text(key: str, value) -> str:
@@ -65,16 +65,13 @@ class EventRecord:
 class PendingWithdrawal:
     pending_id: str
     statement: Statement
-    proof: Proof
     recipient: str
-    submitted_at: int
-    finalize_at: int  # always submitted_at + relay_delay + epsilon
+    finalize_at: int  # always the submit tick + relay_delay + epsilon
     status: str = PENDING
 
 
 @dataclass
 class NullifierRecord:
-    first_seen: int
     provenance: str  # local (exposed here) or remote (installed via relay)
     burned: bool = False
     withdrawal: PendingWithdrawal | None = None  # the local one that exposed it
@@ -249,9 +246,9 @@ def submit_withdrawal(
     pending_id = f"{state.chain_id}{state.next_pending_seq}"
     state.next_pending_seq += 1
     finalize_at = now + state.relay_delay + state.epsilon
-    pw = PendingWithdrawal(pending_id, stmt, proof, recipient, now, finalize_at)
+    pw = PendingWithdrawal(pending_id, stmt, recipient, finalize_at)
     state.pending_withdrawals.append(pw)
-    state.nullifiers[stmt.nullifier] = NullifierRecord(now, LOCAL, withdrawal=pw)
+    state.nullifiers[stmt.nullifier] = NullifierRecord(LOCAL, withdrawal=pw)
     state.exposed_nullifiers.append(stmt.nullifier)
     state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     state.emit(
@@ -346,7 +343,7 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
     for sn in result.installed_nullifiers:
         known = state.nullifiers.get(sn)
         if known is None:
-            state.nullifiers[sn] = NullifierRecord(now, REMOTE)
+            state.nullifiers[sn] = NullifierRecord(REMOTE)
         elif known.provenance == LOCAL and not known.burned:
             duplicates.append(sn)
         # remote-provenance or already-burned copies are idempotent no-ops
@@ -363,13 +360,19 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
 
 
 def conservation_holds(states) -> bool:
-    """Sum of contract balances plus recipient credits equals total deposits
-    plus wrapped mints, at every tick.  Burned notes stay locked forever."""
-    balances = sum(s.balance for s in states)
-    credits = sum(sum(s.credits.values()) for s in states)
-    deposited = sum(s.total_deposited for s in states)
-    wrapped = sum(s.wrapped_minted for s in states)
-    return balances + credits == deposited + wrapped
+    """One ledger per chain and asset, at every tick.  The native chain pays
+    credits out of its balance and mints nothing; the wrapped chain keeps every
+    deposit locked and mints each credit; governance tokens are minted only to
+    claimants.  Burned notes stay locked forever."""
+    for s in states:
+        credits = sum(s.credits.values())
+        if s.native:
+            value_ok = s.balance + credits == s.total_deposited and s.wrapped_minted == 0
+        else:
+            value_ok = s.balance == s.total_deposited and credits == s.wrapped_minted
+        if not value_ok or s.gov_total != sum(s.gov_minted.values()):
+            return False
+    return True
 
 
 def check_contract_invariants(state: ContractState):

@@ -7,8 +7,7 @@ fixed 64-bit prime field.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 # p = 2^64 - 2^32 + 1.  Fits in a machine word, and p-1 = 2^32 * (2^32 - 1)
 # is coprime to 7, so x^7 is a permutation of the field (x^3 is not: 3 | p-1).
@@ -20,7 +19,7 @@ FieldElement = int
 ENCODED_SIZE = 8  # canonical encoding: 8-byte little-endian
 _CHUNK_SIZE = 7   # any 7-byte chunk is < P, so absorption needs no rejection
 
-EXPONENT = 7
+EXPONENT = 7  # permute raises to this power; params_digest records it
 DEFAULT_ROUNDS = 64
 _CONSTANT_SEED = b"bridge-mimc"
 
@@ -57,7 +56,6 @@ class HashParams:
 
     rounds: int = DEFAULT_ROUNDS
     round_constants: tuple = ()
-    exponent: int = EXPONENT
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -70,8 +68,6 @@ class HashParams:
             raise ValueError("round constant out of field range")
         if self.round_constants[0] != 0:
             raise ValueError("round_constants[0] must be 0")
-        if gcd(self.exponent, P - 1) != 1:
-            raise ValueError(f"x^{self.exponent} is not a permutation mod p")
 
 
 def zero_constant_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
@@ -85,16 +81,11 @@ def permute(x: FieldElement, k: FieldElement, params: HashParams | None = None) 
         params = DEFAULT_PARAMS
     x %= P
     k %= P
-    if params.exponent == 7:
-        for c in params.round_constants:
-            t = (x + k + c) % P
-            t2 = t * t % P
-            t4 = t2 * t2 % P
-            x = t4 * t2 % P * t % P
-    else:
-        e = params.exponent
-        for c in params.round_constants:
-            x = pow((x + k + c) % P, e, P)
+    for c in params.round_constants:
+        t = (x + k + c) % P
+        t2 = t * t % P
+        t4 = t2 * t2 % P
+        x = t4 * t2 % P * t % P
     return (x + k) % P
 
 
@@ -125,7 +116,7 @@ def make_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
 
 def params_digest(params: HashParams) -> FieldElement:
     """Field-element fingerprint of a parameter set, used for proof binding."""
-    blob = params.rounds.to_bytes(4, "little") + params.exponent.to_bytes(1, "little")
+    blob = params.rounds.to_bytes(4, "little") + EXPONENT.to_bytes(1, "little")
     blob += b"".join(encode_fe(c) for c in params.round_constants)
     return hash_bytes(blob, params)
 

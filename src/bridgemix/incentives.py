@@ -86,10 +86,6 @@ def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
     return amount
 
 
-def reward_conservation_holds(state) -> bool:
-    return state.gov_total == sum(state.gov_minted.values())
-
-
 # -- liquidity metrics ----------------------------------------------------------
 
 LIQUIDITY_COLUMNS = (

@@ -11,7 +11,6 @@ are rejected outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .field_hash import FieldElement, HashParams, encode_fe, hash2, hash_bytes
 
@@ -56,22 +55,13 @@ def mine_header(
     state_commitment: FieldElement,
     work_target: FieldElement,
     params: HashParams | None = None,
-    max_tries: int = MINING_TRIES,
 ) -> BlockHeader:
     """Deterministic nonce search from 0; raises if the target is too hard."""
-    for nonce in range(max_tries):
+    for nonce in range(MINING_TRIES):
         header = BlockHeader(height, prev_hash, state_commitment, nonce, work_target)
         if header_digest(header, params) < work_target:
             return header
-    raise MiningError(f"no nonce below target after {max_tries} tries")
-
-
-def chain_digest(values: Iterable[FieldElement], params: HashParams | None = None) -> FieldElement:
-    """Running-absorb digest of a list: fold hash2 from 0."""
-    digest = 0
-    for v in values:
-        digest = hash2(digest, v, params)
-    return digest
+    raise MiningError(f"no nonce below target after {MINING_TRIES} tries")
 
 
 def state_commitment_value(
@@ -106,20 +96,6 @@ class StateResult:
     reason: str  # ok | unknown-header | bad-opening
     installed_roots: tuple = ()
     installed_nullifiers: tuple = ()
-
-
-def validate_chain(headers: Sequence[BlockHeader], params: HashParams | None = None) -> bool:
-    """Wholesale re-validation: every header meets its target and links."""
-    for i, header in enumerate(headers):
-        if header_digest(header, params) >= header.work_target:
-            return False
-        if i > 0:
-            prev = headers[i - 1]
-            if header.height != prev.height + 1:
-                return False
-            if header.prev_hash != header_digest(prev, params):
-                return False
-    return True
 
 
 def add_header(state, header: BlockHeader) -> HeaderResult:

@@ -56,7 +56,6 @@ class MerkleTree:
     # cache of completed-subtree node values, keyed (level, index); valid
     # forever because leaves are append-only
     _complete: dict = field(default_factory=dict)
-    _mutating: bool = False
 
     @property
     def capacity(self) -> int:
@@ -90,22 +89,17 @@ def mt_add(tree: MerkleTree, y: FieldElement) -> bool:
     index = len(tree.leaves)
     if index >= tree.capacity:
         return False
-    assert not tree._mutating, "concurrent mutation of a single-writer tree"
-    tree._mutating = True
-    try:
-        tree.leaves.append(y)
-        node = y
-        idx = index
-        for level in range(tree.height):
-            if idx % 2 == 0:
-                tree.filled_subtrees[level] = node
-                node = hash2(node, tree.zero_roots[level], tree.params)
-            else:
-                node = hash2(tree.filled_subtrees[level], node, tree.params)
-            idx //= 2
-        tree.root_history.append(node)
-    finally:
-        tree._mutating = False
+    tree.leaves.append(y)
+    node = y
+    idx = index
+    for level in range(tree.height):
+        if idx % 2 == 0:
+            tree.filled_subtrees[level] = node
+            node = hash2(node, tree.zero_roots[level], tree.params)
+        else:
+            node = hash2(tree.filled_subtrees[level], node, tree.params)
+        idx //= 2
+    tree.root_history.append(node)
     return True
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .contract import EventRecord
 from .lightclient import BlockHeader
+from .simnet import other_chain
 
 
 class MetricsError(ValueError):
@@ -47,10 +48,6 @@ def _submissions(transcript) -> dict:
     return subs
 
 
-def _other(chain: str) -> str:
-    return "B" if chain == "A" else "A"
-
-
 def _set_size(counts: dict, subs: dict, withdrawal_id: str) -> int:
     if withdrawal_id not in subs:
         raise MetricsError(f"no withdraw-submitted event with wid {withdrawal_id!r}")
@@ -60,7 +57,7 @@ def _set_size(counts: dict, subs: dict, withdrawal_id: str) -> int:
         raise MetricsError(f"root_a of {withdrawal_id} is not a known {chain} root")
     # a remote root that never appeared on the other chain (e.g. the
     # shared empty root before any deposit) contributes nothing
-    return local + counts[_other(chain)].get(root_b, 0)
+    return local + counts[other_chain(chain)].get(root_b, 0)
 
 
 def anonymity_set(transcript, withdrawal_id: str) -> int:
@@ -193,13 +190,7 @@ class StorageRow:
 
 @dataclass
 class StorageReport:
-    rows: list
-
-    def row(self, chain: str) -> StorageRow:
-        for r in self.rows:
-            if r.chain == chain:
-                return r
-        raise MetricsError(f"no storage row for chain {chain!r}")
+    rows: list  # one StorageRow per chain, A then B
 
     def render_lines(self) -> list:
         lines = [

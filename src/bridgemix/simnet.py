@@ -221,7 +221,6 @@ class Transcript:
     contracts: dict
     notes: dict
     deposits: dict
-    withdrawal_notes: dict  # pending id -> note id (simulator-side knowledge)
 
     def render_lines(self) -> list:
         return [e.to_line() for e in self.events]
@@ -229,25 +228,9 @@ class Transcript:
     def render(self) -> str:
         return "\n".join(self.render_lines()) + "\n"
 
-    def counts(self) -> dict:
-        out: dict = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return dict(sorted(out.items()))
-
-    def summary(self) -> dict:
-        return {
-            "scenario": self.scenario.name,
-            "seed": self.scenario.seed,
-            "horizon": self.scenario.horizon,
-            "events": len(self.events),
-            "by_kind": self.counts(),
-        }
-
 
 @dataclass
 class _ChainNode:
-    name: str
     contract: ContractState
     headers: list  # the chain's own full header chain, genesis first
 
@@ -276,7 +259,7 @@ class _Engine:
                 hash_params=self.params,
             )
             c.events = self.events
-            self.nodes[chain] = _ChainNode(chain, c, [])
+            self.nodes[chain] = _ChainNode(c, [])
         # both chains share tree shape, so both genesis headers commit the
         # same empty state; mine one header and install it on both sides
         empty_root = zero_subtree_roots(scenario.tree_height, self.params)[-1]
@@ -296,7 +279,6 @@ class _Engine:
             self.nodes[chain].headers.append(genesis)
         self.notes: dict = {}
         self.deposits: dict = {}
-        self.withdrawal_notes: dict = {}
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, payload)
         self.relayer_cursors = {
             (spec.id, src): _Cursor()
@@ -319,7 +301,7 @@ class _Engine:
         self.notes[note_id] = note
         return note
 
-    def build_withdrawal(self, note_id: str, on_chain: str, allow_unproven=False):
+    def build_withdrawal(self, note_id: str, on_chain: str):
         dep = self.deposits.get(note_id)
         if dep is None:
             raise _UserActionError("no-deposit", "note was never deposited")
@@ -396,8 +378,7 @@ class _Engine:
                 recipient = ev.arg("recipient", "user")
                 try:
                     stmt, proof = self.build_withdrawal(note_id, ev.target)
-                    wid = contract_mod.submit_withdrawal(c, stmt, proof, recipient, now)
-                    self.withdrawal_notes[wid] = note_id
+                    contract_mod.submit_withdrawal(c, stmt, proof, recipient, now)
                 except (_UserActionError, ContractError) as err:
                     c.emit(
                         now,
@@ -473,7 +454,6 @@ class _Engine:
             contracts={chain: self.nodes[chain].contract for chain in CHAINS},
             notes=dict(self.notes),
             deposits=dict(self.deposits),
-            withdrawal_notes=dict(self.withdrawal_notes),
         )
 
     def run(self) -> Transcript:
@@ -490,7 +470,8 @@ class _Engine:
                 if not contract_mod.conservation_holds(contracts):
                     terms = "; ".join(
                         f"{c.chain_id} balance {c.balance}, credits {sum(c.credits.values())},"
-                        f" deposited {c.total_deposited}, wrapped {c.wrapped_minted}"
+                        f" deposited {c.total_deposited}, wrapped {c.wrapped_minted},"
+                        f" gov {c.gov_total}, gov minted {sum(c.gov_minted.values())}"
                         for c in contracts
                     )
                     raise ContractError("invariant", f"value conservation broken: {terms}")

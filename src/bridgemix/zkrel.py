@@ -20,7 +20,6 @@ from .field_hash import (
     ENCODED_SIZE,
     FieldElement,
     HashParams,
-    P,
     decode_fe,
     encode_fe,
     hash_bytes,
@@ -61,10 +60,6 @@ def make_note(r: FieldElement, s: FieldElement, params: HashParams | None = None
     commitment = hash_bytes(encode_fe(r) + encode_fe(s), params)
     nullifier = hash_bytes(encode_fe(r), params)
     return DepositNote(r, s, commitment, nullifier)
-
-
-def note_from_rng(rng, params: HashParams | None = None) -> DepositNote:
-    return make_note(rng.randrange(P), rng.randrange(P), params)
 
 
 @dataclass(frozen=True)
@@ -199,18 +194,3 @@ def zk_verify(pp: ProofParams, stmt: Statement, proof: Proof) -> bool:
     except (ValueError, IndexError):
         return False
     return relation_holds(pp, stmt, wit)
-
-
-def proof_to_bytes(proof: Proof) -> bytes:
-    """Wire format: backend tag byte, then length-prefixed payload."""
-    return bytes([proof.backend_tag]) + len(proof.payload).to_bytes(4, "little") + proof.payload
-
-
-def proof_from_bytes(data: bytes) -> Proof:
-    if len(data) < 5:
-        raise ValueError("truncated proof")
-    length = int.from_bytes(data[1:5], "little")
-    payload = data[5:]
-    if len(payload) != length:
-        raise ValueError("proof length prefix mismatch")
-    return Proof(data[0], payload)

@@ -109,6 +109,29 @@ def test_yaml_syntax_error_names_the_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "races"])
+def test_non_utf8_scenario_exits_2(tmp_path, capsys, command):
+    scn = tmp_path / "bad.yaml"
+    scn.write_bytes(b"\xff\xfe")
+    rc = cli.main([command, "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario field '<syntax>': not UTF-8 text:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "races"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    scn = write_scenario(tmp_path, RACES)
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    rc = cli.main([command, "--scenario", scn, "--out", str(out)])
+    assert rc == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == "keep me\n"
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_BAD_INPUT

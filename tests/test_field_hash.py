@@ -146,7 +146,6 @@ class TestParams:
             dict(rounds=2, round_constants=(0,)),
             dict(rounds=2, round_constants=(1, 0)),
             dict(rounds=2, round_constants=(0, P)),
-            dict(rounds=1, round_constants=(0,), exponent=3),
         ],
     )
     def test_rejects_bad_params(self, kwargs):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bridgemix.contract import conservation_holds
 from bridgemix.incentives import (
     LIQUIDITY_COLUMNS,
     RewardClaim,
@@ -9,7 +10,6 @@ from bridgemix.incentives import (
     RewardSpec,
     build_vampire_scenario,
     claim_reward,
-    reward_conservation_holds,
     vampire_metrics,
 )
 from bridgemix.merkle import mt_path
@@ -57,7 +57,7 @@ def test_claim_pays_rate_times_age():
     assert a.gov_minted == {"alice": 24} and a.gov_total == 24
     assert a.reward_ages == {t.notes["n1"].nullifier: 8}
     assert a.events[-1].kind == "reward-claimed"
-    assert reward_conservation_holds(a)
+    assert conservation_holds([a])
 
 
 def test_incremental_claims_pay_only_the_difference():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from bridgemix import lightclient
+from bridgemix.contract import blank_contract, contract_setup, deposit
 from bridgemix.field_hash import P, encode_fe, hash_bytes, hash2, make_params
 from bridgemix.lightclient import (
     BlockHeader,
@@ -12,11 +14,9 @@ from bridgemix.lightclient import (
     StateAttestation,
     add_bridge_state,
     add_header,
-    chain_digest,
     header_digest,
     mine_header,
     state_commitment_value,
-    validate_chain,
 )
 
 EASY_TARGET = P >> 2
@@ -35,6 +35,28 @@ class FakeContract:
         self.remote_exposed = []
         self.remote_exposed_digests = [0]
         self.root_timestamps = {}
+
+
+def chain_digest(values, params):
+    """Reference running digest of a whole list: fold hash2 from 0."""
+    digest = 0
+    for v in values:
+        digest = hash2(digest, v, params)
+    return digest
+
+
+def validate_chain(headers, params):
+    """Reference whole-chain check: every header meets its target and links."""
+    for i, header in enumerate(headers):
+        if header_digest(header, params) >= header.work_target:
+            return False
+        if i > 0:
+            prev = headers[i - 1]
+            if header.height != prev.height + 1:
+                return False
+            if header.prev_hash != header_digest(prev, params):
+                return False
+    return True
 
 
 def commit(roots, nulls, params):
@@ -73,9 +95,10 @@ class TestMining:
         h = mine_header(0, 0, 123, EASY_TARGET, fast_params)
         assert header_digest(h, fast_params) < EASY_TARGET
 
-    def test_impossible_target_raises(self, fast_params):
+    def test_impossible_target_raises(self, fast_params, monkeypatch):
+        monkeypatch.setattr(lightclient, "MINING_TRIES", 64)
         with pytest.raises(MiningError):
-            mine_header(0, 0, 123, 1, fast_params, max_tries=64)
+            mine_header(0, 0, 123, 1, fast_params)
 
 
 class TestAddHeader:
@@ -382,3 +405,9 @@ class TestDigests:
             expect = hash2(expect, v, fast_params)
         assert chain_digest(values, fast_params) == expect
         assert chain_digest([], fast_params) == 0
+        # the contract keeps the same fold of its root history, one root at a time
+        genesis = mine_header(0, 0, 0, EASY_TARGET, fast_params)
+        c = contract_setup(blank_contract("A", hash_params=fast_params), genesis, 2, 128, 10)
+        for commitment in values:
+            deposit(c, 10, commitment, now=0)
+        assert c.local_root_digest == chain_digest(c.tree.root_history, fast_params)
