@@ -36,8 +36,8 @@ empty_root = zero_subtree_roots(4, params)[-1]
 roots = [empty_root]
 nullifiers = []
 commitment = state_commitment_value(chain_digest(roots), chain_digest(nullifiers), params)
-genesis = mine_header(0, 0, commitment, target, params)
-print("genesis digest:", fe_hex(header_digest(genesis, params)))
+genesis, genesis_digest = mine_header(0, 0, commitment, target, params)
+print("genesis digest:", fe_hex(genesis_digest))
 print("pow ok:", header_digest(genesis, params) < target)
 
 # the remote chain advances: a deposit adds a root, a withdrawal a nullifier
@@ -45,7 +45,7 @@ headers = [genesis]
 roots.append(hash2(empty_root, 12345, params))      # stand-in for a new root
 nullifiers.append(67890)
 commitment = state_commitment_value(chain_digest(roots), chain_digest(nullifiers), params)
-headers.append(mine_header(1, header_digest(genesis, params), commitment, target, params))
+headers.append(mine_header(1, genesis_digest, commitment, target, params)[0])
 # the whole chain checks out: every header meets the target and links to its parent
 valid = all(header_digest(h, params) < target for h in headers) and all(
     h.height == prev.height + 1 and h.prev_hash == header_digest(prev, params)
@@ -59,6 +59,7 @@ class Client:
     def __init__(self):
         self.hash_params = params
         self.remote_headers = []
+        self.remote_header_digests = []  # the client hashes each header it accepts
         self.remote_roots = [empty_root]
         self.remote_root_digests = [0, hash2(0, empty_root, params)]
         self.remote_root_set = {empty_root}
@@ -71,12 +72,13 @@ from bridgemix.lightclient import add_bridge_state, add_header
 client = Client()
 # contract setup installs the trusted genesis; everything after arrives via relay
 client.remote_headers.append(genesis)
+client.remote_header_digests.append(header_digest(genesis, params))
 for h in headers[1:]:
     print(f"add_header(height={h.height}):", add_header(client, h))
 
 # replays and forks are refused
 print("duplicate:", add_header(client, headers[1]).reason)
-bogus = mine_header(1, header_digest(genesis, params), 999, target, params)
+bogus, _ = mine_header(1, genesis_digest, 999, target, params)
 print("fork at height 1:", add_header(client, bogus).reason)
 
 # the attestation opens header 1's commitment: the client already knows the

@@ -99,6 +99,9 @@ class ContractState:
     exposed_nullifiers: list = field(default_factory=list)
     # running digest of exposed_nullifiers (committed)
     exposed_digest: FieldElement = 0
+    # state_commitment_value of the two committed digests, refreshed by
+    # _recommit wherever either digest changes
+    state_commitment: FieldElement = 0
     # relayed view of the other chain; the digest lists are indexed by the
     # `*_from` cursors of incoming attestations
     remote_roots: list = field(default_factory=list)
@@ -107,6 +110,7 @@ class ContractState:
     remote_exposed: list = field(default_factory=list)
     remote_exposed_digests: list = field(default_factory=lambda: [0])
     remote_headers: list = field(default_factory=list)
+    remote_header_digests: list = field(default_factory=list)  # header_digest of each
     # full nullifier knowledge (local + remote), with provenance
     nullifiers: dict = field(default_factory=dict)
     # every withdrawal ever queued, in finalize order (finalize_at is the submit
@@ -128,11 +132,11 @@ class ContractState:
         self.events.append(record)
         return record
 
-    @property
-    def state_commitment(self) -> FieldElement:
-        return lightclient.state_commitment_value(
-            self.local_root_digest, self.exposed_digest, self.hash_params
-        )
+
+def _recommit(state: ContractState):
+    state.state_commitment = lightclient.state_commitment_value(
+        state.local_root_digest, state.exposed_digest, state.hash_params
+    )
 
 
 def blank_contract(
@@ -164,7 +168,7 @@ def contract_setup(
     h: int,
     security: int,
     denomination: int,
-    now: int = 0,
+    now: int,
 ) -> ContractState:
     """Initialise: create the tree, install the remote genesis header, and
     seed both root lists with the (shared-height) empty root."""
@@ -174,7 +178,8 @@ def contract_setup(
         raise ContractError("bad-denomination", "denomination must be positive")
     if genesis.height != 0:
         raise ContractError("bad-genesis", "genesis must have height 0")
-    if header_digest(genesis, state.hash_params) >= genesis.work_target:
+    genesis_digest = header_digest(genesis, state.hash_params)
+    if genesis_digest >= genesis.work_target:
         raise ContractError("bad-genesis", "genesis fails its own work target")
     state.tree = mt_setup(h, state.hash_params)
     state.params = zkrel.zk_setup(security, f"or-membership-h{h}", state.hash_params)
@@ -182,12 +187,14 @@ def contract_setup(
     empty_root = state.tree.root
     state.local_root_set.add(empty_root)
     state.local_root_digest = hash2(0, empty_root, state.hash_params)
+    _recommit(state)
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
     state.remote_root_set.add(empty_root)
     state.remote_root_digests.append(hash2(0, empty_root, state.hash_params))
     state.root_timestamps[empty_root] = now
     state.remote_headers.append(genesis)
+    state.remote_header_digests.append(genesis_digest)
     state.initialised = True
     state.emit(
         now,
@@ -222,6 +229,7 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
     new_root = state.tree.root
     state.local_root_set.add(new_root)
     state.local_root_digest = hash2(state.local_root_digest, new_root, state.hash_params)
+    _recommit(state)
     state.root_timestamps.setdefault(new_root, now)
     state.balance += amount
     state.total_deposited += amount
@@ -251,6 +259,7 @@ def submit_withdrawal(
     state.nullifiers[stmt.nullifier] = NullifierRecord(LOCAL, withdrawal=pw)
     state.exposed_nullifiers.append(stmt.nullifier)
     state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
+    _recommit(state)
     state.emit(
         now,
         "withdraw-submitted",

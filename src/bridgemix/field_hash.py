@@ -114,6 +114,7 @@ def make_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
     return HashParams(rounds=rounds, round_constants=tuple(constants))
 
 
+@functools.lru_cache(maxsize=None)
 def params_digest(params: HashParams) -> FieldElement:
     """Field-element fingerprint of a parameter set, used for proof binding."""
     blob = params.rounds.to_bytes(4, "little") + EXPONENT.to_bytes(1, "little")

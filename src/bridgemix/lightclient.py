@@ -38,14 +38,24 @@ class BlockHeader:
         return 5 * 8  # five 8-byte words on the wire
 
 
+def _header_blob(
+    height: int, prev_hash: FieldElement, state_commitment: FieldElement, nonce: int
+) -> bytes:
+    return (
+        height.to_bytes(8, "little")
+        + encode_fe(prev_hash)
+        + encode_fe(state_commitment)
+        + nonce.to_bytes(8, "little")
+    )
+
+
+# the blob's first three 7-byte chunks end before the nonce's first byte
+_NONCE_FREE = 21
+
+
 def header_digest(header: BlockHeader, params: HashParams | None = None) -> FieldElement:
     """hash_bytes over the canonical (height, prev_hash, state_commitment, nonce)."""
-    blob = (
-        header.height.to_bytes(8, "little")
-        + encode_fe(header.prev_hash)
-        + encode_fe(header.state_commitment)
-        + header.nonce.to_bytes(8, "little")
-    )
+    blob = _header_blob(header.height, header.prev_hash, header.state_commitment, header.nonce)
     return hash_bytes(blob, params)
 
 
@@ -55,12 +65,21 @@ def mine_header(
     state_commitment: FieldElement,
     work_target: FieldElement,
     params: HashParams | None = None,
-) -> BlockHeader:
-    """Deterministic nonce search from 0; raises if the target is too hard."""
+) -> tuple[BlockHeader, FieldElement]:
+    """Deterministic nonce search from 0; returns (header, header_digest(header))
+    and raises if the target is too hard.
+
+    The nonce-free chunks are absorbed once, so each try absorbs only the
+    last two chunks of the blob: the commitment's last 3 bytes with the
+    nonce's low 4, then the nonce's high 4."""
+    blob = _header_blob(height, prev_hash, state_commitment, 0)
+    midstate = hash_bytes(blob[:_NONCE_FREE], params)
     for nonce in range(MINING_TRIES):
-        header = BlockHeader(height, prev_hash, state_commitment, nonce, work_target)
-        if header_digest(header, params) < work_target:
-            return header
+        tail = blob[_NONCE_FREE:-8] + nonce.to_bytes(8, "little")
+        state = hash2(midstate, int.from_bytes(tail[:7], "little"), params)
+        digest = hash2(state, int.from_bytes(tail[7:], "little"), params)
+        if digest < work_target:
+            return BlockHeader(height, prev_hash, state_commitment, nonce, work_target), digest
     raise MiningError(f"no nonce below target after {MINING_TRIES} tries")
 
 
@@ -101,25 +120,28 @@ class StateResult:
 def add_header(state, header: BlockHeader) -> HeaderResult:
     """Append a relayed header iff PoW holds, it links, and height increments.
 
-    `state` is a contract state exposing remote_headers and hash_params.
+    `state` is a contract state exposing remote_headers, remote_header_digests
+    (the digest of each, computed here, never taken from a relayer) and
+    hash_params.
     """
     headers = state.remote_headers
     if not headers:
         return HeaderResult(False, "not-initialised")
-    params = state.hash_params
     if header.height < len(headers):
         if header == headers[header.height]:
             return HeaderResult(False, "duplicate")
         return HeaderResult(False, "fork")
     if header.height != len(headers):
         return HeaderResult(False, "bad-height")
-    if header.prev_hash != header_digest(headers[-1], params):
+    if header.prev_hash != state.remote_header_digests[-1]:
         return HeaderResult(False, "broken-link")
     if header.work_target != headers[0].work_target:
         return HeaderResult(False, "bad-target")
-    if header_digest(header, params) >= header.work_target:
+    digest = header_digest(header, state.hash_params)
+    if digest >= header.work_target:
         return HeaderResult(False, "bad-pow")
     headers.append(header)
+    state.remote_header_digests.append(digest)
     return HeaderResult(True, "ok")
 
 
@@ -142,7 +164,7 @@ def _verify_opening(known: list, digests: list, start: int, suffix: tuple, param
     return fresh
 
 
-def add_bridge_state(state, att: StateAttestation, now: int = 0) -> StateResult:
+def add_bridge_state(state, att: StateAttestation, now: int) -> StateResult:
     """Verify an attestation against the referenced header and install the
     source-list entries the receiver has not seen yet.
 

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from . import contract as contract_mod
 from . import incentives as incentives_mod
 from .contract import ContractError, ContractState
-from .field_hash import P, fe_hex, hash2, make_params
+from .field_hash import FieldElement, P, fe_hex, hash2, make_params
 from .incentives import RewardSpec
 from .lightclient import (
     MAX_POW_SHIFT,
     StateAttestation,
-    header_digest,
     mine_header,
     state_commitment_value,
 )
@@ -233,6 +232,7 @@ class Transcript:
 class _ChainNode:
     contract: ContractState
     headers: list  # the chain's own full header chain, genesis first
+    tip_digest: FieldElement  # header_digest(headers[-1]), from the mining search
 
 
 @dataclass
@@ -249,6 +249,13 @@ class _Engine:
         self.params = make_params(scenario.hash_rounds)
         self.target = P >> scenario.pow_shift
         self.events: list = []  # shared, globally ordered transcript
+        # both chains share tree shape, so both genesis headers commit the
+        # same empty state; mine one header and install it on both sides
+        empty_root = zero_subtree_roots(scenario.tree_height, self.params)[-1]
+        initial_commitment = state_commitment_value(
+            hash2(0, empty_root, self.params), 0, self.params
+        )
+        genesis, genesis_digest = mine_header(0, 0, initial_commitment, self.target, self.params)
         self.nodes: dict = {}
         for chain in CHAINS:
             c = contract_mod.blank_contract(
@@ -259,24 +266,10 @@ class _Engine:
                 hash_params=self.params,
             )
             c.events = self.events
-            self.nodes[chain] = _ChainNode(c, [])
-        # both chains share tree shape, so both genesis headers commit the
-        # same empty state; mine one header and install it on both sides
-        empty_root = zero_subtree_roots(scenario.tree_height, self.params)[-1]
-        initial_commitment = state_commitment_value(
-            hash2(0, empty_root, self.params), 0, self.params
-        )
-        genesis = mine_header(0, 0, initial_commitment, self.target, self.params)
-        for chain in CHAINS:
             contract_mod.contract_setup(
-                self.nodes[chain].contract,
-                genesis,
-                scenario.tree_height,
-                scenario.security,
-                scenario.denomination,
-                now=0,
+                c, genesis, scenario.tree_height, scenario.security, scenario.denomination, now=0
             )
-            self.nodes[chain].headers.append(genesis)
+            self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
         self.notes: dict = {}
         self.deposits: dict = {}
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, payload)
@@ -408,9 +401,9 @@ class _Engine:
     def _mine(self, now: int):
         for chain in CHAINS:
             node = self.nodes[chain]
-            header = mine_header(
+            header, node.tip_digest = mine_header(
                 len(node.headers),
-                header_digest(node.headers[-1], self.params),
+                node.tip_digest,
                 node.contract.state_commitment,
                 self.target,
                 self.params,

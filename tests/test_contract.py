@@ -39,15 +39,16 @@ DENOM = 10
 def make_genesis(h, params):
     empty_root = mt_setup(h, params).root
     commitment = state_commitment_value(hash2(0, empty_root, params), 0, params)
-    return mine_header(0, 0, commitment, EASY_TARGET, params)
+    genesis, _ = mine_header(0, 0, commitment, EASY_TARGET, params)
+    return genesis
 
 
 def make_pair(params, h=3, epsilon=1, delay=2, native_chain="A"):
     genesis = make_genesis(h, params)
     a = blank_contract("A", epsilon=epsilon, relay_delay=delay, native=(native_chain == "A"), hash_params=params)
     b = blank_contract("B", epsilon=epsilon, relay_delay=delay, native=(native_chain == "B"), hash_params=params)
-    contract_setup(a, genesis, h, 128, DENOM)
-    contract_setup(b, genesis, h, 128, DENOM)
+    contract_setup(a, genesis, h, 128, DENOM, now=0)
+    contract_setup(b, genesis, h, 128, DENOM, now=0)
     return a, b
 
 
@@ -56,7 +57,7 @@ def relay_all(src, dst, now):
     deliver it, then attest src's list entries past dst's view."""
     params = src.hash_params
     prev = header_digest(dst.remote_headers[-1], params)
-    header = mine_header(
+    header, _ = mine_header(
         len(dst.remote_headers), prev, src.state_commitment, EASY_TARGET, params
     )
     assert on_relayed_header(dst, header, now).accepted
@@ -94,6 +95,7 @@ class TestSetup:
         a, b = make_pair(fast_params, h=2)
         assert a.tree.leaves == []
         assert len(a.remote_headers) == 1
+        assert a.remote_header_digests == [header_digest(a.remote_headers[0], fast_params)]
         assert a.balance == 0
         assert a.tree.root_history == a.remote_roots == [a.tree.root]
         assert a.local_root_set == {a.tree.root}
@@ -102,25 +104,25 @@ class TestSetup:
     def test_double_setup_rejected(self, fast_params):
         a, _ = make_pair(fast_params)
         with pytest.raises(ContractError) as err:
-            contract_setup(a, make_genesis(3, fast_params), 3, 128, DENOM)
+            contract_setup(a, make_genesis(3, fast_params), 3, 128, DENOM, now=0)
         assert err.value.reason == "already-initialised"
 
     def test_zero_denomination_rejected(self, fast_params):
         c = blank_contract("A", hash_params=fast_params)
         with pytest.raises(ContractError) as err:
-            contract_setup(c, make_genesis(2, fast_params), 2, 128, 0)
+            contract_setup(c, make_genesis(2, fast_params), 2, 128, 0, now=0)
         assert err.value.reason == "bad-denomination"
 
     def test_bad_genesis_rejected(self, fast_params):
         genesis = make_genesis(2, fast_params)
         c = blank_contract("A", hash_params=fast_params)
         with pytest.raises(ContractError):
-            contract_setup(c, dataclasses.replace(genesis, height=1), 2, 128, DENOM)
+            contract_setup(c, dataclasses.replace(genesis, height=1), 2, 128, DENOM, now=0)
         bad_nonce = dataclasses.replace(genesis, nonce=genesis.nonce + 1)
         if header_digest(bad_nonce, fast_params) < bad_nonce.work_target:
             bad_nonce = dataclasses.replace(genesis, work_target=1)
         with pytest.raises(ContractError):
-            contract_setup(c, bad_nonce, 2, 128, DENOM)
+            contract_setup(c, bad_nonce, 2, 128, DENOM, now=0)
 
 
 class TestDeposit:

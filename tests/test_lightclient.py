@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bridgemix import lightclient
+from bridgemix import field_hash, lightclient
 from bridgemix.contract import blank_contract, contract_setup, deposit
 from bridgemix.field_hash import P, encode_fe, hash_bytes, hash2, make_params
 from bridgemix.lightclient import (
@@ -29,6 +29,7 @@ class FakeContract:
     def __init__(self, params, genesis):
         self.hash_params = params
         self.remote_headers = [genesis]
+        self.remote_header_digests = [header_digest(genesis, params)]
         self.remote_roots = []
         self.remote_root_digests = [0]
         self.remote_root_set = set()
@@ -63,11 +64,20 @@ def commit(roots, nulls, params):
     return state_commitment_value(chain_digest(roots, params), chain_digest(nulls, params), params)
 
 
+def naive_mine(height, prev_hash, commitment, target, params):
+    """Reference search: hash each candidate header whole, nonce from 0."""
+    for nonce in range(lightclient.MINING_TRIES):
+        header = BlockHeader(height, prev_hash, commitment, nonce, target)
+        if header_digest(header, params) < target:
+            return header
+    return None
+
+
 def make_chain(params, commits, target=EASY_TARGET):
-    headers = [mine_header(0, 0, commits[0], target, params)]
+    headers = [mine_header(0, 0, commits[0], target, params)[0]]
     for commitment in commits[1:]:
         headers.append(
-            mine_header(len(headers), header_digest(headers[-1], params), commitment, target, params)
+            mine_header(len(headers), header_digest(headers[-1], params), commitment, target, params)[0]
         )
     return headers
 
@@ -92,13 +102,40 @@ class TestHeaderDigest:
 
 class TestMining:
     def test_mined_header_meets_target(self, fast_params):
-        h = mine_header(0, 0, 123, EASY_TARGET, fast_params)
-        assert header_digest(h, fast_params) < EASY_TARGET
+        h, digest = mine_header(0, 0, 123, EASY_TARGET, fast_params)
+        assert digest == header_digest(h, fast_params) < EASY_TARGET
+
+    def test_try_costs_two_permutes(self, fast_params, monkeypatch):
+        # the 21 nonce-free bytes are three chunks absorbed once per search
+        calls = []
+        permute = field_hash.permute
+        monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
+        nonces = []
+        for height in range(12):
+            calls.clear()
+            header, _ = mine_header(height, 17, 29, P >> 3, fast_params)
+            assert len(calls) == 3 + 2 * (header.nonce + 1)
+            nonces.append(header.nonce)
+        assert max(nonces) > 1
 
     def test_impossible_target_raises(self, fast_params, monkeypatch):
         monkeypatch.setattr(lightclient, "MINING_TRIES", 64)
         with pytest.raises(MiningError):
             mine_header(0, 0, 123, 1, fast_params)
+
+
+@seed(7207)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    height=st.integers(0, 2**64 - 1),
+    prev_hash=st.integers(0, P - 1),
+    commitment=st.integers(0, P - 1),
+    target=st.integers(P >> 6, P),
+)
+def test_midstate_search_matches_the_naive_loop(height, prev_hash, commitment, target):
+    header, digest = mine_header(height, prev_hash, commitment, target, TINY_PARAMS)
+    assert header == naive_mine(height, prev_hash, commitment, target, TINY_PARAMS)
+    assert digest == header_digest(header, TINY_PARAMS)
 
 
 class TestAddHeader:
@@ -114,15 +151,22 @@ class TestAddHeader:
         headers = make_chain(fast_params, [c0, c0, c0])
         contract = FakeContract(fast_params, headers[0])
         add_header(contract, headers[1])
-        # child whose prev_hash points at the grandparent
-        bad = mine_header(2, header_digest(headers[0], fast_params), c0, EASY_TARGET, fast_params)
-        assert add_header(contract, bad).reason == "broken-link"
+        # children whose prev_hash is not the tip's digest: the grandparent's,
+        # a never-accepted rival of the tip's, or nothing at all
+        rival, rival_digest = mine_header(
+            1, header_digest(headers[0], fast_params), c0 + 1, EASY_TARGET, fast_params
+        )
+        assert add_header(contract, rival).reason == "fork"
+        for prev in (header_digest(headers[0], fast_params), rival_digest, 0):
+            bad, _ = mine_header(2, prev, c0, EASY_TARGET, fast_params)
+            assert add_header(contract, bad).reason == "broken-link"
+        assert contract.remote_header_digests == [header_digest(h, fast_params) for h in headers[:2]]
 
     def test_bad_pow_rejected(self, fast_params):
         c0 = commit([], [], fast_params)
         headers = make_chain(fast_params, [c0])
         contract = FakeContract(fast_params, headers[0])
-        child = mine_header(1, header_digest(headers[0], fast_params), c0, EASY_TARGET, fast_params)
+        child, _ = mine_header(1, header_digest(headers[0], fast_params), c0, EASY_TARGET, fast_params)
         worse = dataclasses.replace(child, nonce=child.nonce)
         # find a nonce whose digest misses the target
         nonce = 0
@@ -146,7 +190,7 @@ class TestAddHeader:
         contract = FakeContract(fast_params, headers[0])
         assert add_header(contract, headers[1]).reason == "ok"
         assert add_header(contract, headers[1]).reason == "duplicate"
-        rival = mine_header(
+        rival, _ = mine_header(
             1, header_digest(headers[0], fast_params), c1, EASY_TARGET, fast_params
         )
         assert add_header(contract, rival).reason == "fork"
@@ -156,7 +200,7 @@ class TestAddHeader:
         c0 = commit([], [], fast_params)
         headers = make_chain(fast_params, [c0])
         contract = FakeContract(fast_params, headers[0])
-        child = mine_header(
+        child, _ = mine_header(
             1, header_digest(headers[0], fast_params), c0, EASY_TARGET // 2, fast_params
         )
         assert add_header(contract, child).reason == "bad-target"
@@ -181,7 +225,7 @@ def forge_start(rng, start, view):
 
 class TestAddBridgeState:
     def _setup(self, params, roots, nulls):
-        genesis = mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)
+        genesis, _ = mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)
         contract = FakeContract(params, genesis)
         att = StateAttestation(
             header_index=0,
@@ -194,7 +238,7 @@ class TestAddBridgeState:
 
     def _extend(self, contract, roots, nulls, params):
         """Append a header committing (roots, nulls) to the receiver's chain."""
-        child = mine_header(
+        child, _ = mine_header(
             len(contract.remote_headers),
             header_digest(contract.remote_headers[-1], params),
             commit(roots, nulls, params),
@@ -217,55 +261,57 @@ class TestAddBridgeState:
 
     def test_wrong_header_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10], [])
-        assert add_bridge_state(contract, dataclasses.replace(att, header_index=3)).reason == "unknown-header"
+        unknown = dataclasses.replace(att, header_index=3)
+        assert add_bridge_state(contract, unknown, now=0).reason == "unknown-header"
 
     def test_opening_not_matching_commitment_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [])
         forged = dataclasses.replace(att, roots=(10, 12))
-        assert add_bridge_state(contract, forged).reason == "bad-opening"
+        assert add_bridge_state(contract, forged, now=0).reason == "bad-opening"
 
     def test_gap_after_view_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
-        assert add_bridge_state(contract, att).accepted
+        assert add_bridge_state(contract, att, now=0).accepted
         # a negative cursor would index the view from its end
-        assert add_bridge_state(contract, StateAttestation(0, -2, (10,), 1, ())).reason == "bad-opening"
+        negative = StateAttestation(0, -2, (10,), 1, ())
+        assert add_bridge_state(contract, negative, now=0).reason == "bad-opening"
         height = self._extend(contract, [10, 11, 12, 13], [77, 78], fast_params)
         for start in (3, 4, -1):
             gap = StateAttestation(height, start, (13,), 1, (78,))
-            assert add_bridge_state(contract, gap).reason == "bad-opening"
+            assert add_bridge_state(contract, gap, now=0).reason == "bad-opening"
             gap = StateAttestation(height, 2, (12, 13), start, (78,))
-            assert add_bridge_state(contract, gap).reason == "bad-opening"
+            assert add_bridge_state(contract, gap, now=0).reason == "bad-opening"
         assert contract.remote_roots == [10, 11] and contract.remote_exposed == [77]
         # the same news from where the receiver's view ends is accepted
-        result = add_bridge_state(contract, StateAttestation(height, 2, (12, 13), 1, (78,)))
+        result = add_bridge_state(contract, StateAttestation(height, 2, (12, 13), 1, (78,)), now=0)
         assert result.installed_roots == (12, 13) and result.installed_nullifiers == (78,)
 
     def test_overlap_contradicting_view_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
-        assert add_bridge_state(contract, att).accepted
+        assert add_bridge_state(contract, att, now=0).accepted
         height = self._extend(contract, [10, 11, 12], [77, 78], fast_params)
         # the new entries are the committed ones, but the head of a suffix
         # contradicts an entry the receiver already installed
         bad = StateAttestation(height, 1, (99, 12), 1, (78,))
-        assert add_bridge_state(contract, bad).reason == "bad-opening"
+        assert add_bridge_state(contract, bad, now=0).reason == "bad-opening"
         bad = StateAttestation(height, 2, (12,), 0, (76, 78))
-        assert add_bridge_state(contract, bad).reason == "bad-opening"
+        assert add_bridge_state(contract, bad, now=0).reason == "bad-opening"
         # a header committing to a rewrite of entry 1
         height = self._extend(contract, [10, 99, 12], [77], fast_params)
         bad = StateAttestation(height, 1, (99, 12), 1, ())
-        assert add_bridge_state(contract, bad).reason == "bad-opening"
+        assert add_bridge_state(contract, bad, now=0).reason == "bad-opening"
         assert contract.remote_roots == [10, 11] and contract.remote_exposed == [77]
 
     def test_overlapping_and_stale_attestations_install_only_news(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
-        assert add_bridge_state(contract, att).accepted
+        assert add_bridge_state(contract, att, now=0).accepted
         height = self._extend(contract, [10, 11, 12, 13], [77, 78], fast_params)
         # a second relayer whose cursor lags the receiver's view
-        result = add_bridge_state(contract, StateAttestation(height, 1, (11, 12, 13), 0, (77, 78)))
+        result = add_bridge_state(contract, StateAttestation(height, 1, (11, 12, 13), 0, (77, 78)), now=0)
         assert result.accepted
         assert result.installed_roots == (12, 13) and result.installed_nullifiers == (78,)
         # a stale attestation of an older, shorter state installs nothing
-        stale = add_bridge_state(contract, StateAttestation(0, 1, (11,), 0, (77,)))
+        stale = add_bridge_state(contract, StateAttestation(0, 1, (11,), 0, (77,)), now=0)
         assert stale.accepted
         assert stale.installed_roots == () and stale.installed_nullifiers == ()
         assert contract.remote_roots == [10, 11, 12, 13]
@@ -273,26 +319,26 @@ class TestAddBridgeState:
 
     def test_idempotent_redelivery(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
-        assert add_bridge_state(contract, att).accepted
-        again = add_bridge_state(contract, att)
+        assert add_bridge_state(contract, att, now=0).accepted
+        again = add_bridge_state(contract, att, now=0)
         assert again.accepted
         assert again.installed_roots == () and again.installed_nullifiers == ()
         assert contract.remote_roots == [10, 11]
 
     def test_contradicting_prefix_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [])
-        assert add_bridge_state(contract, att).accepted
+        assert add_bridge_state(contract, att, now=0).accepted
         # a second header commits to a history that rewrites entry 0
         rewrite = [12, 11, 13]
         height = self._extend(contract, rewrite, [], fast_params)
         att2 = StateAttestation(height, 0, tuple(rewrite), 0, ())
-        assert add_bridge_state(contract, att2).reason == "bad-opening"
+        assert add_bridge_state(contract, att2, now=0).reason == "bad-opening"
 
     def test_forged_openings_never_accepted_fuzz(self, tiny_params):
         rng = random.Random(0xF0E2)
         roots, nulls = [21, 22, 23], [31, 32]
         contract, att = self._setup(tiny_params, roots, nulls)
-        add_bridge_state(contract, att)
+        add_bridge_state(contract, att, now=0)
         accepted = forgeries = 0
         for _ in range(10**4):
             fr = list(roots) + [rng.randrange(P) for _ in range(rng.randrange(0, 3))]
@@ -316,7 +362,7 @@ class TestAddBridgeState:
                 ):
                     continue  # not a forgery
                 forgeries += 1
-                if add_bridge_state(contract, forged).accepted:
+                if add_bridge_state(contract, forged, now=0).accepted:
                     accepted += 1
         assert accepted == 0
         assert forgeries > 19000
@@ -350,8 +396,9 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
     params = TINY_PARAMS
     appends, relayers = run
     roots, nulls = [], []
-    headers = [mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)]
-    receiver = FakeContract(params, headers[0])
+    genesis, tip = mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)
+    headers = [genesis]
+    receiver = FakeContract(params, genesis)
     cursors = [[1, 0, 0] for _ in relayers]  # headers, roots, nullifiers
     deliveries = {}
     value = iter(range(1000, 10**6))
@@ -364,20 +411,16 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
                 assert add_bridge_state(receiver, payload, now).accepted
             assert receiver.remote_roots == roots[: len(receiver.remote_roots)]
             assert receiver.remote_exposed == nulls[: len(receiver.remote_exposed)]
+            assert receiver.remote_header_digests == [
+                header_digest(h, params) for h in receiver.remote_headers
+            ]
         if now >= len(appends):
             continue
         new_roots, new_nulls = appends[now]
         roots.extend(next(value) for _ in range(new_roots))
         nulls.extend(next(value) for _ in range(new_nulls))
-        headers.append(
-            mine_header(
-                len(headers),
-                header_digest(headers[-1], params),
-                commit(roots, nulls, params),
-                EASY_TARGET,
-                params,
-            )
-        )
+        header, tip = mine_header(len(headers), tip, commit(roots, nulls, params), EASY_TARGET, params)
+        headers.append(header)
         for cursor, (delay, carries_state) in zip(cursors, relayers):
             bucket = deliveries.setdefault(now + delay, [])
             bucket.extend(("header", h) for h in headers[cursor[0]:])
@@ -406,8 +449,8 @@ class TestDigests:
         assert chain_digest(values, fast_params) == expect
         assert chain_digest([], fast_params) == 0
         # the contract keeps the same fold of its root history, one root at a time
-        genesis = mine_header(0, 0, 0, EASY_TARGET, fast_params)
-        c = contract_setup(blank_contract("A", hash_params=fast_params), genesis, 2, 128, 10)
+        genesis, _ = mine_header(0, 0, 0, EASY_TARGET, fast_params)
+        c = contract_setup(blank_contract("A", hash_params=fast_params), genesis, 2, 128, 10, now=0)
         for commitment in values:
             deposit(c, 10, commitment, now=0)
         assert c.local_root_digest == chain_digest(c.tree.root_history, fast_params)

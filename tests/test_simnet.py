@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bridgemix import cli
 from bridgemix import contract as contract_mod
+from bridgemix.lightclient import header_digest, state_commitment_value
 from bridgemix.simnet import (
     AdversarySpec,
     RelayerSpec,
@@ -521,11 +522,11 @@ def test_parser_returns_scenario_or_scenario_error(fuzz_file, data):
     assert loaded == parsed  # the YAML route parses to the same result
 
 
-def test_randomized_scenarios_conserve_and_replay(fast_params):
-    # random small scenarios: every run holds per-tick invariants (enforced
-    # inside run) and replays byte-identically
-    rng = random.Random(2031)
-    for trial in range(6):
+def random_scenarios(rng_seed, trials):
+    """Small random scenarios: deposits on either chain, most of them withdrawn
+    on either chain a few ticks later."""
+    rng = random.Random(rng_seed)
+    for trial in range(trials):
         delay = rng.randrange(1, 4)
         # backing deposits on the native side so random A-withdrawals stay solvent
         events = [ev(0, "A", "deposit", note=f"buf{i}") for i in range(4)]
@@ -542,12 +543,56 @@ def test_randomized_scenarios_conserve_and_replay(fast_params):
                     ev(at + delay + 2 + rng.randrange(0, 3), target, "submit_withdrawal",
                        note=note, recipient=f"u-{note}")
                 )
-        sc = base_scenario(
+        yield base_scenario(
             seed=100 + trial,
             horizon=14,
             relay_delay=delay,
             relayers=(RelayerSpec("r0", delay),),
             events=tuple(sorted(events, key=lambda e: e.at)),
         )
+
+
+def test_randomized_scenarios_conserve_and_replay(fast_params):
+    # random small scenarios: every run holds per-tick invariants (enforced
+    # inside run) and replays byte-identically
+    for sc in random_scenarios(2031, 6):
         t1, t2 = run(sc), run(sc)
         assert t1.render() == t2.render()
+
+
+def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
+    # the engine keeps each mined header's digest from the search, and each
+    # contract its relayed header digests and its state commitment; checked
+    # here against a rehash, not in the per-tick invariants, which would
+    # spend again the hashing that storing them saves
+    real_check = contract_mod.check_contract_invariants
+    checks = []
+
+    def check_fresh(state):
+        real_check(state)
+        params = state.hash_params
+        assert state.state_commitment == state_commitment_value(
+            state.local_root_digest, state.exposed_digest, params
+        )
+        assert state.remote_header_digests == [header_digest(h, params) for h in state.remote_headers]
+        checks.append(state.chain_id)
+
+    monkeypatch.setattr(contract_mod, "check_contract_invariants", check_fresh)
+    claims = (
+        ev(0, "A", "deposit", note="n1"),
+        ev(4, "A", "incentive_claim", note="n1", claimant="alice"),
+        ev(5, "B", "submit_withdrawal", note="n1", recipient="bob"),
+    )
+    scenarios = [
+        *random_scenarios(2031, 6),
+        race_base(2, 1),
+        race_base(2, -1),
+        base_scenario(rewards=(("A", RewardSpec(2, 3)),), events=claims),
+    ]
+    for sc in scenarios:
+        checks.clear()
+        t = run(sc, allow_negative_epsilon=True)
+        assert len(checks) == 2 * sc.horizon
+        # a relayed header links only if the miner's kept tip digest was right
+        assert len(kinds(t, "header-accepted")) == 2 * (sc.horizon - max(r.delay for r in sc.relayers))
+        assert not kinds(t, "header-rejected")
