@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lightclient, zkrel
-from .field_hash import DEFAULT_PARAMS, FieldElement, HashParams, fe_hex, hash2
+from .field_hash import FieldElement, HashParams, fe_hex, hash2
 from .lightclient import BlockHeader, StateAttestation, StateResult, header_digest
 from .merkle import MerkleTree, mt_add, mt_setup
 from .zkrel import Proof, ProofParams, Statement
@@ -20,9 +20,6 @@ from .zkrel import Proof, ProofParams, Statement
 PENDING = "pending"
 FINALIZED = "finalized"
 CANCELLED = "cancelled"
-
-LOCAL = "local"
-REMOTE = "remote"
 
 
 class ContractError(Exception):
@@ -72,22 +69,20 @@ class PendingWithdrawal:
 
 @dataclass
 class NullifierRecord:
-    provenance: str  # local (exposed here) or remote (installed via relay)
     burned: bool = False
-    withdrawal: PendingWithdrawal | None = None  # the local one that exposed it
+    withdrawal: PendingWithdrawal | None = None  # the local one that exposed it; None if relayed
 
 
 @dataclass
 class ContractState:
     chain_id: str
-    denomination: int = 0
-    epsilon: int = 1
-    relay_delay: int = 1
-    native: bool = True  # pays from balance; otherwise mints wrapped units
-    hash_params: HashParams = DEFAULT_PARAMS
-    initialised: bool = False
-    tree: MerkleTree | None = None
-    params: ProofParams | None = None
+    denomination: int
+    epsilon: int
+    relay_delay: int
+    native: bool  # pays from balance; otherwise mints wrapped units
+    tree: MerkleTree
+    params: ProofParams
+    events: list  # the transcript this contract appends to
     balance: int = 0
     total_deposited: int = 0
     wrapped_minted: int = 0
@@ -111,7 +106,7 @@ class ContractState:
     remote_exposed_digests: list = field(default_factory=lambda: [0])
     remote_headers: list = field(default_factory=list)
     remote_header_digests: list = field(default_factory=list)  # header_digest of each
-    # full nullifier knowledge (local + remote), with provenance
+    # full nullifier knowledge: local (exposed here) and relayed
     nullifiers: dict = field(default_factory=dict)
     # every withdrawal ever queued, in finalize order (finalize_at is the submit
     # tick plus a constant); finalize_cursor is past every one already due
@@ -124,8 +119,10 @@ class ContractState:
     gov_minted: dict = field(default_factory=dict)
     gov_total: int = 0
     reward_ages: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
-    next_pending_seq: int = 0
+
+    @property
+    def hash_params(self) -> HashParams:
+        return self.params.hash_params
 
     def emit(self, now: int, kind: str, **fields) -> EventRecord:
         record = EventRecord(now, self.chain_id, kind, tuple(fields.items()))
@@ -139,83 +136,60 @@ def _recommit(state: ContractState):
     )
 
 
-def blank_contract(
+def contract_setup(
     chain_id: str,
+    genesis: BlockHeader,
+    params: ProofParams,
+    denomination: int,
     *,
-    epsilon: int = 1,
-    relay_delay: int = 1,
-    native: bool = True,
-    hash_params: HashParams | None = None,
+    epsilon: int,
+    relay_delay: int,
+    native: bool,
+    events: list,
+    now: int,
 ) -> ContractState:
-    if hash_params is None:
-        hash_params = DEFAULT_PARAMS
+    """A chain's contract, fully set up: a tree of the circuit's height
+    (`params.height`), the other chain's genesis header installed, and both
+    root lists seeded with the shared empty root.  Appends its `setup` event to
+    `events`, the transcript the contract keeps writing to."""
     if relay_delay < 1:
         raise ContractError("bad-delay", "relay_delay must be >= 1")
     if relay_delay + epsilon < 0:
         raise ContractError("bad-delay", "relay_delay + epsilon must be >= 0")
-    return ContractState(
-        chain_id=chain_id,
-        epsilon=epsilon,
-        relay_delay=relay_delay,
-        native=native,
-        hash_params=hash_params,
-    )
-
-
-def contract_setup(
-    state: ContractState,
-    genesis: BlockHeader,
-    h: int,
-    security: int,
-    denomination: int,
-    now: int,
-) -> ContractState:
-    """Initialise: create the tree, install the remote genesis header, and
-    seed both root lists with the (shared-height) empty root."""
-    if state.initialised:
-        raise ContractError("already-initialised", f"{state.chain_id} set up twice")
     if denomination <= 0:
         raise ContractError("bad-denomination", "denomination must be positive")
     if genesis.height != 0:
         raise ContractError("bad-genesis", "genesis must have height 0")
-    genesis_digest = header_digest(genesis, state.hash_params)
+    genesis_digest = header_digest(genesis, params.hash_params)
     if genesis_digest >= genesis.work_target:
         raise ContractError("bad-genesis", "genesis fails its own work target")
-    state.tree = mt_setup(h, state.hash_params)
-    state.params = zkrel.zk_setup(security, f"or-membership-h{h}", state.hash_params)
-    state.denomination = denomination
-    empty_root = state.tree.root
+    tree = mt_setup(params.height, params.hash_params)
+    state = ContractState(chain_id, denomination, epsilon, relay_delay, native, tree, params, events)
+    empty_root = tree.root
     state.local_root_set.add(empty_root)
-    state.local_root_digest = hash2(0, empty_root, state.hash_params)
+    state.local_root_digest = hash2(0, empty_root, params.hash_params)
     _recommit(state)
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
     state.remote_root_set.add(empty_root)
-    state.remote_root_digests.append(hash2(0, empty_root, state.hash_params))
+    state.remote_root_digests.append(state.local_root_digest)
     state.root_timestamps[empty_root] = now
     state.remote_headers.append(genesis)
     state.remote_header_digests.append(genesis_digest)
-    state.initialised = True
     state.emit(
         now,
         "setup",
-        height=h,
+        height=params.height,
         denomination=denomination,
-        epsilon=state.epsilon,
-        relay_delay=state.relay_delay,
+        epsilon=epsilon,
+        relay_delay=relay_delay,
         empty_root=empty_root,
     )
     return state
 
 
-def _require_initialised(state: ContractState):
-    if not state.initialised:
-        raise ContractError("not-initialised", f"{state.chain_id} not set up")
-
-
 def deposit(state: ContractState, amount: int, commitment: FieldElement, now: int) -> int:
     """Fixed-denomination deposit of a note commitment; returns the leaf index."""
-    _require_initialised(state)
     if amount != state.denomination:
         raise ContractError(
             "wrong-amount", f"deposit {amount} != denomination {state.denomination}"
@@ -242,7 +216,6 @@ def submit_withdrawal(
 ) -> str:
     """Validate roots, nullifier freshness, and the proof; expose the
     nullifier immediately and queue payout for now + relay_delay + epsilon."""
-    _require_initialised(state)
     if stmt.root_a not in state.local_root_set:
         raise ContractError("unknown-local-root", "root_a not in this contract's history")
     if stmt.root_b not in state.remote_root_set:
@@ -251,12 +224,11 @@ def submit_withdrawal(
         raise ContractError("nullifier-known", "nullifier already seen")
     if not zkrel.zk_verify(state.params, stmt, proof):
         raise ContractError("invalid-proof", "proof rejected")
-    pending_id = f"{state.chain_id}{state.next_pending_seq}"
-    state.next_pending_seq += 1
+    pending_id = f"{state.chain_id}{len(state.pending_withdrawals)}"
     finalize_at = now + state.relay_delay + state.epsilon
     pw = PendingWithdrawal(pending_id, stmt, recipient, finalize_at)
     state.pending_withdrawals.append(pw)
-    state.nullifiers[stmt.nullifier] = NullifierRecord(LOCAL, withdrawal=pw)
+    state.nullifiers[stmt.nullifier] = NullifierRecord(withdrawal=pw)
     state.exposed_nullifiers.append(stmt.nullifier)
     state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     _recommit(state)
@@ -275,7 +247,6 @@ def submit_withdrawal(
 
 def process_tick(state: ContractState, now: int) -> list:
     """Finalize every still-pending withdrawal whose delay has elapsed."""
-    _require_initialised(state)
     events = []
     for pw in state.pending_withdrawals[state.finalize_cursor :]:
         if pw.finalize_at > now:
@@ -312,7 +283,6 @@ def process_tick(state: ContractState, now: int) -> list:
 def on_duplicate_nullifier(state: ContractState, sn: FieldElement, now: int) -> list:
     """A relayed copy of a locally exposed nullifier arrived: burn it for good, and
     cancel the withdrawal that exposed it if still pending; nullifier-known allows no other."""
-    _require_initialised(state)
     record = state.nullifiers.get(sn)
     if record is None:
         raise ContractError("unknown-nullifier", "duplicate signal for unseen nullifier")
@@ -352,10 +322,10 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
     for sn in result.installed_nullifiers:
         known = state.nullifiers.get(sn)
         if known is None:
-            state.nullifiers[sn] = NullifierRecord(REMOTE)
-        elif known.provenance == LOCAL and not known.burned:
+            state.nullifiers[sn] = NullifierRecord()
+        elif known.withdrawal is not None and not known.burned:
             duplicates.append(sn)
-        # remote-provenance or already-burned copies are idempotent no-ops
+        # relayed or already-burned copies are idempotent no-ops
     if result.installed_roots or result.installed_nullifiers:
         state.emit(
             now,

@@ -120,13 +120,11 @@ class StateResult:
 def add_header(state, header: BlockHeader) -> HeaderResult:
     """Append a relayed header iff PoW holds, it links, and height increments.
 
-    `state` is a contract state exposing remote_headers, remote_header_digests
-    (the digest of each, computed here, never taken from a relayer) and
-    hash_params.
+    `state` is a contract state exposing remote_headers (genesis first, from
+    set-up), remote_header_digests (the digest of each, computed here, never
+    taken from a relayer) and hash_params.
     """
     headers = state.remote_headers
-    if not headers:
-        return HeaderResult(False, "not-initialised")
     if header.height < len(headers):
         if header == headers[header.height]:
             return HeaderResult(False, "duplicate")

@@ -39,6 +39,7 @@ from .zkrel import (
     Witness,
     make_note,
     zk_prove,
+    zk_setup,
 )
 
 CHAINS = ("A", "B")
@@ -153,6 +154,8 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
             raise ScenarioError(f"relayers[{i}].delay", "must be >= 1")
         if not _NAME_RE.match(spec.id):
             raise ScenarioError(f"relayers[{i}].id", "invalid identifier")
+        if any(r.id == spec.id for r in sc.relayers[:i]):  # relay cursors are keyed by id
+            raise ScenarioError(f"relayers[{i}].id", "duplicate relayer id")
     for i, ev in enumerate(sc.events):
         where = f"events[{i}]"
         if not 0 <= ev.at < sc.horizon:
@@ -256,18 +259,20 @@ class _Engine:
             hash2(0, empty_root, self.params), 0, self.params
         )
         genesis, genesis_digest = mine_header(0, 0, initial_commitment, self.target, self.params)
+        # one circuit for the shared tree height: every proof and both contracts use it
+        self.proof_params = zk_setup(scenario.tree_height, scenario.security, self.params)
         self.nodes: dict = {}
         for chain in CHAINS:
-            c = contract_mod.blank_contract(
+            c = contract_mod.contract_setup(
                 chain,
+                genesis,
+                self.proof_params,
+                scenario.denomination,
                 epsilon=scenario.epsilon,
                 relay_delay=scenario.relay_delay,
                 native=(chain == scenario.native_chain),
-                hash_params=self.params,
-            )
-            c.events = self.events
-            contract_mod.contract_setup(
-                c, genesis, scenario.tree_height, scenario.security, scenario.denomination, now=0
+                events=self.events,
+                now=0,
             )
             self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
         self.notes: dict = {}
@@ -294,52 +299,45 @@ class _Engine:
         self.notes[note_id] = note
         return note
 
-    def build_withdrawal(self, note_id: str, on_chain: str):
+    def _deposit(self, note_id: str) -> DepositInfo:
         dep = self.deposits.get(note_id)
         if dep is None:
             raise _UserActionError("no-deposit", "note was never deposited")
+        return dep
+
+    def _prove(self, note_id: str, root_a, root_b, path, selector: int):
+        """Statement and proof that `note_id`'s commitment sits under root_a
+        (selector 0) or root_b (selector 1)."""
         note = self.note(note_id)
-        target = self.nodes[on_chain].contract
-        source = self.nodes[dep.chain].contract
-        if dep.chain == on_chain:
-            selector = 0
-            root_a = target.tree.root
-            root_b = target.remote_roots[-1]
-            path = mt_path(target.tree, dep.index)
-        else:
-            selector = 1
-            root_a = target.tree.root
-            # remote_roots is a prefix of the source's root history, so its newest
-            # root covers len - 1 leaves; if that misses the deposit, target the
-            # source's live root and let the contract reject it as unknown
-            count = len(target.remote_roots) - 1
-            if count <= dep.index:
-                count = len(source.tree.leaves)
-            root_b = source.tree.root_history[count]
-            path = mt_path(source.tree, dep.index, leaf_count=count)
         stmt = Statement(root_a, root_b, note.nullifier)
         try:
-            proof = zk_prove(target.params, stmt, Witness(note.r, note.s, path, selector))
+            return stmt, zk_prove(self.proof_params, stmt, Witness(note.r, note.s, path, selector))
         except UnsatisfiedWitnessError as err:
             raise _UserActionError("prove-refused", str(err))
-        return stmt, proof
+
+    def build_withdrawal(self, note_id: str, on_chain: str):
+        dep = self._deposit(note_id)
+        target = self.nodes[on_chain].contract
+        if dep.chain == on_chain:
+            path = mt_path(target.tree, dep.index)
+            return self._prove(note_id, target.tree.root, target.remote_roots[-1], path, 0)
+        source = self.nodes[dep.chain].contract
+        # remote_roots is a prefix of the source's root history, so its newest
+        # root covers len - 1 leaves; if that misses the deposit, target the
+        # source's live root and let the contract reject it as unknown
+        count = len(target.remote_roots) - 1
+        if count <= dep.index:
+            count = len(source.tree.leaves)
+        path = mt_path(source.tree, dep.index, leaf_count=count)
+        return self._prove(note_id, target.tree.root, source.tree.root_history[count], path, 1)
 
     def build_reward_claim(self, note_id: str, on_chain: str, claimant: str, age, now: int):
-        dep = self.deposits.get(note_id)
-        if dep is None:
-            raise _UserActionError("no-deposit", "note was never deposited")
+        dep = self._deposit(note_id)
         if dep.chain != on_chain:
             raise _UserActionError("wrong-chain", "claims are made where the note is locked")
-        note = self.note(note_id)
         c = self.nodes[on_chain].contract
-        root_a = dep.root
-        root_b = c.remote_roots[-1]
         path = mt_path(c.tree, dep.index, leaf_count=dep.index + 1)
-        stmt = Statement(root_a, root_b, note.nullifier)
-        try:
-            proof = zk_prove(c.params, stmt, Witness(note.r, note.s, path, 0))
-        except UnsatisfiedWitnessError as err:
-            raise _UserActionError("prove-refused", str(err))
+        stmt, proof = self._prove(note_id, dep.root, c.remote_roots[-1], path, 0)
         if age is None:
             age = now - dep.tick  # honest agents claim the true lock duration
         return incentives_mod.RewardClaim(stmt, proof, int(age), claimant)
@@ -368,7 +366,7 @@ class _Engine:
                     continue
                 self.deposits[note_id] = DepositInfo(ev.target, index, now, c.tree.root)
             elif ev.action == "submit_withdrawal":
-                recipient = ev.arg("recipient", "user")
+                recipient = ev.arg("recipient")
                 try:
                     stmt, proof = self.build_withdrawal(note_id, ev.target)
                     contract_mod.submit_withdrawal(c, stmt, proof, recipient, now)
@@ -381,7 +379,7 @@ class _Engine:
                         reason=err.reason,
                     )
             elif ev.action == "incentive_claim":
-                claimant = ev.arg("claimant", "user")
+                claimant = ev.arg("claimant")
                 try:
                     claim = self.build_reward_claim(
                         note_id, ev.target, claimant, ev.arg("age"), now

@@ -3,6 +3,9 @@
 A statement is (root_a, root_b, nullifier); a witness is (r, s, path,
 tree_selector).  The relation holds when nullifier = H(enc(r)) and the
 commitment H(enc(r) || enc(s)) sits under the selected root via the path.
+There is one circuit per tree height: zk_setup(height, security) names it
+`or-membership-h<height>` and hashes that name, the height, the security level
+and the hash parameters into the digest every proof is bound to.
 
 The reference backend is *transparent*: the proof payload serializes the
 witness plus a tag binding it to (params, statement), and the verifier checks
@@ -12,7 +15,6 @@ hiding backend is a drop-in replacement behind the same three functions.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .field_hash import (
@@ -42,7 +44,6 @@ class UnsatisfiedWitnessError(ZkError):
 
 TRANSPARENT_BACKEND_TAG = 1
 
-_CIRCUIT_RE = re.compile(r"^or-membership-h(\d+)$")
 _SECURITY_BYTES = 4  # width of the security level in the zk_setup digest blob
 MAX_SECURITY = 2 ** (8 * _SECURITY_BYTES) - 1
 
@@ -96,18 +97,14 @@ class ProofParams:
     digest: FieldElement
 
 
-def zk_setup(
-    security: int, circuit_id: str, hash_params: HashParams | None = None
-) -> ProofParams:
-    """Shared prover/verifier parameters for one OR-membership circuit."""
+def zk_setup(height: int, security: int, hash_params: HashParams | None = None) -> ProofParams:
+    """Shared prover/verifier parameters for the OR-membership circuit over
+    trees of `height` levels; both chains' contracts use the same ones."""
     if hash_params is None:
         hash_params = DEFAULT_PARAMS
-    match = _CIRCUIT_RE.match(circuit_id)
-    if not match:
-        raise UnknownCircuitError(f"unknown circuit: {circuit_id!r}")
-    height = int(match.group(1))
     if not 1 <= height <= MAX_HEIGHT:
         raise UnknownCircuitError(f"circuit height out of range: {height}")
+    circuit_id = f"or-membership-h{height}"
     blob = (
         circuit_id.encode()
         + height.to_bytes(4, "little")

@@ -143,7 +143,7 @@ def test_criterion_2_race_safety_and_negative_control(report):
 
 def test_criterion_3_relation_completeness_and_or_soundness(report):
     started = time.monotonic()
-    pp8 = zk_setup(128, "or-membership-h3", make_params(8))
+    pp8 = zk_setup(3, 128, make_params(8))
     rng = random.Random(2026)
     complete = mutations_reject = 0
     for i in range(200):
@@ -169,7 +169,7 @@ def test_criterion_3_relation_completeness_and_or_soundness(report):
     # brute-force OR soundness on a restricted subdomain: height-1 trees whose
     # leaves match no subdomain commitment; every (r, s, sibling, index,
     # selector) combination must fail membership under both roots
-    pp4 = zk_setup(128, "or-membership-h1", make_params(4))
+    pp4 = zk_setup(1, 128, make_params(4))
     params = pp4.hash_params
     leaves = (3, 5, 9, 12)
     subdomain = [(r, s) for r in range(256) for s in (0, 1)]

@@ -11,7 +11,6 @@ from bridgemix.contract import (
     FINALIZED,
     PENDING,
     ContractError,
-    blank_contract,
     check_contract_invariants,
     conservation_holds,
     contract_setup,
@@ -30,7 +29,7 @@ from bridgemix.lightclient import (
     state_commitment_value,
 )
 from bridgemix.merkle import mt_path, mt_setup
-from bridgemix.zkrel import Statement, Witness, make_note, zk_prove
+from bridgemix.zkrel import Statement, Witness, make_note, zk_prove, zk_setup
 
 EASY_TARGET = P >> 2
 DENOM = 10
@@ -43,12 +42,17 @@ def make_genesis(h, params):
     return genesis
 
 
+def setup_one(chain, genesis, params, h=3, denomination=DENOM, epsilon=1, delay=2, native=True):
+    return contract_setup(
+        chain, genesis, zk_setup(h, 128, params), denomination,
+        epsilon=epsilon, relay_delay=delay, native=native, events=[], now=0,
+    )
+
+
 def make_pair(params, h=3, epsilon=1, delay=2, native_chain="A"):
     genesis = make_genesis(h, params)
-    a = blank_contract("A", epsilon=epsilon, relay_delay=delay, native=(native_chain == "A"), hash_params=params)
-    b = blank_contract("B", epsilon=epsilon, relay_delay=delay, native=(native_chain == "B"), hash_params=params)
-    contract_setup(a, genesis, h, 128, DENOM, now=0)
-    contract_setup(b, genesis, h, 128, DENOM, now=0)
+    a = setup_one("A", genesis, params, h, epsilon=epsilon, delay=delay, native=(native_chain == "A"))
+    b = setup_one("B", genesis, params, h, epsilon=epsilon, delay=delay, native=(native_chain == "B"))
     return a, b
 
 
@@ -99,30 +103,29 @@ class TestSetup:
         assert a.balance == 0
         assert a.tree.root_history == a.remote_roots == [a.tree.root]
         assert a.local_root_set == {a.tree.root}
-        assert a.initialised
 
-    def test_double_setup_rejected(self, fast_params):
-        a, _ = make_pair(fast_params)
+    @pytest.mark.parametrize("epsilon,delay", [(1, 0), (-3, 2)])
+    def test_bad_delay_rejected(self, fast_params, epsilon, delay):
         with pytest.raises(ContractError) as err:
-            contract_setup(a, make_genesis(3, fast_params), 3, 128, DENOM, now=0)
-        assert err.value.reason == "already-initialised"
+            setup_one("A", make_genesis(2, fast_params), fast_params, 2, epsilon=epsilon, delay=delay)
+        assert err.value.reason == "bad-delay"
 
     def test_zero_denomination_rejected(self, fast_params):
-        c = blank_contract("A", hash_params=fast_params)
         with pytest.raises(ContractError) as err:
-            contract_setup(c, make_genesis(2, fast_params), 2, 128, 0, now=0)
+            setup_one("A", make_genesis(2, fast_params), fast_params, 2, denomination=0)
         assert err.value.reason == "bad-denomination"
 
     def test_bad_genesis_rejected(self, fast_params):
         genesis = make_genesis(2, fast_params)
-        c = blank_contract("A", hash_params=fast_params)
-        with pytest.raises(ContractError):
-            contract_setup(c, dataclasses.replace(genesis, height=1), 2, 128, DENOM, now=0)
+        with pytest.raises(ContractError) as err:
+            setup_one("A", dataclasses.replace(genesis, height=1), fast_params, 2)
+        assert err.value.reason == "bad-genesis"
         bad_nonce = dataclasses.replace(genesis, nonce=genesis.nonce + 1)
         if header_digest(bad_nonce, fast_params) < bad_nonce.work_target:
             bad_nonce = dataclasses.replace(genesis, work_target=1)
-        with pytest.raises(ContractError):
-            contract_setup(c, bad_nonce, 2, 128, DENOM, now=0)
+        with pytest.raises(ContractError) as err:
+            setup_one("A", bad_nonce, fast_params, 2)
+        assert err.value.reason == "bad-genesis"
 
 
 class TestDeposit:
@@ -311,10 +314,10 @@ class TestDuplicateCancellation:
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "erin", now=2)
-        relay_all(b, a, now=4)  # A installs the nullifier (remote provenance)
+        relay_all(b, a, now=4)  # A installs the nullifier by relay
         relay_all(b, a, now=5)  # redelivery must not cancel anything on A
         assert all(e.kind != "duplicate-detected" for e in a.events)
-        assert a.nullifiers[note.nullifier].provenance == "remote"
+        assert a.nullifiers[note.nullifier].withdrawal is None
 
     def test_duplicate_signal_for_unseen_nullifier_rejected(self, fast_params):
         a, _ = make_pair(fast_params)
@@ -378,8 +381,14 @@ class TestInvariantHelpers:
     def test_invariants_are_checked_under_python_O(self):
         # `assert` statements vanish under -O; the checks must not
         script = (
-            "from bridgemix.contract import ContractError, blank_contract, check_contract_invariants\n"
-            "c = blank_contract('A')\n"
+            "from bridgemix.contract import ContractError, check_contract_invariants, contract_setup\n"
+            "from bridgemix.field_hash import P, make_params\n"
+            "from bridgemix.lightclient import mine_header\n"
+            "from bridgemix.zkrel import zk_setup\n"
+            "params = make_params(4)\n"
+            "genesis, _ = mine_header(0, 0, 0, P >> 2, params)\n"
+            "c = contract_setup('A', genesis, zk_setup(2, 128, params), 10, epsilon=1, relay_delay=1,\n"
+            "                   native=True, events=[], now=0)\n"
             "c.balance = -5\n"
             "try:\n"
             "    check_contract_invariants(c)\n"

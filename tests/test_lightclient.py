@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bridgemix import field_hash, lightclient
-from bridgemix.contract import blank_contract, contract_setup, deposit
+from bridgemix.contract import contract_setup, deposit
 from bridgemix.field_hash import P, encode_fe, hash_bytes, hash2, make_params
 from bridgemix.lightclient import (
     BlockHeader,
@@ -18,6 +18,7 @@ from bridgemix.lightclient import (
     mine_header,
     state_commitment_value,
 )
+from bridgemix.zkrel import zk_setup
 
 EASY_TARGET = P >> 2
 TINY_PARAMS = make_params(4)  # the tiny_params fixture, for Hypothesis tests
@@ -450,7 +451,10 @@ class TestDigests:
         assert chain_digest([], fast_params) == 0
         # the contract keeps the same fold of its root history, one root at a time
         genesis, _ = mine_header(0, 0, 0, EASY_TARGET, fast_params)
-        c = contract_setup(blank_contract("A", hash_params=fast_params), genesis, 2, 128, 10, now=0)
+        c = contract_setup(
+            "A", genesis, zk_setup(2, 128, fast_params), 10,
+            epsilon=1, relay_delay=1, native=True, events=[], now=0,
+        )
         for commitment in values:
             deposit(c, 10, commitment, now=0)
         assert c.local_root_digest == chain_digest(c.tree.root_history, fast_params)

@@ -6,7 +6,7 @@ import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bridgemix import cli
+from bridgemix import cli, simnet
 from bridgemix import contract as contract_mod
 from bridgemix.lightclient import header_digest, state_commitment_value
 from bridgemix.simnet import (
@@ -179,6 +179,28 @@ def test_two_relayers_redundant_delivery_is_idempotent():
     t = run(sc)  # per-tick invariants hold throughout or run() raises
     assert len(kinds(t, "withdraw-finalized")) == 1
     assert t.contracts["B"].remote_roots.count(t.deposits["n1"].root) == 1
+
+
+def test_relayer_ids_are_distinct():
+    # each relayer keeps its own relay cursors, keyed by its id: a second
+    # relayer under a taken id would find them advanced and never send
+    deposit = (ev(0, "A", "deposit", note="n1"),)
+    t = run(base_scenario(relayers=(RelayerSpec("r0", 5), RelayerSpec("r1", 1)), events=deposit))
+    assert [e.tick for e in kinds(t, "state-accepted") if e.chain == "B"][0] == 1
+    with pytest.raises(ScenarioError) as err:
+        run(base_scenario(relayers=(RelayerSpec("r0", 5), RelayerSpec("r0", 1)), events=deposit))
+    assert err.value.field_name == "relayers[1].id"
+    assert str(err.value) == "scenario field 'relayers[1].id': duplicate relayer id"
+
+
+def test_both_contracts_share_one_proof_setup(monkeypatch):
+    calls = []
+    real_setup = simnet.zk_setup
+    monkeypatch.setattr(simnet, "zk_setup", lambda *args: calls.append(args) or real_setup(*args))
+    t = run(base_scenario(tree_height=3, security=64))
+    assert t.contracts["A"].params is t.contracts["B"].params
+    assert t.contracts["A"].params.circuit_id == "or-membership-h3"
+    assert len(calls) == 1
 
 
 def test_withdraw_before_deposit_rejected():
@@ -443,6 +465,8 @@ def test_scenario_from_dict_shared_reward_block():
         ({"seed": 1, "horizon": 4, "tree_height": 33}, "tree_height"),
         (["seed", "horizon"], "<root>"),
         ({"seed": 1, "horizon": 4, "security": 2**32}, "security"),
+        ({"seed": 1, "horizon": 4, "relayers": [{"id": "r0", "delay": 5}, {"id": "r0", "delay": 1}]},
+         "relayers[1].id"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):
