@@ -76,16 +76,21 @@ def zero_constant_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
 
 
 def permute(x: FieldElement, k: FieldElement, params: HashParams | None = None) -> FieldElement:
-    """`rounds` iterations of x <- (x + k + c_i)^7 mod p, then a final +k."""
+    """`rounds` iterations of x <- (x + k + c_i)^7 mod p, then a final +k.
+
+    A round reduces twice: t^3 mod p, then t^3 * t^3 * t mod p.  The sum
+    t = x + k + c_i is left unreduced; x, k and c_i are each below p, so
+    t < 3p, and t is congruent to the reduced sum, so every power of it is
+    too.  Python ints do not overflow, so the larger t costs only a few
+    more digits in the two products it enters."""
     if params is None:
         params = DEFAULT_PARAMS
     x %= P
     k %= P
     for c in params.round_constants:
-        t = (x + k + c) % P
-        t2 = t * t % P
-        t4 = t2 * t2 % P
-        x = t4 * t2 % P * t % P
+        t = x + k + c
+        t3 = t * t * t % P
+        x = t3 * t3 * t % P
     return (x + k) % P
 
 

@@ -246,11 +246,12 @@ class _Cursor:
 
 
 class _Engine:
-    def __init__(self, scenario: Scenario, allow_negative_epsilon: bool = False):
+    def __init__(self, scenario: Scenario, allow_negative_epsilon: bool, mined: dict):
         validate_scenario(scenario, allow_negative_epsilon)
         self.scenario = scenario
         self.params = make_params(scenario.hash_rounds)
         self.target = P >> scenario.pow_shift
+        self.mined = mined  # mine_header arguments -> (header, digest); see run()
         self.events: list = []  # shared, globally ordered transcript
         # both chains share tree shape, so both genesis headers commit the
         # same empty state; mine one header and install it on both sides
@@ -258,7 +259,7 @@ class _Engine:
         initial_commitment = state_commitment_value(
             hash2(0, empty_root, self.params), 0, self.params
         )
-        genesis, genesis_digest = mine_header(0, 0, initial_commitment, self.target, self.params)
+        genesis, genesis_digest = self._mine_header(0, 0, initial_commitment)
         # one circuit for the shared tree height: every proof and both contracts use it
         self.proof_params = zk_setup(scenario.tree_height, scenario.security, self.params)
         self.nodes: dict = {}
@@ -342,6 +343,13 @@ class _Engine:
             age = now - dep.tick  # honest agents claim the true lock duration
         return incentives_mod.RewardClaim(stmt, proof, int(age), claimant)
 
+    def _mine_header(self, height: int, prev_hash: FieldElement, commitment: FieldElement):
+        key = (height, prev_hash, commitment, self.target, self.params)
+        found = self.mined.get(key)
+        if found is None:
+            found = self.mined[key] = mine_header(*key)
+        return found
+
     # -- tick phases --------------------------------------------------------
     def _deliver(self, now: int):
         for kind, chain, payload in self.deliveries.pop(now, []):
@@ -399,12 +407,8 @@ class _Engine:
     def _mine(self, now: int):
         for chain in CHAINS:
             node = self.nodes[chain]
-            header, node.tip_digest = mine_header(
-                len(node.headers),
-                node.tip_digest,
-                node.contract.state_commitment,
-                self.target,
-                self.params,
+            header, node.tip_digest = self._mine_header(
+                len(node.headers), node.tip_digest, node.contract.state_commitment
             )
             node.headers.append(header)
             node.contract.emit(now, "header-mined", height=header.height)
@@ -498,9 +502,18 @@ def _adversary_events(adv: AdversarySpec | None) -> list:
     ]
 
 
-def run(scenario: Scenario, allow_negative_epsilon: bool = False) -> Transcript:
-    """Execute a scenario; the transcript is a pure function of (scenario, seed)."""
-    return _Engine(scenario, allow_negative_epsilon).run()
+def run(
+    scenario: Scenario, allow_negative_epsilon: bool = False, *, mined: dict | None = None
+) -> Transcript:
+    """Execute a scenario; the transcript is a pure function of (scenario, seed).
+
+    `mined` maps `mine_header` argument tuples to their (header, digest)
+    results.  A race sweep passes one dict to all its runs, so a header that
+    two interleavings both mine is searched for once.  Mining is a pure
+    function of those arguments and `BlockHeader` is frozen, so a shared
+    result is the one this run would have mined, and the transcript cannot
+    change.  Without it each run starts an empty memo of its own."""
+    return _Engine(scenario, allow_negative_epsilon, {} if mined is None else mined).run()
 
 
 # -- race exploration ---------------------------------------------------------
@@ -574,14 +587,16 @@ def _note_tallies(transcript: Transcript) -> dict:
 
 
 def explore_races(base: Scenario, t_prime_range) -> RaceReport:
-    """One run per (t', submission order); reports payouts and cancellations
-    for the adversary's note in each interleaving."""
+    """One run per (t', submission order), all sharing one mining memo;
+    reports payouts and cancellations for the adversary's note in each
+    interleaving."""
     if base.adversary is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
     t_primes = list(t_prime_range)
     if not t_primes:
         raise ScenarioError("t_prime_range", "empty range")
     rows = []
+    mined: dict = {}
     for t_prime in t_primes:
         for first_chain in (base.adversary.first_chain, other_chain(base.adversary.first_chain)):
             adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
@@ -592,7 +607,7 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
                 horizon=max(base.horizon, needed),
                 name=f"{base.name}/t{t_prime}/{first_chain}",
             )
-            transcript = run(scenario, allow_negative_epsilon=True)
+            transcript = run(scenario, allow_negative_epsilon=True, mined=mined)
             tallies = _note_tallies(transcript)
             payouts, cancels, rejected = tallies.get(transcript.notes[adv.note].nullifier, _NO_EVENTS)
             honest = sum(

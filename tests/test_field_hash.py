@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from bridgemix.field_hash import (
     DEFAULT_PARAMS,
@@ -29,6 +31,37 @@ def absorb_oracle(data: bytes, params) -> int:
             x = pow((x + k + c) % P, 7, P)
         state = ((x + k) % P + state + chunk) % P
     return state
+
+
+def naive_permute(x, k, params):
+    # the round as first written: reduce the sum, then each of four products
+    x %= P
+    k %= P
+    for c in params.round_constants:
+        t = (x + k + c) % P
+        t2 = t * t % P
+        t4 = t2 * t2 % P
+        x = t4 * t2 % P * t % P
+    return (x + k) % P
+
+
+# every constant after c_0 = 0 at p - 1: with x = k = p - 1 too, each round
+# sums to 3p - 3, the largest value permute leaves unreduced
+TOP_PARAMS = HashParams(rounds=8, round_constants=(0,) + (P - 1,) * 7)
+field = st.integers(0, P - 1)
+
+
+class TestPermuteKernel:
+    @pytest.mark.parametrize("params", [make_params(8), make_params(64), TOP_PARAMS],
+                             ids=["rounds8", "rounds64", "top-constants"])
+    @seed(7707)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(x=field, k=field)
+    @example(x=P - 1, k=P - 1)
+    @example(x=P - 1, k=0)
+    @example(x=0, k=P - 1)
+    def test_matches_naive_rounds(self, params, x, k):
+        assert permute(x, k, params) == naive_permute(x, k, params)
 
 
 class TestPermute:

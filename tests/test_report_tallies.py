@@ -117,8 +117,8 @@ def assert_matches_reference(scenario, t_primes):
         return
     transcripts = []
 
-    def recording_run(sc, allow_negative_epsilon=False):
-        transcripts.append(run(sc, allow_negative_epsilon))
+    def recording_run(sc, allow_negative_epsilon=False, *, mined=None):
+        transcripts.append(run(sc, allow_negative_epsilon, mined=mined))
         return transcripts[-1]
 
     with mock.patch.object(simnet, "run", recording_run):

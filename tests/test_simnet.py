@@ -1,5 +1,8 @@
 import copy
+import dataclasses
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 import yaml
@@ -308,6 +311,71 @@ def test_negative_control_underdelayed_finalization_double_pays():
         assert (row.payouts, row.cancellations, row.second_rejected) == want
     assert all(row.payouts == 2 for row in by_tp[0])
     assert report.max_payouts() == 2 and len(report.double_payout_rows) == 2
+
+
+@pytest.mark.parametrize("delay", [2, 3])
+def test_race_safety_over_the_assumption_space(delay):
+    # the paper's safety argument assumes an honest relayer delivers within
+    # D = relay_delay and withdrawals wait D + epsilon.  Sweep the relayer's
+    # actual delay r over 1..D, the deposit chain, and the first submission
+    # over one relay period.  A relayed nullifier arrives r ticks after its
+    # submission and a withdrawal pays D + epsilon ticks after its own, so
+    # each row is the closed form with latency r and slack D + epsilon - r:
+    # never a double payout at epsilon >= 0, and at epsilon = -1 a double
+    # payout exactly when the relayer takes the full D
+    space = itertools.product(range(1, delay + 1), "AB", range(delay, 2 * delay), (0, 1, -1))
+    for where in space:
+        r, deposit_chain, first_at, eps = where
+        base = race_base(delay, eps, relayers=(RelayerSpec("r0", r),))
+        adv = dataclasses.replace(base.adversary, deposit_chain=deposit_chain, first_at=first_at)
+        report = explore_races(dataclasses.replace(base, adversary=adv), range(0, 2 * (delay + eps) + 1))
+        for row in report.rows:
+            got = (row.payouts, row.cancellations, row.second_rejected)
+            assert got == expected_race(r, delay + eps - r, row.t_prime), (where, row)
+            assert row.honest_payouts == 1, (where, row)
+        assert report.max_payouts() == (2 if eps < 0 and r == delay else 1), where
+
+
+# -- one mining memo per race sweep ---------------------------------------------
+
+def races_demo(eps):
+    path = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "races.yaml"
+    sc = scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")), name="races")
+    return dataclasses.replace(sc, epsilon=eps)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, monkeypatch):
+    base = races_demo(eps)
+    swept = []
+    real_run = simnet.run
+
+    def recording_run(sc, allow_negative_epsilon=False, *, mined=None):
+        assert mined is not None  # the sweep passes its memo to every run
+        transcript = real_run(sc, allow_negative_epsilon, mined=mined)
+        swept.append((sc, transcript.render()))
+        return transcript
+
+    monkeypatch.setattr(simnet, "run", recording_run)
+    t_max = 2 * (base.relay_delay + eps)
+    explore_races(base, range(0, t_max + 1))
+    assert len(swept) == 2 * (t_max + 1)
+    for sc, text in swept:
+        assert text == real_run(sc, allow_negative_epsilon=True).render(), sc.name
+
+
+def test_sweep_mines_each_distinct_header_once(monkeypatch):
+    calls = []
+    real_mine = simnet.mine_header
+    monkeypatch.setattr(simnet, "mine_header", lambda *args: calls.append(args) or real_mine(*args))
+    base = races_demo(1)
+    explore_races(base, range(0, 7))
+    first = list(calls)
+    assert len(first) == len(set(first))
+    # the memo lives for one sweep: a second sweep mines every header again
+    calls.clear()
+    explore_races(base, range(0, 7))
+    assert calls == first
 
 
 def test_payout_table_tallies_by_nullifier():
