@@ -24,7 +24,7 @@ from bridgemix.zkrel import (
 )
 
 params = make_params(8)
-pp = zk_setup(3, 128, params)
+pp = zk_setup(3, params)
 print("circuit:", pp.circuit_id, "| height:", pp.height)
 
 # a note is two secrets; commitment = H(r || s) goes on chain at deposit,

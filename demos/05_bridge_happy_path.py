@@ -24,9 +24,9 @@ scenario = Scenario(
     relayers=(RelayerSpec("relayer0", delay=D),),
     events=(
         # tick 0: deposit 10 units on A under a fresh note commitment
-        SimEvent(0, "A", "deposit", (("note", "travel-money"),)),
+        SimEvent(0, "A", "deposit", note="travel-money"),
         # tick 4: withdraw on B; by now A's root has been relayed (0 + D <= 4)
-        SimEvent(4, "B", "submit_withdrawal", (("note", "travel-money"), ("recipient", "alice"))),
+        SimEvent(4, "B", "submit_withdrawal", note="travel-money", recipient="alice"),
     ),
 )
 

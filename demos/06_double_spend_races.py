@@ -24,8 +24,8 @@ base = Scenario(
     relayers=(RelayerSpec("relayer0", delay=D),),
     events=(
         # an honest bystander: their withdrawal must never become collateral
-        SimEvent(0, "A", "deposit", (("note", "honest"),)),
-        SimEvent(4, "B", "submit_withdrawal", (("note", "honest"), ("recipient", "bystander"))),
+        SimEvent(0, "A", "deposit", note="honest"),
+        SimEvent(4, "B", "submit_withdrawal", note="honest", recipient="bystander"),
     ),
     adversary=AdversarySpec(
         note="double-spender",

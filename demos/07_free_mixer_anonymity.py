@@ -15,10 +15,6 @@ from bridgemix.metrics import anonymity_report, anonymity_set, linkability_audit
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
 
 
-def ev(at, chain, action, **kw):
-    return SimEvent(at, chain, action, tuple(kw.items()))
-
-
 scenario = Scenario(
     seed=7,
     horizon=16,
@@ -27,17 +23,17 @@ scenario = Scenario(
     relayers=(RelayerSpec("relayer0", delay=2),),
     events=(
         # three deposits on A, two on B
-        ev(0, "A", "deposit", note="a0"),
-        ev(1, "A", "deposit", note="a1"),
-        ev(2, "A", "deposit", note="a2"),
-        ev(0, "B", "deposit", note="b0"),
-        ev(1, "B", "deposit", note="b1"),
+        SimEvent(0, "A", "deposit", note="a0"),
+        SimEvent(1, "A", "deposit", note="a1"),
+        SimEvent(2, "A", "deposit", note="a2"),
+        SimEvent(0, "B", "deposit", note="b0"),
+        SimEvent(1, "B", "deposit", note="b1"),
         # a0 exits on B referencing the latest roots of both chains
-        ev(6, "B", "submit_withdrawal", note="a0", recipient="whoever"),
+        SimEvent(6, "B", "submit_withdrawal", note="a0", recipient="whoever"),
         # a1 exits on A itself: the same machinery is a free local mixer
-        ev(7, "A", "submit_withdrawal", note="a1", recipient="someone"),
+        SimEvent(7, "A", "submit_withdrawal", note="a1", recipient="someone"),
         # spending a1 again, now cross-chain, must fail: nullifier known
-        ev(12, "B", "submit_withdrawal", note="a1", recipient="again"),
+        SimEvent(12, "B", "submit_withdrawal", note="a1", recipient="again"),
     ),
 )
 

@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .contract import ContractError
 from .field_hash import fe_hex
 from .zkrel import Proof, Statement, zk_verify
-
-
-class RewardError(ValueError):
-    def __init__(self, reason: str, message: str = ""):
-        super().__init__(message or reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -43,34 +38,34 @@ class RewardClaim:
 def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
     """Validate a lock-age claim against ``state`` and mint governance tokens.
 
-    Returns the amount minted.  Raises RewardError with reasons
+    Returns the amount minted.  Raises ContractError with reasons
     unknown-local-root / unknown-remote-root / invalid-proof /
     already-withdrawn / age-overstated / below-min-lock / not-incremental.
     """
     stmt = claim.statement
     if stmt.root_a not in state.local_root_set:
-        raise RewardError("unknown-local-root", f"root_a {fe_hex(stmt.root_a)} not local")
+        raise ContractError("unknown-local-root", f"root_a {fe_hex(stmt.root_a)} not local")
     if stmt.root_b not in state.remote_root_set:
-        raise RewardError("unknown-remote-root", f"root_b {fe_hex(stmt.root_b)} not relayed")
+        raise ContractError("unknown-remote-root", f"root_b {fe_hex(stmt.root_b)} not relayed")
     if not zk_verify(state.params, stmt, claim.proof):
-        raise RewardError("invalid-proof", "membership proof rejected")
+        raise ContractError("invalid-proof", "membership proof rejected")
     if stmt.nullifier in state.nullifiers:
-        raise RewardError("already-withdrawn", "note already spent or burned")
+        raise ContractError("already-withdrawn", "note already spent or burned")
     if claim.claimed_age < 0:
-        raise RewardError("age-overstated", "negative age")
+        raise ContractError("age-overstated", "negative age")
     # age can only be bounded by what the chain can see: the older of the two
     # referenced roots must itself be at least claimed_age ticks old
     older_ts = min(state.root_timestamps[stmt.root_a], state.root_timestamps[stmt.root_b])
     if claim.claimed_age > now - older_ts:
-        raise RewardError(
+        raise ContractError(
             "age-overstated",
             f"claimed {claim.claimed_age} > verifiable {now - older_ts}",
         )
     if claim.claimed_age < cfg.min_lock:
-        raise RewardError("below-min-lock", f"claimed {claim.claimed_age} < {cfg.min_lock}")
+        raise ContractError("below-min-lock", f"claimed {claim.claimed_age} < {cfg.min_lock}")
     prev = state.reward_ages.get(stmt.nullifier, 0)
     if claim.claimed_age <= prev:
-        raise RewardError("not-incremental", f"already paid through age {prev}")
+        raise ContractError("not-incremental", f"already paid through age {prev}")
     amount = cfg.rate * (claim.claimed_age - prev)
     state.reward_ages[stmt.nullifier] = claim.claimed_age
     state.gov_minted[claim.claimant] = state.gov_minted.get(claim.claimant, 0) + amount
@@ -185,7 +180,7 @@ def build_vampire_scenario(
     With rate_b == rate_a nobody moves (the relock downtime always loses);
     with rate_b sufficiently above rate_a everyone does.
     """
-    from . import simnet  # late import: simnet imports this module
+    from .simnet import RelayerSpec, Scenario, SimEvent  # late: simnet imports this module
 
     if agents < 1 or agents > 12:
         raise ValueError("agents must be in [1, 12]")
@@ -194,54 +189,32 @@ def build_vampire_scenario(
     claim_last_at = horizon - 2
     if claim_a_at - (agents - 1) < min_lock or claim_last_at - arrival_b < min_lock:
         raise ValueError("horizon too short for the claim schedule")
-    events = []
+    events = [SimEvent(i, "A", "deposit", f"agent{i}") for i in range(agents)]
     for i in range(agents):
-        events.append(
-            simnet.SimEvent(i, "A", "deposit", (("note", f"agent{i}"),))
-        )
+        agent = f"agent{i}"
+        events.append(SimEvent(claim_a_at, "A", "incentive_claim", agent, claimant=agent))
     for i in range(agents):
-        events.append(
-            simnet.SimEvent(
-                claim_a_at, "A", "incentive_claim",
-                (("note", f"agent{i}"), ("claimant", f"agent{i}")),
-            )
-        )
-    for i in range(agents):
+        agent = f"agent{i}"
         dep_at = i
         gain_stay = rate_a * (claim_last_at - dep_at)
         gain_move = rate_a * (claim_a_at - dep_at) + rate_b * (claim_last_at - arrival_b)
         if gain_move > gain_stay:
+            events.append(SimEvent(switch_at, "A", "submit_withdrawal", agent, recipient=agent))
+            events.append(SimEvent(arrival_b, "B", "deposit", f"{agent}-b"))
             events.append(
-                simnet.SimEvent(
-                    switch_at, "A", "submit_withdrawal",
-                    (("note", f"agent{i}"), ("recipient", f"agent{i}")),
-                )
-            )
-            events.append(
-                simnet.SimEvent(arrival_b, "B", "deposit", (("note", f"agent{i}-b"),))
-            )
-            events.append(
-                simnet.SimEvent(
-                    claim_last_at, "B", "incentive_claim",
-                    (("note", f"agent{i}-b"), ("claimant", f"agent{i}")),
-                )
+                SimEvent(claim_last_at, "B", "incentive_claim", f"{agent}-b", claimant=agent)
             )
         else:
-            events.append(
-                simnet.SimEvent(
-                    claim_last_at, "A", "incentive_claim",
-                    (("note", f"agent{i}"), ("claimant", f"agent{i}")),
-                )
-            )
+            events.append(SimEvent(claim_last_at, "A", "incentive_claim", agent, claimant=agent))
     events.sort(key=lambda e: e.at)
-    return simnet.Scenario(
+    return Scenario(
         seed=seed,
         horizon=horizon,
         relay_delay=relay_delay,
         epsilon=epsilon,
         hash_rounds=hash_rounds,
         name=f"vampire-ra{rate_a}-rb{rate_b}",
-        relayers=(simnet.RelayerSpec("relayer0", relay_delay),),
+        relayers=(RelayerSpec("relayer0", relay_delay),),
         events=tuple(events),
         rewards=(("A", RewardSpec(rate_a, min_lock)), ("B", RewardSpec(rate_b, min_lock))),
     )

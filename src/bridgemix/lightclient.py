@@ -11,6 +11,7 @@ are rejected outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field_hash import FieldElement, HashParams, encode_fe, hash2, hash_bytes
 
@@ -59,6 +60,7 @@ def header_digest(header: BlockHeader, params: HashParams | None = None) -> Fiel
     return hash_bytes(blob, params)
 
 
+@lru_cache(maxsize=None)
 def mine_header(
     height: int,
     prev_hash: FieldElement,
@@ -67,7 +69,9 @@ def mine_header(
     params: HashParams | None = None,
 ) -> tuple[BlockHeader, FieldElement]:
     """Deterministic nonce search from 0; returns (header, header_digest(header))
-    and raises if the target is too hard.
+    and raises if the target is too hard.  The search is a pure function of
+    its arguments and BlockHeader is frozen, so results are cached: a header
+    that several runs mine (a race sweep's interleavings) is searched for once.
 
     The nonce-free chunks are absorbed once, so each try absorbs only the
     last two chunks of the blob: the commitment's last 3 bytes with the

@@ -32,7 +32,6 @@ from .lightclient import (
 )
 from .merkle import mt_path, zero_subtree_roots
 from .zkrel import (
-    MAX_SECURITY,
     DepositNote,
     Statement,
     UnsatisfiedWitnessError,
@@ -68,13 +67,10 @@ class SimEvent:
     at: int
     target: str  # chain id
     action: str
-    payload: tuple  # ordered (key, value) pairs
-
-    def arg(self, key, default=None):
-        for k, v in self.payload:
-            if k == key:
-                return v
-        return default
+    note: str
+    recipient: str = ""  # submit_withdrawal only
+    claimant: str = ""  # incentive_claim only
+    age: int | None = None  # incentive_claim's asserted lock age; None claims the true age
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,6 @@ class Scenario:
     relay_delay: int = 2  # the protocol bound D
     native_chain: str = "A"
     pow_shift: int = 2  # work target = p >> pow_shift
-    security: int = 128
     hash_rounds: int = 64
     name: str = "scenario"
     relayers: tuple = ()
@@ -143,8 +138,6 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         raise ScenarioError("native_chain", "must be 'A' or 'B'")
     if not 1 <= sc.pow_shift <= MAX_POW_SHIFT:
         raise ScenarioError("pow_shift", f"must be in [1, {MAX_POW_SHIFT}]")
-    if not 1 <= sc.security <= MAX_SECURITY:
-        raise ScenarioError("security", f"must be in [1, {MAX_SECURITY}]")
     if sc.hash_rounds < 1:
         raise ScenarioError("hash_rounds", "must be >= 1")
     if not sc.relayers:
@@ -164,14 +157,14 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
             raise ScenarioError(f"{where}.chain", "must be 'A' or 'B'")
         if ev.action not in USER_ACTIONS:
             raise ScenarioError(f"{where}.action", f"unknown action {ev.action!r}")
-        if not ev.arg("note"):
+        if not ev.note:
             raise ScenarioError(f"{where}.note", "note id required")
-        if ev.arg("age", 0) < 0:
+        if ev.age is not None and ev.age < 0:
             raise ScenarioError(f"{where}.age", "must be >= 0")
-        if ev.action == "submit_withdrawal" and not _NAME_RE.match(ev.arg("recipient", "")):
+        if ev.action == "submit_withdrawal" and not _NAME_RE.match(ev.recipient):
             raise ScenarioError(f"{where}.recipient", "recipient required")
         if ev.action == "incentive_claim":
-            if not _NAME_RE.match(ev.arg("claimant", "")):
+            if not _NAME_RE.match(ev.claimant):
                 raise ScenarioError(f"{where}.claimant", "claimant required")
             if sc.reward_for(ev.target) is None:
                 raise ScenarioError(f"{where}", f"no reward scheme configured on {ev.target}")
@@ -246,12 +239,11 @@ class _Cursor:
 
 
 class _Engine:
-    def __init__(self, scenario: Scenario, allow_negative_epsilon: bool, mined: dict):
+    def __init__(self, scenario: Scenario, allow_negative_epsilon: bool):
         validate_scenario(scenario, allow_negative_epsilon)
         self.scenario = scenario
         self.params = make_params(scenario.hash_rounds)
         self.target = P >> scenario.pow_shift
-        self.mined = mined  # mine_header arguments -> (header, digest); see run()
         self.events: list = []  # shared, globally ordered transcript
         # both chains share tree shape, so both genesis headers commit the
         # same empty state; mine one header and install it on both sides
@@ -259,9 +251,9 @@ class _Engine:
         initial_commitment = state_commitment_value(
             hash2(0, empty_root, self.params), 0, self.params
         )
-        genesis, genesis_digest = self._mine_header(0, 0, initial_commitment)
+        genesis, genesis_digest = mine_header(0, 0, initial_commitment, self.target, self.params)
         # one circuit for the shared tree height: every proof and both contracts use it
-        self.proof_params = zk_setup(scenario.tree_height, scenario.security, self.params)
+        self.proof_params = zk_setup(scenario.tree_height, self.params)
         self.nodes: dict = {}
         for chain in CHAINS:
             c = contract_mod.contract_setup(
@@ -278,7 +270,7 @@ class _Engine:
             self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
         self.notes: dict = {}
         self.deposits: dict = {}
-        self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, payload)
+        self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
         self.relayer_cursors = {
             (spec.id, src): _Cursor()
             for spec in scenario.relayers
@@ -303,7 +295,7 @@ class _Engine:
     def _deposit(self, note_id: str) -> DepositInfo:
         dep = self.deposits.get(note_id)
         if dep is None:
-            raise _UserActionError("no-deposit", "note was never deposited")
+            raise ContractError("no-deposit", "note was never deposited")
         return dep
 
     def _prove(self, note_id: str, root_a, root_b, path, selector: int):
@@ -314,7 +306,7 @@ class _Engine:
         try:
             return stmt, zk_prove(self.proof_params, stmt, Witness(note.r, note.s, path, selector))
         except UnsatisfiedWitnessError as err:
-            raise _UserActionError("prove-refused", str(err))
+            raise ContractError("prove-refused", str(err))
 
     def build_withdrawal(self, note_id: str, on_chain: str):
         dep = self._deposit(note_id)
@@ -335,7 +327,7 @@ class _Engine:
     def build_reward_claim(self, note_id: str, on_chain: str, claimant: str, age, now: int):
         dep = self._deposit(note_id)
         if dep.chain != on_chain:
-            raise _UserActionError("wrong-chain", "claims are made where the note is locked")
+            raise ContractError("wrong-chain", "claims are made where the note is locked")
         c = self.nodes[on_chain].contract
         path = mt_path(c.tree, dep.index, leaf_count=dep.index + 1)
         stmt, proof = self._prove(note_id, dep.root, c.remote_roots[-1], path, 0)
@@ -343,26 +335,19 @@ class _Engine:
             age = now - dep.tick  # honest agents claim the true lock duration
         return incentives_mod.RewardClaim(stmt, proof, int(age), claimant)
 
-    def _mine_header(self, height: int, prev_hash: FieldElement, commitment: FieldElement):
-        key = (height, prev_hash, commitment, self.target, self.params)
-        found = self.mined.get(key)
-        if found is None:
-            found = self.mined[key] = mine_header(*key)
-        return found
-
     # -- tick phases --------------------------------------------------------
     def _deliver(self, now: int):
-        for kind, chain, payload in self.deliveries.pop(now, []):
+        for kind, chain, item in self.deliveries.pop(now, []):
             c = self.nodes[chain].contract
             if kind == "header":
-                contract_mod.on_relayed_header(c, payload, now)
+                contract_mod.on_relayed_header(c, item, now)
             else:
-                contract_mod.on_relayed_state(c, payload, now)
+                contract_mod.on_relayed_state(c, item, now)
 
     def _user(self, now: int):
         for ev in self.user_events.get(now, []):
             c = self.nodes[ev.target].contract
-            note_id = ev.arg("note")
+            note_id = ev.note
             if ev.action == "deposit":
                 note = self.note(note_id)
                 try:
@@ -374,41 +359,41 @@ class _Engine:
                     continue
                 self.deposits[note_id] = DepositInfo(ev.target, index, now, c.tree.root)
             elif ev.action == "submit_withdrawal":
-                recipient = ev.arg("recipient")
                 try:
                     stmt, proof = self.build_withdrawal(note_id, ev.target)
-                    contract_mod.submit_withdrawal(c, stmt, proof, recipient, now)
-                except (_UserActionError, ContractError) as err:
+                    contract_mod.submit_withdrawal(c, stmt, proof, ev.recipient, now)
+                except ContractError as err:
                     c.emit(
                         now,
                         "withdraw-rejected",
                         nullifier=self.note(note_id).nullifier,
-                        recipient=recipient,
+                        recipient=ev.recipient,
                         reason=err.reason,
                     )
             elif ev.action == "incentive_claim":
-                claimant = ev.arg("claimant")
                 try:
-                    claim = self.build_reward_claim(
-                        note_id, ev.target, claimant, ev.arg("age"), now
-                    )
+                    claim = self.build_reward_claim(note_id, ev.target, ev.claimant, ev.age, now)
                     incentives_mod.claim_reward(
                         c, self.scenario.reward_for(ev.target), claim, now
                     )
-                except (_UserActionError, incentives_mod.RewardError) as err:
+                except ContractError as err:
                     c.emit(
                         now,
                         "reward-rejected",
                         nullifier=self.note(note_id).nullifier,
-                        claimant=claimant,
+                        claimant=ev.claimant,
                         reason=err.reason,
                     )
 
     def _mine(self, now: int):
         for chain in CHAINS:
             node = self.nodes[chain]
-            header, node.tip_digest = self._mine_header(
-                len(node.headers), node.tip_digest, node.contract.state_commitment
+            header, node.tip_digest = mine_header(
+                len(node.headers),
+                node.tip_digest,
+                node.contract.state_commitment,
+                self.target,
+                self.params,
             )
             node.headers.append(header)
             node.contract.emit(now, "header-mined", height=header.height)
@@ -475,45 +460,20 @@ class _Engine:
         return self._transcript()
 
 
-class _UserActionError(Exception):
-    def __init__(self, reason: str, message: str = ""):
-        super().__init__(message or reason)
-        self.reason = reason
-
-
 def _adversary_events(adv: AdversarySpec | None) -> list:
     if adv is None:
         return []
     second_chain = other_chain(adv.first_chain)
     return [
-        SimEvent(adv.deposit_at, adv.deposit_chain, "deposit", (("note", adv.note),)),
-        SimEvent(
-            adv.first_at,
-            adv.first_chain,
-            "submit_withdrawal",
-            (("note", adv.note), ("recipient", "adv-first")),
-        ),
-        SimEvent(
-            adv.first_at + adv.gap,
-            second_chain,
-            "submit_withdrawal",
-            (("note", adv.note), ("recipient", "adv-second")),
-        ),
+        SimEvent(adv.deposit_at, adv.deposit_chain, "deposit", adv.note),
+        SimEvent(adv.first_at, adv.first_chain, "submit_withdrawal", adv.note, "adv-first"),
+        SimEvent(adv.first_at + adv.gap, second_chain, "submit_withdrawal", adv.note, "adv-second"),
     ]
 
 
-def run(
-    scenario: Scenario, allow_negative_epsilon: bool = False, *, mined: dict | None = None
-) -> Transcript:
-    """Execute a scenario; the transcript is a pure function of (scenario, seed).
-
-    `mined` maps `mine_header` argument tuples to their (header, digest)
-    results.  A race sweep passes one dict to all its runs, so a header that
-    two interleavings both mine is searched for once.  Mining is a pure
-    function of those arguments and `BlockHeader` is frozen, so a shared
-    result is the one this run would have mined, and the transcript cannot
-    change.  Without it each run starts an empty memo of its own."""
-    return _Engine(scenario, allow_negative_epsilon, {} if mined is None else mined).run()
+def run(scenario: Scenario, allow_negative_epsilon: bool = False) -> Transcript:
+    """Execute a scenario; the transcript is a pure function of (scenario, seed)."""
+    return _Engine(scenario, allow_negative_epsilon).run()
 
 
 # -- race exploration ---------------------------------------------------------
@@ -587,16 +547,15 @@ def _note_tallies(transcript: Transcript) -> dict:
 
 
 def explore_races(base: Scenario, t_prime_range) -> RaceReport:
-    """One run per (t', submission order), all sharing one mining memo;
-    reports payouts and cancellations for the adversary's note in each
-    interleaving."""
+    """One run per (t', submission order); reports payouts and cancellations
+    for the adversary's note in each interleaving.  A header that several
+    interleavings mine is searched for once, through `mine_header`'s cache."""
     if base.adversary is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
     t_primes = list(t_prime_range)
     if not t_primes:
         raise ScenarioError("t_prime_range", "empty range")
     rows = []
-    mined: dict = {}
     for t_prime in t_primes:
         for first_chain in (base.adversary.first_chain, other_chain(base.adversary.first_chain)):
             adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
@@ -607,7 +566,7 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
                 horizon=max(base.horizon, needed),
                 name=f"{base.name}/t{t_prime}/{first_chain}",
             )
-            transcript = run(scenario, allow_negative_epsilon=True, mined=mined)
+            transcript = run(scenario, allow_negative_epsilon=True)
             tallies = _note_tallies(transcript)
             payouts, cancels, rejected = tallies.get(transcript.notes[adv.note].nullifier, _NO_EVENTS)
             honest = sum(
@@ -640,13 +599,9 @@ def payout_table(transcript: Transcript) -> list:
 
 # -- scenario parsing ---------------------------------------------------------
 
-_SCALARS = {"int": int, "str": str, "bool": bool}
-# the flat event form: SimEvent.target is the key `chain`, and SimEvent.payload
-# gathers these optional keys, in this order, into (key, value) pairs
-_EVENT_KEYS = {
-    "target": "chain",
-    "payload": {"note": "str", "recipient": "str", "claimant": "str", "age": "int"},
-}
+# annotations are strings here (postponed); an optional int, when given, is an int
+_SCALARS = {"int": int, "str": str, "bool": bool, "int | None": int}
+_EVENT_KEYS = {"target": "chain"}  # an event's chain is the file key `chain`
 
 
 def _at(where, key):
@@ -668,23 +623,18 @@ def _entries(raw, where):
 
 def _build(cls, raw, where, keys=None, **defaults):
     """Type-checked keyword arguments for dataclass `cls` from mapping `raw`.
-    Field f is read from key keys[f.name] (default f.name); a dict there maps
-    flat keys to annotations, gathered as (key, value) pairs.  A missing field
+    Field f is read from key keys[f.name] (default f.name).  A missing field
     takes defaults[f.name], then its dataclass default, else it is required."""
     if not isinstance(raw, dict):
         raise ScenarioError(where or "<root>", "expected a mapping")
     fields = [(f, (keys or {}).get(f.name, f.name)) for f in dataclasses.fields(cls)]
-    allowed = set().union(*(key if isinstance(key, dict) else {key} for _, key in fields))
+    allowed = {key for _, key in fields}
     for key in raw:
         if key not in allowed:
             raise ScenarioError(_at(where, key), "unknown field")
     kwargs = {}
     for f, key in fields:
-        if isinstance(key, dict):
-            kwargs[f.name] = tuple(
-                (k, _typed(raw[k], t, where, k)) for k, t in key.items() if k in raw
-            )
-        elif key in raw:
+        if key in raw:
             kwargs[f.name] = _typed(raw[key], f.type, where, key)
         elif f.name in defaults:
             kwargs[f.name] = defaults[f.name]

@@ -3,9 +3,9 @@
 A statement is (root_a, root_b, nullifier); a witness is (r, s, path,
 tree_selector).  The relation holds when nullifier = H(enc(r)) and the
 commitment H(enc(r) || enc(s)) sits under the selected root via the path.
-There is one circuit per tree height: zk_setup(height, security) names it
-`or-membership-h<height>` and hashes that name, the height, the security level
-and the hash parameters into the digest every proof is bound to.
+There is one circuit per tree height: zk_setup(height) names it
+`or-membership-h<height>` and hashes that name, the height and the hash
+parameters into the digest every proof is bound to.
 
 The reference backend is *transparent*: the proof payload serializes the
 witness plus a tag binding it to (params, statement), and the verifier checks
@@ -44,8 +44,9 @@ class UnsatisfiedWitnessError(ZkError):
 
 TRANSPARENT_BACKEND_TAG = 1
 
-_SECURITY_BYTES = 4  # width of the security level in the zk_setup digest blob
-MAX_SECURITY = 2 ** (8 * _SECURITY_BYTES) - 1
+# a fixed 4-byte level field in the zk_setup digest blob; it keeps each
+# circuit's digest, and so every proof's binding tag, at its pinned value
+_LEVEL_WORD = (128).to_bytes(4, "little")
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,11 @@ class Proof:
 class ProofParams:
     circuit_id: str
     height: int
-    security: int
     hash_params: HashParams
     digest: FieldElement
 
 
-def zk_setup(height: int, security: int, hash_params: HashParams | None = None) -> ProofParams:
+def zk_setup(height: int, hash_params: HashParams | None = None) -> ProofParams:
     """Shared prover/verifier parameters for the OR-membership circuit over
     trees of `height` levels; both chains' contracts use the same ones."""
     if hash_params is None:
@@ -108,13 +108,12 @@ def zk_setup(height: int, security: int, hash_params: HashParams | None = None) 
     blob = (
         circuit_id.encode()
         + height.to_bytes(4, "little")
-        + security.to_bytes(_SECURITY_BYTES, "little")
+        + _LEVEL_WORD
         + encode_fe(params_digest(hash_params))
     )
     return ProofParams(
         circuit_id=circuit_id,
         height=height,
-        security=security,
         hash_params=hash_params,
         digest=hash_bytes(blob, hash_params),
     )

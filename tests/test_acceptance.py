@@ -50,10 +50,6 @@ def report(capfd):
     return _report
 
 
-def ev(at, chain, action, **kw):
-    return SimEvent(at, chain, action, tuple(kw.items()))
-
-
 def finals_for(transcript, note_id):
     sn = transcript.notes[note_id].nullifier
     return [e for e in transcript.events if e.kind == "withdraw-finalized" and e.get("nullifier") == sn]
@@ -72,10 +68,10 @@ def test_criterion_1_liveness_randomized(report):
         eps = 1
         t0 = rng.randrange(0, 4)
         submit_at = t0 + delay + eps
-        events = [ev(t0, "A", "deposit", note="hero")]
+        events = [SimEvent(t0, "A", "deposit", note="hero")]
         for j in range(rng.randrange(0, min(3, 2**h - 1))):  # bystander deposits
-            events.append(ev(rng.randrange(0, submit_at), rng.choice("AB"), "deposit", note=f"x{j}"))
-        events.append(ev(submit_at, "B", "submit_withdrawal", note="hero", recipient="w"))
+            events.append(SimEvent(rng.randrange(0, submit_at), rng.choice("AB"), "deposit", note=f"x{j}"))
+        events.append(SimEvent(submit_at, "B", "submit_withdrawal", note="hero", recipient="w"))
         events.sort(key=lambda e: e.at)
         sc = Scenario(
             seed=rng.randrange(1 << 30),
@@ -105,8 +101,8 @@ def race_base(delay, eps):
         epsilon=eps,
         relayers=(RelayerSpec("r0", delay),),
         events=(
-            ev(0, "A", "deposit", note="honest"),
-            ev(max(delay + eps, delay) + 1, "B", "submit_withdrawal", note="honest", recipient="h"),
+            SimEvent(0, "A", "deposit", note="honest"),
+            SimEvent(max(delay + eps, delay) + 1, "B", "submit_withdrawal", note="honest", recipient="h"),
         ),
         adversary=AdversarySpec(
             note="adv", deposit_chain="A", deposit_at=0, first_chain="A", first_at=delay + 1, gap=0
@@ -143,7 +139,7 @@ def test_criterion_2_race_safety_and_negative_control(report):
 
 def test_criterion_3_relation_completeness_and_or_soundness(report):
     started = time.monotonic()
-    pp8 = zk_setup(3, 128, make_params(8))
+    pp8 = zk_setup(3, make_params(8))
     rng = random.Random(2026)
     complete = mutations_reject = 0
     for i in range(200):
@@ -169,7 +165,7 @@ def test_criterion_3_relation_completeness_and_or_soundness(report):
     # brute-force OR soundness on a restricted subdomain: height-1 trees whose
     # leaves match no subdomain commitment; every (r, s, sibling, index,
     # selector) combination must fail membership under both roots
-    pp4 = zk_setup(1, 128, make_params(4))
+    pp4 = zk_setup(1, make_params(4))
     params = pp4.hash_params
     leaves = (3, 5, 9, 12)
     subdomain = [(r, s) for r in range(256) for s in (0, 1)]
@@ -267,10 +263,10 @@ def test_criterion_5_free_mixer_blocks_the_second_spend(report):
             first = dep_chain if first_same_chain else other
             second = other if first_same_chain else dep_chain
             events = [
-                ev(0, "A", "deposit", note="backing"),  # keeps the native side solvent
-                ev(0, dep_chain, "deposit", note="n1"),
-                ev(3, first, "submit_withdrawal", note="n1", recipient="w1"),
-                ev(9, second, "submit_withdrawal", note="n1", recipient="w2"),
+                SimEvent(0, "A", "deposit", note="backing"),  # keeps the native side solvent
+                SimEvent(0, dep_chain, "deposit", note="n1"),
+                SimEvent(3, first, "submit_withdrawal", note="n1", recipient="w1"),
+                SimEvent(9, second, "submit_withdrawal", note="n1", recipient="w2"),
             ]
             sc = Scenario(
                 seed=21,
@@ -301,12 +297,12 @@ def test_criterion_6_combined_anonymity_set(report):
         relay_delay=2,
         relayers=(RelayerSpec("r0", 2),),
         events=(
-            ev(0, "A", "deposit", note="a0"),
-            ev(1, "A", "deposit", note="a1"),
-            ev(2, "A", "deposit", note="a2"),
-            ev(0, "B", "deposit", note="b0"),
-            ev(1, "B", "deposit", note="b1"),
-            ev(6, "B", "submit_withdrawal", note="a0", recipient="w"),  # latest roots
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(1, "A", "deposit", note="a1"),
+            SimEvent(2, "A", "deposit", note="a2"),
+            SimEvent(0, "B", "deposit", note="b0"),
+            SimEvent(1, "B", "deposit", note="b1"),
+            SimEvent(6, "B", "submit_withdrawal", note="a0", recipient="w"),  # latest roots
         ),
     )
     t = run(sc)
@@ -321,12 +317,12 @@ def test_criterion_7_reward_accounting(report):
     rng = random.Random(2028)
     rate, min_lock = 3, 4
     deposits = [(f"n{i}", rng.randrange(0, 30)) for i in range(50)]
-    events = [ev(at, "A", "deposit", note=n) for n, at in deposits]
+    events = [SimEvent(at, "A", "deposit", note=n) for n, at in deposits]
     for n, at in deposits:
         for _ in range(rng.randrange(0, 3)):
             claim_at = at + rng.randrange(1, 40)
             if claim_at < 70:
-                events.append(ev(claim_at, "A", "incentive_claim", note=n, claimant=f"c{n}"))
+                events.append(SimEvent(claim_at, "A", "incentive_claim", note=n, claimant=f"c{n}"))
     events.sort(key=lambda e: e.at)
     sc = Scenario(
         seed=55,
@@ -358,9 +354,9 @@ def test_criterion_7_reward_accounting(report):
 def test_criterion_8_storage_linearity(report):
     started = time.monotonic()
     n, m, k = 100, 40, 200
-    events = [ev(i, "B", "deposit", note=f"d{i}") for i in range(n)]
+    events = [SimEvent(i, "B", "deposit", note=f"d{i}") for i in range(n)]
     events += [
-        ev(110 + j, "B", "submit_withdrawal", note=f"d{j}", recipient=f"w{j}") for j in range(m)
+        SimEvent(110 + j, "B", "submit_withdrawal", note=f"d{j}", recipient=f"w{j}") for j in range(m)
     ]
     sc = Scenario(
         seed=77,

@@ -94,12 +94,12 @@ def test_malformed_scenario_names_the_field(tmp_path, capsys):
 
 
 def test_oversized_security_exits_2_without_traceback(tmp_path, capsys):
-    # zk_setup packs security into 4 bytes; a larger value is bad input
+    # scenarios have no security level: the key is bad input, whatever its value
     scn = write_scenario(tmp_path, "seed: 1\nhorizon: 4\nhash_rounds: 8\nsecurity: 5000000000\n")
     rc = cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert "error: scenario field 'security'" in err and "Traceback" not in err
+    assert "error: scenario field 'security': unknown field" in err and "Traceback" not in err
 
 
 def test_yaml_syntax_error_names_the_line(tmp_path, capsys):

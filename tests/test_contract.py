@@ -44,7 +44,7 @@ def make_genesis(h, params):
 
 def setup_one(chain, genesis, params, h=3, denomination=DENOM, epsilon=1, delay=2, native=True):
     return contract_setup(
-        chain, genesis, zk_setup(h, 128, params), denomination,
+        chain, genesis, zk_setup(h, params), denomination,
         epsilon=epsilon, relay_delay=delay, native=native, events=[], now=0,
     )
 
@@ -387,7 +387,7 @@ class TestInvariantHelpers:
             "from bridgemix.zkrel import zk_setup\n"
             "params = make_params(4)\n"
             "genesis, _ = mine_header(0, 0, 0, P >> 2, params)\n"
-            "c = contract_setup('A', genesis, zk_setup(2, 128, params), 10, epsilon=1, relay_delay=1,\n"
+            "c = contract_setup('A', genesis, zk_setup(2, params), 10, epsilon=1, relay_delay=1,\n"
             "                   native=True, events=[], now=0)\n"
             "c.balance = -5\n"
             "try:\n"

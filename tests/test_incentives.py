@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from bridgemix.contract import conservation_holds
+from bridgemix.contract import ContractError, conservation_holds
 from bridgemix.incentives import (
     LIQUIDITY_COLUMNS,
     RewardClaim,
-    RewardError,
     RewardSpec,
     build_vampire_scenario,
     claim_reward,
@@ -15,10 +14,6 @@ from bridgemix.incentives import (
 from bridgemix.merkle import mt_path
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
 from bridgemix.zkrel import Statement, Witness, zk_prove
-
-
-def ev(at, chain, action, **kw):
-    return SimEvent(at, chain, action, tuple(kw.items()))
 
 
 def scenario_state(events, horizon=10, rate=3, min_lock=5):
@@ -51,7 +46,7 @@ def claim_for(t, state, note_id, age, root_a=None, root_b=None, claimant="alice"
 
 
 def test_claim_pays_rate_times_age():
-    t, a, cfg = scenario_state([ev(0, "A", "deposit", note="n1")])
+    t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
     amount = claim_reward(a, cfg, claim_for(t, a, "n1", age=8), now=8)
     assert amount == 3 * 8
     assert a.gov_minted == {"alice": 24} and a.gov_total == 24
@@ -61,19 +56,19 @@ def test_claim_pays_rate_times_age():
 
 
 def test_incremental_claims_pay_only_the_difference():
-    t, a, cfg = scenario_state([ev(0, "A", "deposit", note="n1")])
+    t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
     assert claim_reward(a, cfg, claim_for(t, a, "n1", age=6), now=6) == 18
     assert claim_reward(a, cfg, claim_for(t, a, "n1", age=9), now=9) == 9  # 3 * (9 - 6)
     for age, now in [(9, 12), (5, 12)]:
-        with pytest.raises(RewardError) as err:
+        with pytest.raises(ContractError) as err:
             claim_reward(a, cfg, claim_for(t, a, "n1", age=age), now=now)
         assert err.value.reason == "not-incremental"
     assert a.gov_total == 27
 
 
 def test_below_min_lock_rejected_and_pays_nothing():
-    t, a, cfg = scenario_state([ev(0, "A", "deposit", note="n1")])
-    with pytest.raises(RewardError) as err:
+    t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
+    with pytest.raises(ContractError) as err:
         claim_reward(a, cfg, claim_for(t, a, "n1", age=4), now=4)
     assert err.value.reason == "below-min-lock"
     assert a.gov_total == 0 and not a.gov_minted
@@ -84,13 +79,13 @@ def test_fresh_root_pair_cannot_carry_age():
     # so any claim at or above min_lock overstates
     t, a, cfg = scenario_state(
         [
-            ev(0, "A", "deposit", note="n1"),
-            ev(4, "B", "deposit", note="nb"),  # relayed root lands on A at 6
-            ev(6, "A", "deposit", note="n2"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(4, "B", "deposit", note="nb"),  # relayed root lands on A at 6
+            SimEvent(6, "A", "deposit", note="n2"),
         ],
         horizon=8,
     )
-    with pytest.raises(RewardError) as err:
+    with pytest.raises(ContractError) as err:
         claim_reward(a, cfg, claim_for(t, a, "n2", age=5), now=7)
     assert err.value.reason == "age-overstated"
     assert a.gov_total == 0
@@ -99,7 +94,7 @@ def test_fresh_root_pair_cannot_carry_age():
 def test_old_empty_root_inflates_the_age_cap():
     # known slack of the naive scheme: referencing the ancient empty remote
     # root lets a late depositor claim age back to that root's timestamp
-    t, a, cfg = scenario_state([ev(6, "A", "deposit", note="n1")], horizon=8)
+    t, a, cfg = scenario_state([SimEvent(6, "A", "deposit", note="n1")], horizon=8)
     empty_remote = a.remote_roots[0]
     assert a.root_timestamps[empty_remote] == 0
     amount = claim_reward(
@@ -109,17 +104,17 @@ def test_old_empty_root_inflates_the_age_cap():
 
 
 def test_unknown_roots_rejected():
-    t, a, cfg = scenario_state([ev(0, "A", "deposit", note="n1")])
-    with pytest.raises(RewardError) as err:
+    t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
+    with pytest.raises(ContractError) as err:
         claim_reward(a, cfg, claim_for(t, a, "n1", age=6, root_a=12345), now=6)
     assert err.value.reason == "unknown-local-root"
-    with pytest.raises(RewardError) as err:
+    with pytest.raises(ContractError) as err:
         claim_reward(a, cfg, claim_for(t, a, "n1", age=6, root_b=12345), now=6)
     assert err.value.reason == "unknown-remote-root"
 
 
 def test_tampered_proof_rejected():
-    t, a, cfg = scenario_state([ev(0, "A", "deposit", note="n1")])
+    t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
     claim = claim_for(t, a, "n1", age=6)
     bad = RewardClaim(
         Statement(claim.statement.root_a, claim.statement.root_b, claim.statement.nullifier ^ 1),
@@ -127,16 +122,16 @@ def test_tampered_proof_rejected():
         6,
         "alice",
     )
-    with pytest.raises(RewardError) as err:
+    with pytest.raises(ContractError) as err:
         claim_reward(a, cfg, bad, now=6)
     assert err.value.reason == "invalid-proof"
 
 
 def test_claim_then_withdraw_still_works():
     events = [
-        ev(0, "A", "deposit", note="n1"),
-        ev(6, "A", "incentive_claim", note="n1", claimant="alice"),
-        ev(7, "A", "submit_withdrawal", note="n1", recipient="alice"),
+        SimEvent(0, "A", "deposit", note="n1"),
+        SimEvent(6, "A", "incentive_claim", note="n1", claimant="alice"),
+        SimEvent(7, "A", "submit_withdrawal", note="n1", recipient="alice"),
     ]
     t, a, cfg = scenario_state(events, horizon=12)
     assert any(e.kind == "reward-claimed" for e in t.events)
@@ -147,18 +142,18 @@ def test_claim_then_withdraw_still_works():
 def test_withdraw_then_claim_rejected():
     # submission already exposes the nullifier, so post-spend claims fail
     events = [
-        ev(0, "A", "deposit", note="n1"),
-        ev(6, "A", "submit_withdrawal", note="n1", recipient="alice"),
+        SimEvent(0, "A", "deposit", note="n1"),
+        SimEvent(6, "A", "submit_withdrawal", note="n1", recipient="alice"),
     ]
     t, a, cfg = scenario_state(events, horizon=12)
-    with pytest.raises(RewardError) as err:
+    with pytest.raises(ContractError) as err:
         claim_reward(a, cfg, claim_for(t, a, "n1", age=11), now=11)
     assert err.value.reason == "already-withdrawn"
 
 
 def test_reward_conservation_over_random_claims(fast_params):
     notes = [f"n{i}" for i in range(6)]
-    t, a, cfg = scenario_state([ev(i, "A", "deposit", note=n) for i, n in enumerate(notes)])
+    t, a, cfg = scenario_state([SimEvent(i, "A", "deposit", note=n) for i, n in enumerate(notes)])
     rng = random.Random(2033)
     paid = 0
     for _ in range(40):
@@ -167,7 +162,7 @@ def test_reward_conservation_over_random_claims(fast_params):
         now = max(age + 6, a.root_timestamps[t.deposits[note].root] + age)
         try:
             paid += claim_reward(a, cfg, claim_for(t, a, note, age=age), now=now)
-        except RewardError:
+        except ContractError:
             continue
     assert paid == a.gov_total == sum(a.gov_minted.values())
     assert a.gov_total == cfg.rate * sum(a.reward_ages.values())

@@ -16,10 +16,6 @@ from bridgemix.metrics import (
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
 
 
-def ev(at, chain, action, **kw):
-    return SimEvent(at, chain, action, tuple(kw.items()))
-
-
 def run_events(events, horizon=12, **over):
     d = dict(seed=6, horizon=horizon, hash_rounds=8, relayers=(RelayerSpec("r0", 2),))
     d.update(over)
@@ -35,12 +31,12 @@ def test_anonymity_set_sums_both_root_populations():
     # 3 deposits under the remote root + 2 under the local root -> 5
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(1, "A", "deposit", note="a1"),
-            ev(2, "A", "deposit", note="a2"),
-            ev(0, "B", "deposit", note="b0"),
-            ev(1, "B", "deposit", note="b1"),
-            ev(6, "B", "submit_withdrawal", note="a0", recipient="w"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(1, "A", "deposit", note="a1"),
+            SimEvent(2, "A", "deposit", note="a2"),
+            SimEvent(0, "B", "deposit", note="b0"),
+            SimEvent(1, "B", "deposit", note="b1"),
+            SimEvent(6, "B", "submit_withdrawal", note="a0", recipient="w"),
         ]
     )
     assert anonymity_set(t, wid_of(t)) == 5
@@ -51,10 +47,10 @@ def test_anonymity_set_reflects_the_roots_actually_referenced():
     # and B's own tree is still empty, so the set is 2 + 0
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(1, "A", "deposit", note="a1"),
-            ev(2, "A", "deposit", note="a2"),
-            ev(3, "B", "submit_withdrawal", note="a0", recipient="w"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(1, "A", "deposit", note="a1"),
+            SimEvent(2, "A", "deposit", note="a2"),
+            SimEvent(3, "B", "submit_withdrawal", note="a0", recipient="w"),
         ]
     )
     assert anonymity_set(t, wid_of(t)) == 2
@@ -63,16 +59,16 @@ def test_anonymity_set_reflects_the_roots_actually_referenced():
 def test_same_chain_withdrawal_counts_local_population():
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(1, "A", "deposit", note="a1"),
-            ev(3, "A", "submit_withdrawal", note="a0", recipient="w"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(1, "A", "deposit", note="a1"),
+            SimEvent(3, "A", "submit_withdrawal", note="a0", recipient="w"),
         ]
     )
     assert anonymity_set(t, wid_of(t)) == 2
 
 
 def test_unknown_withdrawal_id_raises():
-    t = run_events([ev(0, "A", "deposit", note="a0")])
+    t = run_events([SimEvent(0, "A", "deposit", note="a0")])
     with pytest.raises(MetricsError, match="^no withdraw-submitted event with wid 'Z9'$"):
         anonymity_set(t, "Z9")
 
@@ -95,10 +91,10 @@ def test_unknown_root_a_raises_only_for_withdrawals_looked_up():
     # B0 finalizes at 4 + 2 + 1; A0, submitted at 10, is still pending at the end
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(1, "A", "deposit", note="a1"),
-            ev(4, "B", "submit_withdrawal", note="a0", recipient="w0"),
-            ev(10, "A", "submit_withdrawal", note="a1", recipient="w1"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(1, "A", "deposit", note="a1"),
+            SimEvent(4, "B", "submit_withdrawal", note="a0", recipient="w0"),
+            SimEvent(10, "A", "submit_withdrawal", note="a1", recipient="w1"),
         ]
     )
     message = "^root_a of B0 is not a known B root$"
@@ -116,11 +112,11 @@ def test_unknown_root_a_raises_only_for_withdrawals_looked_up():
 def test_anonymity_report_covers_finalized_withdrawals():
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(1, "A", "deposit", note="a1"),
-            ev(0, "B", "deposit", note="b0"),
-            ev(4, "B", "submit_withdrawal", note="a0", recipient="w0"),
-            ev(5, "A", "submit_withdrawal", note="a1", recipient="w1"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(1, "A", "deposit", note="a1"),
+            SimEvent(0, "B", "deposit", note="b0"),
+            SimEvent(4, "B", "submit_withdrawal", note="a0", recipient="w0"),
+            SimEvent(5, "A", "submit_withdrawal", note="a1", recipient="w1"),
         ],
         horizon=14,
     )
@@ -137,8 +133,8 @@ def test_anonymity_report_covers_finalized_withdrawals():
 def test_linkability_clean_on_honest_run():
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(4, "B", "submit_withdrawal", note="a0", recipient="w"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(4, "B", "submit_withdrawal", note="a0", recipient="w"),
         ]
     )
     report = linkability_audit(t)
@@ -148,8 +144,8 @@ def test_linkability_clean_on_honest_run():
 def test_linkability_flags_planted_leaks():
     t = run_events(
         [
-            ev(0, "A", "deposit", note="a0"),
-            ev(4, "B", "submit_withdrawal", note="a0", recipient="w"),
+            SimEvent(0, "A", "deposit", note="a0"),
+            SimEvent(4, "B", "submit_withdrawal", note="a0", recipient="w"),
         ]
     )
     commitment = next(e for e in t.events if e.kind == "deposit").get("commitment")
@@ -174,11 +170,11 @@ def test_storage_report_counts_growth_since_setup():
     # 3 deposits and 2 same-chain withdrawals on B; horizon 12, relay delay 2
     t = run_events(
         [
-            ev(0, "B", "deposit", note="b0"),
-            ev(1, "B", "deposit", note="b1"),
-            ev(2, "B", "deposit", note="b2"),
-            ev(5, "B", "submit_withdrawal", note="b0", recipient="w0"),
-            ev(6, "B", "submit_withdrawal", note="b1", recipient="w1"),
+            SimEvent(0, "B", "deposit", note="b0"),
+            SimEvent(1, "B", "deposit", note="b1"),
+            SimEvent(2, "B", "deposit", note="b2"),
+            SimEvent(5, "B", "submit_withdrawal", note="b0", recipient="w0"),
+            SimEvent(6, "B", "submit_withdrawal", note="b1", recipient="w1"),
         ]
     )
     report = storage_report(t)

@@ -117,8 +117,8 @@ def assert_matches_reference(scenario, t_primes):
         return
     transcripts = []
 
-    def recording_run(sc, allow_negative_epsilon=False, *, mined=None):
-        transcripts.append(run(sc, allow_negative_epsilon, mined=mined))
+    def recording_run(sc, allow_negative_epsilon=False):
+        transcripts.append(run(sc, allow_negative_epsilon))
         return transcripts[-1]
 
     with mock.patch.object(simnet, "run", recording_run):
@@ -158,11 +158,11 @@ def small_scenarios(draw):
     plus an optional double-withdraw adversary."""
     delay = draw(st.integers(1, 3))
     # backing deposits on the native side keep the A payouts solvent
-    events = [SimEvent(0, "A", "deposit", (("note", f"buf{i}"),)) for i in range(6)]
+    events = [SimEvent(0, "A", "deposit", note=f"buf{i}") for i in range(6)]
     for i in range(draw(st.integers(1, 4))):
         note = f"n{i}"
         at = draw(st.integers(0, 3))
-        events.append(SimEvent(at, draw(st.sampled_from("AB")), "deposit", (("note", note),)))
+        events.append(SimEvent(at, draw(st.sampled_from("AB")), "deposit", note=note))
         plan = draw(st.sampled_from(("idle", "once", "double", "repeat")))
         first = draw(st.sampled_from("AB"))
         chains = {"idle": "", "once": first, "double": first + other_chain(first),
@@ -170,7 +170,7 @@ def small_scenarios(draw):
         for chain in chains:
             when = at + draw(st.integers(1, delay + 4))
             events.append(SimEvent(when, chain, "submit_withdrawal",
-                                   (("note", note), ("recipient", f"u{i}"))))
+                                   note=note, recipient=f"u{i}"))
     adversary = None
     if draw(st.booleans()):
         adversary = AdversarySpec(
@@ -207,9 +207,9 @@ class CountingList(list):
 
 
 def ladder(notes):
-    events = [SimEvent(i, "A", "deposit", (("note", f"n{i}"),)) for i in range(notes)]
+    events = [SimEvent(i, "A", "deposit", note=f"n{i}") for i in range(notes)]
     events += [
-        SimEvent(notes + 3 + i, "B", "submit_withdrawal", (("note", f"n{i}"), ("recipient", "w")))
+        SimEvent(notes + 3 + i, "B", "submit_withdrawal", note=f"n{i}", recipient="w")
         for i in range(notes // 2)
     ]
     return run(Scenario(

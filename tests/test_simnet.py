@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bridgemix import cli, simnet
 from bridgemix import contract as contract_mod
-from bridgemix.lightclient import header_digest, state_commitment_value
+from bridgemix.lightclient import header_digest, mine_header, state_commitment_value
 from bridgemix.simnet import (
     AdversarySpec,
     RelayerSpec,
@@ -27,10 +27,6 @@ from bridgemix.simnet import (
 )
 
 
-def ev(at, chain, action, **kw):
-    return SimEvent(at, chain, action, tuple(kw.items()))
-
-
 def base_scenario(**over):
     d = dict(seed=1, horizon=12, hash_rounds=8, relayers=(RelayerSpec("r0", 2),))
     d.update(over)
@@ -44,8 +40,8 @@ def kinds(transcript, kind):
 def test_cross_chain_happy_path():
     sc = base_scenario(
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
         )
     )
     t = run(sc)
@@ -74,8 +70,8 @@ def leak_at_tick_5(monkeypatch, leak):
 def test_broken_value_conservation_stops_the_run(monkeypatch):
     sc = base_scenario(
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
         )
     )
 
@@ -94,7 +90,9 @@ def test_broken_value_conservation_stops_the_run(monkeypatch):
 
 def test_value_moved_across_chains_stops_the_run(monkeypatch):
     # the sum over both chains still balances; only the per-chain ledgers do not
-    sc = base_scenario(events=(ev(0, "A", "deposit", note="n1"), ev(0, "B", "deposit", note="n2")))
+    sc = base_scenario(
+        events=(SimEvent(0, "A", "deposit", note="n1"), SimEvent(0, "B", "deposit", note="n2"))
+    )
 
     def leak(state):
         if state.chain_id == "A":
@@ -112,7 +110,7 @@ def test_value_moved_across_chains_stops_the_run(monkeypatch):
 
 
 def test_governance_tokens_minted_off_the_books_stop_the_run(monkeypatch):
-    sc = base_scenario(events=(ev(0, "A", "deposit", note="n1"),))
+    sc = base_scenario(events=(SimEvent(0, "A", "deposit", note="n1"),))
 
     def leak(state):
         if state.chain_id == "A":
@@ -128,8 +126,8 @@ def test_governance_tokens_minted_off_the_books_stop_the_run(monkeypatch):
 def test_same_chain_withdrawal_pays_from_balance():
     sc = base_scenario(
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(2, "A", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(2, "A", "submit_withdrawal", note="n1", recipient="alice"),
         )
     )
     t = run(sc)
@@ -145,8 +143,8 @@ def test_censored_relayer_blocks_cross_chain_withdrawal():
     sc = base_scenario(
         relayers=(RelayerSpec("mute", 2, censored=True),),
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(5, "B", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(5, "B", "submit_withdrawal", note="n1", recipient="alice"),
         ),
     )
     t = run(sc)
@@ -160,8 +158,8 @@ def test_dishonest_relayer_forwards_headers_but_withholds_state():
     sc = base_scenario(
         relayers=(RelayerSpec("lazy", 2, honest=False),),
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(5, "B", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(5, "B", "submit_withdrawal", note="n1", recipient="alice"),
         ),
     )
     t = run(sc)
@@ -175,8 +173,8 @@ def test_two_relayers_redundant_delivery_is_idempotent():
     sc = base_scenario(
         relayers=(RelayerSpec("fast", 2), RelayerSpec("slow", 3)),
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
         ),
     )
     t = run(sc)  # per-tick invariants hold throughout or run() raises
@@ -187,7 +185,7 @@ def test_two_relayers_redundant_delivery_is_idempotent():
 def test_relayer_ids_are_distinct():
     # each relayer keeps its own relay cursors, keyed by its id: a second
     # relayer under a taken id would find them advanced and never send
-    deposit = (ev(0, "A", "deposit", note="n1"),)
+    deposit = (SimEvent(0, "A", "deposit", note="n1"),)
     t = run(base_scenario(relayers=(RelayerSpec("r0", 5), RelayerSpec("r1", 1)), events=deposit))
     assert [e.tick for e in kinds(t, "state-accepted") if e.chain == "B"][0] == 1
     with pytest.raises(ScenarioError) as err:
@@ -200,14 +198,14 @@ def test_both_contracts_share_one_proof_setup(monkeypatch):
     calls = []
     real_setup = simnet.zk_setup
     monkeypatch.setattr(simnet, "zk_setup", lambda *args: calls.append(args) or real_setup(*args))
-    t = run(base_scenario(tree_height=3, security=64))
+    t = run(base_scenario(tree_height=3))
     assert t.contracts["A"].params is t.contracts["B"].params
     assert t.contracts["A"].params.circuit_id == "or-membership-h3"
     assert len(calls) == 1
 
 
 def test_withdraw_before_deposit_rejected():
-    sc = base_scenario(events=(ev(1, "B", "submit_withdrawal", note="ghost", recipient="x"),))
+    sc = base_scenario(events=(SimEvent(1, "B", "submit_withdrawal", note="ghost", recipient="x"),))
     t = run(sc)
     (rej,) = kinds(t, "withdraw-rejected")
     assert dict(rej.fields)["reason"] == "no-deposit"
@@ -215,7 +213,7 @@ def test_withdraw_before_deposit_rejected():
 
 def test_duplicate_note_deposit_rejected():
     sc = base_scenario(
-        events=(ev(0, "A", "deposit", note="n1"), ev(1, "A", "deposit", note="n1"))
+        events=(SimEvent(0, "A", "deposit", note="n1"), SimEvent(1, "A", "deposit", note="n1"))
     )
     t = run(sc)
     (rej,) = kinds(t, "deposit-rejected")
@@ -225,10 +223,10 @@ def test_duplicate_note_deposit_rejected():
 def test_double_run_is_byte_identical():
     sc = base_scenario(
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(1, "B", "deposit", note="n2"),
-            ev(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
-            ev(5, "A", "submit_withdrawal", note="n2", recipient="bob"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(1, "B", "deposit", note="n2"),
+            SimEvent(4, "B", "submit_withdrawal", note="n1", recipient="alice"),
+            SimEvent(5, "A", "submit_withdrawal", note="n2", recipient="bob"),
         )
     )
     t1, t2 = run(sc), run(sc)
@@ -236,7 +234,7 @@ def test_double_run_is_byte_identical():
 
 
 def test_seed_changes_commitments():
-    mk = lambda seed: base_scenario(seed=seed, events=(ev(0, "A", "deposit", note="n1"),))
+    mk = lambda seed: base_scenario(seed=seed, events=(SimEvent(0, "A", "deposit", note="n1"),))
     c1 = dict(kinds(run(mk(1)), "deposit")[0].fields)["commitment"]
     c2 = dict(kinds(run(mk(2)), "deposit")[0].fields)["commitment"]
     assert c1 != c2
@@ -246,8 +244,8 @@ def test_liveness_with_one_honest_relayer_among_censored():
     sc = base_scenario(
         relayers=(RelayerSpec("mute", 2, censored=True), RelayerSpec("ok", 2)),
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(3, "B", "submit_withdrawal", note="n1", recipient="alice"),  # D + eps after deposit
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(3, "B", "submit_withdrawal", note="n1", recipient="alice"),  # D + eps after deposit
         ),
     )
     t = run(sc)
@@ -276,8 +274,10 @@ def race_base(delay, eps, **over):
         epsilon=eps,
         relayers=(RelayerSpec("r0", delay),),
         events=(
-            ev(0, "A", "deposit", note="honest"),
-            ev(max(delay + eps, delay) + 1, "B", "submit_withdrawal", note="honest", recipient="hh"),
+            SimEvent(0, "A", "deposit", note="honest"),
+            SimEvent(
+                max(delay + eps, delay) + 1, "B", "submit_withdrawal", note="honest", recipient="hh"
+            ),
         ),
         adversary=AdversarySpec(
             note="adv", deposit_chain="A", deposit_at=0,
@@ -336,7 +336,7 @@ def test_race_safety_over_the_assumption_space(delay):
         assert report.max_payouts() == (2 if eps < 0 and r == delay else 1), where
 
 
-# -- one mining memo per race sweep ---------------------------------------------
+# -- one mining search per distinct header ----------------------------------------
 
 def races_demo(eps):
     path = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "races.yaml"
@@ -350,9 +350,8 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
     swept = []
     real_run = simnet.run
 
-    def recording_run(sc, allow_negative_epsilon=False, *, mined=None):
-        assert mined is not None  # the sweep passes its memo to every run
-        transcript = real_run(sc, allow_negative_epsilon, mined=mined)
+    def recording_run(sc, allow_negative_epsilon=False):
+        transcript = real_run(sc, allow_negative_epsilon)
         swept.append((sc, transcript.render()))
         return transcript
 
@@ -361,21 +360,24 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
     explore_races(base, range(0, t_max + 1))
     assert len(swept) == 2 * (t_max + 1)
     for sc, text in swept:
+        mine_header.cache_clear()  # the reference run mines every header itself
         assert text == real_run(sc, allow_negative_epsilon=True).render(), sc.name
 
 
 def test_sweep_mines_each_distinct_header_once(monkeypatch):
     calls = []
-    real_mine = simnet.mine_header
-    monkeypatch.setattr(simnet, "mine_header", lambda *args: calls.append(args) or real_mine(*args))
-    base = races_demo(1)
-    explore_races(base, range(0, 7))
-    first = list(calls)
-    assert len(first) == len(set(first))
-    # the memo lives for one sweep: a second sweep mines every header again
+    monkeypatch.setattr(simnet, "mine_header", lambda *args: calls.append(args) or mine_header(*args))
+    mine_header.cache_clear()
+    explore_races(races_demo(1), range(0, 7))
+    first = set(calls)
+    assert mine_header.cache_info().misses == len(first) < len(calls)
+    # a second sweep, here the negative control, searches only for the
+    # headers the first one did not mine
     calls.clear()
-    explore_races(base, range(0, 7))
-    assert calls == first
+    explore_races(races_demo(-1), range(0, 3))
+    second = set(calls)
+    assert second & first
+    assert mine_header.cache_info().misses == len(first) + len(second - first)
 
 
 def test_payout_table_tallies_by_nullifier():
@@ -407,10 +409,10 @@ def test_reward_claims_through_engine():
         horizon=14,
         rewards=(("A", RewardSpec(rate=2, min_lock=3)),),
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(2, "A", "incentive_claim", note="n1", claimant="alice"),   # age 2 < min_lock
-            ev(5, "A", "incentive_claim", note="n1", claimant="alice"),   # pays 2*5
-            ev(9, "A", "incentive_claim", note="n1", claimant="alice"),   # pays 2*(9-5)
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(2, "A", "incentive_claim", note="n1", claimant="alice"),   # age 2 < min_lock
+            SimEvent(5, "A", "incentive_claim", note="n1", claimant="alice"),   # pays 2*5
+            SimEvent(9, "A", "incentive_claim", note="n1", claimant="alice"),   # pays 2*(9-5)
         ),
     )
     t = run(sc)
@@ -428,8 +430,8 @@ def test_claim_on_wrong_chain_rejected():
         horizon=14,
         rewards=(("A", RewardSpec(2, 3)), ("B", RewardSpec(2, 3))),
         events=(
-            ev(0, "A", "deposit", note="n1"),
-            ev(6, "B", "incentive_claim", note="n1", claimant="alice"),
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(6, "B", "incentive_claim", note="n1", claimant="alice"),
         ),
     )
     (rej,) = kinds(run(sc), "reward-rejected")
@@ -449,12 +451,12 @@ def test_claim_on_wrong_chain_rejected():
         (dict(pow_shift=0), "pow_shift"),
         (dict(relayers=()), "relayers"),
         (dict(relayers=(RelayerSpec("r0", 0),)), "relayers[0].delay"),
-        (dict(events=(SimEvent(99, "A", "deposit", (("note", "x"),)),)), "events[0].at"),
-        (dict(events=(SimEvent(1, "C", "deposit", (("note", "x"),)),)), "events[0].chain"),
-        (dict(events=(SimEvent(1, "A", "mint", (("note", "x"),)),)), "events[0].action"),
-        (dict(events=(SimEvent(1, "A", "deposit", ()),)), "events[0].note"),
+        (dict(events=(SimEvent(99, "A", "deposit", note="x"),)), "events[0].at"),
+        (dict(events=(SimEvent(1, "C", "deposit", note="x"),)), "events[0].chain"),
+        (dict(events=(SimEvent(1, "A", "mint", note="x"),)), "events[0].action"),
+        (dict(events=(SimEvent(1, "A", "deposit", ""),)), "events[0].note"),
         (
-            dict(events=(SimEvent(1, "A", "incentive_claim", (("note", "x"), ("claimant", "y"))),)),
+            dict(events=(SimEvent(1, "A", "incentive_claim", note="x", claimant="y"),)),
             "events[0]",
         ),  # no reward scheme configured
         (
@@ -496,7 +498,7 @@ def test_scenario_from_dict_round_trip():
     sc = scenario_from_dict(ROUND_TRIP, name="demo")
     assert sc.relay_delay == 3 and sc.name == "demo"
     assert sc.relayers[1].censored and sc.relayers[1].delay == 3  # defaults to relay_delay
-    assert sc.events[1].arg("recipient") == "al"
+    assert sc.events[1].recipient == "al"
     assert sc.adversary.gap == 1
     assert sc.reward_for("A") == RewardSpec(2, 4) and sc.reward_for("B") is None
     run(sc)  # and it executes
@@ -535,6 +537,8 @@ def test_scenario_from_dict_shared_reward_block():
         ({"seed": 1, "horizon": 4, "security": 2**32}, "security"),
         ({"seed": 1, "horizon": 4, "relayers": [{"id": "r0", "delay": 5}, {"id": "r0", "delay": 1}]},
          "relayers[1].id"),
+        ({"seed": 1, "horizon": 4, "events": [
+            {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": "5"}]}, "events[0].age"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):
@@ -547,7 +551,7 @@ def test_scenario_from_dict_names_offending_field(data, field):
 FUZZ_BASES = (
     ROUND_TRIP,
     {
-        "seed": 2, "horizon": 12, "hash_rounds": 8, "security": 64, "pow_shift": 3,
+        "seed": 2, "horizon": 12, "hash_rounds": 8, "pow_shift": 3,
         "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n1"},
             {"at": 5, "chain": "A", "action": "incentive_claim", "note": "n1", "claimant": "c", "age": 4},
@@ -621,19 +625,19 @@ def random_scenarios(rng_seed, trials):
     for trial in range(trials):
         delay = rng.randrange(1, 4)
         # backing deposits on the native side so random A-withdrawals stay solvent
-        events = [ev(0, "A", "deposit", note=f"buf{i}") for i in range(4)]
+        events = [SimEvent(0, "A", "deposit", note=f"buf{i}") for i in range(4)]
         notes = []
         for i in range(rng.randrange(1, 5)):
             chain = rng.choice("AB")
             at = rng.randrange(0, 4)
             notes.append((f"n{i}", chain, at))
-            events.append(ev(at, chain, "deposit", note=f"n{i}"))
+            events.append(SimEvent(at, chain, "deposit", note=f"n{i}"))
         for note, chain, at in notes:
             if rng.random() < 0.7:
                 target = rng.choice("AB")
                 events.append(
-                    ev(at + delay + 2 + rng.randrange(0, 3), target, "submit_withdrawal",
-                       note=note, recipient=f"u-{note}")
+                    SimEvent(at + delay + 2 + rng.randrange(0, 3), target, "submit_withdrawal",
+                             note=note, recipient=f"u-{note}")
                 )
         yield base_scenario(
             seed=100 + trial,
@@ -671,9 +675,9 @@ def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
 
     monkeypatch.setattr(contract_mod, "check_contract_invariants", check_fresh)
     claims = (
-        ev(0, "A", "deposit", note="n1"),
-        ev(4, "A", "incentive_claim", note="n1", claimant="alice"),
-        ev(5, "B", "submit_withdrawal", note="n1", recipient="bob"),
+        SimEvent(0, "A", "deposit", note="n1"),
+        SimEvent(4, "A", "incentive_claim", note="n1", claimant="alice"),
+        SimEvent(5, "B", "submit_withdrawal", note="n1", recipient="bob"),
     )
     scenarios = [
         *random_scenarios(2031, 6),

@@ -38,25 +38,24 @@ def two_trees_with_note(rng, h, params, selector):
 
 class TestSetup:
     def test_embeds_height(self, fast_params):
-        pp = zk_setup(2, 128, fast_params)
+        pp = zk_setup(2, fast_params)
         assert pp.height == 2
-        assert pp.security == 128
 
     def test_unknown_circuit(self, fast_params):
         for height in (0, MAX_HEIGHT + 1):
             with pytest.raises(UnknownCircuitError, match=f"out of range: {height}"):
-                zk_setup(height, 128, fast_params)
+                zk_setup(height, fast_params)
 
     @pytest.mark.parametrize("height,rounds,digest", [(3, 8, "7e918efaa13783db"), (4, 64, "8368ec4568bf351e")])
     def test_setup_digest_is_pinned(self, height, rounds, digest):
         # no transcript shows proof bytes, so pin the digest every proof binds
-        pp = zk_setup(height, 128, make_params(rounds))
+        pp = zk_setup(height, make_params(rounds))
         assert pp.circuit_id == f"or-membership-h{height}"
         assert fe_hex(pp.digest) == digest
 
     def test_mismatched_params_fail_verification(self, fast_params):
-        pp_prover = zk_setup(2, 128, fast_params)
-        pp_verifier = zk_setup(2, 128, make_params(16))
+        pp_prover = zk_setup(2, fast_params)
+        pp_verifier = zk_setup(2, make_params(16))
         rng = random.Random(1)
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
@@ -70,7 +69,7 @@ class TestProve:
     def test_honest_proof_verifies_both_selectors(self, fast_params):
         rng = random.Random(2)
         for selector in (0, 1):
-            pp = zk_setup(3, 128, fast_params)
+            pp = zk_setup(3, fast_params)
             tree_a, tree_b, note, index = two_trees_with_note(rng, 3, fast_params, selector)
             home = tree_b if selector else tree_a
             stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
@@ -81,7 +80,7 @@ class TestProve:
 
     def test_refuses_wrong_selector(self, fast_params):
         rng = random.Random(3)
-        pp = zk_setup(2, 128, fast_params)
+        pp = zk_setup(2, fast_params)
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
         wit = Witness(note.r, note.s, mt_path(tree_a, index), 1)
@@ -90,7 +89,7 @@ class TestProve:
 
     def test_refuses_nullifier_mismatch(self, fast_params):
         rng = random.Random(4)
-        pp = zk_setup(2, 128, fast_params)
+        pp = zk_setup(2, fast_params)
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, (note.nullifier + 1) % P)
         wit = Witness(note.r, note.s, mt_path(tree_a, index), 0)
@@ -100,7 +99,7 @@ class TestProve:
 
 class TestVerify:
     def _instance(self, rng, params, h=2):
-        pp = zk_setup(h, 128, params)
+        pp = zk_setup(h, params)
         tree_a, tree_b, note, index = two_trees_with_note(rng, h, params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
         wit = Witness(note.r, note.s, mt_path(tree_a, index), 0)
@@ -155,7 +154,7 @@ class TestProperties:
         for trial in range(60):
             h = rng.choice([2, 3, 4])
             selector = rng.randrange(2)
-            pp = zk_setup(h, 128, fast_params)
+            pp = zk_setup(h, fast_params)
             tree_a, tree_b, note, index = two_trees_with_note(rng, h, fast_params, selector)
             home = tree_b if selector else tree_a
             stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
@@ -173,7 +172,7 @@ class TestProperties:
     def test_or_soundness_small_sweep(self, tiny_params):
         # Unit-scale version of the exhaustive sweep in the acceptance suite:
         # no witness whose commitment is absent from both trees may verify.
-        pp = zk_setup(1, 128, tiny_params)
+        pp = zk_setup(1, tiny_params)
         leaves_a, leaves_b = (3, 5), (9, 12)
         tree_a, tree_b = mt_setup(1, tiny_params), mt_setup(1, tiny_params)
         for y in leaves_a:
@@ -212,7 +211,7 @@ class TestProperties:
             "nullifier",
         }
         rng = random.Random(10)
-        pp = zk_setup(2, 128, fast_params)
+        pp = zk_setup(2, fast_params)
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
         assert len(statement_bytes(stmt)) == 24
