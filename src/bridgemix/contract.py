@@ -90,9 +90,8 @@ class ContractState:
     local_root_set: set = field(default_factory=set)
     # running digest of tree.root_history (committed)
     local_root_digest: FieldElement = 0
-    # nullifiers this contract exposed itself, in exposure order
-    exposed_nullifiers: list = field(default_factory=list)
-    # running digest of exposed_nullifiers (committed)
+    # running digest of the nullifiers this contract exposed itself, in
+    # exposure order, which is the order of pending_withdrawals (committed)
     exposed_digest: FieldElement = 0
     # state_commitment_value of the two committed digests, refreshed by
     # _recommit wherever either digest changes
@@ -109,7 +108,8 @@ class ContractState:
     # full nullifier knowledge: local (exposed here) and relayed
     nullifiers: dict = field(default_factory=dict)
     # every withdrawal ever queued, in finalize order (finalize_at is the submit
-    # tick plus a constant); finalize_cursor is past every one already due
+    # tick plus a constant), which is also the order their nullifiers were
+    # exposed in; finalize_cursor is past every one already due
     pending_withdrawals: list = field(default_factory=list)
     finalize_cursor: int = 0
     commitments: set = field(default_factory=set)
@@ -229,7 +229,6 @@ def submit_withdrawal(
     pw = PendingWithdrawal(pending_id, stmt, recipient, finalize_at)
     state.pending_withdrawals.append(pw)
     state.nullifiers[stmt.nullifier] = NullifierRecord(withdrawal=pw)
-    state.exposed_nullifiers.append(stmt.nullifier)
     state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     _recommit(state)
     state.emit(
@@ -358,15 +357,22 @@ def check_contract_invariants(state: ContractState):
     """Checks the simulator runs after every tick.  A broken one raises
     ContractError("invariant") naming the invariant and the values compared."""
     roots, digests = len(state.remote_roots), len(state.remote_root_digests)
-    paid = [p.statement.nullifier for p in state.pending_withdrawals if p.status == FINALIZED]
+    # one walk of the queue, which lists every exposed nullifier and every payout
+    known = state.nullifiers
+    unknown, paid = [], []
+    for pw in state.pending_withdrawals:
+        sn = pw.statement.nullifier
+        if sn not in known:
+            unknown.append(sn)
+        if pw.status == FINALIZED:
+            paid.append(sn)
     if state.balance < 0:
         broken = f"balance >= 0, but balance = {state.balance}"
     elif roots != len(state.remote_root_set):
         broken = f"remote roots distinct, but {roots} hold {len(state.remote_root_set)} values"
     elif digests != roots + 1:
         broken = f"one digest per remote root prefix, but {digests} for {roots} roots"
-    elif not all(map(state.nullifiers.__contains__, state.exposed_nullifiers)):
-        unknown = [sn for sn in state.exposed_nullifiers if sn not in state.nullifiers]
+    elif unknown:
         broken = f"exposed nullifiers known, but {len(unknown)} unknown, first {fe_hex(unknown[0])}"
     elif len(set(paid)) != len(paid):
         broken = f"one payout per nullifier, but {len(paid)} payouts for {len(set(paid))} nullifiers"

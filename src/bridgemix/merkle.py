@@ -2,9 +2,10 @@
 
 Leaves are field elements; empty slots are zero-padded, so the root of an
 empty subtree at level i is the precomputed Z_i (Z_0 = 0, Z_{i+1} =
-hash2(Z_i, Z_i)).  Adds are O(h) via the filled-subtrees technique; paths for
-arbitrary (leaf, history point) pairs are reconstructed on demand with a
-cache of completed-subtree values.
+hash2(Z_i, Z_i)).  The tree keeps each complete node once, stored by the
+add that completes it; an add costs exactly h hashes.  A path for any (leaf,
+history point) pair reads complete siblings from that store and hashes only
+the partial ones, at most one per level.
 """
 from __future__ import annotations
 
@@ -49,13 +50,15 @@ class MerklePath:
 class MerkleTree:
     height: int
     params: HashParams
-    leaves: list = field(default_factory=list)
     zero_roots: tuple = ()
-    filled_subtrees: list = field(default_factory=list)
+    # nodes[level][i]: the node over leaves [i*2^level, (i+1)*2^level), kept
+    # once all of them are present; nodes[0] are the leaves
+    nodes: list = field(default_factory=list)
     root_history: list = field(default_factory=list)  # entry k: the root after k leaves
-    # cache of completed-subtree node values, keyed (level, index); valid
-    # forever because leaves are append-only
-    _complete: dict = field(default_factory=dict)
+
+    @property
+    def leaves(self) -> list:
+        return self.nodes[0]
 
     @property
     def capacity(self) -> int:
@@ -77,7 +80,7 @@ def mt_setup(h: int, params: HashParams | None = None) -> MerkleTree:
         height=h,
         params=params,
         zero_roots=zeros,
-        filled_subtrees=list(zeros[:h]),
+        nodes=[[] for _ in range(h + 1)],
         root_history=[zeros[h]],
     )
 
@@ -92,13 +95,16 @@ def mt_add(tree: MerkleTree, y: FieldElement) -> bool:
     tree.leaves.append(y)
     node = y
     idx = index
+    complete = True  # the path node is full while every step so far was a right child
     for level in range(tree.height):
         if idx % 2 == 0:
-            tree.filled_subtrees[level] = node
             node = hash2(node, tree.zero_roots[level], tree.params)
+            complete = False
         else:
-            node = hash2(tree.filled_subtrees[level], node, tree.params)
+            node = hash2(tree.nodes[level][idx - 1], node, tree.params)
         idx //= 2
+        if complete:
+            tree.nodes[level + 1].append(node)
     tree.root_history.append(node)
     return True
 
@@ -109,21 +115,14 @@ def _node(tree: MerkleTree, level: int, index: int, leaf_count: int) -> FieldEle
     start = index << level
     if start >= leaf_count:
         return tree.zero_roots[level]
-    if level == 0:
-        return tree.leaves[index]
-    complete = start + (1 << level) <= leaf_count
-    if complete:
-        cached = tree._complete.get((level, index))
-        if cached is not None:
-            return cached
-    value = hash2(
+    if start + (1 << level) <= leaf_count:
+        return tree.nodes[level][index]
+    # the one partial node of this level
+    return hash2(
         _node(tree, level - 1, 2 * index, leaf_count),
         _node(tree, level - 1, 2 * index + 1, leaf_count),
         tree.params,
     )
-    if complete:
-        tree._complete[(level, index)] = value
-    return value
 
 
 def mt_path(tree: MerkleTree, leaf_index: int, leaf_count: int | None = None) -> MerklePath:

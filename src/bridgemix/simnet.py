@@ -188,9 +188,11 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
             raise ScenarioError("horizon", f"too short for adversary submissions (need > {last})")
     # the shared `rewards: {rate, min_lock}` block gives both chains one spec
     shared = len(sc.rewards) == 2 and sc.rewards[0][1] is sc.rewards[1][1]
-    for chain, spec in sc.rewards:
+    for i, (chain, spec) in enumerate(sc.rewards):
         if chain not in CHAINS:
             raise ScenarioError("rewards", f"unknown chain {chain!r}")
+        if any(c == chain for c, _ in sc.rewards[:i]):  # reward_for reads only the first
+            raise ScenarioError(f"rewards.{chain}", "duplicate chain")
         where = "rewards" if shared else f"rewards.{chain}"
         if spec.rate < 0:
             raise ScenarioError(f"{where}.rate", "must be >= 0")
@@ -203,7 +205,6 @@ class DepositInfo:
     chain: str
     index: int
     tick: int
-    root: int
 
 
 @dataclass
@@ -270,6 +271,7 @@ class _Engine:
             self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
         self.notes: dict = {}
         self.deposits: dict = {}
+        self.deposited_nullifiers: set = set()  # of every note deposited on either chain
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
         self.relayer_cursors = {
             (spec.id, src): _Cursor()
@@ -330,7 +332,8 @@ class _Engine:
             raise ContractError("wrong-chain", "claims are made where the note is locked")
         c = self.nodes[on_chain].contract
         path = mt_path(c.tree, dep.index, leaf_count=dep.index + 1)
-        stmt, proof = self._prove(note_id, dep.root, c.remote_roots[-1], path, 0)
+        root = c.tree.root_history[dep.index + 1]  # the root the deposit made
+        stmt, proof = self._prove(note_id, root, c.remote_roots[-1], path, 0)
         if age is None:
             age = now - dep.tick  # honest agents claim the true lock duration
         return incentives_mod.RewardClaim(stmt, proof, int(age), claimant)
@@ -357,7 +360,8 @@ class _Engine:
                 except ContractError as err:
                     c.emit(now, "deposit-rejected", commitment=note.commitment, reason=err.reason)
                     continue
-                self.deposits[note_id] = DepositInfo(ev.target, index, now, c.tree.root)
+                self.deposits[note_id] = DepositInfo(ev.target, index, now)
+                self.deposited_nullifiers.add(note.nullifier)
             elif ev.action == "submit_withdrawal":
                 try:
                     stmt, proof = self.build_withdrawal(note_id, ev.target)
@@ -414,7 +418,7 @@ class _Engine:
                     continue  # withholds bridge state
                 c = node.contract
                 roots = tuple(c.tree.root_history[cursor.roots:])
-                nulls = tuple(c.exposed_nullifiers[cursor.nulls:])
+                nulls = tuple(pw.statement.nullifier for pw in c.pending_withdrawals[cursor.nulls:])
                 if roots or nulls:
                     att = StateAttestation(
                         node.headers[-1].height, cursor.roots, roots, cursor.nulls, nulls
@@ -424,8 +428,17 @@ class _Engine:
                     cursor.nulls += len(nulls)
 
     def _finalize(self, now: int):
+        """Pay out what fell due; each payout must spend a note the engine
+        deposited, which a light client fed forged state can break."""
         for chain in CHAINS:
-            contract_mod.process_tick(self.nodes[chain].contract, now)
+            for e in contract_mod.process_tick(self.nodes[chain].contract, now):
+                sn = e.get("nullifier")
+                if sn not in self.deposited_nullifiers:
+                    raise ContractError(
+                        "invariant",
+                        f"{chain} invariant broken: every payout spends a deposited note,"
+                        f" but {e.get('wid')} paid nullifier {fe_hex(sn)}, which no deposit made",
+                    )
 
     def _transcript(self) -> Transcript:
         return Transcript(
@@ -444,7 +457,7 @@ class _Engine:
             self._mine(now)
             self._relay(now)
             try:
-                self._finalize(now)  # a payout the contract cannot cover raises
+                self._finalize(now)  # an uncovered or unbacked payout raises
                 for c in contracts:
                     contract_mod.check_contract_invariants(c)
                 if not contract_mod.conservation_holds(contracts):

@@ -7,9 +7,9 @@ There is one circuit per tree height: zk_setup(height) names it
 `or-membership-h<height>` and hashes that name, the height and the hash
 parameters into the digest every proof is bound to.
 
-The reference backend is *transparent*: the proof payload serializes the
-witness plus a tag binding it to (params, statement), and the verifier checks
-the relation directly.  It is complete, sound, statement-bound, and
+The reference backend is *transparent*: a proof is the witness itself plus a
+tag binding it to (params, statement), and the verifier checks the relation
+directly.  It is complete, sound, statement-bound, and
 deterministic — everything the protocol logic relies on — but not hiding.  A
 hiding backend is a drop-in replacement behind the same three functions.
 """
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 from .field_hash import (
     DEFAULT_PARAMS,
-    ENCODED_SIZE,
     FieldElement,
     HashParams,
-    decode_fe,
+    P,
     encode_fe,
     hash_bytes,
     params_digest,
@@ -41,8 +40,6 @@ class UnknownCircuitError(ZkError):
 class UnsatisfiedWitnessError(ZkError):
     """Raised when the prover is asked to prove a false statement."""
 
-
-TRANSPARENT_BACKEND_TAG = 1
 
 # a fixed 4-byte level field in the zk_setup digest blob; it keeps each
 # circuit's digest, and so every proof's binding tag, at its pinned value
@@ -85,8 +82,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class Proof:
-    backend_tag: int
-    payload: bytes
+    witness: Witness
+    tag: FieldElement  # _binding_tag of the (params, statement) pair it was made for
 
 
 @dataclass(frozen=True)
@@ -132,61 +129,26 @@ def relation_holds(pp: ProofParams, stmt: Statement, wit: Witness) -> bool:
     return mt_verify(commitment, wit.path, root, pp.hash_params)
 
 
-def _binding_tag(pp: ProofParams, stmt: Statement) -> bytes:
+def _binding_tag(pp: ProofParams, stmt: Statement) -> FieldElement:
     # Bind the proof to the exact (params, statement) pair; without this the
     # unselected root would be free to vary.
-    return encode_fe(hash_bytes(encode_fe(pp.digest) + statement_bytes(stmt), pp.hash_params))
-
-
-def _pack_witness(wit: Witness, height: int) -> bytes:
-    dir_mask = 0
-    for i, bit in enumerate(wit.path.directions):
-        dir_mask |= bit << i
-    return (
-        encode_fe(wit.r)
-        + encode_fe(wit.s)
-        + wit.path.leaf_index.to_bytes(4, "little")
-        + bytes([wit.tree_selector])
-        + b"".join(encode_fe(sib) for sib in wit.path.siblings)
-        + dir_mask.to_bytes((height + 7) // 8, "little")
-    )
-
-
-def _unpack_witness(payload: bytes, height: int) -> Witness:
-    off = 0
-    r = decode_fe(payload[off : off + ENCODED_SIZE]); off += ENCODED_SIZE
-    s = decode_fe(payload[off : off + ENCODED_SIZE]); off += ENCODED_SIZE
-    leaf_index = int.from_bytes(payload[off : off + 4], "little"); off += 4
-    selector = payload[off]; off += 1
-    siblings = []
-    for _ in range(height):
-        siblings.append(decode_fe(payload[off : off + ENCODED_SIZE]))
-        off += ENCODED_SIZE
-    mask_len = (height + 7) // 8
-    dir_mask = int.from_bytes(payload[off : off + mask_len], "little"); off += mask_len
-    if off != len(payload):
-        raise ValueError("trailing bytes in witness payload")
-    directions = tuple((dir_mask >> i) & 1 for i in range(height))
-    return Witness(r, s, MerklePath(leaf_index, tuple(siblings), directions), selector)
+    return hash_bytes(encode_fe(pp.digest) + statement_bytes(stmt), pp.hash_params)
 
 
 def zk_prove(pp: ProofParams, stmt: Statement, wit: Witness) -> Proof:
     """Produce a proof, refusing (distinguishably) on an unsatisfying witness."""
     if not relation_holds(pp, stmt, wit):
         raise UnsatisfiedWitnessError("witness does not satisfy the statement")
-    payload = _pack_witness(wit, pp.height) + _binding_tag(pp, stmt)
-    return Proof(TRANSPARENT_BACKEND_TAG, payload)
+    return Proof(wit, _binding_tag(pp, stmt))
 
 
 def zk_verify(pp: ProofParams, stmt: Statement, proof: Proof) -> bool:
     """1 iff the proof attests a witness for stmt under pp; never raises."""
-    if proof.backend_tag != TRANSPARENT_BACKEND_TAG:
+    if proof.tag != _binding_tag(pp, stmt):
         return False
-    tag = _binding_tag(pp, stmt)
-    if len(proof.payload) < len(tag) or proof.payload[-len(tag):] != tag:
-        return False
-    try:
-        wit = _unpack_witness(proof.payload[: -len(tag)], pp.height)
-    except (ValueError, IndexError):
+    wit = proof.witness
+    # encode_fe raises on an unreduced secret, and an unreduced sibling would
+    # hash like its reduced value, so range-check before the relation runs
+    if not all(0 <= x < P for x in (wit.r, wit.s, *wit.path.siblings)):
         return False
     return relation_holds(pp, stmt, wit)

@@ -11,6 +11,7 @@ from bridgemix.contract import (
     FINALIZED,
     PENDING,
     ContractError,
+    PendingWithdrawal,
     check_contract_invariants,
     conservation_holds,
     contract_setup,
@@ -71,7 +72,7 @@ def relay_all(src, dst, now):
         roots_from=roots_from,
         roots=tuple(src.tree.root_history[roots_from:]),
         nullifiers_from=nulls_from,
-        nullifiers=tuple(src.exposed_nullifiers[nulls_from:]),
+        nullifiers=tuple(pw.statement.nullifier for pw in src.pending_withdrawals[nulls_from:]),
     )
     return on_relayed_state(dst, att, now)
 
@@ -173,7 +174,7 @@ class TestSubmitWithdrawal:
         assert pw.pending_id == wid
         assert pw.finalize_at == 3 + 2 + 1
         assert stmt.nullifier in b.nullifiers
-        assert b.exposed_nullifiers == [stmt.nullifier]
+        assert [p.statement.nullifier for p in b.pending_withdrawals] == [stmt.nullifier]
 
     def test_unrelayed_root_rejected(self, fast_params):
         a, b = make_pair(fast_params)
@@ -351,7 +352,9 @@ class TestInvariantHelpers:
                 "one digest per remote root prefix, but 3 for 1 roots",
             ),
             (
-                lambda c: c.exposed_nullifiers.append(1),
+                lambda c: c.pending_withdrawals.append(
+                    PendingWithdrawal("A0", Statement(0, 0, 1), "x", finalize_at=9)
+                ),
                 "exposed nullifiers known, but 1 unknown, first 0100000000000000",
             ),
         ],

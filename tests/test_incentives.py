@@ -33,13 +33,14 @@ def claim_for(t, state, note_id, age, root_a=None, root_b=None, claimant="alice"
     dep = t.deposits[note_id]
     note = t.notes[note_id]
     path = mt_path(state.tree, dep.index, leaf_count=dep.index + 1)
+    deposit_root = state.tree.root_history[dep.index + 1]
     if root_a is None:  # membership under the local slot
         selector = 0
-        root_a = dep.root
+        root_a = deposit_root
         root_b = state.remote_roots[-1] if root_b is None else root_b
     else:  # arbitrary root_a: prove under the other slot so the proof is honest
         selector = 1
-        root_b = dep.root if root_b is None else root_b
+        root_b = deposit_root if root_b is None else root_b
     stmt = Statement(root_a, root_b, note.nullifier)
     proof = zk_prove(state.params, stmt, Witness(note.r, note.s, path, selector))
     return RewardClaim(stmt, proof, age, claimant)
@@ -159,7 +160,7 @@ def test_reward_conservation_over_random_claims(fast_params):
     for _ in range(40):
         note = rng.choice(notes)
         age = rng.randrange(1, 40)
-        now = max(age + 6, a.root_timestamps[t.deposits[note].root] + age)
+        now = max(age + 6, a.root_timestamps[a.tree.root_history[t.deposits[note].index + 1]] + age)
         try:
             paid += claim_reward(a, cfg, claim_for(t, a, note, age=age), now=now)
         except ContractError:

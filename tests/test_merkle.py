@@ -2,8 +2,11 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from bridgemix.field_hash import P, hash2, zero_constant_params
+from bridgemix import merkle
+from bridgemix.field_hash import P, hash2, make_params, zero_constant_params
 from bridgemix.merkle import (
     MerkleError,
     MerklePath,
@@ -178,3 +181,39 @@ class TestInvariants:
         current = mt_path(tree, 0)
         old_root = tree.root_history[1]
         assert mt_verify(1, current, old_root, fast_params) is False
+
+    @seed(6101)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(h=st.integers(1, 4), data=st.data())
+    def test_stored_nodes_are_folds_of_their_leaves(self, h, data):
+        params = make_params(4)
+        leaves = data.draw(st.lists(st.integers(0, P - 1), max_size=1 << h))
+        tree = mt_setup(h, params)
+        for y in leaves:
+            mt_add(tree, y)
+        assert len(tree.nodes) == h + 1
+        for level, stored in enumerate(tree.nodes):
+            width = 1 << level
+            assert len(stored) == len(leaves) >> level  # every complete node, no other
+            for i, node in enumerate(stored):
+                assert node == naive_root(leaves[i * width : (i + 1) * width], level, params)
+
+    def test_paths_against_power_of_two_snapshots_hash_nothing(self, fast_params, monkeypatch):
+        tree = mt_setup(4, fast_params)
+        for y in range(8):
+            mt_add(tree, y + 100)
+        calls = []
+
+        def counting_hash2(a, b, params=None):
+            calls.append((a, b))
+            return hash2(a, b, params)
+
+        monkeypatch.setattr(merkle, "hash2", counting_hash2)
+        snapshots = [(i, count) for count in (1, 2, 4, 8) for i in range(count)]
+        paths = [mt_path(tree, i, leaf_count=count) for i, count in snapshots]
+        assert calls == []  # every sibling is complete or empty, so each is a lookup
+        mt_path(tree, 0, leaf_count=3)
+        assert len(calls) == 1  # the partial node over leaves 2 and 3
+        monkeypatch.undo()
+        for (i, count), path in zip(snapshots, paths):
+            assert mt_verify(tree.leaves[i], path, tree.root_history[count], fast_params)

@@ -1,0 +1,51 @@
+"""perfbench/job.py instruments bridgemix by name, from outside.  A renamed
+function would fail the tracer's install, but a renamed attribute that an
+observer reads through a `getattr` default would silently read 0.  These
+tests import job.py without running it and check both kinds of name."""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from bridgemix.lightclient import StateAttestation, StateResult
+from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def job():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # job.py imports its sibling tracer.py
+        mp.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        spec = importlib.util.spec_from_file_location("perfbench_job", PERFBENCH / "job.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_to_a_callable(job):
+    _, layers = job._spanned(lambda transcript: None)
+    names = set(layers) | set(job.COUNTED) | set(job.PHASES)
+    assert names
+    for name in sorted(names):
+        module_name, attr = name.rsplit(".", 1)
+        module = importlib.import_module(f"bridgemix.{module_name}")
+        assert callable(getattr(module, attr, None)), name
+
+
+def test_observers_read_live_attributes(job):
+    sc = Scenario(
+        seed=1, horizon=6, hash_rounds=8, relayers=(RelayerSpec("r0", 2),),
+        events=(
+            SimEvent(0, "A", "deposit", note="n1"),
+            SimEvent(3, "B", "submit_withdrawal", note="n1", recipient="al"),
+        ),
+    )
+    b = run(sc).contracts["B"]
+    assert job._tick_scan((b, 5), {}, ["finalized"]) == {"scanned": 1, "finalized": 1}
+    att = StateAttestation(1, 1, (7, 8), 0, (9,))
+    result = StateResult(True, "ok", (8,), (9,))
+    assert job._relay_entries((b, att), {}, result) == {"carried": 3, "installed": 2}

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from bridgemix import cli, simnet
 from bridgemix import contract as contract_mod
-from bridgemix.lightclient import header_digest, mine_header, state_commitment_value
+from bridgemix.field_hash import fe_hex, hash2, make_params
+from bridgemix.lightclient import StateAttestation, header_digest, mine_header, state_commitment_value
+from bridgemix.merkle import mt_add, mt_path, mt_setup
 from bridgemix.simnet import (
     AdversarySpec,
     RelayerSpec,
@@ -25,6 +27,7 @@ from bridgemix.simnet import (
     run,
     scenario_from_dict,
 )
+from bridgemix.zkrel import Statement, Witness, make_note, zk_prove
 
 
 def base_scenario(**over):
@@ -123,6 +126,44 @@ def test_governance_tokens_minted_off_the_books_stop_the_run(monkeypatch):
     assert "gov 0, gov minted 5" in str(err.value)
 
 
+def test_payout_of_a_forged_note_stops_the_run(monkeypatch):
+    # A relayer that lies: at tick 1 it mines a header on B's view of A that
+    # commits to B's root digest folded with one fake root, attests that root,
+    # and withdraws on B a note that sits only in the fake tree.  The light
+    # client accepts all three, so only the backing check catches the payout.
+    real_user = simnet._Engine._user
+
+    def forging_user(self, now):
+        real_user(self, now)
+        if now != 1:
+            return
+        b, params = self.nodes["B"].contract, self.params
+        fake = make_note(5, 6, params)
+        fake_tree = mt_setup(self.scenario.tree_height, params)
+        mt_add(fake_tree, fake.commitment)
+        roots_digest = hash2(b.remote_root_digests[-1], fake_tree.root, params)
+        commitment = state_commitment_value(roots_digest, b.remote_exposed_digests[-1], params)
+        header, _ = mine_header(
+            len(b.remote_headers), b.remote_header_digests[-1], commitment, self.target, params
+        )
+        assert contract_mod.on_relayed_header(b, header, now).accepted
+        att = StateAttestation(header.height, len(b.remote_roots), (fake_tree.root,), 0, ())
+        assert contract_mod.on_relayed_state(b, att, now).accepted
+        stmt = Statement(b.tree.root, fake_tree.root, fake.nullifier)
+        proof = zk_prove(self.proof_params, stmt, Witness(fake.r, fake.s, mt_path(fake_tree, 0), 1))
+        contract_mod.submit_withdrawal(b, stmt, proof, "mallory", now)
+
+    monkeypatch.setattr(simnet._Engine, "_user", forging_user)
+    with pytest.raises(SimInvariantError) as err:
+        run(base_scenario(events=(SimEvent(0, "A", "deposit", note="n1"),)))
+    sn = fe_hex(make_note(5, 6, make_params(8)).nullifier)
+    assert str(err.value) == (
+        "tick 4: B invariant broken: every payout spends a deposited note,"
+        f" but B0 paid nullifier {sn}, which no deposit made"
+    )
+    assert err.value.transcript.render_lines()[-1].startswith("t=4 chain=B ev=withdraw-finalized wid=B0")
+
+
 def test_same_chain_withdrawal_pays_from_balance():
     sc = base_scenario(
         events=(
@@ -179,7 +220,8 @@ def test_two_relayers_redundant_delivery_is_idempotent():
     )
     t = run(sc)  # per-tick invariants hold throughout or run() raises
     assert len(kinds(t, "withdraw-finalized")) == 1
-    assert t.contracts["B"].remote_roots.count(t.deposits["n1"].root) == 1
+    deposit_root = t.contracts["A"].tree.root_history[t.deposits["n1"].index + 1]
+    assert t.contracts["B"].remote_roots.count(deposit_root) == 1
 
 
 def test_relayer_ids_are_distinct():
@@ -539,6 +581,7 @@ def test_scenario_from_dict_shared_reward_block():
          "relayers[1].id"),
         ({"seed": 1, "horizon": 4, "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": "5"}]}, "events[0].age"),
+        ({"seed": 1, "horizon": 4, "rewards": {"a": {"rate": 1}, "A": {"rate": 5}}}, "rewards.A"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):

@@ -4,9 +4,8 @@ import random
 import pytest
 
 from bridgemix.field_hash import P, encode_fe, fe_hex, hash_bytes, make_params
-from bridgemix.merkle import MAX_HEIGHT, mt_add, mt_path, mt_setup
+from bridgemix.merkle import MAX_HEIGHT, MerklePath, mt_add, mt_path, mt_setup
 from bridgemix.zkrel import (
-    Proof,
     Statement,
     UnknownCircuitError,
     UnsatisfiedWitnessError,
@@ -129,18 +128,26 @@ class TestVerify:
         mutated = dataclasses.replace(stmt, root_b=(stmt.root_b + 1) % P)
         assert zk_verify(pp, mutated, proof) is False
 
-    def test_malformed_payloads_return_false(self, fast_params):
-        rng = random.Random(8)
-        pp, tree_a, tree_b, note, stmt, wit = self._instance(rng, fast_params)
+    def test_malformed_witnesses_return_false(self, fast_params):
+        pp, tree_a, tree_b, note, stmt, wit = self._instance(random.Random(8), fast_params)
         proof = zk_prove(pp, stmt, wit)
-        assert zk_verify(pp, stmt, dataclasses.replace(proof, backend_tag=9)) is False
-        assert zk_verify(pp, stmt, dataclasses.replace(proof, payload=b"")) is False
-        assert (
-            zk_verify(pp, stmt, dataclasses.replace(proof, payload=proof.payload[:-1]))
-            is False
-        )
-        garbled = bytes([proof.payload[0] ^ 1]) + proof.payload[1:]
-        assert zk_verify(pp, stmt, dataclasses.replace(proof, payload=garbled)) is False
+        path = wit.path
+        short = MerklePath(path.leaf_index, path.siblings[:-1], path.directions[:-1])
+        # an unreduced sibling hashes like its reduced value, so only the
+        # range check tells it apart from the honest path
+        unreduced = dataclasses.replace(path, siblings=(path.siblings[0] + P,) + path.siblings[1:])
+        *_, other_stmt, other_wit = self._instance(random.Random(9), fast_params)
+        other_tag = zk_prove(pp, other_stmt, other_wit).tag
+        for bad in (
+            dataclasses.replace(proof, witness=dataclasses.replace(wit, tree_selector=2)),
+            dataclasses.replace(proof, witness=dataclasses.replace(wit, path=short)),
+            dataclasses.replace(proof, witness=dataclasses.replace(wit, r=wit.r + P)),
+            dataclasses.replace(proof, witness=dataclasses.replace(wit, s=P)),
+            dataclasses.replace(proof, witness=dataclasses.replace(wit, path=unreduced)),
+            dataclasses.replace(proof, tag=other_tag),
+        ):
+            assert zk_verify(pp, stmt, bad) is False
+        assert zk_verify(pp, stmt, proof) is True
 
     def test_proof_is_deterministic(self, fast_params):
         rng = random.Random(9)
@@ -186,8 +193,6 @@ class TestProperties:
         }
         assert commitments.isdisjoint(set(leaves_a) | set(leaves_b))
         accepts = 0
-        from bridgemix.merkle import MerklePath
-
         for r in range(32):
             sn = hash_bytes(encode_fe(r), tiny_params)
             stmt = Statement(tree_a.root, tree_b.root, sn)
@@ -203,21 +208,17 @@ class TestProperties:
         assert accepts == 0
 
     def test_statement_and_proof_expose_no_secrets_in_fields(self, fast_params):
-        # Interface obligation: the verifier-side decision reads only the three
-        # public statement fields plus an opaque payload.
+        # Interface obligation: the statement the verifier decides on holds
+        # only the three public fields.
         assert {f.name for f in dataclasses.fields(Statement)} == {
             "root_a",
             "root_b",
             "nullifier",
         }
         rng = random.Random(10)
-        pp = zk_setup(2, fast_params)
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
         assert len(statement_bytes(stmt)) == 24
-        proof = zk_prove(pp, stmt, Witness(note.r, note.s, mt_path(tree_a, index), 0))
-        # decision procedure works from the backend tag and payload bytes alone
-        assert zk_verify(pp, stmt, Proof(proof.backend_tag, bytes(proof.payload))) is True
 
 
 class TestNote:
