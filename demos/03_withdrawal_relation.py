@@ -15,7 +15,6 @@ from bridgemix.field_hash import P, fe_hex, make_params
 from bridgemix.merkle import mt_add, mt_path, mt_setup
 from bridgemix.zkrel import (
     Statement,
-    UnsatisfiedWitnessError,
     Witness,
     make_note,
     zk_prove,
@@ -60,12 +59,14 @@ for name, changed in [
 # note the root_b mutation: the merkle path only touches the selected tree,
 # so binding the *unselected* root is the proof layer's job, and it does it
 
-# the prover refuses statements the witness does not satisfy, so an honest
-# caller cannot accidentally emit an invalid proof
-try:
-    zk_prove(pp, Statement(local.root, remote.root, note.nullifier ^ 1), wit)
-except UnsatisfiedWitnessError as err:
-    print("prover refused:", err)
+# the prover only binds the witness to the statement; it does not check the
+# relation.  A proof made from a witness that does not satisfy the statement
+# is still a proof, and the verifier rejects it
+for name, bad_stmt, bad_wit in [
+    ("wrong nullifier", Statement(local.root, remote.root, note.nullifier ^ 1), wit),
+    ("wrong selector", stmt, Witness(note.r, note.s, mt_path(remote, 1), tree_selector=0)),
+]:
+    print(f"verify proof from {name}:", zk_verify(pp, bad_stmt, zk_prove(pp, bad_stmt, bad_wit)))
 
 # this backend is transparent (no hiding): it exists to pin the interface and
 # the relation semantics; a real deployment plugs a zkSNARK behind the same

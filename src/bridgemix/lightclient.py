@@ -54,8 +54,15 @@ def _header_blob(
 _NONCE_FREE = 21
 
 
+@lru_cache(maxsize=None)
 def header_digest(header: BlockHeader, params: HashParams | None = None) -> FieldElement:
-    """hash_bytes over the canonical (height, prev_hash, state_commitment, nonce)."""
+    """hash_bytes over the canonical (height, prev_hash, state_commitment, nonce).
+
+    BlockHeader is frozen, so results are cached: a receiver hashes each
+    distinct header once per process, and a race sweep's interleavings
+    share that hash.  In the library only the receiver's checks call it
+    (contract_setup and add_header); mine_header computes its digests
+    through the midstate and never fills this cache."""
     blob = _header_blob(header.height, header.prev_hash, header.state_commitment, header.nonce)
     return hash_bytes(blob, params)
 

@@ -34,7 +34,6 @@ from .merkle import mt_path, zero_subtree_roots
 from .zkrel import (
     DepositNote,
     Statement,
-    UnsatisfiedWitnessError,
     Witness,
     make_note,
     zk_prove,
@@ -302,13 +301,12 @@ class _Engine:
 
     def _prove(self, note_id: str, root_a, root_b, path, selector: int):
         """Statement and proof that `note_id`'s commitment sits under root_a
-        (selector 0) or root_b (selector 1)."""
+        (selector 0) or root_b (selector 1).  Callers read `path` from the
+        tree that made the selected root, so the witness satisfies the
+        relation; the contract's zk_verify checks it all the same."""
         note = self.note(note_id)
         stmt = Statement(root_a, root_b, note.nullifier)
-        try:
-            return stmt, zk_prove(self.proof_params, stmt, Witness(note.r, note.s, path, selector))
-        except UnsatisfiedWitnessError as err:
-            raise ContractError("prove-refused", str(err))
+        return stmt, zk_prove(self.proof_params, stmt, Witness(note.r, note.s, path, selector))
 
     def build_withdrawal(self, note_id: str, on_chain: str):
         dep = self._deposit(note_id)

@@ -9,13 +9,16 @@ parameters into the digest every proof is bound to.
 
 The reference backend is *transparent*: a proof is the witness itself plus a
 tag binding it to (params, statement), and the verifier checks the relation
-directly.  It is complete, sound, statement-bound, and
-deterministic — everything the protocol logic relies on — but not hiding.  A
-hiding backend is a drop-in replacement behind the same three functions.
+directly.  The prover does not evaluate the relation: a proof made from an
+unsatisfying witness is still a proof, and zk_verify rejects it.  The backend
+is complete, sound, statement-bound, and deterministic — everything the
+protocol logic relies on — but not hiding.  A hiding backend is a drop-in
+replacement behind the same three functions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field_hash import (
     DEFAULT_PARAMS,
@@ -35,10 +38,6 @@ class ZkError(Exception):
 
 class UnknownCircuitError(ZkError):
     pass
-
-
-class UnsatisfiedWitnessError(ZkError):
-    """Raised when the prover is asked to prove a false statement."""
 
 
 # a fixed 4-byte level field in the zk_setup digest blob; it keeps each
@@ -94,9 +93,12 @@ class ProofParams:
     digest: FieldElement
 
 
+@lru_cache(maxsize=None)
 def zk_setup(height: int, hash_params: HashParams | None = None) -> ProofParams:
     """Shared prover/verifier parameters for the OR-membership circuit over
-    trees of `height` levels; both chains' contracts use the same ones."""
+    trees of `height` levels; both chains' contracts use the same ones.
+    ProofParams is frozen and derived from the arguments alone, so results
+    are cached: a race sweep's interleavings share one derivation."""
     if hash_params is None:
         hash_params = DEFAULT_PARAMS
     if not 1 <= height <= MAX_HEIGHT:
@@ -136,19 +138,21 @@ def _binding_tag(pp: ProofParams, stmt: Statement) -> FieldElement:
 
 
 def zk_prove(pp: ProofParams, stmt: Statement, wit: Witness) -> Proof:
-    """Produce a proof, refusing (distinguishably) on an unsatisfying witness."""
-    if not relation_holds(pp, stmt, wit):
-        raise UnsatisfiedWitnessError("witness does not satisfy the statement")
+    """Bind the witness to (pp, stmt).  The relation is not evaluated here:
+    zk_verify evaluates it, so a proof from an unsatisfying witness fails
+    there."""
     return Proof(wit, _binding_tag(pp, stmt))
 
 
 def zk_verify(pp: ProofParams, stmt: Statement, proof: Proof) -> bool:
     """1 iff the proof attests a witness for stmt under pp; never raises."""
-    if proof.tag != _binding_tag(pp, stmt):
-        return False
     wit = proof.witness
-    # encode_fe raises on an unreduced secret, and an unreduced sibling would
-    # hash like its reduced value, so range-check before the relation runs
-    if not all(0 <= x < P for x in (wit.r, wit.s, *wit.path.siblings)):
+    # encode_fe raises on an unreduced statement field or secret, and an
+    # unreduced sibling would hash like its reduced value, so range-check
+    # before the binding tag and the relation run
+    fields = (stmt.root_a, stmt.root_b, stmt.nullifier, wit.r, wit.s, *wit.path.siblings)
+    if not all(0 <= x < P for x in fields):
+        return False
+    if proof.tag != _binding_tag(pp, stmt):
         return False
     return relation_holds(pp, stmt, wit)

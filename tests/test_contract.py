@@ -215,11 +215,14 @@ class TestSubmitWithdrawal:
         deposit(a, DENOM, n2.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(n1, i1, a, b)
-        # valid roots, fresh nullifier, but proof belongs to a different statement
-        other = dataclasses.replace(stmt, nullifier=n2.nullifier)
-        with pytest.raises(ContractError) as err:
-            submit_withdrawal(b, other, proof, "alice", now=3)
-        assert err.value.reason == "invalid-proof"
+        # valid roots, fresh nullifier, but proof belongs to a different
+        # statement; an unreduced nullifier is fresh too, and the verifier
+        # must reject it rather than raise while encoding it
+        for nullifier in (n2.nullifier, stmt.nullifier + P):
+            other = dataclasses.replace(stmt, nullifier=nullifier)
+            with pytest.raises(ContractError) as err:
+                submit_withdrawal(b, other, proof, "alice", now=3)
+            assert err.value.reason == "invalid-proof"
 
 
 class TestProcessTick:

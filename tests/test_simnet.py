@@ -9,9 +9,9 @@ import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bridgemix import cli, simnet
+from bridgemix import cli, lightclient, simnet
 from bridgemix import contract as contract_mod
-from bridgemix.field_hash import fe_hex, hash2, make_params
+from bridgemix.field_hash import P, fe_hex, hash2, make_params
 from bridgemix.lightclient import StateAttestation, header_digest, mine_header, state_commitment_value
 from bridgemix.merkle import mt_add, mt_path, mt_setup
 from bridgemix.simnet import (
@@ -27,7 +27,7 @@ from bridgemix.simnet import (
     run,
     scenario_from_dict,
 )
-from bridgemix.zkrel import Statement, Witness, make_note, zk_prove
+from bridgemix.zkrel import Statement, Witness, make_note, relation_holds, zk_prove, zk_setup
 
 
 def base_scenario(**over):
@@ -380,10 +380,15 @@ def test_race_safety_over_the_assumption_space(delay):
 
 # -- one mining search per distinct header ----------------------------------------
 
+DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+def demo_scenario(path):
+    return scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")), name=path.stem)
+
+
 def races_demo(eps):
-    path = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "races.yaml"
-    sc = scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")), name="races")
-    return dataclasses.replace(sc, epsilon=eps)
+    return dataclasses.replace(demo_scenario(DEMO_SCENARIOS / "races.yaml"), epsilon=eps)
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -402,7 +407,10 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
     explore_races(base, range(0, t_max + 1))
     assert len(swept) == 2 * (t_max + 1)
     for sc, text in swept:
-        mine_header.cache_clear()  # the reference run mines every header itself
+        # the reference run mines, hashes and sets up everything itself
+        mine_header.cache_clear()
+        header_digest.cache_clear()
+        zk_setup.cache_clear()
         assert text == real_run(sc, allow_negative_epsilon=True).render(), sc.name
 
 
@@ -420,6 +428,61 @@ def test_sweep_mines_each_distinct_header_once(monkeypatch):
     second = set(calls)
     assert second & first
     assert mine_header.cache_info().misses == len(first) + len(second - first)
+
+
+def test_sweep_hashes_each_distinct_header_once(monkeypatch):
+    calls = []
+
+    def recording_digest(*args):
+        calls.append(args)
+        return header_digest(*args)
+
+    # contract_setup hashes the genesis header, add_header every relayed one
+    monkeypatch.setattr(contract_mod, "header_digest", recording_digest)
+    monkeypatch.setattr(lightclient, "header_digest", recording_digest)
+    header_digest.cache_clear()
+    explore_races(races_demo(1), range(0, 7))
+    first = set(calls)
+    assert header_digest.cache_info().misses == len(first) < len(calls)
+    calls.clear()
+    explore_races(races_demo(-1), range(0, 3))
+    second = set(calls)
+    assert second & first
+    assert header_digest.cache_info().misses == len(first) + len(second - first)
+    # mining computes its digests through the midstate: it never fills the
+    # verifiers' cache, so every digest in it was hashed by a receiver
+    header_digest.cache_clear()
+    mine_header.cache_clear()
+    mine_header(0, 0, 1, P >> 2, make_params(8))
+    assert header_digest.cache_info().currsize == 0
+
+
+def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
+    # zk_prove does not check its witness, so this is the check that the
+    # engine only ever proves true statements
+    proofs = []
+    rendered = []
+    real_prove, real_run = simnet.zk_prove, simnet.run
+
+    def recording_prove(pp, stmt, wit):
+        proofs.append((pp, stmt, wit))
+        return real_prove(pp, stmt, wit)
+
+    def recording_run(sc, allow_negative_epsilon=False):
+        transcript = real_run(sc, allow_negative_epsilon)
+        rendered.append(transcript.render())
+        return transcript
+
+    monkeypatch.setattr(simnet, "zk_prove", recording_prove)
+    monkeypatch.setattr(simnet, "run", recording_run)
+    for sc in (*random_scenarios(2031, 6), *map(demo_scenario, sorted(DEMO_SCENARIOS.glob("*.yaml")))):
+        simnet.run(sc)
+    for eps in (1, -1):
+        base = race_base(2, eps)
+        explore_races(base, range(0, 2 * (base.relay_delay + eps) + 1))
+    assert proofs and len(rendered) > 10
+    assert all(relation_holds(pp, stmt, wit) for pp, stmt, wit in proofs)
+    assert not any("reason=invalid-proof" in text for text in rendered)
 
 
 def test_payout_table_tallies_by_nullifier():
@@ -713,7 +776,8 @@ def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
         assert state.state_commitment == state_commitment_value(
             state.local_root_digest, state.exposed_digest, params
         )
-        assert state.remote_header_digests == [header_digest(h, params) for h in state.remote_headers]
+        fresh = header_digest.__wrapped__  # a rehash, not a read of the cache
+        assert state.remote_header_digests == [fresh(h, params) for h in state.remote_headers]
         checks.append(state.chain_id)
 
     monkeypatch.setattr(contract_mod, "check_contract_invariants", check_fresh)

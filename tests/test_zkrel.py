@@ -8,7 +8,6 @@ from bridgemix.merkle import MAX_HEIGHT, MerklePath, mt_add, mt_path, mt_setup
 from bridgemix.zkrel import (
     Statement,
     UnknownCircuitError,
-    UnsatisfiedWitnessError,
     Witness,
     make_note,
     relation_holds,
@@ -77,14 +76,16 @@ class TestProve:
             proof = zk_prove(pp, stmt, wit)
             assert zk_verify(pp, stmt, proof) is True
 
+    # the prover does not check the relation; a proof from an unsatisfying
+    # witness carries the right binding tag, and the verifier refuses it
     def test_refuses_wrong_selector(self, fast_params):
         rng = random.Random(3)
         pp = zk_setup(2, fast_params)
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
         wit = Witness(note.r, note.s, mt_path(tree_a, index), 1)
-        with pytest.raises(UnsatisfiedWitnessError):
-            zk_prove(pp, stmt, wit)
+        assert not relation_holds(pp, stmt, wit)
+        assert zk_verify(pp, stmt, zk_prove(pp, stmt, wit)) is False
 
     def test_refuses_nullifier_mismatch(self, fast_params):
         rng = random.Random(4)
@@ -92,8 +93,8 @@ class TestProve:
         tree_a, tree_b, note, index = two_trees_with_note(rng, 2, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, (note.nullifier + 1) % P)
         wit = Witness(note.r, note.s, mt_path(tree_a, index), 0)
-        with pytest.raises(UnsatisfiedWitnessError):
-            zk_prove(pp, stmt, wit)
+        assert not relation_holds(pp, stmt, wit)
+        assert zk_verify(pp, stmt, zk_prove(pp, stmt, wit)) is False
 
 
 class TestVerify:
@@ -147,6 +148,16 @@ class TestVerify:
             dataclasses.replace(proof, tag=other_tag),
         ):
             assert zk_verify(pp, stmt, bad) is False
+        assert zk_verify(pp, stmt, proof) is True
+
+    @pytest.mark.parametrize("name", ["root_a", "root_b", "nullifier"])
+    def test_unreduced_statement_fields_return_false(self, fast_params, name):
+        # each field equals its reduced value mod P, but encoding it for the
+        # binding tag would raise, so the verifier range-checks it first
+        pp, tree_a, tree_b, note, stmt, wit = self._instance(random.Random(10), fast_params)
+        proof = zk_prove(pp, stmt, wit)
+        unreduced = dataclasses.replace(stmt, **{name: getattr(stmt, name) + P})
+        assert zk_verify(pp, unreduced, proof) is False
         assert zk_verify(pp, stmt, proof) is True
 
     def test_proof_is_deterministic(self, fast_params):
