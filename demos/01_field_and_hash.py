@@ -24,23 +24,24 @@ from bridgemix.field_hash import (
 print("p =", P)
 print("p bit length:", P.bit_length())
 
+# every hash call names its parameter set; DEFAULT_PARAMS is the 64-round one
 # the permutation is keyed: same input, different key, unrelated output
 x = 123456789
-print("permute(x, k=0) =", fe_hex(permute(x, 0)))
-print("permute(x, k=1) =", fe_hex(permute(x, 1)))
+print("permute(x, k=0) =", fe_hex(permute(x, 0, DEFAULT_PARAMS)))
+print("permute(x, k=1) =", fe_hex(permute(x, 1, DEFAULT_PARAMS)))
 
 # hash2 compresses two field elements into one; it backs every merkle node,
 # commitment, and nullifier in the system
 a, b = 7, 11
-print("hash2(7, 11)  =", fe_hex(hash2(a, b)))
-print("hash2(11, 7)  =", fe_hex(hash2(b, a)), "(order matters)")
+print("hash2(7, 11)  =", fe_hex(hash2(a, b, DEFAULT_PARAMS)))
+print("hash2(11, 7)  =", fe_hex(hash2(b, a, DEFAULT_PARAMS)), "(order matters)")
 
 # hash_bytes absorbs arbitrary bytes 7 bytes at a time, so every chunk is a
 # canonical field element
-print("hash_bytes(b'bridge') =", fe_hex(hash_bytes(b"bridge")))
+print("hash_bytes(b'bridge') =", fe_hex(hash_bytes(b"bridge", DEFAULT_PARAMS)))
 
 # encodings are fixed-width little-endian; transcripts show the hex form
-y = hash2(a, b)
+y = hash2(a, b, DEFAULT_PARAMS)
 print("encoded:", encode_fe(y).hex(), "| hex form:", fe_hex(y))
 
 # round constants are derived from a seed by the hash itself, so a parameter

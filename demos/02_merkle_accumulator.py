@@ -38,10 +38,11 @@ print("old root (2 leaves):", fe_hex(old_root))
 print("old path vs old root:", mt_verify(202, old_path, old_root, params))
 print("old path vs new root:", mt_verify(202, old_path, tree.root, params))
 
-# a single flipped direction bit breaks verification
+# a single flipped direction bit breaks verification: the leaf index's bits
+# are the path's sides, so claiming the sibling leaf's index flips level 0
 from bridgemix.merkle import MerklePath
 
-flipped = MerklePath(path.leaf_index, path.siblings, (1 - path.directions[0],) + path.directions[1:])
+flipped = MerklePath(path.leaf_index ^ 1, path.siblings)
 print("tampered path verifies:", mt_verify(202, flipped, tree.root, params))
 
 # the tree refuses leaves beyond capacity but never errors: the add reports it

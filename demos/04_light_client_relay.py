@@ -59,20 +59,17 @@ class Client:
     def __init__(self):
         self.hash_params = params
         self.remote_headers = []
-        self.remote_header_digests = []  # the client hashes each header it accepts
         self.remote_roots = [empty_root]
         self.remote_root_digests = [0, hash2(0, empty_root, params)]
-        self.remote_root_set = {empty_root}
+        self.remote_root_ticks = {empty_root: 0}  # each root, with the tick it arrived
         self.remote_exposed = []
         self.remote_exposed_digests = [0]
-        self.root_timestamps = {empty_root: 0}
 
 from bridgemix.lightclient import add_bridge_state, add_header
 
 client = Client()
 # contract setup installs the trusted genesis; everything after arrives via relay
 client.remote_headers.append(genesis)
-client.remote_header_digests.append(header_digest(genesis, params))
 for h in headers[1:]:
     print(f"add_header(height={h.height}):", add_header(client, h))
 
@@ -93,7 +90,7 @@ att = StateAttestation(
 )
 result = add_bridge_state(client, att, now=7)
 print("attestation accepted:", result.accepted, "| installed roots:", [fe_hex(r) for r in result.installed_roots])
-print("root timestamps:", {fe_hex(k): v for k, v in client.root_timestamps.items()})
+print("root timestamps:", {fe_hex(k): v for k, v in client.remote_root_ticks.items()})
 
 # an opening that does not match the committed state is rejected outright
 lying = StateAttestation(1, 1, (4242,), 0, tuple(nullifiers))

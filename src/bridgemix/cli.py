@@ -62,7 +62,7 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise simnet.ScenarioError("<syntax>", f"unparseable scenario{where}: {err}")
-    scenario = simnet.scenario_from_dict(raw, name=path.stem)
+    scenario = simnet.scenario_from_dict(raw)
     if config.seed_override is not None:
         scenario = dataclasses.replace(scenario, seed=config.seed_override)
     if config.epsilon_override is not None:

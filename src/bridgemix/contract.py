@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lightclient, zkrel
-from .field_hash import FieldElement, HashParams, fe_hex, hash2
+from .field_hash import FieldElement, HashParams, P, fe_hex, hash2
 from .lightclient import BlockHeader, StateAttestation, StateResult, header_digest
 from .merkle import MerkleTree, mt_add, mt_setup
 from .zkrel import Proof, ProofParams, Statement
@@ -68,13 +68,11 @@ class PendingWithdrawal:
 
 
 @dataclass
-class NullifierRecord:
-    burned: bool = False
-    withdrawal: PendingWithdrawal | None = None  # the local one that exposed it; None if relayed
-
-
-@dataclass
 class ContractState:
+    """One chain's contract.  Each fact is stored once; the digests of
+    remote_headers are not stored at all but read from header_digest's
+    cache, which the receiver filled when it accepted each header."""
+
     chain_id: str
     denomination: int
     epsilon: int
@@ -86,8 +84,9 @@ class ContractState:
     balance: int = 0
     total_deposited: int = 0
     wrapped_minted: int = 0
-    # membership index of tree.root_history
-    local_root_set: set = field(default_factory=set)
+    # each root of tree.root_history, in order, mapped to the tick it became
+    # known: the set-up tick for the empty root, else its deposit's tick
+    local_roots: dict = field(default_factory=dict)
     # running digest of tree.root_history (committed)
     local_root_digest: FieldElement = 0
     # running digest of the nullifiers this contract exposed itself, in
@@ -97,15 +96,16 @@ class ContractState:
     # _recommit wherever either digest changes
     state_commitment: FieldElement = 0
     # relayed view of the other chain; the digest lists are indexed by the
-    # `*_from` cursors of incoming attestations
+    # `*_from` cursors of incoming attestations, and remote_root_ticks maps
+    # each root of remote_roots to the tick it was installed
     remote_roots: list = field(default_factory=list)
-    remote_root_set: set = field(default_factory=set)
+    remote_root_ticks: dict = field(default_factory=dict)
     remote_root_digests: list = field(default_factory=lambda: [0])
     remote_exposed: list = field(default_factory=list)
     remote_exposed_digests: list = field(default_factory=lambda: [0])
     remote_headers: list = field(default_factory=list)
-    remote_header_digests: list = field(default_factory=list)  # header_digest of each
-    # full nullifier knowledge: local (exposed here) and relayed
+    # every nullifier seen: one exposed here maps to the local withdrawal that
+    # exposed it, a relayed one to None; none is ever removed
     nullifiers: dict = field(default_factory=dict)
     # every withdrawal ever queued, in finalize order (finalize_at is the submit
     # tick plus a constant), which is also the order their nullifiers were
@@ -113,7 +113,6 @@ class ContractState:
     pending_withdrawals: list = field(default_factory=list)
     finalize_cursor: int = 0
     commitments: set = field(default_factory=set)
-    root_timestamps: dict = field(default_factory=dict)
     credits: dict = field(default_factory=dict)
     # lock-time incentive bookkeeping (governance tokens, separate supply)
     gov_minted: dict = field(default_factory=dict)
@@ -160,22 +159,21 @@ def contract_setup(
         raise ContractError("bad-denomination", "denomination must be positive")
     if genesis.height != 0:
         raise ContractError("bad-genesis", "genesis must have height 0")
-    genesis_digest = header_digest(genesis, params.hash_params)
-    if genesis_digest >= genesis.work_target:
+    # hashing genesis here is what lets add_header read the tip's digest
+    # from header_digest's cache
+    if header_digest(genesis, params.hash_params) >= genesis.work_target:
         raise ContractError("bad-genesis", "genesis fails its own work target")
     tree = mt_setup(params.height, params.hash_params)
     state = ContractState(chain_id, denomination, epsilon, relay_delay, native, tree, params, events)
     empty_root = tree.root
-    state.local_root_set.add(empty_root)
+    state.local_roots[empty_root] = now
     state.local_root_digest = hash2(0, empty_root, params.hash_params)
     _recommit(state)
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
-    state.remote_root_set.add(empty_root)
+    state.remote_root_ticks[empty_root] = now
     state.remote_root_digests.append(state.local_root_digest)
-    state.root_timestamps[empty_root] = now
     state.remote_headers.append(genesis)
-    state.remote_header_digests.append(genesis_digest)
     state.emit(
         now,
         "setup",
@@ -194,6 +192,8 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
         raise ContractError(
             "wrong-amount", f"deposit {amount} != denomination {state.denomination}"
         )
+    if not 0 <= commitment < P:
+        raise ContractError("bad-commitment", "commitment out of field range")
     if commitment in state.commitments:
         raise ContractError("duplicate-commitment", "commitment already deposited")
     index = len(state.tree.leaves)
@@ -201,10 +201,9 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
         raise ContractError("tree-full", "accumulator at capacity")
     state.commitments.add(commitment)
     new_root = state.tree.root
-    state.local_root_set.add(new_root)
+    state.local_roots.setdefault(new_root, now)
     state.local_root_digest = hash2(state.local_root_digest, new_root, state.hash_params)
     _recommit(state)
-    state.root_timestamps.setdefault(new_root, now)
     state.balance += amount
     state.total_deposited += amount
     state.emit(now, "deposit", index=index, commitment=commitment, new_root=new_root)
@@ -216,9 +215,9 @@ def submit_withdrawal(
 ) -> str:
     """Validate roots, nullifier freshness, and the proof; expose the
     nullifier immediately and queue payout for now + relay_delay + epsilon."""
-    if stmt.root_a not in state.local_root_set:
+    if stmt.root_a not in state.local_roots:
         raise ContractError("unknown-local-root", "root_a not in this contract's history")
-    if stmt.root_b not in state.remote_root_set:
+    if stmt.root_b not in state.remote_root_ticks:
         raise ContractError("unknown-remote-root", "root_b not relayed to this contract")
     if stmt.nullifier in state.nullifiers:
         raise ContractError("nullifier-known", "nullifier already seen")
@@ -228,7 +227,7 @@ def submit_withdrawal(
     finalize_at = now + state.relay_delay + state.epsilon
     pw = PendingWithdrawal(pending_id, stmt, recipient, finalize_at)
     state.pending_withdrawals.append(pw)
-    state.nullifiers[stmt.nullifier] = NullifierRecord(withdrawal=pw)
+    state.nullifiers[stmt.nullifier] = pw
     state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
     _recommit(state)
     state.emit(
@@ -280,14 +279,13 @@ def process_tick(state: ContractState, now: int) -> list:
 
 
 def on_duplicate_nullifier(state: ContractState, sn: FieldElement, now: int) -> list:
-    """A relayed copy of a locally exposed nullifier arrived: burn it for good, and
-    cancel the withdrawal that exposed it if still pending; nullifier-known allows no other."""
-    record = state.nullifiers.get(sn)
-    if record is None:
+    """A relayed copy of a locally exposed nullifier arrived: cancel the
+    withdrawal that exposed it if still pending.  The nullifier stays known,
+    so it is burned for good: nullifier-known allows no other withdrawal."""
+    if sn not in state.nullifiers:
         raise ContractError("unknown-nullifier", "duplicate signal for unseen nullifier")
-    record.burned = True
     events = []
-    pw = record.withdrawal
+    pw = state.nullifiers[sn]
     cancelled = pw is not None and pw.status == PENDING
     if cancelled:
         pw.status = CANCELLED
@@ -319,12 +317,10 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
         return result
     duplicates = []
     for sn in result.installed_nullifiers:
-        known = state.nullifiers.get(sn)
-        if known is None:
-            state.nullifiers[sn] = NullifierRecord()
-        elif known.withdrawal is not None and not known.burned:
-            duplicates.append(sn)
-        # relayed or already-burned copies are idempotent no-ops
+        if sn not in state.nullifiers:
+            state.nullifiers[sn] = None  # relayed
+        elif state.nullifiers[sn] is not None:
+            duplicates.append(sn)  # exposed here first
     if result.installed_roots or result.installed_nullifiers:
         state.emit(
             now,
@@ -368,8 +364,8 @@ def check_contract_invariants(state: ContractState):
             paid.append(sn)
     if state.balance < 0:
         broken = f"balance >= 0, but balance = {state.balance}"
-    elif roots != len(state.remote_root_set):
-        broken = f"remote roots distinct, but {roots} hold {len(state.remote_root_set)} values"
+    elif roots != len(state.remote_root_ticks):
+        broken = f"remote roots distinct, but {roots} hold {len(state.remote_root_ticks)} values"
     elif digests != roots + 1:
         broken = f"one digest per remote root prefix, but {digests} for {roots} roots"
     elif unknown:

@@ -75,7 +75,7 @@ def zero_constant_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
     return HashParams(rounds=rounds, round_constants=(0,) * rounds)
 
 
-def permute(x: FieldElement, k: FieldElement, params: HashParams | None = None) -> FieldElement:
+def permute(x: FieldElement, k: FieldElement, params: HashParams) -> FieldElement:
     """`rounds` iterations of x <- (x + k + c_i)^7 mod p, then a final +k.
 
     A round reduces twice: t^3 mod p, then t^3 * t^3 * t mod p.  The sum
@@ -83,8 +83,6 @@ def permute(x: FieldElement, k: FieldElement, params: HashParams | None = None) 
     t < 3p, and t is congruent to the reduced sum, so every power of it is
     too.  Python ints do not overflow, so the larger t costs only a few
     more digits in the two products it enters."""
-    if params is None:
-        params = DEFAULT_PARAMS
     x %= P
     k %= P
     for c in params.round_constants:
@@ -94,12 +92,12 @@ def permute(x: FieldElement, k: FieldElement, params: HashParams | None = None) 
     return (x + k) % P
 
 
-def hash2(a: FieldElement, b: FieldElement, params: HashParams | None = None) -> FieldElement:
+def hash2(a: FieldElement, b: FieldElement, params: HashParams) -> FieldElement:
     """Two-to-one compression: permute(a, b) + a + b mod p (feed-forward)."""
     return (permute(a, b, params) + a + b) % P
 
 
-def hash_bytes(data: bytes, params: HashParams | None = None) -> FieldElement:
+def hash_bytes(data: bytes, params: HashParams) -> FieldElement:
     """Absorb 7-byte little-endian chunks via state <- hash2(state, chunk)."""
     state = 0
     for i in range(0, len(data), _CHUNK_SIZE):

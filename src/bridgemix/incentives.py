@@ -43,9 +43,9 @@ def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
     already-withdrawn / age-overstated / below-min-lock / not-incremental.
     """
     stmt = claim.statement
-    if stmt.root_a not in state.local_root_set:
+    if stmt.root_a not in state.local_roots:
         raise ContractError("unknown-local-root", f"root_a {fe_hex(stmt.root_a)} not local")
-    if stmt.root_b not in state.remote_root_set:
+    if stmt.root_b not in state.remote_root_ticks:
         raise ContractError("unknown-remote-root", f"root_b {fe_hex(stmt.root_b)} not relayed")
     if not zk_verify(state.params, stmt, claim.proof):
         raise ContractError("invalid-proof", "membership proof rejected")
@@ -55,7 +55,7 @@ def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
         raise ContractError("age-overstated", "negative age")
     # age can only be bounded by what the chain can see: the older of the two
     # referenced roots must itself be at least claimed_age ticks old
-    older_ts = min(state.root_timestamps[stmt.root_a], state.root_timestamps[stmt.root_b])
+    older_ts = min(state.local_roots[stmt.root_a], state.remote_root_ticks[stmt.root_b])
     if claim.claimed_age > now - older_ts:
         raise ContractError(
             "age-overstated",

@@ -55,7 +55,7 @@ _NONCE_FREE = 21
 
 
 @lru_cache(maxsize=None)
-def header_digest(header: BlockHeader, params: HashParams | None = None) -> FieldElement:
+def header_digest(header: BlockHeader, params: HashParams) -> FieldElement:
     """hash_bytes over the canonical (height, prev_hash, state_commitment, nonce).
 
     BlockHeader is frozen, so results are cached: a receiver hashes each
@@ -73,7 +73,7 @@ def mine_header(
     prev_hash: FieldElement,
     state_commitment: FieldElement,
     work_target: FieldElement,
-    params: HashParams | None = None,
+    params: HashParams,
 ) -> tuple[BlockHeader, FieldElement]:
     """Deterministic nonce search from 0; returns (header, header_digest(header))
     and raises if the target is too hard.  The search is a pure function of
@@ -95,7 +95,7 @@ def mine_header(
 
 
 def state_commitment_value(
-    roots_digest: FieldElement, nullifiers_digest: FieldElement, params: HashParams | None = None
+    roots_digest: FieldElement, nullifiers_digest: FieldElement, params: HashParams
 ) -> FieldElement:
     return hash_bytes(encode_fe(roots_digest) + encode_fe(nullifiers_digest), params)
 
@@ -132,8 +132,10 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
     """Append a relayed header iff PoW holds, it links, and height increments.
 
     `state` is a contract state exposing remote_headers (genesis first, from
-    set-up), remote_header_digests (the digest of each, computed here, never
-    taken from a relayer) and hash_params.
+    set-up) and hash_params.  The tip's digest is read from header_digest's
+    cache: the receiver hashed the tip when it accepted it (contract_setup
+    for genesis), so the link check costs no hashing and no digest is ever
+    taken from a relayer.
     """
     headers = state.remote_headers
     if header.height < len(headers):
@@ -142,7 +144,7 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
         return HeaderResult(False, "fork")
     if header.height != len(headers):
         return HeaderResult(False, "bad-height")
-    if header.prev_hash != state.remote_header_digests[-1]:
+    if header.prev_hash != header_digest(headers[-1], state.hash_params):
         return HeaderResult(False, "broken-link")
     if header.work_target != headers[0].work_target:
         return HeaderResult(False, "bad-target")
@@ -150,7 +152,6 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
     if digest >= header.work_target:
         return HeaderResult(False, "bad-pow")
     headers.append(header)
-    state.remote_header_digests.append(digest)
     return HeaderResult(True, "ok")
 
 
@@ -177,7 +178,8 @@ def add_bridge_state(state, att: StateAttestation, now: int) -> StateResult:
     """Verify an attestation against the referenced header and install the
     source-list entries the receiver has not seen yet.
 
-    Installs roots into remote_roots and extends the remote_exposed mirror;
+    Installs roots into remote_roots, recording in remote_root_ticks the tick
+    each became known, and extends the remote_exposed mirror;
     merging the returned nullifiers into the receiver's nullifier set (with
     the duplicate check and cancellation) is the contract module's job.
     """
@@ -200,8 +202,7 @@ def add_bridge_state(state, att: StateAttestation, now: int) -> StateResult:
     installed_roots = tuple(att.roots[len(state.remote_roots) - att.roots_from:])
     for root in installed_roots:
         state.remote_roots.append(root)
-        state.remote_root_set.add(root)
-        state.root_timestamps.setdefault(root, now)
+        state.remote_root_ticks.setdefault(root, now)
     state.remote_root_digests.extend(roots_fresh[1:])
     installed_nulls = tuple(att.nullifiers[len(state.remote_exposed) - att.nullifiers_from:])
     state.remote_exposed.extend(installed_nulls)

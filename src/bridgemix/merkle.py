@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .field_hash import DEFAULT_PARAMS, FieldElement, HashParams, P, hash2
+from .field_hash import FieldElement, HashParams, P, hash2
 
 MAX_HEIGHT = 32
 
@@ -32,18 +32,12 @@ def zero_subtree_roots(height: int, params: HashParams) -> tuple:
 
 @dataclass(frozen=True)
 class MerklePath:
-    """Authentication path: sibling per level, direction bit per level
-    (0 = the current node is a left child)."""
+    """Authentication path: the leaf's index and its sibling per level.  Bit i
+    of leaf_index is the side at level i (0 = the current node is a left
+    child), so the sides cannot disagree with the leaf they lead from."""
 
     leaf_index: int
     siblings: tuple
-    directions: tuple
-
-    def __post_init__(self):
-        if len(self.siblings) != len(self.directions):
-            raise MerkleError("siblings/directions length mismatch")
-        if any(d not in (0, 1) for d in self.directions):
-            raise MerkleError("directions must be bits")
 
 
 @dataclass
@@ -69,10 +63,8 @@ class MerkleTree:
         return self.root_history[-1]
 
 
-def mt_setup(h: int, params: HashParams | None = None) -> MerkleTree:
+def mt_setup(h: int, params: HashParams) -> MerkleTree:
     """Empty tree of height h; root history starts at Z_h."""
-    if params is None:
-        params = DEFAULT_PARAMS
     if not 1 <= h <= MAX_HEIGHT:
         raise MerkleError(f"height must be in [1, {MAX_HEIGHT}], got {h}")
     zeros = zero_subtree_roots(h, params)
@@ -133,29 +125,20 @@ def mt_path(tree: MerkleTree, leaf_index: int, leaf_count: int | None = None) ->
         raise MerkleError(f"leaf_count out of range: {leaf_count}")
     if not 0 <= leaf_index < leaf_count:
         raise MerkleError(f"leaf index {leaf_index} out of bounds (< {leaf_count})")
-    siblings = []
-    directions = []
-    idx = leaf_index
-    for level in range(tree.height):
-        siblings.append(_node(tree, level, idx ^ 1, leaf_count))
-        directions.append(idx & 1)
-        idx //= 2
-    return MerklePath(leaf_index, tuple(siblings), tuple(directions))
+    siblings = tuple(
+        _node(tree, level, (leaf_index >> level) ^ 1, leaf_count) for level in range(tree.height)
+    )
+    return MerklePath(leaf_index, siblings)
 
 
-def mt_verify(
-    y: FieldElement,
-    path: MerklePath,
-    root: FieldElement,
-    params: HashParams | None = None,
-) -> bool:
+def mt_verify(y: FieldElement, path: MerklePath, root: FieldElement, params: HashParams) -> bool:
     """Fold y up through the path; True iff the recomputed root matches."""
-    if params is None:
-        params = DEFAULT_PARAMS
     node = y
-    for sibling, direction in zip(path.siblings, path.directions):
-        if direction == 0:
-            node = hash2(node, sibling, params)
-        else:
+    idx = path.leaf_index
+    for sibling in path.siblings:
+        if idx & 1:
             node = hash2(sibling, node, params)
+        else:
+            node = hash2(node, sibling, params)
+        idx >>= 1
     return node == root

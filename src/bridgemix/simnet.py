@@ -46,6 +46,10 @@ USER_ACTIONS = ("deposit", "submit_withdrawal", "incentive_claim")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
+# make_params derives rounds - 1 constants, each hashed at `rounds` rounds, so
+# set-up time grows with the square of hash_rounds
+MAX_HASH_ROUNDS = 256
+
 
 class ScenarioError(ValueError):
     def __init__(self, field_name: str, message: str):
@@ -64,7 +68,7 @@ class SimInvariantError(Exception):
 @dataclass(frozen=True)
 class SimEvent:
     at: int
-    target: str  # chain id
+    chain: str
     action: str
     note: str
     recipient: str = ""  # submit_withdrawal only
@@ -103,7 +107,7 @@ class Scenario:
     native_chain: str = "A"
     pow_shift: int = 2  # work target = p >> pow_shift
     hash_rounds: int = 64
-    name: str = "scenario"
+    name: str = "scenario"  # a free-form label; no output reads it
     relayers: tuple = ()
     events: tuple = ()
     adversary: AdversarySpec | None = None
@@ -137,8 +141,8 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         raise ScenarioError("native_chain", "must be 'A' or 'B'")
     if not 1 <= sc.pow_shift <= MAX_POW_SHIFT:
         raise ScenarioError("pow_shift", f"must be in [1, {MAX_POW_SHIFT}]")
-    if sc.hash_rounds < 1:
-        raise ScenarioError("hash_rounds", "must be >= 1")
+    if not 1 <= sc.hash_rounds <= MAX_HASH_ROUNDS:
+        raise ScenarioError("hash_rounds", f"must be in [1, {MAX_HASH_ROUNDS}]")
     if not sc.relayers:
         raise ScenarioError("relayers", "at least one relayer required")
     for i, spec in enumerate(sc.relayers):
@@ -152,7 +156,7 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         where = f"events[{i}]"
         if not 0 <= ev.at < sc.horizon:
             raise ScenarioError(f"{where}.at", f"tick {ev.at} outside [0, {sc.horizon})")
-        if ev.target not in CHAINS:
+        if ev.chain not in CHAINS:
             raise ScenarioError(f"{where}.chain", "must be 'A' or 'B'")
         if ev.action not in USER_ACTIONS:
             raise ScenarioError(f"{where}.action", f"unknown action {ev.action!r}")
@@ -165,8 +169,8 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         if ev.action == "incentive_claim":
             if not _NAME_RE.match(ev.claimant):
                 raise ScenarioError(f"{where}.claimant", "claimant required")
-            if sc.reward_for(ev.target) is None:
-                raise ScenarioError(f"{where}", f"no reward scheme configured on {ev.target}")
+            if sc.reward_for(ev.chain) is None:
+                raise ScenarioError(f"{where}", f"no reward scheme configured on {ev.chain}")
     adv = sc.adversary
     if adv is not None:
         if adv.deposit_chain not in CHAINS:
@@ -347,7 +351,7 @@ class _Engine:
 
     def _user(self, now: int):
         for ev in self.user_events.get(now, []):
-            c = self.nodes[ev.target].contract
+            c = self.nodes[ev.chain].contract
             note_id = ev.note
             if ev.action == "deposit":
                 note = self.note(note_id)
@@ -358,11 +362,11 @@ class _Engine:
                 except ContractError as err:
                     c.emit(now, "deposit-rejected", commitment=note.commitment, reason=err.reason)
                     continue
-                self.deposits[note_id] = DepositInfo(ev.target, index, now)
+                self.deposits[note_id] = DepositInfo(ev.chain, index, now)
                 self.deposited_nullifiers.add(note.nullifier)
             elif ev.action == "submit_withdrawal":
                 try:
-                    stmt, proof = self.build_withdrawal(note_id, ev.target)
+                    stmt, proof = self.build_withdrawal(note_id, ev.chain)
                     contract_mod.submit_withdrawal(c, stmt, proof, ev.recipient, now)
                 except ContractError as err:
                     c.emit(
@@ -374,9 +378,9 @@ class _Engine:
                     )
             elif ev.action == "incentive_claim":
                 try:
-                    claim = self.build_reward_claim(note_id, ev.target, ev.claimant, ev.age, now)
+                    claim = self.build_reward_claim(note_id, ev.chain, ev.claimant, ev.age, now)
                     incentives_mod.claim_reward(
-                        c, self.scenario.reward_for(ev.target), claim, now
+                        c, self.scenario.reward_for(ev.chain), claim, now
                     )
                 except ContractError as err:
                     c.emit(
@@ -571,12 +575,7 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
         for first_chain in (base.adversary.first_chain, other_chain(base.adversary.first_chain)):
             adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
             needed = adv.first_at + t_prime + 2 * base.relay_delay + abs(base.epsilon) + 4
-            scenario = dataclasses.replace(
-                base,
-                adversary=adv,
-                horizon=max(base.horizon, needed),
-                name=f"{base.name}/t{t_prime}/{first_chain}",
-            )
+            scenario = dataclasses.replace(base, adversary=adv, horizon=max(base.horizon, needed))
             transcript = run(scenario, allow_negative_epsilon=True)
             tallies = _note_tallies(transcript)
             payouts, cancels, rejected = tallies.get(transcript.notes[adv.note].nullifier, _NO_EVENTS)
@@ -612,7 +611,6 @@ def payout_table(transcript: Transcript) -> list:
 
 # annotations are strings here (postponed); an optional int, when given, is an int
 _SCALARS = {"int": int, "str": str, "bool": bool, "int | None": int}
-_EVENT_KEYS = {"target": "chain"}  # an event's chain is the file key `chain`
 
 
 def _at(where, key):
@@ -632,25 +630,25 @@ def _entries(raw, where):
     return [(i, f"{where}[{i}]", entry) for i, entry in enumerate(raw)]
 
 
-def _build(cls, raw, where, keys=None, **defaults):
-    """Type-checked keyword arguments for dataclass `cls` from mapping `raw`.
-    Field f is read from key keys[f.name] (default f.name).  A missing field
-    takes defaults[f.name], then its dataclass default, else it is required."""
+def _build(cls, raw, where, **defaults):
+    """Type-checked keyword arguments for dataclass `cls` from mapping `raw`,
+    whose keys are the field names.  A missing field takes defaults[name],
+    then its dataclass default, else it is required."""
     if not isinstance(raw, dict):
         raise ScenarioError(where or "<root>", "expected a mapping")
-    fields = [(f, (keys or {}).get(f.name, f.name)) for f in dataclasses.fields(cls)]
-    allowed = {key for _, key in fields}
+    fields = dataclasses.fields(cls)
+    allowed = {f.name for f in fields}
     for key in raw:
         if key not in allowed:
             raise ScenarioError(_at(where, key), "unknown field")
     kwargs = {}
-    for f, key in fields:
-        if key in raw:
-            kwargs[f.name] = _typed(raw[key], f.type, where, key)
+    for f in fields:
+        if f.name in raw:
+            kwargs[f.name] = _typed(raw[f.name], f.type, where, f.name)
         elif f.name in defaults:
             kwargs[f.name] = defaults[f.name]
         elif f.default is dataclasses.MISSING:
-            raise ScenarioError(_at(where, key), "required")
+            raise ScenarioError(_at(where, f.name), "required")
     return kwargs
 
 
@@ -671,18 +669,18 @@ def _rewards(raw) -> tuple:
     return tuple(rewards)
 
 
-def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed structured text, with field-precise errors:
     names, scalar types and defaults come from the dataclasses, and
     validate_scenario checks the ranges."""
-    kwargs = _build(Scenario, data, "", name=name)
+    kwargs = _build(Scenario, data, "")
     delay = kwargs.get("relay_delay", Scenario.relay_delay)
     kwargs["relayers"] = tuple(
         RelayerSpec(**_build(RelayerSpec, entry, where, id=f"relayer{i}", delay=delay))
         for i, where, entry in _entries(kwargs.get("relayers", [{}]), "relayers")
     )
     kwargs["events"] = tuple(
-        SimEvent(**_build(SimEvent, entry, where, _EVENT_KEYS))
+        SimEvent(**_build(SimEvent, entry, where))
         for _, where, entry in _entries(kwargs.get("events", []), "events")
     )
     adversary = kwargs.get("adversary")

@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field_hash import (
-    DEFAULT_PARAMS,
-    FieldElement,
-    HashParams,
-    P,
-    encode_fe,
-    hash_bytes,
-    params_digest,
-)
+from .field_hash import FieldElement, HashParams, P, encode_fe, hash_bytes, params_digest
 from .merkle import MAX_HEIGHT, MerklePath, mt_verify
 
 
@@ -53,7 +45,7 @@ class DepositNote:
     nullifier: FieldElement
 
 
-def make_note(r: FieldElement, s: FieldElement, params: HashParams | None = None) -> DepositNote:
+def make_note(r: FieldElement, s: FieldElement, params: HashParams) -> DepositNote:
     """Derive commitment H(r||s) and nullifier H(r) from the secret pair."""
     commitment = hash_bytes(encode_fe(r) + encode_fe(s), params)
     nullifier = hash_bytes(encode_fe(r), params)
@@ -94,13 +86,11 @@ class ProofParams:
 
 
 @lru_cache(maxsize=None)
-def zk_setup(height: int, hash_params: HashParams | None = None) -> ProofParams:
+def zk_setup(height: int, hash_params: HashParams) -> ProofParams:
     """Shared prover/verifier parameters for the OR-membership circuit over
     trees of `height` levels; both chains' contracts use the same ones.
     ProofParams is frozen and derived from the arguments alone, so results
     are cached: a race sweep's interleavings share one derivation."""
-    if hash_params is None:
-        hash_params = DEFAULT_PARAMS
     if not 1 <= height <= MAX_HEIGHT:
         raise UnknownCircuitError(f"circuit height out of range: {height}")
     circuit_id = f"or-membership-h{height}"

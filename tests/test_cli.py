@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bridgemix import cli
+from bridgemix import cli, field_hash, simnet
 from bridgemix.simnet import SimInvariantError
 
 HAPPY = """\
@@ -100,6 +100,21 @@ def test_oversized_security_exits_2_without_traceback(tmp_path, capsys):
     assert rc == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert "error: scenario field 'security': unknown field" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "races"])
+def test_hash_rounds_above_the_bound_exits_2_before_set_up(tmp_path, capsys, monkeypatch, command):
+    bound = simnet.MAX_HASH_ROUNDS
+
+    def no_oversized_params(rounds):
+        raise AssertionError(f"make_params({rounds}) called")
+
+    monkeypatch.setattr(simnet, "make_params", no_oversized_params)
+    monkeypatch.setattr(field_hash, "make_params", no_oversized_params)
+    scn = write_scenario(tmp_path, RACES.replace("hash_rounds: 8", f"hash_rounds: {bound + 1}"))
+    assert cli.main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: scenario field 'hash_rounds': must be in [1, {bound}]" in err
 
 
 def test_yaml_syntax_error_names_the_line(tmp_path, capsys):

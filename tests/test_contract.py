@@ -100,10 +100,9 @@ class TestSetup:
         a, b = make_pair(fast_params, h=2)
         assert a.tree.leaves == []
         assert len(a.remote_headers) == 1
-        assert a.remote_header_digests == [header_digest(a.remote_headers[0], fast_params)]
         assert a.balance == 0
         assert a.tree.root_history == a.remote_roots == [a.tree.root]
-        assert a.local_root_set == {a.tree.root}
+        assert a.local_roots == a.remote_root_ticks == {a.tree.root: 0}
 
     @pytest.mark.parametrize("epsilon,delay", [(1, 0), (-3, 2)])
     def test_bad_delay_rejected(self, fast_params, epsilon, delay):
@@ -135,7 +134,7 @@ class TestDeposit:
         note = make_note(1, 2, fast_params)
         assert deposit(a, DENOM, note.commitment, now=0) == 0
         assert a.balance == DENOM
-        assert a.tree.root in a.local_root_set
+        assert a.local_roots[a.tree.root] == 0
         assert len(a.tree.root_history) == 2
 
     def test_wrong_amount_rejected(self, fast_params):
@@ -160,6 +159,21 @@ class TestDeposit:
         with pytest.raises(ContractError) as err:
             deposit(a, DENOM, make_note(3, 3, fast_params).commitment, 0)
         assert err.value.reason == "tree-full"
+
+    @pytest.mark.parametrize("commitment", [P, P + 5, -1])
+    def test_unreduced_commitment_rejected_before_any_change(self, fast_params, commitment):
+        a, _ = make_pair(fast_params)
+        deposit(a, DENOM, make_note(1, 2, fast_params).commitment, now=0)
+
+        def snapshot():
+            return (list(a.tree.leaves), a.balance, list(a.tree.root_history), dict(a.local_roots),
+                    a.state_commitment, list(a.events), set(a.commitments))
+
+        before = snapshot()
+        with pytest.raises(ContractError) as err:
+            deposit(a, DENOM, commitment, now=1)
+        assert err.value.reason == "bad-commitment"
+        assert snapshot() == before
 
 
 class TestSubmitWithdrawal:
@@ -283,8 +297,9 @@ class TestDuplicateCancellation:
         relay_all(b, a, now=5)
         assert a.pending_withdrawals[0].status == CANCELLED
         assert b.pending_withdrawals[0].status == CANCELLED
-        assert a.nullifiers[note.nullifier].burned
-        assert b.nullifiers[note.nullifier].burned
+        # each nullifier stays known, mapped to its cancelled withdrawal
+        assert a.nullifiers[note.nullifier] is a.pending_withdrawals[0]
+        assert b.nullifiers[note.nullifier] is b.pending_withdrawals[0]
         assert process_tick(a, 10) == [] and process_tick(b, 10) == []
         assert a.credits == {} and b.credits == {}
         assert conservation_holds([a, b])
@@ -304,7 +319,7 @@ class TestDuplicateCancellation:
         assert a.pending_withdrawals[0].status == FINALIZED
         relay_all(b, a, now=7)
         assert a.pending_withdrawals[0].status == FINALIZED  # no retroactive cancel
-        assert a.nullifiers[note.nullifier].burned
+        assert a.nullifiers[note.nullifier] is a.pending_withdrawals[0]
         kinds = [e.kind for e in a.events]
         assert "duplicate-detected" in kinds
         assert kinds.count("withdraw-cancelled") == 0
@@ -321,12 +336,29 @@ class TestDuplicateCancellation:
         relay_all(b, a, now=4)  # A installs the nullifier by relay
         relay_all(b, a, now=5)  # redelivery must not cancel anything on A
         assert all(e.kind != "duplicate-detected" for e in a.events)
-        assert a.nullifiers[note.nullifier].withdrawal is None
+        assert a.nullifiers[note.nullifier] is None
 
     def test_duplicate_signal_for_unseen_nullifier_rejected(self, fast_params):
         a, _ = make_pair(fast_params)
         with pytest.raises(ContractError):
             on_duplicate_nullifier(a, 12345, now=1)
+
+    def test_repeated_relayed_nullifier_is_a_no_op(self, fast_params):
+        # an honest source never exposes a nullifier twice, but a header with
+        # valid PoW can commit to a list that does; the repeat is neither
+        # installed twice nor taken for a duplicate of a local withdrawal
+        a, _ = make_pair(fast_params)
+        params, sn = fast_params, 4242
+        exposed = hash2(hash2(0, sn, params), sn, params)
+        commitment = state_commitment_value(a.remote_root_digests[-1], exposed, params)
+        header, _ = mine_header(
+            1, header_digest(a.remote_headers[0], params), commitment, EASY_TARGET, params
+        )
+        assert on_relayed_header(a, header, now=1).accepted
+        att = StateAttestation(1, len(a.remote_roots), (), 0, (sn, sn))
+        assert on_relayed_state(a, att, now=1).accepted
+        assert a.nullifiers == {sn: None}
+        assert all(e.kind != "duplicate-detected" for e in a.events)
 
 
 class TestInvariantHelpers:

@@ -85,11 +85,11 @@ class TestPermute:
             for c in DEFAULT_PARAMS.round_constants:
                 expect = pow((expect + k + c) % P, 7, P)
             expect = (expect + k) % P
-            assert permute(x, k) == expect
+            assert permute(x, k, DEFAULT_PARAMS) == expect
 
     def test_bijection_on_byte_subdomain(self):
         # No collisions among 2^8 inputs under a fixed key.
-        outs = {permute(x, 3) for x in range(256)}
+        outs = {permute(x, 3, DEFAULT_PARAMS) for x in range(256)}
         assert len(outs) == 256
 
     def test_exponent_invertible_mod_group_order(self):
@@ -102,32 +102,32 @@ class TestHash2:
         assert hash2(0, 0, zero1) == 0
 
     def test_asymmetric(self):
-        a = hash2(1, 2)
-        b = hash2(2, 1)
+        a = hash2(1, 2, DEFAULT_PARAMS)
+        b = hash2(2, 1, DEFAULT_PARAMS)
         assert a != b
         # oracle cross-check of both sides
-        assert a == (permute(1, 2) + 3) % P
-        assert b == (permute(2, 1) + 3) % P
+        assert a == (permute(1, 2, DEFAULT_PARAMS) + 3) % P
+        assert b == (permute(2, 1, DEFAULT_PARAMS) + 3) % P
 
     def test_deterministic(self):
-        assert hash2(11, 22) == hash2(11, 22)
+        assert hash2(11, 22, DEFAULT_PARAMS) == hash2(11, 22, DEFAULT_PARAMS)
 
 
 class TestHashBytes:
     def test_empty_is_zero(self):
-        assert hash_bytes(b"") == 0
+        assert hash_bytes(b"", DEFAULT_PARAMS) == 0
 
     def test_single_encoded_element_matches_oracle(self):
         data = encode_fe(5)
-        assert hash_bytes(data) == absorb_oracle(data, DEFAULT_PARAMS)
+        assert hash_bytes(data, DEFAULT_PARAMS) == absorb_oracle(data, DEFAULT_PARAMS)
 
     def test_concatenation_differs_from_prefix(self):
         rng = random.Random(99)
         for _ in range(20):
             r, s = rng.randrange(1, P), rng.randrange(1, P)
-            joint = hash_bytes(encode_fe(r) + encode_fe(s))
+            joint = hash_bytes(encode_fe(r) + encode_fe(s), DEFAULT_PARAMS)
             assert joint == absorb_oracle(encode_fe(r) + encode_fe(s), DEFAULT_PARAMS)
-            assert joint != hash_bytes(encode_fe(r))
+            assert joint != hash_bytes(encode_fe(r), DEFAULT_PARAMS)
 
     def test_collision_sanity_100k(self, fast_params):
         rng = random.Random(0xC0111)

@@ -97,7 +97,7 @@ def test_old_empty_root_inflates_the_age_cap():
     # root lets a late depositor claim age back to that root's timestamp
     t, a, cfg = scenario_state([SimEvent(6, "A", "deposit", note="n1")], horizon=8)
     empty_remote = a.remote_roots[0]
-    assert a.root_timestamps[empty_remote] == 0
+    assert a.remote_root_ticks[empty_remote] == 0
     amount = claim_reward(
         a, cfg, claim_for(t, a, "n1", age=7, root_b=empty_remote), now=7
     )
@@ -160,7 +160,7 @@ def test_reward_conservation_over_random_claims(fast_params):
     for _ in range(40):
         note = rng.choice(notes)
         age = rng.randrange(1, 40)
-        now = max(age + 6, a.root_timestamps[a.tree.root_history[t.deposits[note].index + 1]] + age)
+        now = max(age + 6, a.local_roots[a.tree.root_history[t.deposits[note].index + 1]] + age)
         try:
             paid += claim_reward(a, cfg, claim_for(t, a, note, age=age), now=now)
         except ContractError:

@@ -30,13 +30,11 @@ class FakeContract:
     def __init__(self, params, genesis):
         self.hash_params = params
         self.remote_headers = [genesis]
-        self.remote_header_digests = [header_digest(genesis, params)]
         self.remote_roots = []
         self.remote_root_digests = [0]
-        self.remote_root_set = set()
+        self.remote_root_ticks = {}
         self.remote_exposed = []
         self.remote_exposed_digests = [0]
-        self.root_timestamps = {}
 
 
 def chain_digest(values, params):
@@ -87,9 +85,10 @@ class TestHeaderDigest:
     def test_golden_fixed_header(self):
         # pinned once from the absorb oracle over the 32-byte serialization
         header = BlockHeader(0, 0, 0, 0, P >> 2)
-        assert header_digest(header) == 6418707211262594256
+        params = field_hash.DEFAULT_PARAMS
+        assert header_digest(header, params) == 6418707211262594256
         blob = bytes(8) + encode_fe(0) + encode_fe(0) + bytes(8)
-        assert header_digest(header) == hash_bytes(blob)
+        assert header_digest(header, params) == hash_bytes(blob, params)
 
     def test_nonce_changes_digest(self, fast_params):
         a = BlockHeader(3, 1, 2, 0, EASY_TARGET)
@@ -162,7 +161,7 @@ class TestAddHeader:
         for prev in (header_digest(headers[0], fast_params), rival_digest, 0):
             bad, _ = mine_header(2, prev, c0, EASY_TARGET, fast_params)
             assert add_header(contract, bad).reason == "broken-link"
-        assert contract.remote_header_digests == [header_digest(h, fast_params) for h in headers[:2]]
+        assert contract.remote_headers == headers[:2]
 
     def test_bad_pow_rejected(self, fast_params):
         c0 = commit([], [], fast_params)
@@ -257,7 +256,7 @@ class TestAddBridgeState:
         assert contract.remote_roots == [10, 11]
         assert contract.remote_exposed == [77]
         assert result.installed_nullifiers == (77,)
-        assert contract.root_timestamps == {10: 4, 11: 4}
+        assert contract.remote_root_ticks == {10: 4, 11: 4}
         assert contract.remote_root_digests == [chain_digest([10, 11][:k], fast_params) for k in range(3)]
         assert contract.remote_exposed_digests == [0, chain_digest([77], fast_params)]
 
@@ -413,9 +412,7 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
                 assert add_bridge_state(receiver, payload, now).accepted
             assert receiver.remote_roots == roots[: len(receiver.remote_roots)]
             assert receiver.remote_exposed == nulls[: len(receiver.remote_exposed)]
-            assert receiver.remote_header_digests == [
-                header_digest(h, params) for h in receiver.remote_headers
-            ]
+            assert validate_chain(receiver.remote_headers, params)
         if now >= len(appends):
             continue
         new_roots, new_nulls = appends[now]

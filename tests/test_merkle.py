@@ -6,10 +6,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bridgemix import merkle
-from bridgemix.field_hash import P, hash2, make_params, zero_constant_params
+from bridgemix.field_hash import DEFAULT_PARAMS, P, hash2, make_params, zero_constant_params
 from bridgemix.merkle import (
     MerkleError,
-    MerklePath,
     mt_add,
     mt_path,
     mt_setup,
@@ -32,7 +31,7 @@ class TestSetup:
         assert tree.root == 0
 
     def test_h20_capacity(self):
-        tree = mt_setup(20)
+        tree = mt_setup(20, DEFAULT_PARAMS)
         assert tree.capacity == 2**20
         assert tree.leaves == []
         assert tree.root_history == [tree.zero_roots[20]]
@@ -40,7 +39,7 @@ class TestSetup:
     @pytest.mark.parametrize("h", [0, -1, 33])
     def test_height_out_of_range(self, h):
         with pytest.raises(MerkleError):
-            mt_setup(h)
+            mt_setup(h, DEFAULT_PARAMS)
 
     def test_empty_root_matches_zero_chain(self, fast_params):
         zeros = zero_subtree_roots(3, fast_params)
@@ -83,7 +82,7 @@ class TestPath:
         mt_add(tree, 42)
         path = mt_path(tree, 0)
         assert path.siblings == (tree.zero_roots[0], tree.zero_roots[1])
-        assert path.directions == (0, 0)
+        assert path.leaf_index == 0  # both sides left
 
     def test_three_leaf_index_two(self, fast_params):
         tree = mt_setup(2, fast_params)
@@ -92,7 +91,7 @@ class TestPath:
             mt_add(tree, y)
         path = mt_path(tree, 2)
         assert path.siblings == (tree.zero_roots[0], hash2(5, 6, fast_params))
-        assert path.directions == (0, 1)
+        assert path.leaf_index == 2  # bits 0b10: left at level 0, right at level 1
         assert tree.root == naive_root(leaves, 2, fast_params)
 
     def test_index_at_leaf_count_errors(self, fast_params):
@@ -102,12 +101,6 @@ class TestPath:
             mt_path(tree, 1)
         with pytest.raises(MerkleError):
             mt_path(tree, -1)
-
-    def test_mismatched_path_shape_rejected(self):
-        with pytest.raises(MerkleError):
-            MerklePath(0, (1, 2), (0,))
-        with pytest.raises(MerkleError):
-            MerklePath(0, (1,), (2,))
 
 
 class TestVerify:
@@ -133,9 +126,7 @@ class TestVerify:
         for y in (3, 4, 5):
             mt_add(tree, y)
         path = mt_path(tree, 1)
-        flipped = dataclasses.replace(
-            path, directions=(1 - path.directions[0],) + path.directions[1:]
-        )
+        flipped = dataclasses.replace(path, leaf_index=path.leaf_index ^ 1)
         assert mt_verify(4, path, tree.root, fast_params) is True
         assert mt_verify(4, flipped, tree.root, fast_params) is False
 

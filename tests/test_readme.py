@@ -37,14 +37,8 @@ def _keys(node):
 def test_readme_scenario_block_parses_and_names_every_file_key():
     (block,) = YAML_RE.findall(README.read_text(encoding="utf-8"))
     data = yaml.safe_load(block)
-    simnet.scenario_from_dict(data, name="readme")
+    simnet.scenario_from_dict(data)
     documented = set(_keys(data))
-    for cls, keys in (
-        (simnet.Scenario, {}),
-        (simnet.RelayerSpec, {}),
-        (simnet.AdversarySpec, {}),
-        (simnet.SimEvent, simnet._EVENT_KEYS),
-        (RewardSpec, {}),
-    ):
+    for cls in (simnet.Scenario, simnet.RelayerSpec, simnet.AdversarySpec, simnet.SimEvent, RewardSpec):
         for f in dataclasses.fields(cls):
-            assert keys.get(f.name, f.name) in documented, f"{cls.__name__}.{f.name}"
+            assert f.name in documented, f"{cls.__name__}.{f.name}"

@@ -131,7 +131,7 @@ def assert_matches_reference(scenario, t_primes):
 
 def demo_scenario(name):
     path = SCENARIO_DIR / f"{name}.yaml"
-    sc = scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")), name=name)
+    sc = scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")))
     if sc.adversary is None:
         # give the race sweep a double spender on the demo's own history
         sc = dataclasses.replace(sc, adversary=AdversarySpec(

@@ -144,7 +144,8 @@ def test_payout_of_a_forged_note_stops_the_run(monkeypatch):
         roots_digest = hash2(b.remote_root_digests[-1], fake_tree.root, params)
         commitment = state_commitment_value(roots_digest, b.remote_exposed_digests[-1], params)
         header, _ = mine_header(
-            len(b.remote_headers), b.remote_header_digests[-1], commitment, self.target, params
+            len(b.remote_headers), header_digest(b.remote_headers[-1], params), commitment,
+            self.target, params,
         )
         assert contract_mod.on_relayed_header(b, header, now).accepted
         att = StateAttestation(header.height, len(b.remote_roots), (fake_tree.root,), 0, ())
@@ -384,7 +385,7 @@ DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def demo_scenario(path):
-    return scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")), name=path.stem)
+    return scenario_from_dict(yaml.safe_load(path.read_text(encoding="utf-8")))
 
 
 def races_demo(eps):
@@ -600,13 +601,30 @@ ROUND_TRIP = {
 
 
 def test_scenario_from_dict_round_trip():
-    sc = scenario_from_dict(ROUND_TRIP, name="demo")
-    assert sc.relay_delay == 3 and sc.name == "demo"
+    sc = scenario_from_dict(ROUND_TRIP)
+    assert sc.relay_delay == 3 and sc.name == "scenario"  # the default; nothing derives it
     assert sc.relayers[1].censored and sc.relayers[1].delay == 3  # defaults to relay_delay
     assert sc.events[1].recipient == "al"
     assert sc.adversary.gap == 1
     assert sc.reward_for("A") == RewardSpec(2, 4) and sc.reward_for("B") is None
     run(sc)  # and it executes
+
+
+def test_hash_rounds_above_the_bound_rejected_before_set_up(monkeypatch):
+    # set-up time grows with the square of hash_rounds, so the bound is
+    # checked while parsing, before any parameter derivation
+    derived = []
+    monkeypatch.setattr(simnet, "make_params", derived.append)
+    bound = simnet.MAX_HASH_ROUNDS
+    assert bound >= 64
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({"seed": 1, "horizon": 4, "hash_rounds": bound + 1})
+    assert err.value.field_name == "hash_rounds"
+    assert f"[1, {bound}]" in str(err.value)
+    with pytest.raises(ScenarioError):
+        run(Scenario(seed=1, horizon=4, hash_rounds=bound + 1, relayers=(RelayerSpec("r0", 2),)))
+    assert derived == []
+    assert scenario_from_dict({"seed": 1, "horizon": 4, "hash_rounds": bound}).hash_rounds == bound
 
 
 def test_scenario_from_dict_shared_reward_block():
@@ -718,7 +736,7 @@ def fuzz_file(tmp_path_factory):
 def test_parser_returns_scenario_or_scenario_error(fuzz_file, data):
     # any other exception escapes _outcome and fails the test
     fuzz_file.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
-    parsed = _outcome(lambda: scenario_from_dict(data, name="fuzz"))
+    parsed = _outcome(lambda: scenario_from_dict(data))
     loaded = _outcome(lambda: cli.load_scenario(cli.RunConfig(str(fuzz_file), str(fuzz_file.parent))))
     assert isinstance(parsed, (Scenario, str))
     assert loaded == parsed  # the YAML route parses to the same result
@@ -762,11 +780,26 @@ def test_randomized_scenarios_conserve_and_replay(fast_params):
         assert t1.render() == t2.render()
 
 
+def per_tick_scenarios():
+    """Random scenarios, a race at both epsilon signs, and a reward claim."""
+    claims = (
+        SimEvent(0, "A", "deposit", note="n1"),
+        SimEvent(4, "A", "incentive_claim", note="n1", claimant="alice"),
+        SimEvent(5, "B", "submit_withdrawal", note="n1", recipient="bob"),
+    )
+    return [
+        *random_scenarios(2031, 6),
+        race_base(2, 1),
+        race_base(2, -1),
+        base_scenario(rewards=(("A", RewardSpec(2, 3)),), events=claims),
+    ]
+
+
 def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
     # the engine keeps each mined header's digest from the search, and each
-    # contract its relayed header digests and its state commitment; checked
-    # here against a rehash, not in the per-tick invariants, which would
-    # spend again the hashing that storing them saves
+    # contract its state commitment; checked here against a rehash, not in
+    # the per-tick invariants, which would spend again the hashing that
+    # storing them saves
     real_check = contract_mod.check_contract_invariants
     checks = []
 
@@ -776,26 +809,42 @@ def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
         assert state.state_commitment == state_commitment_value(
             state.local_root_digest, state.exposed_digest, params
         )
-        fresh = header_digest.__wrapped__  # a rehash, not a read of the cache
-        assert state.remote_header_digests == [fresh(h, params) for h in state.remote_headers]
         checks.append(state.chain_id)
 
     monkeypatch.setattr(contract_mod, "check_contract_invariants", check_fresh)
-    claims = (
-        SimEvent(0, "A", "deposit", note="n1"),
-        SimEvent(4, "A", "incentive_claim", note="n1", claimant="alice"),
-        SimEvent(5, "B", "submit_withdrawal", note="n1", recipient="bob"),
-    )
-    scenarios = [
-        *random_scenarios(2031, 6),
-        race_base(2, 1),
-        race_base(2, -1),
-        base_scenario(rewards=(("A", RewardSpec(2, 3)),), events=claims),
-    ]
-    for sc in scenarios:
+    for sc in per_tick_scenarios():
         checks.clear()
         t = run(sc, allow_negative_epsilon=True)
         assert len(checks) == 2 * sc.horizon
         # a relayed header links only if the miner's kept tip digest was right
         assert len(kinds(t, "header-accepted")) == 2 * (sc.horizon - max(r.delay for r in sc.relayers))
         assert not kinds(t, "header-rejected")
+
+
+def test_root_tick_maps_follow_the_root_lists_after_every_tick(monkeypatch):
+    # each side keeps one root -> tick map: its keys are the root list, in
+    # order, and no root is dated after the tick that checks it
+    real_tick, real_check = contract_mod.process_tick, contract_mod.check_contract_invariants
+    clock, checks = {}, []
+
+    def recording_tick(state, now):
+        clock["now"] = now
+        return real_tick(state, now)
+
+    def check_maps(state):
+        real_check(state)
+        now = clock["now"]
+        assert list(state.local_roots) == state.tree.root_history
+        assert list(state.remote_root_ticks) == state.remote_roots
+        assert all(tick <= now for tick in state.local_roots.values())
+        assert all(tick <= now for tick in state.remote_root_ticks.values())
+        checks.append(now)
+
+    monkeypatch.setattr(contract_mod, "process_tick", recording_tick)
+    monkeypatch.setattr(contract_mod, "check_contract_invariants", check_maps)
+    for sc in per_tick_scenarios():
+        checks.clear()
+        t = run(sc, allow_negative_epsilon=True)
+        assert checks == [now for now in range(sc.horizon) for _ in "AB"]
+        if sc.rewards:
+            assert kinds(t, "reward-claimed")  # the claim read both maps

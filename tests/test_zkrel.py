@@ -133,7 +133,7 @@ class TestVerify:
         pp, tree_a, tree_b, note, stmt, wit = self._instance(random.Random(8), fast_params)
         proof = zk_prove(pp, stmt, wit)
         path = wit.path
-        short = MerklePath(path.leaf_index, path.siblings[:-1], path.directions[:-1])
+        short = MerklePath(path.leaf_index, path.siblings[:-1])
         # an unreduced sibling hashes like its reduced value, so only the
         # range check tells it apart from the honest path
         unreduced = dataclasses.replace(path, siblings=(path.siblings[0] + P,) + path.siblings[1:])
@@ -211,9 +211,7 @@ class TestProperties:
                 for selector in (0, 1):
                     for leaf_index in (0, 1):
                         for sibling in range(32):
-                            wit = Witness(
-                                r, s, MerklePath(leaf_index, (sibling,), (leaf_index,)), selector
-                            )
+                            wit = Witness(r, s, MerklePath(leaf_index, (sibling,)), selector)
                             if relation_holds(pp, stmt, wit):
                                 accepts += 1
         assert accepts == 0
