@@ -1,19 +1,21 @@
 """Minimal proof-of-work light client and bridge-state attestations.
 
 A header commits to the source contract's public bridge state (its root list
-and the list of nullifiers it has exposed) via a flat hash commitment over
-the two running list digests.  Relayed headers are accepted only if they
-extend the tracked chain with valid PoW; relayed state is accepted only if
-its suffixes, folded onto the receiver's digest history, open the referenced
-header's commitment and agree with what the receiver already knows.  Forks
-are rejected outright.
+and the list of nullifiers it has exposed) via hash2 of the two running list
+digests.  A header's digest is hash2 folded from 0 over its four hashed
+fields, each a field element, so nothing here is hashed as bytes; a value
+outside [0, p) is rejected before it is hashed.  Relayed headers are
+accepted only if they extend the tracked chain with valid PoW; relayed state
+is accepted only if its suffixes, folded onto the receiver's digest history,
+open the referenced header's commitment and agree with what the receiver
+already knows.  Forks are rejected outright.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field_hash import FieldElement, HashParams, encode_fe, hash2, hash_bytes
+from .field_hash import P, FieldElement, HashParams, hash2
 
 
 MINING_TRIES = 1 << 20
@@ -39,32 +41,34 @@ class BlockHeader:
         return 5 * 8  # five 8-byte words on the wire
 
 
-def _header_blob(
-    height: int, prev_hash: FieldElement, state_commitment: FieldElement, nonce: int
-) -> bytes:
-    return (
-        height.to_bytes(8, "little")
-        + encode_fe(prev_hash)
-        + encode_fe(state_commitment)
-        + nonce.to_bytes(8, "little")
+def fields_reduced(header: BlockHeader) -> bool:
+    """Whether every hashed field lies in [0, p).  hash2 reduces its inputs,
+    so an unreduced field would hash like its residue: receivers reject such
+    a header before hashing it."""
+    return all(
+        0 <= v < P for v in (header.height, header.prev_hash, header.state_commitment, header.nonce)
     )
 
 
-# the blob's first three 7-byte chunks end before the nonce's first byte
-_NONCE_FREE = 21
+def _midstate(
+    height: int, prev_hash: FieldElement, state_commitment: FieldElement, params: HashParams
+) -> FieldElement:
+    """The header fold up to, not including, the nonce: 3 permutes."""
+    return hash2(hash2(hash2(0, height, params), prev_hash, params), state_commitment, params)
 
 
 @lru_cache(maxsize=None)
 def header_digest(header: BlockHeader, params: HashParams) -> FieldElement:
-    """hash_bytes over the canonical (height, prev_hash, state_commitment, nonce).
+    """hash2 folded from 0 over (height, prev_hash, state_commitment, nonce),
+    the fold the root and nullifier list digests use: 4 permutes.
 
     BlockHeader is frozen, so results are cached: a receiver hashes each
     distinct header once per process, and a race sweep's interleavings
     share that hash.  In the library only the receiver's checks call it
     (contract_setup and add_header); mine_header computes its digests
     through the midstate and never fills this cache."""
-    blob = _header_blob(header.height, header.prev_hash, header.state_commitment, header.nonce)
-    return hash_bytes(blob, params)
+    midstate = _midstate(header.height, header.prev_hash, header.state_commitment, params)
+    return hash2(midstate, header.nonce, params)
 
 
 @lru_cache(maxsize=None)
@@ -80,15 +84,11 @@ def mine_header(
     its arguments and BlockHeader is frozen, so results are cached: a header
     that several runs mine (a race sweep's interleavings) is searched for once.
 
-    The nonce-free chunks are absorbed once, so each try absorbs only the
-    last two chunks of the blob: the commitment's last 3 bytes with the
-    nonce's low 4, then the nonce's high 4."""
-    blob = _header_blob(height, prev_hash, state_commitment, 0)
-    midstate = hash_bytes(blob[:_NONCE_FREE], params)
+    The midstate over the first three fields is computed once, so each try
+    costs the one permute that absorbs the nonce."""
+    midstate = _midstate(height, prev_hash, state_commitment, params)
     for nonce in range(MINING_TRIES):
-        tail = blob[_NONCE_FREE:-8] + nonce.to_bytes(8, "little")
-        state = hash2(midstate, int.from_bytes(tail[:7], "little"), params)
-        digest = hash2(state, int.from_bytes(tail[7:], "little"), params)
+        digest = hash2(midstate, nonce, params)
         if digest < work_target:
             return BlockHeader(height, prev_hash, state_commitment, nonce, work_target), digest
     raise MiningError(f"no nonce below target after {MINING_TRIES} tries")
@@ -97,7 +97,7 @@ def mine_header(
 def state_commitment_value(
     roots_digest: FieldElement, nullifiers_digest: FieldElement, params: HashParams
 ) -> FieldElement:
-    return hash_bytes(encode_fe(roots_digest) + encode_fe(nullifiers_digest), params)
+    return hash2(roots_digest, nullifiers_digest, params)
 
 
 @dataclass(frozen=True)
@@ -117,19 +117,20 @@ class StateAttestation:
 @dataclass(frozen=True)
 class HeaderResult:
     accepted: bool
-    reason: str  # ok | duplicate | fork | bad-height | broken-link | bad-target | bad-pow
+    reason: str  # ok | bad-encoding | duplicate | fork | bad-height | broken-link | bad-target | bad-pow
 
 
 @dataclass(frozen=True)
 class StateResult:
     accepted: bool
-    reason: str  # ok | unknown-header | bad-opening
+    reason: str  # ok | unknown-header | bad-encoding | bad-opening
     installed_roots: tuple = ()
     installed_nullifiers: tuple = ()
 
 
 def add_header(state, header: BlockHeader) -> HeaderResult:
-    """Append a relayed header iff PoW holds, it links, and height increments.
+    """Append a relayed header iff its fields are reduced, PoW holds, it
+    links, and height increments.
 
     `state` is a contract state exposing remote_headers (genesis first, from
     set-up) and hash_params.  The tip's digest is read from header_digest's
@@ -137,6 +138,8 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
     for genesis), so the link check costs no hashing and no digest is ever
     taken from a relayer.
     """
+    if not fields_reduced(header):
+        return HeaderResult(False, "bad-encoding")
     headers = state.remote_headers
     if header.height < len(headers):
         if header == headers[header.height]:
@@ -187,6 +190,10 @@ def add_bridge_state(state, att: StateAttestation, now: int) -> StateResult:
     if not 0 <= att.header_index < len(state.remote_headers):
         return StateResult(False, "unknown-header")
     header = state.remote_headers[att.header_index]
+    # _verify_opening's fold reduces entries, so an unreduced one would open
+    # the commitment as its residue and be installed as itself
+    if not all(0 <= v < P for v in (*att.roots, *att.nullifiers)):
+        return StateResult(False, "bad-encoding")
 
     roots_fresh = _verify_opening(
         state.remote_roots, state.remote_root_digests, att.roots_from, att.roots, params

@@ -57,9 +57,10 @@ def make_pair(params, h=3, epsilon=1, delay=2, native_chain="A"):
     return a, b
 
 
-def relay_all(src, dst, now):
-    """Hand-rolled relayer: mine a header committing src's current state,
-    deliver it, then attest src's list entries past dst's view."""
+def deliver_header(src, dst, now):
+    """Hand-rolled relayer, first half: mine a header committing src's
+    current state, deliver it, and return the attestation of src's list
+    entries past dst's view."""
     params = src.hash_params
     prev = header_digest(dst.remote_headers[-1], params)
     header, _ = mine_header(
@@ -67,14 +68,18 @@ def relay_all(src, dst, now):
     )
     assert on_relayed_header(dst, header, now).accepted
     roots_from, nulls_from = len(dst.remote_roots), len(dst.remote_exposed)
-    att = StateAttestation(
+    return StateAttestation(
         header_index=header.height,
         roots_from=roots_from,
         roots=tuple(src.tree.root_history[roots_from:]),
         nullifiers_from=nulls_from,
         nullifiers=tuple(pw.statement.nullifier for pw in src.pending_withdrawals[nulls_from:]),
     )
-    return on_relayed_state(dst, att, now)
+
+
+def relay_all(src, dst, now):
+    """Hand-rolled relayer: deliver a header, then the attestation."""
+    return on_relayed_state(dst, deliver_header(src, dst, now), now)
 
 
 def withdrawal_for(note, index, deposit_contract, submit_contract):
@@ -126,6 +131,27 @@ class TestSetup:
         with pytest.raises(ContractError) as err:
             setup_one("A", bad_nonce, fast_params, 2)
         assert err.value.reason == "bad-genesis"
+
+    @pytest.mark.parametrize("field", ["prev_hash", "state_commitment", "nonce"])
+    @pytest.mark.parametrize("offset", [P, -P])
+    def test_unreduced_genesis_rejected(self, fast_params, field, offset):
+        genesis = make_genesis(2, fast_params)
+        alias = dataclasses.replace(genesis, **{field: getattr(genesis, field) + offset})
+        with pytest.raises(ContractError) as err:
+            setup_one("A", alias, fast_params, 2)
+        assert err.value.reason == "bad-genesis"
+
+    def test_unreduced_relayed_header_rejected(self, fast_params):
+        # hash2 reduces its inputs, so c + p is refused, not hashed as c
+        a, b = make_pair(fast_params, h=2)
+        header, _ = mine_header(
+            1, header_digest(a.remote_headers[0], fast_params), b.state_commitment + P,
+            EASY_TARGET, fast_params,
+        )
+        result = on_relayed_header(a, header, now=1)
+        assert not result.accepted and result.reason == "bad-encoding"
+        assert a.events[-1].get("reason") == "bad-encoding"
+        assert a.remote_headers == [a.remote_headers[0]]
 
 
 class TestDeposit:
@@ -303,6 +329,17 @@ class TestDuplicateCancellation:
         assert process_tick(a, 10) == [] and process_tick(b, 10) == []
         assert a.credits == {} and b.credits == {}
         assert conservation_holds([a, b])
+
+    def test_unreduced_relayed_nullifier_cannot_block_cancellation(self, fast_params):
+        # one lying relayer sends sn + p first; were it installed, the honest
+        # sn would contradict A's view forever and never cancel A's payout
+        a, b, note = self._double_submit(fast_params)
+        att = deliver_header(b, a, now=5)
+        lying = dataclasses.replace(att, nullifiers=tuple(sn + P for sn in att.nullifiers))
+        assert on_relayed_state(a, lying, now=5).reason == "bad-encoding"
+        assert a.events[-1].kind == "state-rejected"
+        assert on_relayed_state(a, att, now=5).accepted
+        assert a.pending_withdrawals[0].status == CANCELLED
 
     def test_burned_nullifier_unusable(self, fast_params):
         a, b, note = self._double_submit(fast_params)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bridgemix import field_hash, lightclient
 from bridgemix.contract import contract_setup, deposit
-from bridgemix.field_hash import P, encode_fe, hash_bytes, hash2, make_params
+from bridgemix.field_hash import P, hash2, make_params
 from bridgemix.lightclient import (
     BlockHeader,
     MiningError,
@@ -83,12 +83,14 @@ def make_chain(params, commits, target=EASY_TARGET):
 
 class TestHeaderDigest:
     def test_golden_fixed_header(self):
-        # pinned once from the absorb oracle over the 32-byte serialization
+        # pinned once from the hash2 fold oracle over (height, prev_hash,
+        # state_commitment, nonce)
         header = BlockHeader(0, 0, 0, 0, P >> 2)
         params = field_hash.DEFAULT_PARAMS
-        assert header_digest(header, params) == 6418707211262594256
-        blob = bytes(8) + encode_fe(0) + encode_fe(0) + bytes(8)
-        assert header_digest(header, params) == hash_bytes(blob, params)
+        assert header_digest(header, params) == 10471206276989745589
+        assert header_digest(header, params) == chain_digest([0, 0, 0, 0], params)
+        header = BlockHeader(3, 11, P - 1, 7, P >> 2)
+        assert header_digest(header, params) == chain_digest([3, 11, P - 1, 7], params)
 
     def test_nonce_changes_digest(self, fast_params):
         a = BlockHeader(3, 1, 2, 0, EASY_TARGET)
@@ -105,8 +107,8 @@ class TestMining:
         h, digest = mine_header(0, 0, 123, EASY_TARGET, fast_params)
         assert digest == header_digest(h, fast_params) < EASY_TARGET
 
-    def test_try_costs_two_permutes(self, fast_params, monkeypatch):
-        # the 21 nonce-free bytes are three chunks absorbed once per search
+    def test_try_costs_one_permute(self, fast_params, monkeypatch):
+        # the three fields before the nonce are absorbed once per search
         mine_header.cache_clear()  # a cached header would cost no permutes
         calls = []
         permute = field_hash.permute
@@ -115,9 +117,20 @@ class TestMining:
         for height in range(12):
             calls.clear()
             header, _ = mine_header(height, 17, 29, P >> 3, fast_params)
-            assert len(calls) == 3 + 2 * (header.nonce + 1)
+            assert len(calls) == 3 + (header.nonce + 1)
             nonces.append(header.nonce)
         assert max(nonces) > 1
+
+    def test_header_check_and_commitment_costs(self, fast_params, monkeypatch):
+        header_digest.cache_clear()  # a cached header would cost no permutes
+        calls = []
+        permute = field_hash.permute
+        monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
+        header_digest(BlockHeader(5, 11, 22, 7, EASY_TARGET), fast_params)
+        assert len(calls) == 4
+        calls.clear()
+        state_commitment_value(5, 6, fast_params)
+        assert len(calls) == 1
 
     def test_impossible_target_raises(self, fast_params, monkeypatch):
         monkeypatch.setattr(lightclient, "MINING_TRIES", 64)
@@ -128,7 +141,7 @@ class TestMining:
 @seed(7207)
 @settings(max_examples=80, deadline=None, database=None)
 @given(
-    height=st.integers(0, 2**64 - 1),
+    height=st.integers(0, P - 1),
     prev_hash=st.integers(0, P - 1),
     commitment=st.integers(0, P - 1),
     target=st.integers(P >> 6, P),
@@ -197,6 +210,23 @@ class TestAddHeader:
         assert add_header(contract, rival).reason == "fork"
         assert len(contract.remote_headers) == 2
 
+    @pytest.mark.parametrize("field", ["height", "prev_hash", "state_commitment", "nonce"])
+    @pytest.mark.parametrize("offset", [P, -P])
+    def test_unreduced_field_rejected_before_hashing(self, fast_params, field, offset, monkeypatch):
+        # the alias hashes like the mined child, so only the range check stops it
+        c0 = commit([], [], fast_params)
+        headers = make_chain(fast_params, [c0, c0])
+        contract = FakeContract(fast_params, headers[0])
+        alias = dataclasses.replace(headers[1], **{field: getattr(headers[1], field) + offset})
+        hashed = []
+        monkeypatch.setattr(
+            lightclient, "header_digest", lambda h, params: hashed.append(h) or header_digest(h, params)
+        )
+        assert add_header(contract, alias).reason == "bad-encoding"
+        assert alias not in hashed
+        assert contract.remote_headers == headers[:1]
+        assert add_header(contract, headers[1]).reason == "ok"
+
     def test_target_change_rejected(self, fast_params):
         c0 = commit([], [], fast_params)
         headers = make_chain(fast_params, [c0])
@@ -259,6 +289,22 @@ class TestAddBridgeState:
         assert contract.remote_root_ticks == {10: 4, 11: 4}
         assert contract.remote_root_digests == [chain_digest([10, 11][:k], fast_params) for k in range(3)]
         assert contract.remote_exposed_digests == [0, chain_digest([77], fast_params)]
+
+    @pytest.mark.parametrize("lie", ["root", "nullifier"])
+    def test_unreduced_entry_rejected_then_honest_installs(self, fast_params, lie):
+        # r + p would open the commitment like r, be installed as itself, and
+        # make the receiver's view contradict the honest r forever
+        contract, att = self._setup(fast_params, [10, 11], [77])
+        if lie == "root":
+            lying = dataclasses.replace(att, roots=(10, 11 + P))
+        else:
+            lying = dataclasses.replace(att, nullifiers=(77 + P,))
+        assert add_bridge_state(contract, lying, now=3).reason == "bad-encoding"
+        assert contract.remote_roots == [] and contract.remote_exposed == []
+        assert contract.remote_root_ticks == {}
+        result = add_bridge_state(contract, att, now=4)
+        assert result.accepted
+        assert contract.remote_roots == [10, 11] and contract.remote_exposed == [77]
 
     def test_wrong_header_rejected(self, fast_params):
         contract, att = self._setup(fast_params, [10], [])

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bridgemix import cli, lightclient, simnet
+from bridgemix import cli, field_hash, lightclient, simnet
 from bridgemix import contract as contract_mod
 from bridgemix.field_hash import P, fe_hex, hash2, make_params
 from bridgemix.lightclient import StateAttestation, header_digest, mine_header, state_commitment_value
@@ -28,6 +28,7 @@ from bridgemix.simnet import (
     scenario_from_dict,
 )
 from bridgemix.zkrel import Statement, Witness, make_note, relation_holds, zk_prove, zk_setup
+from test_caches import cached_functions
 
 
 def base_scenario(**over):
@@ -456,6 +457,19 @@ def test_sweep_hashes_each_distinct_header_once(monkeypatch):
     mine_header.cache_clear()
     mine_header(0, 0, 1, P >> 2, make_params(8))
     assert header_digest.cache_info().currsize == 0
+
+
+def test_hash_budget_of_a_small_sweep(monkeypatch):
+    """The exact permute count of a small sweep, every cache emptied first.
+    A change that adds or removes hashing moves it, and must update it on
+    purpose."""
+    for cached in cached_functions().values():
+        cached.cache_clear()
+    calls = []
+    permute = field_hash.permute
+    monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
+    explore_races(races_demo(1), range(0, 7))
+    assert len(calls) == 2338
 
 
 def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
