@@ -37,9 +37,9 @@ empty_root = zero_subtree_roots(4, params)[-1]
 roots = [empty_root]
 nullifiers = []
 commitment = state_commitment_value(chain_digest(roots), chain_digest(nullifiers), params)
-# every header field is a field element, and a header's digest is the same
-# fold over (height, prev_hash, commitment, nonce); mining absorbs the first
-# three once, so each nonce it tries costs one permutation
+# a header's digest is hash2 of its body, hash2(prev_hash, commitment), and
+# one word packing height * 2**32 + nonce: two permutations per check.  Mining
+# absorbs the body once, so each nonce it tries costs one permutation
 genesis, genesis_digest = mine_header(0, 0, commitment, target, params)
 print("genesis digest:", fe_hex(genesis_digest))
 print("pow ok:", header_digest(genesis, params) < target)
@@ -77,8 +77,10 @@ client.remote_headers.append(genesis)
 for h in headers[1:]:
     print(f"add_header(height={h.height}):", add_header(client, h))
 
-# replays and forks are refused, as is a header with a field outside [0, p),
-# which would hash like its residue (reason bad-encoding)
+# replays and forks are refused, as is a header with a field outside its
+# range (a hash outside [0, p), a nonce outside [0, 2**32), a height that
+# would carry the packed word past p), which would hash like another header
+# (reason bad-encoding)
 print("duplicate:", add_header(client, headers[1]).reason)
 bogus, _ = mine_header(1, genesis_digest, 999, target, params)
 print("fork at height 1:", add_header(client, bogus).reason)

@@ -159,8 +159,8 @@ def contract_setup(
         raise ContractError("bad-denomination", "denomination must be positive")
     if genesis.height != 0:
         raise ContractError("bad-genesis", "genesis must have height 0")
-    if not lightclient.fields_reduced(genesis):
-        raise ContractError("bad-genesis", "genesis field out of field range")
+    if not lightclient.fields_in_range(genesis):
+        raise ContractError("bad-genesis", "genesis field out of range")
     # hashing genesis here is what lets add_header read the tip's digest
     # from header_digest's cache
     if header_digest(genesis, params.hash_params) >= genesis.work_target:

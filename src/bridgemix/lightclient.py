@@ -2,13 +2,15 @@
 
 A header commits to the source contract's public bridge state (its root list
 and the list of nullifiers it has exposed) via hash2 of the two running list
-digests.  A header's digest is hash2 folded from 0 over its four hashed
-fields, each a field element, so nothing here is hashed as bytes; a value
-outside [0, p) is rejected before it is hashed.  Relayed headers are
-accepted only if they extend the tracked chain with valid PoW; relayed state
-is accepted only if its suffixes, folded onto the receiver's digest history,
-open the referenced header's commitment and agree with what the receiver
-already knows.  Forks are rejected outright.
+digests.  A header's digest is hash2 of its body, hash2(prev_hash,
+state_commitment), and one packed word, height * 2**32 + nonce: 2 permutes,
+and nothing here is hashed as bytes.  A field outside its range (the nonce
+in [0, 2**32), the height in [0, p // 2**32), the two hashes in [0, p)) is
+rejected before it is hashed, so the packing stays injective.  Relayed
+headers are accepted only if they extend the tracked chain with valid PoW;
+relayed state is accepted only if its suffixes, folded onto the receiver's
+digest history, open the referenced header's commitment and agree with what
+the receiver already knows.  Forks are rejected outright.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ from functools import lru_cache
 from .field_hash import P, FieldElement, HashParams, hash2
 
 
-MINING_TRIES = 1 << 20
+NONCE_SPAN = 1 << 32  # a nonce is the low 32 bits of the packed (height, nonce) word
+HEIGHT_LIMIT = P // NONCE_SPAN  # heights in [0, HEIGHT_LIMIT) keep the packed word below p
+MINING_TRIES = 1 << 20  # at most NONCE_SPAN
 # at target p >> k a try succeeds with probability about 2**-k, so mining fails
 # with probability about exp(-MINING_TRIES / 2**k): e**-64 at k = MAX_POW_SHIFT
 MAX_POW_SHIFT = MINING_TRIES.bit_length() - 1 - 6
@@ -41,34 +45,39 @@ class BlockHeader:
         return 5 * 8  # five 8-byte words on the wire
 
 
-def fields_reduced(header: BlockHeader) -> bool:
-    """Whether every hashed field lies in [0, p).  hash2 reduces its inputs,
-    so an unreduced field would hash like its residue: receivers reject such
-    a header before hashing it."""
-    return all(
-        0 <= v < P for v in (header.height, header.prev_hash, header.state_commitment, header.nonce)
+def fields_in_range(header: BlockHeader) -> bool:
+    """Whether every hashed field lies in its range: prev_hash and
+    state_commitment in [0, p), height in [0, HEIGHT_LIMIT), nonce in
+    [0, NONCE_SPAN).  hash2 reduces its inputs and the packed word adds
+    height and nonce, so outside these ranges a header would hash like
+    another one ((h, n + 2**32) like (h + 1, n)): receivers reject it before
+    hashing it."""
+    return (
+        0 <= header.prev_hash < P
+        and 0 <= header.state_commitment < P
+        and 0 <= header.height < HEIGHT_LIMIT
+        and 0 <= header.nonce < NONCE_SPAN
     )
 
 
-def _midstate(
-    height: int, prev_hash: FieldElement, state_commitment: FieldElement, params: HashParams
-) -> FieldElement:
-    """The header fold up to, not including, the nonce: 3 permutes."""
-    return hash2(hash2(hash2(0, height, params), prev_hash, params), state_commitment, params)
+def _body(prev_hash: FieldElement, state_commitment: FieldElement, params: HashParams) -> FieldElement:
+    """The part of the digest a nonce search absorbs once: 1 permute."""
+    return hash2(prev_hash, state_commitment, params)
 
 
 @lru_cache(maxsize=None)
 def header_digest(header: BlockHeader, params: HashParams) -> FieldElement:
-    """hash2 folded from 0 over (height, prev_hash, state_commitment, nonce),
-    the fold the root and nullifier list digests use: 4 permutes.
+    """hash2(hash2(prev_hash, state_commitment), height * 2**32 + nonce):
+    2 permutes.  The packed word is injective on in-range fields (see
+    fields_in_range), so every field stays bound.
 
     BlockHeader is frozen, so results are cached: a receiver hashes each
     distinct header once per process, and a race sweep's interleavings
     share that hash.  In the library only the receiver's checks call it
     (contract_setup and add_header); mine_header computes its digests
-    through the midstate and never fills this cache."""
-    midstate = _midstate(header.height, header.prev_hash, header.state_commitment, params)
-    return hash2(midstate, header.nonce, params)
+    through the shared body and never fills this cache."""
+    body = _body(header.prev_hash, header.state_commitment, params)
+    return hash2(body, header.height * NONCE_SPAN + header.nonce, params)
 
 
 @lru_cache(maxsize=None)
@@ -80,15 +89,21 @@ def mine_header(
     params: HashParams,
 ) -> tuple[BlockHeader, FieldElement]:
     """Deterministic nonce search from 0; returns (header, header_digest(header))
-    and raises if the target is too hard.  The search is a pure function of
-    its arguments and BlockHeader is frozen, so results are cached: a header
-    that several runs mine (a race sweep's interleavings) is searched for once.
+    and raises MiningError if the target is too hard, or ValueError for a
+    height outside [0, HEIGHT_LIMIT), before hashing anything: such a header
+    would alias another and every receiver would reject it.  The search is a
+    pure function of its arguments and BlockHeader is frozen, so results are
+    cached: a header that several runs mine (a race sweep's interleavings) is
+    searched for once.
 
-    The midstate over the first three fields is computed once, so each try
-    costs the one permute that absorbs the nonce."""
-    midstate = _midstate(height, prev_hash, state_commitment, params)
+    The body is absorbed once, so a search costs 1 + tries permutes: each try
+    hashes the body with its packed (height, nonce) word."""
+    if not 0 <= height < HEIGHT_LIMIT:
+        raise ValueError(f"header height out of range: {height}")
+    body = _body(prev_hash, state_commitment, params)
+    packed = height * NONCE_SPAN
     for nonce in range(MINING_TRIES):
-        digest = hash2(midstate, nonce, params)
+        digest = hash2(body, packed + nonce, params)
         if digest < work_target:
             return BlockHeader(height, prev_hash, state_commitment, nonce, work_target), digest
     raise MiningError(f"no nonce below target after {MINING_TRIES} tries")
@@ -129,7 +144,7 @@ class StateResult:
 
 
 def add_header(state, header: BlockHeader) -> HeaderResult:
-    """Append a relayed header iff its fields are reduced, PoW holds, it
+    """Append a relayed header iff its fields are in range, PoW holds, it
     links, and height increments.
 
     `state` is a contract state exposing remote_headers (genesis first, from
@@ -138,7 +153,7 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
     for genesis), so the link check costs no hashing and no digest is ever
     taken from a relayer.
     """
-    if not fields_reduced(header):
+    if not fields_in_range(header):
         return HeaderResult(False, "bad-encoding")
     headers = state.remote_headers
     if header.height < len(headers):

@@ -563,8 +563,11 @@ def _note_tallies(transcript: Transcript) -> dict:
 
 def explore_races(base: Scenario, t_prime_range) -> RaceReport:
     """One run per (t', submission order); reports payouts and cancellations
-    for the adversary's note in each interleaving.  A header that several
-    interleavings mine is searched for once, through `mine_header`'s cache."""
+    for the adversary's note in each interleaving.  The prover's side is
+    shared through caches: a header that several interleavings mine is
+    searched for once (`mine_header`), and each note and proof is derived
+    once (`make_note`, `zk_prove`).  The verifiers are not: every run checks
+    each relayed header and evaluates the relation for each proof."""
     if base.adversary is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
     t_primes = list(t_prime_range)

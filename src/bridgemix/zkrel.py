@@ -14,6 +14,12 @@ unsatisfying witness is still a proof, and zk_verify rejects it.  The backend
 is complete, sound, statement-bound, and deterministic — everything the
 protocol logic relies on — but not hiding.  A hiding backend is a drop-in
 replacement behind the same three functions.
+
+The prover's side is cached: make_note, zk_setup and zk_prove are pure
+functions with frozen results, so a race sweep derives each note and each
+proof once per process.  The verifier's side (relation_holds, _binding_tag
+as zk_verify calls it, zk_verify) is not: a verifier never reads a value that
+the prover computed, and evaluates the relation in every run.
 """
 from __future__ import annotations
 
@@ -45,8 +51,10 @@ class DepositNote:
     nullifier: FieldElement
 
 
+@lru_cache(maxsize=None)
 def make_note(r: FieldElement, s: FieldElement, params: HashParams) -> DepositNote:
-    """Derive commitment H(r||s) and nullifier H(r) from the secret pair."""
+    """Derive commitment H(r||s) and nullifier H(r) from the secret pair.
+    DepositNote is frozen, so results are cached."""
     commitment = hash_bytes(encode_fe(r) + encode_fe(s), params)
     nullifier = hash_bytes(encode_fe(r), params)
     return DepositNote(r, s, commitment, nullifier)
@@ -127,10 +135,12 @@ def _binding_tag(pp: ProofParams, stmt: Statement) -> FieldElement:
     return hash_bytes(encode_fe(pp.digest) + statement_bytes(stmt), pp.hash_params)
 
 
+@lru_cache(maxsize=None)
 def zk_prove(pp: ProofParams, stmt: Statement, wit: Witness) -> Proof:
     """Bind the witness to (pp, stmt).  The relation is not evaluated here:
     zk_verify evaluates it, so a proof from an unsatisfying witness fails
-    there."""
+    there.  Proof is frozen, so results are cached: a race sweep proves
+    each (statement, witness) pair once, and every run still verifies it."""
     return Proof(wit, _binding_tag(pp, stmt))
 
 

@@ -12,9 +12,13 @@ import pkgutil
 import bridgemix
 from bridgemix.field_hash import P, make_params
 from bridgemix.lightclient import mine_header
+from bridgemix.merkle import MerklePath
+from bridgemix.zkrel import Statement, Witness, zk_setup
 
 PARAMS = make_params(8)
 HEADER, _ = mine_header(0, 0, 1, P >> 2, PARAMS)
+STATEMENT = Statement(1, 2, 3)
+WITNESS = Witness(4, 5, MerklePath(0, (6,)), 0)
 
 SAMPLE_ARGS = {
     "bridgemix.field_hash.make_params": (8,),
@@ -23,7 +27,21 @@ SAMPLE_ARGS = {
     "bridgemix.lightclient.mine_header": (0, 0, 1, P >> 2, PARAMS),
     "bridgemix.lightclient.header_digest": (HEADER, PARAMS),
     "bridgemix.zkrel.zk_setup": (3, PARAMS),
+    "bridgemix.zkrel.make_note": (4, 5, PARAMS),
+    "bridgemix.zkrel.zk_prove": (zk_setup(1, PARAMS), STATEMENT, WITNESS),
 }
+
+# the verifier's and receiver's checks: each run computes these itself, so
+# no run accepts a value that another run, or the prover, computed
+UNCACHED = (
+    "bridgemix.zkrel.zk_verify",
+    "bridgemix.zkrel.relation_holds",
+    "bridgemix.zkrel._binding_tag",
+    "bridgemix.lightclient.add_header",
+    "bridgemix.lightclient.add_bridge_state",
+    "bridgemix.lightclient._verify_opening",
+    "bridgemix.lightclient.state_commitment_value",
+)
 
 
 def cached_functions() -> dict:
@@ -42,3 +60,11 @@ def test_every_cached_function_returns_a_hashable_value():
     assert sorted(found) == sorted(SAMPLE_ARGS)
     for name, fn in found.items():
         hash(fn(*SAMPLE_ARGS[name]))
+
+
+def test_verifier_checks_are_not_cached():
+    found = cached_functions()
+    for name in UNCACHED:
+        module_name, attr = name.rsplit(".", 1)
+        assert hasattr(importlib.import_module(module_name), attr), name
+        assert name not in found, name

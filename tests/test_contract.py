@@ -141,6 +141,13 @@ class TestSetup:
             setup_one("A", alias, fast_params, 2)
         assert err.value.reason == "bad-genesis"
 
+    def test_genesis_nonce_outside_span_rejected(self, fast_params):
+        # a nonce of 2**32 packs like height 1, nonce 0
+        genesis = make_genesis(2, fast_params)
+        with pytest.raises(ContractError) as err:
+            setup_one("A", dataclasses.replace(genesis, nonce=2**32), fast_params, 2)
+        assert err.value.reason == "bad-genesis"
+
     def test_unreduced_relayed_header_rejected(self, fast_params):
         # hash2 reduces its inputs, so c + p is refused, not hashed as c
         a, b = make_pair(fast_params, h=2)

@@ -83,14 +83,23 @@ def make_chain(params, commits, target=EASY_TARGET):
 
 class TestHeaderDigest:
     def test_golden_fixed_header(self):
-        # pinned once from the hash2 fold oracle over (height, prev_hash,
-        # state_commitment, nonce)
+        # pinned once from the oracle hash2(hash2(prev_hash, state_commitment),
+        # height * 2**32 + nonce)
         header = BlockHeader(0, 0, 0, 0, P >> 2)
         params = field_hash.DEFAULT_PARAMS
-        assert header_digest(header, params) == 10471206276989745589
-        assert header_digest(header, params) == chain_digest([0, 0, 0, 0], params)
-        header = BlockHeader(3, 11, P - 1, 7, P >> 2)
-        assert header_digest(header, params) == chain_digest([3, 11, P - 1, 7], params)
+        assert header_digest(header, params) == 13919005314840334143
+        top = lightclient.HEIGHT_LIMIT - 1
+        for height, prev, commitment, nonce in ((0, 0, 0, 0), (3, 11, P - 1, 7), (top, P - 1, 5, 2**32 - 1)):
+            header = BlockHeader(height, prev, commitment, nonce, P >> 2)
+            oracle = hash2(hash2(prev, commitment, params), height * 2**32 + nonce, params)
+            assert header_digest(header, params) == oracle
+
+    def test_packed_word_stays_below_p(self):
+        assert lightclient.NONCE_SPAN == 2**32
+        assert lightclient.MINING_TRIES <= lightclient.NONCE_SPAN
+        # the highest height takes every nonce; the next would wrap past p
+        assert (lightclient.HEIGHT_LIMIT - 1) * 2**32 + 2**32 - 1 < P
+        assert lightclient.HEIGHT_LIMIT * 2**32 + 2**32 - 1 >= P
 
     def test_nonce_changes_digest(self, fast_params):
         a = BlockHeader(3, 1, 2, 0, EASY_TARGET)
@@ -108,7 +117,7 @@ class TestMining:
         assert digest == header_digest(h, fast_params) < EASY_TARGET
 
     def test_try_costs_one_permute(self, fast_params, monkeypatch):
-        # the three fields before the nonce are absorbed once per search
+        # the body (prev_hash, state_commitment) is absorbed once per search
         mine_header.cache_clear()  # a cached header would cost no permutes
         calls = []
         permute = field_hash.permute
@@ -117,7 +126,7 @@ class TestMining:
         for height in range(12):
             calls.clear()
             header, _ = mine_header(height, 17, 29, P >> 3, fast_params)
-            assert len(calls) == 3 + (header.nonce + 1)
+            assert len(calls) == 1 + (header.nonce + 1)
             nonces.append(header.nonce)
         assert max(nonces) > 1
 
@@ -127,10 +136,19 @@ class TestMining:
         permute = field_hash.permute
         monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
         header_digest(BlockHeader(5, 11, 22, 7, EASY_TARGET), fast_params)
-        assert len(calls) == 4
+        assert len(calls) == 2
         calls.clear()
         state_commitment_value(5, 6, fast_params)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("height", [-1, lightclient.HEIGHT_LIMIT, P])
+    def test_height_out_of_range_raises_before_hashing(self, fast_params, height, monkeypatch):
+        calls = []
+        permute = field_hash.permute
+        monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
+        with pytest.raises(ValueError):
+            mine_header(height, 0, 123, EASY_TARGET, fast_params)
+        assert calls == []
 
     def test_impossible_target_raises(self, fast_params, monkeypatch):
         monkeypatch.setattr(lightclient, "MINING_TRIES", 64)
@@ -141,7 +159,7 @@ class TestMining:
 @seed(7207)
 @settings(max_examples=80, deadline=None, database=None)
 @given(
-    height=st.integers(0, P - 1),
+    height=st.integers(0, lightclient.HEIGHT_LIMIT - 1),
     prev_hash=st.integers(0, P - 1),
     commitment=st.integers(0, P - 1),
     target=st.integers(P >> 6, P),
@@ -226,6 +244,34 @@ class TestAddHeader:
         assert alias not in hashed
         assert contract.remote_headers == headers[:1]
         assert add_header(contract, headers[1]).reason == "ok"
+
+    @pytest.mark.parametrize(
+        "field, value", [("nonce", 2**32), ("height", lightclient.HEIGHT_LIMIT), ("nonce", -1)]
+    )
+    def test_out_of_range_packed_field_rejected_before_hashing(self, fast_params, field, value, monkeypatch):
+        c0 = commit([], [], fast_params)
+        headers = make_chain(fast_params, [c0, c0])
+        contract = FakeContract(fast_params, headers[0])
+        hashed = []
+        monkeypatch.setattr(
+            lightclient, "header_digest", lambda h, params: hashed.append(h) or header_digest(h, params)
+        )
+        bad = dataclasses.replace(headers[1], **{field: value})
+        assert add_header(contract, bad).reason == "bad-encoding"
+        assert hashed == []
+        assert contract.remote_headers == headers[:1]
+
+    def test_nonce_carry_alias_rejected(self, fast_params, monkeypatch):
+        # (h, n + 2**32) packs to the word of (h + 1, n): the nonce range is
+        # what keeps the two apart
+        c0 = commit([], [], fast_params)
+        headers = make_chain(fast_params, [c0])
+        contract = FakeContract(fast_params, headers[0])
+        child, _ = mine_header(1, header_digest(headers[0], fast_params), c0, EASY_TARGET, fast_params)
+        alias = dataclasses.replace(child, height=0, nonce=child.nonce + 2**32)
+        assert header_digest(alias, fast_params) == header_digest(child, fast_params)
+        assert add_header(contract, alias).reason == "bad-encoding"
+        assert add_header(contract, child).reason == "ok"
 
     def test_target_change_rejected(self, fast_params):
         c0 = commit([], [], fast_params)

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bridgemix import cli, field_hash, lightclient, simnet
+from bridgemix import cli, field_hash, lightclient, simnet, zkrel
 from bridgemix import contract as contract_mod
 from bridgemix.field_hash import P, fe_hex, hash2, make_params
 from bridgemix.lightclient import StateAttestation, header_digest, mine_header, state_commitment_value
@@ -409,10 +409,9 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
     explore_races(base, range(0, t_max + 1))
     assert len(swept) == 2 * (t_max + 1)
     for sc, text in swept:
-        # the reference run mines, hashes and sets up everything itself
-        mine_header.cache_clear()
-        header_digest.cache_clear()
-        zk_setup.cache_clear()
+        # the reference run mines, hashes, derives and proves everything itself
+        for cached in cached_functions().values():
+            cached.cache_clear()
         assert text == real_run(sc, allow_negative_epsilon=True).render(), sc.name
 
 
@@ -451,7 +450,7 @@ def test_sweep_hashes_each_distinct_header_once(monkeypatch):
     second = set(calls)
     assert second & first
     assert header_digest.cache_info().misses == len(first) + len(second - first)
-    # mining computes its digests through the midstate: it never fills the
+    # mining computes its digests through the shared body: it never fills the
     # verifiers' cache, so every digest in it was hashed by a receiver
     header_digest.cache_clear()
     mine_header.cache_clear()
@@ -469,7 +468,41 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1), range(0, 7))
-    assert len(calls) == 2338
+    assert len(calls) == 1647
+
+
+def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
+    """The prover's caches make each note and proof once per process; the
+    verifier still evaluates the relation for every proof in every run."""
+    made = {"make_note": [], "zk_prove": []}
+    verified = []
+    swept = []
+    real_note, real_prove, real_run = simnet.make_note, simnet.zk_prove, simnet.run
+    real_relation = zkrel.relation_holds
+
+    def recording_run(sc, allow_negative_epsilon=False):
+        transcript = real_run(sc, allow_negative_epsilon)
+        swept.append(transcript)
+        return transcript
+
+    monkeypatch.setattr(simnet, "make_note", lambda *args: made["make_note"].append(args) or real_note(*args))
+    monkeypatch.setattr(simnet, "zk_prove", lambda *args: made["zk_prove"].append(args) or real_prove(*args))
+    monkeypatch.setattr(zkrel, "relation_holds", lambda *args: verified.append(args) or real_relation(*args))
+    monkeypatch.setattr(simnet, "run", recording_run)
+    make_note.cache_clear()
+    zk_prove.cache_clear()
+    explore_races(races_demo(1), range(0, 7))
+    for fn in (make_note, zk_prove):
+        calls = made[fn.__name__]
+        assert fn.cache_info().misses == len(set(calls)) < len(calls), fn.__name__
+    reached = sum(
+        1
+        for transcript in swept
+        for e in transcript.events
+        if e.kind == "withdraw-submitted"
+        or (e.kind == "withdraw-rejected" and e.get("reason") == "invalid-proof")
+    )
+    assert len(swept) == 14 and len(verified) == reached > len(set(made["zk_prove"]))
 
 
 def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
