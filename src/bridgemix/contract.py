@@ -6,10 +6,15 @@ One instance per chain.  The timing discipline is the heart of the protocol:
 a withdrawal's nullifier becomes public at *submission*, the payout waits
 relay_delay + epsilon ticks, and a relayed duplicate of a locally exposed
 nullifier cancels the pending payout and burns the nullifier for good.
+
+The per-tick invariants cost O(news), not O(history): besides its O(1)
+checks, check_contract_invariants reads only the withdrawals queued or
+finalized since its last call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import lightclient, zkrel
 from .field_hash import FieldElement, HashParams, P, fe_hex, hash2
@@ -112,6 +117,13 @@ class ContractState:
     # exposed in; finalize_cursor is past every one already due
     pending_withdrawals: list = field(default_factory=list)
     finalize_cursor: int = 0
+    # check_contract_invariants' progress through pending_withdrawals: every
+    # entry before checked_exposures has a known nullifier, and each entry
+    # before checked_payouts that was finalized has its nullifier, once, in
+    # paid_nullifiers
+    checked_exposures: int = 0
+    checked_payouts: int = 0
+    paid_nullifiers: set = field(default_factory=set)
     commitments: set = field(default_factory=set)
     credits: dict = field(default_factory=dict)
     # lock-time incentive bookkeeping (governance tokens, separate supply)
@@ -133,6 +145,16 @@ def _recommit(state: ContractState):
     state.state_commitment = lightclient.state_commitment_value(
         state.local_root_digest, state.exposed_digest, state.hash_params
     )
+
+
+@lru_cache(maxsize=None)
+def empty_state_digests(empty_root: FieldElement, params: HashParams) -> tuple:
+    """(local_root_digest, state_commitment) of a contract whose root list is
+    the empty root alone and which exposed no nullifier.  Both contracts and
+    the genesis header they share commit to it, so results are cached: a
+    run, and a race sweep, hashes it once per process."""
+    roots_digest = hash2(0, empty_root, params)
+    return roots_digest, lightclient.state_commitment_value(roots_digest, 0, params)
 
 
 def contract_setup(
@@ -169,8 +191,9 @@ def contract_setup(
     state = ContractState(chain_id, denomination, epsilon, relay_delay, native, tree, params, events)
     empty_root = tree.root
     state.local_roots[empty_root] = now
-    state.local_root_digest = hash2(0, empty_root, params.hash_params)
-    _recommit(state)
+    state.local_root_digest, state.state_commitment = empty_state_digests(
+        empty_root, params.hash_params
+    )
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
     state.remote_root_ticks[empty_root] = now
@@ -353,17 +376,33 @@ def conservation_holds(states) -> bool:
 
 def check_contract_invariants(state: ContractState):
     """Checks the simulator runs after every tick.  A broken one raises
-    ContractError("invariant") naming the invariant and the values compared."""
+    ContractError("invariant") naming the invariant and the values compared.
+
+    The balance and relayed-root checks are O(1).  "Exposed nullifiers
+    known" reads only the entries queued since the last call: no nullifier
+    is ever removed, so one found known stays known.  "One payout per
+    nullifier" reads only the entries process_tick moved finalize_cursor
+    past since the last call, against paid_nullifiers: only process_tick
+    finalizes, and never behind its cursor, so every earlier payout is in
+    that set.  Over a run each entry is read twice.  The counts in a message
+    are those of the whole queue, since every earlier call passed; the
+    cursors move only when every check passes, so a broken state keeps
+    raising."""
     roots, digests = len(state.remote_roots), len(state.remote_root_digests)
-    # one walk of the queue, which lists every exposed nullifier and every payout
+    queue = state.pending_withdrawals
     known = state.nullifiers
-    unknown, paid = [], []
-    for pw in state.pending_withdrawals:
-        sn = pw.statement.nullifier
-        if sn not in known:
-            unknown.append(sn)
-        if pw.status == FINALIZED:
-            paid.append(sn)
+    unknown = [
+        pw.statement.nullifier
+        for pw in queue[state.checked_exposures :]
+        if pw.statement.nullifier not in known
+    ]
+    paid = state.paid_nullifiers
+    new_paid = [
+        pw.statement.nullifier
+        for pw in queue[state.checked_payouts : state.finalize_cursor]
+        if pw.status == FINALIZED
+    ]
+    fresh = set(new_paid) - paid
     if state.balance < 0:
         broken = f"balance >= 0, but balance = {state.balance}"
     elif roots != len(state.remote_root_ticks):
@@ -372,8 +411,12 @@ def check_contract_invariants(state: ContractState):
         broken = f"one digest per remote root prefix, but {digests} for {roots} roots"
     elif unknown:
         broken = f"exposed nullifiers known, but {len(unknown)} unknown, first {fe_hex(unknown[0])}"
-    elif len(set(paid)) != len(paid):
-        broken = f"one payout per nullifier, but {len(paid)} payouts for {len(set(paid))} nullifiers"
+    elif len(fresh) != len(new_paid):
+        payouts, nullifiers = len(paid) + len(new_paid), len(paid) + len(fresh)
+        broken = f"one payout per nullifier, but {payouts} payouts for {nullifiers} nullifiers"
     else:
+        state.checked_exposures = len(queue)
+        state.checked_payouts = state.finalize_cursor
+        paid.update(fresh)
         return
     raise ContractError("invariant", f"{state.chain_id} invariant broken: {broken}")

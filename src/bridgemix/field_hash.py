@@ -1,7 +1,7 @@
 """Prime-field arithmetic and a permutation-based hash family.
 
 Everything above this layer — merkle nodes, note commitments, nullifiers,
-block headers, state commitments — reduces to `hash2` / `hash_bytes` over a
+block headers, state commitments — reduces to `hash2` / `absorb` over a
 fixed 64-bit prime field.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ P = 2**64 - 2**32 + 1
 FieldElement = int
 
 ENCODED_SIZE = 8  # canonical encoding: 8-byte little-endian
-_CHUNK_SIZE = 7   # any 7-byte chunk is < P, so absorption needs no rejection
+CHUNK_SIZE = 7   # any 7-byte chunk is < P, so absorption needs no rejection
 
 EXPONENT = 7  # permute raises to this power; params_digest records it
 DEFAULT_ROUNDS = 64
@@ -97,13 +97,19 @@ def hash2(a: FieldElement, b: FieldElement, params: HashParams) -> FieldElement:
     return (permute(a, b, params) + a + b) % P
 
 
-def hash_bytes(data: bytes, params: HashParams) -> FieldElement:
-    """Absorb 7-byte little-endian chunks via state <- hash2(state, chunk)."""
-    state = 0
-    for i in range(0, len(data), _CHUNK_SIZE):
-        chunk = int.from_bytes(data[i : i + _CHUNK_SIZE], "little")
+def absorb(state: FieldElement, data: bytes, params: HashParams) -> FieldElement:
+    """Absorb 7-byte little-endian chunks into `state` via state <- hash2(state,
+    chunk): one permute per chunk.  Two inputs that share a prefix of whole
+    chunks can absorb it once and continue from the state it leaves."""
+    for i in range(0, len(data), CHUNK_SIZE):
+        chunk = int.from_bytes(data[i : i + CHUNK_SIZE], "little")
         state = hash2(state, chunk, params)
     return state
+
+
+def hash_bytes(data: bytes, params: HashParams) -> FieldElement:
+    """Absorb `data` from state 0."""
+    return absorb(0, data, params)
 
 
 @functools.lru_cache(maxsize=None)

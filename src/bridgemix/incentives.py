@@ -156,65 +156,3 @@ def vampire_metrics(transcript) -> LiquiditySeries:
             )
         )
     return LiquiditySeries(LIQUIDITY_COLUMNS, rows)
-
-
-def build_vampire_scenario(
-    *,
-    seed: int = 7,
-    agents: int = 6,
-    horizon: int = 60,
-    rate_a: int = 1,
-    rate_b: int = 3,
-    min_lock: int = 5,
-    switch_at: int = 20,
-    relay_delay: int = 2,
-    epsilon: int = 1,
-    hash_rounds: int = 8,
-) -> "simnet.Scenario":
-    """Scenario where reward-seeking depositors on chain A face a competing
-    mixer on chain B paying ``rate_b``.
-
-    Each agent deposits on A early, harvests A rewards just before
-    ``switch_at``, then applies one deterministic rule: move to B when the
-    extra B rewards beat the age forfeited while relocking, stay otherwise.
-    With rate_b == rate_a nobody moves (the relock downtime always loses);
-    with rate_b sufficiently above rate_a everyone does.
-    """
-    from .simnet import RelayerSpec, Scenario, SimEvent  # late: simnet imports this module
-
-    if agents < 1 or agents > 12:
-        raise ValueError("agents must be in [1, 12]")
-    claim_a_at = switch_at - 1
-    arrival_b = switch_at + relay_delay + epsilon + 1  # A-side payout lands, relock on B
-    claim_last_at = horizon - 2
-    if claim_a_at - (agents - 1) < min_lock or claim_last_at - arrival_b < min_lock:
-        raise ValueError("horizon too short for the claim schedule")
-    events = [SimEvent(i, "A", "deposit", f"agent{i}") for i in range(agents)]
-    for i in range(agents):
-        agent = f"agent{i}"
-        events.append(SimEvent(claim_a_at, "A", "incentive_claim", agent, claimant=agent))
-    for i in range(agents):
-        agent = f"agent{i}"
-        dep_at = i
-        gain_stay = rate_a * (claim_last_at - dep_at)
-        gain_move = rate_a * (claim_a_at - dep_at) + rate_b * (claim_last_at - arrival_b)
-        if gain_move > gain_stay:
-            events.append(SimEvent(switch_at, "A", "submit_withdrawal", agent, recipient=agent))
-            events.append(SimEvent(arrival_b, "B", "deposit", f"{agent}-b"))
-            events.append(
-                SimEvent(claim_last_at, "B", "incentive_claim", f"{agent}-b", claimant=agent)
-            )
-        else:
-            events.append(SimEvent(claim_last_at, "A", "incentive_claim", agent, claimant=agent))
-    events.sort(key=lambda e: e.at)
-    return Scenario(
-        seed=seed,
-        horizon=horizon,
-        relay_delay=relay_delay,
-        epsilon=epsilon,
-        hash_rounds=hash_rounds,
-        name=f"vampire-ra{rate_a}-rb{rate_b}",
-        relayers=(RelayerSpec("relayer0", relay_delay),),
-        events=tuple(events),
-        rewards=(("A", RewardSpec(rate_a, min_lock)), ("B", RewardSpec(rate_b, min_lock))),
-    )

@@ -22,14 +22,9 @@ from dataclasses import dataclass
 from . import contract as contract_mod
 from . import incentives as incentives_mod
 from .contract import ContractError, ContractState
-from .field_hash import FieldElement, P, fe_hex, hash2, make_params
+from .field_hash import FieldElement, P, fe_hex, make_params
 from .incentives import RewardSpec
-from .lightclient import (
-    MAX_POW_SHIFT,
-    StateAttestation,
-    mine_header,
-    state_commitment_value,
-)
+from .lightclient import MAX_POW_SHIFT, StateAttestation, mine_header
 from .merkle import mt_path, zero_subtree_roots
 from .zkrel import (
     DepositNote,
@@ -252,9 +247,7 @@ class _Engine:
         # both chains share tree shape, so both genesis headers commit the
         # same empty state; mine one header and install it on both sides
         empty_root = zero_subtree_roots(scenario.tree_height, self.params)[-1]
-        initial_commitment = state_commitment_value(
-            hash2(0, empty_root, self.params), 0, self.params
-        )
+        _, initial_commitment = contract_mod.empty_state_digests(empty_root, self.params)
         genesis, genesis_digest = mine_header(0, 0, initial_commitment, self.target, self.params)
         # one circuit for the shared tree height: every proof and both contracts use it
         self.proof_params = zk_setup(scenario.tree_height, self.params)

@@ -15,18 +15,26 @@ is complete, sound, statement-bound, and deterministic — everything the
 protocol logic relies on — but not hiding.  A hiding backend is a drop-in
 replacement behind the same three functions.
 
+Shared absorb prefixes are hashed once.  A note's commitment and nullifier
+both start with the first 7-byte chunk of enc(r), so note_hashes absorbs it
+once: 4 permutes for the pair, not 5.  Every binding tag starts with the
+first chunk of enc(pp.digest), so zk_setup absorbs it into
+ProofParams.tag_state and each tag continues from there: 4 permutes, not 5.
+Every value is the one the plain byte absorber computes.
+
 The prover's side is cached: make_note, zk_setup and zk_prove are pure
 functions with frozen results, so a race sweep derives each note and each
-proof once per process.  The verifier's side (relation_holds, _binding_tag
-as zk_verify calls it, zk_verify) is not: a verifier never reads a value that
-the prover computed, and evaluates the relation in every run.
+proof once per process.  The verifier's side (relation_holds, note_hashes and
+_binding_tag as zk_verify calls them, zk_verify) is not: a verifier never
+reads a value that the prover computed, and evaluates the relation in every
+run: 8 + height permutes per zk_verify.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field_hash import FieldElement, HashParams, P, encode_fe, hash_bytes, params_digest
+from .field_hash import CHUNK_SIZE, FieldElement, HashParams, P, absorb, encode_fe, hash_bytes, params_digest
 from .merkle import MAX_HEIGHT, MerklePath, mt_verify
 
 
@@ -51,13 +59,21 @@ class DepositNote:
     nullifier: FieldElement
 
 
+def note_hashes(r: FieldElement, s: FieldElement, params: HashParams) -> tuple:
+    """(commitment H(enc(r) || enc(s)), nullifier H(enc(r))): the first chunk
+    of enc(r), which both absorb, is absorbed once, so the pair costs 4
+    permutes.  Not cached: relation_holds recomputes both in every run."""
+    r_bytes = encode_fe(r)
+    head = absorb(0, r_bytes[:CHUNK_SIZE], params)
+    rest = r_bytes[CHUNK_SIZE:]
+    return absorb(head, rest + encode_fe(s), params), absorb(head, rest, params)
+
+
 @lru_cache(maxsize=None)
 def make_note(r: FieldElement, s: FieldElement, params: HashParams) -> DepositNote:
     """Derive commitment H(r||s) and nullifier H(r) from the secret pair.
     DepositNote is frozen, so results are cached."""
-    commitment = hash_bytes(encode_fe(r) + encode_fe(s), params)
-    nullifier = hash_bytes(encode_fe(r), params)
-    return DepositNote(r, s, commitment, nullifier)
+    return DepositNote(r, s, *note_hashes(r, s, params))
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,9 @@ class ProofParams:
     height: int
     hash_params: HashParams
     digest: FieldElement
+    # absorb state after the first chunk of enc(digest), which every binding
+    # tag starts with
+    tag_state: FieldElement
 
 
 @lru_cache(maxsize=None)
@@ -108,11 +127,13 @@ def zk_setup(height: int, hash_params: HashParams) -> ProofParams:
         + _LEVEL_WORD
         + encode_fe(params_digest(hash_params))
     )
+    digest = hash_bytes(blob, hash_params)
     return ProofParams(
         circuit_id=circuit_id,
         height=height,
         hash_params=hash_params,
-        digest=hash_bytes(blob, hash_params),
+        digest=digest,
+        tag_state=absorb(0, encode_fe(digest)[:CHUNK_SIZE], hash_params),
     )
 
 
@@ -122,17 +143,19 @@ def relation_holds(pp: ProofParams, stmt: Statement, wit: Witness) -> bool:
         return False
     if len(wit.path.siblings) != pp.height:
         return False
-    if stmt.nullifier != hash_bytes(encode_fe(wit.r), pp.hash_params):
+    commitment, nullifier = note_hashes(wit.r, wit.s, pp.hash_params)
+    if stmt.nullifier != nullifier:
         return False
-    commitment = hash_bytes(encode_fe(wit.r) + encode_fe(wit.s), pp.hash_params)
     root = stmt.root_b if wit.tree_selector else stmt.root_a
     return mt_verify(commitment, wit.path, root, pp.hash_params)
 
 
 def _binding_tag(pp: ProofParams, stmt: Statement) -> FieldElement:
     # Bind the proof to the exact (params, statement) pair; without this the
-    # unselected root would be free to vary.
-    return hash_bytes(encode_fe(pp.digest) + statement_bytes(stmt), pp.hash_params)
+    # unselected root would be free to vary.  This is hash_bytes of
+    # enc(pp.digest) || statement_bytes(stmt), continued from pp.tag_state.
+    tail = encode_fe(pp.digest)[CHUNK_SIZE:] + statement_bytes(stmt)
+    return absorb(pp.tag_state, tail, pp.hash_params)
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ SAMPLE_ARGS = {
     "bridgemix.merkle.zero_subtree_roots": (3, PARAMS),
     "bridgemix.lightclient.mine_header": (0, 0, 1, P >> 2, PARAMS),
     "bridgemix.lightclient.header_digest": (HEADER, PARAMS),
+    "bridgemix.contract.empty_state_digests": (7, PARAMS),
     "bridgemix.zkrel.zk_setup": (3, PARAMS),
     "bridgemix.zkrel.make_note": (4, 5, PARAMS),
     "bridgemix.zkrel.zk_prove": (zk_setup(1, PARAMS), STATEMENT, WITNESS),
@@ -36,6 +37,7 @@ SAMPLE_ARGS = {
 UNCACHED = (
     "bridgemix.zkrel.zk_verify",
     "bridgemix.zkrel.relation_holds",
+    "bridgemix.zkrel.note_hashes",
     "bridgemix.zkrel._binding_tag",
     "bridgemix.lightclient.add_header",
     "bridgemix.lightclient.add_bridge_state",

@@ -31,6 +31,7 @@ from bridgemix.lightclient import (
 )
 from bridgemix.merkle import mt_path, mt_setup
 from bridgemix.zkrel import Statement, Witness, make_note, zk_prove, zk_setup
+from invariant_oracle import full_rescan, outcome
 
 EASY_TARGET = P >> 2
 DENOM = 10
@@ -447,6 +448,9 @@ class TestInvariantHelpers:
             check_contract_invariants(a)
         assert err.value.reason == "invariant"
         assert str(err.value) == f"A invariant broken: {message}"
+        # the full rescan says the same, and the news stays unchecked, so a
+        # second call raises again
+        assert outcome(full_rescan, a) == outcome(check_contract_invariants, a) == str(err.value)
 
     def test_second_payout_of_a_nullifier_raises(self, fast_params):
         a, b = make_pair(fast_params)
@@ -456,9 +460,16 @@ class TestInvariantHelpers:
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "gina", now=2)
         process_tick(b, 5)
-        b.pending_withdrawals.append(dataclasses.replace(b.pending_withdrawals[0]))
+        check_contract_invariants(b)
+        # a second queue entry for the nullifier, which submit_withdrawal
+        # refuses as nullifier-known, and process_tick pays it a tick later:
+        # the check remembers the first payout across calls
+        b.pending_withdrawals.append(dataclasses.replace(b.pending_withdrawals[0], status=PENDING))
+        (second,) = process_tick(b, 6)
+        assert second.get("nullifier") == stmt.nullifier
         with pytest.raises(ContractError, match="one payout per nullifier, but 2 payouts for 1 nullifiers"):
             check_contract_invariants(b)
+        assert outcome(full_rescan, b) == outcome(check_contract_invariants, b)
 
     def test_invariants_are_checked_under_python_O(self):
         # `assert` statements vanish under -O; the checks must not

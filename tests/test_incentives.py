@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,13 +10,25 @@ from bridgemix.incentives import (
     LIQUIDITY_COLUMNS,
     RewardClaim,
     RewardSpec,
-    build_vampire_scenario,
     claim_reward,
     vampire_metrics,
 )
 from bridgemix.merkle import mt_path
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
 from bridgemix.zkrel import Statement, Witness, zk_prove
+
+DEMO_08 = Path(__file__).resolve().parent.parent / "demos" / "08_vampire_incentives.py"
+
+
+@pytest.fixture(scope="module")
+def build_vampire_scenario():
+    """The demo's scenario builder, the one source of the vampire scenario."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)  # leave demos/ as it is
+        spec = importlib.util.spec_from_file_location("vampire_demo", DEMO_08)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.vampire_scenario
 
 
 def scenario_state(events, horizon=10, rate=3, min_lock=5):
@@ -170,7 +185,7 @@ def test_reward_conservation_over_random_claims(fast_params):
     assert all(age >= cfg.min_lock for age in a.reward_ages.values())
 
 
-def test_vampire_symmetric_rates_nobody_moves():
+def test_vampire_symmetric_rates_nobody_moves(build_vampire_scenario):
     sc = build_vampire_scenario(rate_a=2, rate_b=2)
     series = vampire_metrics(run(sc))
     final = series.final()
@@ -181,7 +196,7 @@ def test_vampire_symmetric_rates_nobody_moves():
     assert final["locked_a"] == series.summary()["peak_locked_a"]
 
 
-def test_vampire_higher_foreign_rate_drains_the_pool():
+def test_vampire_higher_foreign_rate_drains_the_pool(build_vampire_scenario):
     sc = build_vampire_scenario(rate_a=1, rate_b=3)
     t = run(sc)
     series = vampire_metrics(t)
@@ -195,7 +210,7 @@ def test_vampire_higher_foreign_rate_drains_the_pool():
     assert t.contracts["A"].balance == 0
 
 
-def test_vampire_metrics_track_transcript_not_secrets():
+def test_vampire_metrics_track_transcript_not_secrets(build_vampire_scenario):
     sc = build_vampire_scenario(rate_a=1, rate_b=3, agents=3)
     t1, t2 = run(sc), run(sc)
     assert vampire_metrics(t1).rows == vampire_metrics(t2).rows

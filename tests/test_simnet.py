@@ -28,6 +28,7 @@ from bridgemix.simnet import (
     scenario_from_dict,
 )
 from bridgemix.zkrel import Statement, Witness, make_note, relation_holds, zk_prove, zk_setup
+from invariant_oracle import full_rescan, outcome, paid_by_rescan
 from test_caches import cached_functions
 
 
@@ -468,7 +469,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1), range(0, 7))
-    assert len(calls) == 1647
+    assert len(calls) == 1497
 
 
 def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
@@ -895,3 +896,92 @@ def test_root_tick_maps_follow_the_root_lists_after_every_tick(monkeypatch):
         assert checks == [now for now in range(sc.horizon) for _ in "AB"]
         if sc.rewards:
             assert kinds(t, "reward-claimed")  # the claim read both maps
+
+
+def test_incremental_invariants_agree_with_the_full_rescan_after_every_tick(monkeypatch):
+    # the per-tick check reads only the news; the oracle walks the whole
+    # queue, and after every tick both pass and agree on the paid set (the
+    # tamper tests in test_contract.py compare their messages)
+    real_check = contract_mod.check_contract_invariants
+    checks = []
+
+    def check_both(state):
+        assert outcome(full_rescan, state) is None
+        real_check(state)
+        assert state.paid_nullifiers == paid_by_rescan(state)
+        checks.append(state.chain_id)
+
+    monkeypatch.setattr(contract_mod, "check_contract_invariants", check_both)
+    demos = [demo_scenario(path) for path in sorted(DEMO_SCENARIOS.glob("*.yaml"))]
+    paid = 0
+    for sc in (*per_tick_scenarios(), *demos):
+        checks.clear()
+        t = run(sc, allow_negative_epsilon=True)
+        assert len(checks) == 2 * sc.horizon
+        paid += len(kinds(t, "withdraw-finalized"))
+    assert paid > 0
+
+
+class CountingQueue(list):
+    """A withdrawal queue that counts the entries read while `counting`."""
+
+    def __init__(self):
+        super().__init__()
+        self.counting = False
+        self.visits = 0
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        if self.counting:
+            self.visits += len(got) if isinstance(index, slice) else 1
+        return got
+
+    def __iter__(self):
+        if self.counting:
+            self.visits += len(self)
+        return super().__iter__()
+
+
+def queue_visits(monkeypatch, check, scenarios):
+    """(entries `check` read, 2 x withdrawals queued) summed over a run of
+    each scenario, with `check` as the per-tick invariant check."""
+    queues = []
+    real_setup = contract_mod.contract_setup
+
+    def counting_setup(*args, **kwargs):
+        state = real_setup(*args, **kwargs)
+        state.pending_withdrawals = CountingQueue()
+        queues.append(state.pending_withdrawals)
+        return state
+
+    def counting_check(state):
+        state.pending_withdrawals.counting = True
+        try:
+            check(state)
+        finally:
+            state.pending_withdrawals.counting = False
+
+    monkeypatch.setattr(contract_mod, "contract_setup", counting_setup)
+    monkeypatch.setattr(contract_mod, "check_contract_invariants", counting_check)
+    for sc in scenarios:
+        run(sc, allow_negative_epsilon=True)
+    return sum(q.visits for q in queues), 2 * sum(len(q) for q in queues)
+
+
+def test_invariant_check_reads_each_queue_entry_at_most_twice(monkeypatch):
+    # once when it is queued ("exposed nullifiers known") and once when
+    # process_tick moves past it ("one payout per nullifier"), however many
+    # ticks the run has; the full rescan reads the whole queue every tick
+    scenarios = [*per_tick_scenarios(), *map(demo_scenario, sorted(DEMO_SCENARIOS.glob("*.yaml")))]
+    visits, bound = queue_visits(monkeypatch, contract_mod.check_contract_invariants, scenarios)
+    assert 0 < visits <= bound
+    rescan_visits, _ = queue_visits(monkeypatch, full_rescan, scenarios)
+    assert rescan_visits > 5 * bound
+
+
+def test_the_empty_state_is_hashed_once_per_process():
+    # the engine's genesis and both contracts commit to the same empty state
+    contract_mod.empty_state_digests.cache_clear()
+    explore_races(races_demo(1), range(0, 3))
+    info = contract_mod.empty_state_digests.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * 2 * 3 - 1)  # 6 runs, 3 reads each

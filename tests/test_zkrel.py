@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from bridgemix import field_hash
 from bridgemix.field_hash import P, encode_fe, fe_hex, hash_bytes, make_params
 from bridgemix.merkle import MAX_HEIGHT, MerklePath, mt_add, mt_path, mt_setup
 from bridgemix.zkrel import (
     Statement,
     UnknownCircuitError,
     Witness,
+    _binding_tag,
     make_note,
+    note_hashes,
     relation_holds,
     statement_bytes,
     zk_prove,
@@ -235,3 +238,47 @@ class TestNote:
         note = make_note(5, 6, fast_params)
         assert note.commitment == hash_bytes(encode_fe(5) + encode_fe(6), fast_params)
         assert note.nullifier == hash_bytes(encode_fe(5), fast_params)
+
+    def test_shared_prefixes_hash_like_the_plain_absorber(self, fast_params):
+        # note_hashes and the binding tag each start from a state that
+        # absorbed a shared first chunk; the values are the plain ones
+        rng = random.Random(16)
+        edges = [(0, 0), (P - 1, P - 1), (2**56 - 1, 2**56)]
+        for r, s in edges + [(rng.randrange(P), rng.randrange(P)) for _ in range(40)]:
+            assert note_hashes(r, s, fast_params) == (
+                hash_bytes(encode_fe(r) + encode_fe(s), fast_params),
+                hash_bytes(encode_fe(r), fast_params),
+            )
+        for height in (1, 4, MAX_HEIGHT):
+            pp = zk_setup(height, fast_params)
+            for _ in range(10):
+                stmt = Statement(rng.randrange(P), rng.randrange(P), rng.randrange(P))
+                blob = encode_fe(pp.digest) + statement_bytes(stmt)
+                assert _binding_tag(pp, stmt) == hash_bytes(blob, fast_params)
+
+
+@pytest.fixture
+def permutes(monkeypatch):
+    calls = []
+    permute = field_hash.permute
+    monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
+    return calls
+
+
+class TestHashCosts:
+    def test_note_costs_four_permutes(self, fast_params, permutes):
+        make_note.cache_clear()  # a cached note would cost no permutes
+        make_note(5, 6, fast_params)
+        assert len(permutes) == 4
+
+    @pytest.mark.parametrize("height", [1, 3, 8])
+    def test_verify_costs_eight_plus_height(self, fast_params, height, permutes):
+        # binding tag 4, note hashes 4, merkle path `height`, in every call
+        pp = zk_setup(height, fast_params)
+        tree_a, tree_b, note, index = two_trees_with_note(random.Random(height), height, fast_params, 0)
+        stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
+        proof = zk_prove(pp, stmt, Witness(note.r, note.s, mt_path(tree_a, index), 0))
+        permutes.clear()
+        for _ in range(2):
+            assert zk_verify(pp, stmt, proof) is True
+        assert len(permutes) == 2 * (8 + height)
