@@ -78,6 +78,14 @@ def _write_report(out_dir: Path, name: str, lines, summary: dict) -> Path:
     return path
 
 
+def _write_transcript(path: Path, transcript) -> None:
+    """Write Transcript.render()'s text line by line: a long history is never
+    held as one string."""
+    with path.open("w", encoding="utf-8") as out:
+        for e in transcript.events:
+            out.write(e.to_line() + "\n")
+
+
 def _payout_lines(transcript) -> tuple:
     rows = simnet.payout_table(transcript)
     lines = [f"{'nullifier':>16} {'payouts':>8} {'cancels':>8} {'rejected':>9}"]
@@ -108,11 +116,11 @@ def cmd_run(config: RunConfig) -> int:
     except simnet.SimInvariantError as err:
         # dump what happened up to the failing tick so it can be debugged
         dump = out_dir / "transcript-failure.txt"
-        dump.write_text(err.transcript.render(), encoding="utf-8")
+        _write_transcript(dump, err.transcript)
         _fail(f"invariant violation: {err} (partial transcript in {dump})")
         return EXIT_INVARIANT
     if "transcript" in config.reports:
-        (out_dir / "transcript.txt").write_text(transcript.render(), encoding="utf-8")
+        _write_transcript(out_dir / "transcript.txt", transcript)
     if "races" in config.reports:
         lines, summary = _payout_lines(transcript)
         _write_report(out_dir, "races", lines, summary)

@@ -37,10 +37,11 @@ class ContractError(Exception):
 FE_KEYS = frozenset({"empty_root", "commitment", "new_root", "root_a", "root_b", "nullifier"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One line of the public transcript.  `fields` holds (key, value) pairs with
-    typed values: ints for field elements and counts, strs for ids and reasons."""
+    typed values: ints for field elements and counts, strs for ids and reasons.
+    Slotted: a run holds one per event, thousands on a long history."""
 
     tick: int
     chain: str

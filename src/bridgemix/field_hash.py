@@ -31,16 +31,6 @@ def encode_fe(x: FieldElement) -> bytes:
     return x.to_bytes(ENCODED_SIZE, "little")
 
 
-def decode_fe(data: bytes) -> FieldElement:
-    """Inverse of encode_fe; rejects wrong lengths and non-canonical values."""
-    if len(data) != ENCODED_SIZE:
-        raise ValueError(f"expected {ENCODED_SIZE} bytes, got {len(data)}")
-    x = int.from_bytes(data, "little")
-    if x >= P:
-        raise ValueError(f"non-canonical encoding: {x} >= p")
-    return x
-
-
 def fe_hex(x: FieldElement) -> str:
     """Hex form of the canonical encoding, as used in text transcripts."""
     return encode_fe(x).hex()
@@ -51,7 +41,9 @@ class HashParams:
     """Parameters of the round permutation.
 
     The protocol's correctness is independent of `rounds`; tests that grind
-    through millions of hashes use reduced-round instances.
+    through millions of hashes use reduced-round instances.  Every cache
+    keyed by params hashes them on each lookup, so the hash of the constants
+    is computed once, at construction.
     """
 
     rounds: int = DEFAULT_ROUNDS
@@ -68,6 +60,10 @@ class HashParams:
             raise ValueError("round constant out of field range")
         if self.round_constants[0] != 0:
             raise ValueError("round_constants[0] must be 0")
+        object.__setattr__(self, "_hash", hash((self.rounds, self.round_constants)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def zero_constant_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:

@@ -122,28 +122,19 @@ class LiquiditySeries:
 
 def vampire_metrics(transcript) -> LiquiditySeries:
     """Per-tick locked value, wrapped supply, and cumulative rewards per chain,
-    reconstructed purely from the public event transcript."""
+    reconstructed purely from the public event transcript in one pass.  The
+    engine appends events in tick order, so an event at tick t completes every
+    tick before t."""
     scenario = transcript.scenario
     denom = scenario.denomination
     native = scenario.native_chain
+    horizon = scenario.horizon
     locked = {"A": 0, "B": 0}
     wrapped = {"A": 0, "B": 0}
     rewards = {"A": 0, "B": 0}
-    by_tick: dict = {}
-    for e in transcript.events:
-        by_tick.setdefault(e.tick, []).append(e)
     rows = []
-    for tick in range(scenario.horizon):
-        for e in by_tick.get(tick, ()):
-            if e.kind == "deposit":
-                locked[e.chain] += denom
-            elif e.kind == "withdraw-finalized":
-                if e.chain == native:
-                    locked[e.chain] -= denom
-                else:
-                    wrapped[e.chain] += denom
-            elif e.kind == "reward-claimed":
-                rewards[e.chain] += e.get("amount")
+
+    def close(tick):
         rows.append(
             (
                 tick,
@@ -155,4 +146,22 @@ def vampire_metrics(transcript) -> LiquiditySeries:
                 rewards["B"],
             )
         )
+
+    tick = 0  # every tick before this one has its row
+    for e in transcript.events:
+        while tick < e.tick and tick < horizon:
+            close(tick)
+            tick += 1
+        if e.kind == "deposit":
+            locked[e.chain] += denom
+        elif e.kind == "withdraw-finalized":
+            if e.chain == native:
+                locked[e.chain] -= denom
+            else:
+                wrapped[e.chain] += denom
+        elif e.kind == "reward-claimed":
+            rewards[e.chain] += e.get("amount")
+    while tick < horizon:
+        close(tick)
+        tick += 1
     return LiquiditySeries(LIQUIDITY_COLUMNS, rows)

@@ -32,7 +32,7 @@ class MiningError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     height: int
     prev_hash: FieldElement

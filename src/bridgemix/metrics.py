@@ -20,32 +20,32 @@ class MetricsError(ValueError):
 FE_BYTES = 8
 HEADER_BYTES = BlockHeader.encoded_size()
 
-_WITHDRAW_KINDS = (
+_WITHDRAW_KINDS = frozenset({
     "withdraw-submitted",
     "withdraw-finalized",
     "withdraw-cancelled",
     "withdraw-rejected",
-)
+})
 
 
-def _root_leaf_counts(transcript) -> dict:
-    """Per chain, map root -> number of deposits it commits to."""
+def _walk(transcript) -> tuple:
+    """One pass over the log: per chain, root -> number of deposits it commits
+    to; wid -> (chain, root_a, root_b) from its first withdraw-submitted event;
+    and (wid, chain) of each withdraw-finalized event, in log order."""
     counts = {"A": {}, "B": {}}
-    for e in transcript.events:
-        if e.kind == "setup":
-            counts[e.chain][e.get("empty_root")] = 0
-        elif e.kind == "deposit":
-            counts[e.chain][e.get("new_root")] = e.get("index") + 1
-    return counts
-
-
-def _submissions(transcript) -> dict:
-    """Map wid -> (chain, root_a, root_b) from its first withdraw-submitted event."""
     subs = {}
+    finalized = []
     for e in transcript.events:
-        if e.kind == "withdraw-submitted":
+        kind = e.kind
+        if kind == "deposit":
+            counts[e.chain][e.get("new_root")] = e.get("index") + 1
+        elif kind == "withdraw-submitted":
             subs.setdefault(e.get("wid"), (e.chain, e.get("root_a"), e.get("root_b")))
-    return subs
+        elif kind == "withdraw-finalized":
+            finalized.append((e.get("wid"), e.chain))
+        elif kind == "setup":
+            counts[e.chain][e.get("empty_root")] = 0
+    return counts, subs, finalized
 
 
 def _set_size(counts: dict, subs: dict, withdrawal_id: str) -> int:
@@ -63,7 +63,8 @@ def _set_size(counts: dict, subs: dict, withdrawal_id: str) -> int:
 def anonymity_set(transcript, withdrawal_id: str) -> int:
     """Size of the set of deposits a withdrawal could plausibly spend: the
     deposits under its local root plus those under its relayed remote root."""
-    return _set_size(_root_leaf_counts(transcript), _submissions(transcript), withdrawal_id)
+    counts, subs, _ = _walk(transcript)
+    return _set_size(counts, subs, withdrawal_id)
 
 
 @dataclass
@@ -93,14 +94,9 @@ class AnonymityReport:
 
 
 def anonymity_report(transcript) -> AnonymityReport:
-    counts = _root_leaf_counts(transcript)
-    subs = _submissions(transcript)
-    rows = []
-    for e in transcript.events:
-        if e.kind == "withdraw-finalized":
-            wid = e.get("wid")
-            rows.append((wid, e.chain, _set_size(counts, subs, wid)))
-    return AnonymityReport(rows)
+    # sizes are computed after the walk, from the complete counts
+    counts, subs, finalized = _walk(transcript)
+    return AnonymityReport([(wid, chain, _set_size(counts, subs, wid)) for wid, chain in finalized])
 
 
 @dataclass
@@ -135,7 +131,7 @@ class LinkabilityReport:
         return {"clean": self.clean, "findings": len(self.findings)}
 
 
-_FORBIDDEN_KEYS = ("commitment", "leaf_index", "index")
+_FORBIDDEN_KEYS = frozenset({"commitment", "leaf_index", "index"})
 
 
 def linkability_audit(transcript) -> LinkabilityReport:

@@ -531,7 +531,7 @@ class RaceReport:
         }
 
 
-_TALLY_KINDS = ("withdraw-finalized", "withdraw-cancelled", "withdraw-rejected")
+_TALLY_KINDS = frozenset({"withdraw-finalized", "withdraw-cancelled", "withdraw-rejected"})
 _NO_EVENTS = (0, 0, False)
 
 

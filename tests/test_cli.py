@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from bridgemix import cli, field_hash, simnet
-from bridgemix.simnet import SimInvariantError
+from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, SimInvariantError
 
 HAPPY = """\
 seed: 11
@@ -235,6 +236,67 @@ def test_insolvent_payout_exits_3_and_dumps_transcript(tmp_path, capsys):
     dump = (out / "transcript-failure.txt").read_text()
     assert "chain=A ev=withdraw-submitted wid=A0" in dump
     assert "ev=withdraw-finalized" not in dump
+
+
+def recording_run(monkeypatch) -> list:
+    """Patch the CLI's engine to keep the transcript of each run, the partial
+    one of a run that raises SimInvariantError included."""
+    seen = []
+    real_run = cli.simnet.run
+
+    def run(scenario, allow_negative_epsilon=False):
+        try:
+            seen.append(real_run(scenario, allow_negative_epsilon))
+        except SimInvariantError as err:
+            seen.append(err.transcript)
+            raise
+        return seen[-1]
+
+    monkeypatch.setattr(cli.simnet, "run", run)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "text, name, code",
+    [(HAPPY, "transcript.txt", cli.EXIT_OK), (INSOLVENT, "transcript-failure.txt", cli.EXIT_INVARIANT)],
+)
+def test_transcript_files_are_the_rendered_transcript(tmp_path, monkeypatch, text, name, code):
+    seen = recording_run(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", write_scenario(tmp_path, text), "--out", str(out)]) == code
+    [transcript] = seen
+    assert (out / name).read_bytes() == transcript.render().encode("utf-8")
+
+
+def test_transcript_is_written_without_holding_its_text(tmp_path, monkeypatch):
+    # 300 deposits on A, half of them withdrawn on B: about 170 KB of text
+    n = 300
+    events = [SimEvent(i, "A", "deposit", note=f"n{i}") for i in range(n)]
+    events += [
+        SimEvent(n + 3 + i, "B", "submit_withdrawal", note=f"n{i}", recipient="w")
+        for i in range(n // 2)
+    ]
+    transcript = simnet.run(Scenario(
+        seed=5, horizon=n + n // 2 + 8, hash_rounds=8, tree_height=9,
+        relayers=(RelayerSpec("r0", 2),), events=tuple(events),
+    ))
+    rendered = transcript.render()
+
+    def traced_run(scenario, allow_negative_epsilon=False):
+        tracemalloc.start()  # traces everything the CLI does after the run
+        return transcript
+
+    monkeypatch.setattr(cli.simnet, "run", traced_run)
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["run", "--scenario", write_scenario(tmp_path, HAPPY), "--out", str(out),
+                         "--reports", "transcript"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert (out / "transcript.txt").read_text(encoding="utf-8") == rendered
+    assert peak < len(rendered) / 4
 
 
 def test_races_insolvent_payout_exits_3(tmp_path, capsys):

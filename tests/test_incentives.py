@@ -14,8 +14,10 @@ from bridgemix.incentives import (
     vampire_metrics,
 )
 from bridgemix.merkle import mt_path
-from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
+from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, SimInvariantError, run
 from bridgemix.zkrel import Statement, Witness, zk_prove
+from liquidity_oracle import liquidity_by_tick
+from test_simnet import DEMO_SCENARIOS, demo_scenario, random_scenarios
 
 DEMO_08 = Path(__file__).resolve().parent.parent / "demos" / "08_vampire_incentives.py"
 
@@ -216,3 +218,44 @@ def test_vampire_metrics_track_transcript_not_secrets(build_vampire_scenario):
     assert vampire_metrics(t1).rows == vampire_metrics(t2).rows
     lines = vampire_metrics(t1).render_lines()
     assert len(lines) == sc.horizon + 1 and lines[0].split() == list(LIQUIDITY_COLUMNS)
+
+
+@pytest.fixture(scope="module")
+def engine_transcripts(build_vampire_scenario):
+    """Random scenarios, every demo scenario file, the vampire builder at
+    three rate pairs, and the partial transcript of a run that stops with
+    exit 3 (an A payout that A's balance cannot cover, at tick 7)."""
+    scenarios = [
+        *random_scenarios(2031, 6),
+        *map(demo_scenario, sorted(DEMO_SCENARIOS.glob("*.yaml"))),
+        *(build_vampire_scenario(rate_a=a, rate_b=b) for a, b in ((1, 3), (2, 2), (3, 1))),
+    ]
+    transcripts = [run(sc) for sc in scenarios]
+    insolvent = Scenario(
+        seed=5,
+        horizon=12,
+        hash_rounds=8,
+        relayers=(RelayerSpec("r0", 2),),
+        events=(
+            SimEvent(0, "B", "deposit", note="n1"),
+            SimEvent(4, "A", "submit_withdrawal", note="n1", recipient="alice"),
+        ),
+    )
+    with pytest.raises(SimInvariantError, match="^tick 7: ") as err:
+        run(insolvent)
+    return transcripts + [err.value.transcript]
+
+
+def test_engine_appends_events_in_tick_order(engine_transcripts):
+    # vampire_metrics' one pass relies on it
+    for t in engine_transcripts:
+        ticks = [e.tick for e in t.events]
+        assert ticks == sorted(ticks) and 0 <= ticks[0] and ticks[-1] < t.scenario.horizon
+
+
+def test_liquidity_series_matches_tick_bucketed_oracle(engine_transcripts):
+    for t in engine_transcripts:
+        series, oracle = vampire_metrics(t), liquidity_by_tick(t)
+        assert series.rows == oracle.rows and len(series.rows) == t.scenario.horizon
+        assert series.summary() == oracle.summary()
+    assert any(vampire_metrics(t).final()["rewards_b"] for t in engine_transcripts)

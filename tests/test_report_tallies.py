@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from bridgemix import simnet
 from bridgemix.field_hash import fe_hex
-from bridgemix.metrics import MetricsError, anonymity_report, anonymity_set
+from bridgemix.incentives import vampire_metrics
+from bridgemix.metrics import MetricsError, anonymity_report, anonymity_set, linkability_audit
 from bridgemix.simnet import (
     AdversarySpec,
     RaceRow,
@@ -227,10 +228,11 @@ def walks(transcript, analysis):
 def test_analyses_walk_the_transcript_a_fixed_number_of_times():
     small, large = ladder(10), ladder(40)
     assert len(anonymity_report(large).rows) == 20
-    for analysis in (
-        payout_table,
-        anonymity_report,
-        lambda t: anonymity_set(t, "B0"),
+    for analysis, expected in (
+        (payout_table, 1),
+        (anonymity_report, 1),
+        (lambda t: anonymity_set(t, "B0"), 1),
+        (vampire_metrics, 1),
+        (linkability_audit, 2),  # the deposit commitments, then the withdrawals
     ):
-        count = walks(small, analysis)
-        assert count == walks(large, analysis) and 1 <= count <= 3
+        assert walks(small, analysis) == walks(large, analysis) == expected
