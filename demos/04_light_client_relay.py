@@ -5,8 +5,8 @@ Proof-of-work light client and state relay
 Each contract embeds a light client of the other chain: a header chain with
 verified proof-of-work, plus state attestations that open a header's state
 commitment to the remote root and nullifier lists.  An attestation carries
-only the list entries from the relayer's cursor onward; the receiver folds
-them onto the digest history it already verified.  A relayed fact is trusted
+only the list entries the receiver's view lacks; the receiver folds them onto
+the digest history it already verified.  A relayed fact is trusted
 because forging it would mean forging work, not because any relayer is.
 """
 

@@ -178,9 +178,10 @@ def _verify_opening(known: list, digests: list, start: int, suffix: tuple, param
     of its overlap with `known`, then after each new entry.  None when `start`
     leaves a gap or `suffix` contradicts the overlap.
 
-    Each relayer's attestations arrive in send order and each starts where
-    its previous one ended, so an honest `start` never exceeds the receiver's
-    view; a gap is rejected, not repaired."""
+    An honest `start` is the length of the receiver's view when the
+    attestation was sent, and a view only grows, so it never exceeds the
+    view when the attestation arrives, in whatever order it arrives; a gap
+    is rejected, not repaired."""
     if not 0 <= start <= len(known):
         return None
     end = min(len(known), start + len(suffix))

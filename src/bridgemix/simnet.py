@@ -5,7 +5,7 @@ Integer ticks; within each tick the phases run in a fixed order:
     DELIVER   relayed headers/state scheduled for this tick arrive
     USER      scripted deposits, withdrawals, and reward claims execute
     MINE      each chain mines one header committing its current state
-    RELAY     uncensored relayers snapshot news and schedule delivery at +delay
+    RELAY     relayers send what the receiver's view lacks, delivered at +delay
     FINALIZE  pending withdrawals whose delay elapsed pay out
 
 Detection therefore precedes finalization within a tick, which is exactly the
@@ -75,7 +75,6 @@ class SimEvent:
 class RelayerSpec:
     id: str
     delay: int
-    censored: bool = False
     honest: bool = True  # dishonest relayers forward headers but withhold state
 
 
@@ -138,15 +137,11 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         raise ScenarioError("pow_shift", f"must be in [1, {MAX_POW_SHIFT}]")
     if not 1 <= sc.hash_rounds <= MAX_HASH_ROUNDS:
         raise ScenarioError("hash_rounds", f"must be in [1, {MAX_HASH_ROUNDS}]")
-    if not sc.relayers:
-        raise ScenarioError("relayers", "at least one relayer required")
     for i, spec in enumerate(sc.relayers):
         if spec.delay < 1:
             raise ScenarioError(f"relayers[{i}].delay", "must be >= 1")
         if not _NAME_RE.match(spec.id):
             raise ScenarioError(f"relayers[{i}].id", "invalid identifier")
-        if any(r.id == spec.id for r in sc.relayers[:i]):  # relay cursors are keyed by id
-            raise ScenarioError(f"relayers[{i}].id", "duplicate relayer id")
     for i, ev in enumerate(sc.events):
         where = f"events[{i}]"
         if not 0 <= ev.at < sc.horizon:
@@ -230,13 +225,6 @@ class _ChainNode:
     tip_digest: FieldElement  # header_digest(headers[-1]), from the mining search
 
 
-@dataclass
-class _Cursor:
-    headers: int = 1  # genesis is pre-installed at setup
-    roots: int = 1    # the empty root is pre-seeded at setup
-    nulls: int = 0
-
-
 class _Engine:
     def __init__(self, scenario: Scenario, allow_negative_epsilon: bool):
         validate_scenario(scenario, allow_negative_epsilon)
@@ -269,11 +257,6 @@ class _Engine:
         self.deposits: dict = {}
         self.deposited_nullifiers: set = set()  # of every note deposited on either chain
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
-        self.relayer_cursors = {
-            (spec.id, src): _Cursor()
-            for spec in scenario.relayers
-            for src in CHAINS
-        }
         self.user_events: dict = {}
         for ev in scenario.events:
             self.user_events.setdefault(ev.at, []).append(ev)
@@ -398,29 +381,25 @@ class _Engine:
             node.contract.emit(now, "header-mined", height=header.height)
 
     def _relay(self, now: int):
+        """Each relayer sends what the receiver's view lacks, so an entry in
+        flight is sent again each tick until it lands: a send that overtakes
+        an earlier one leaves no gap for good."""
         for spec in self.scenario.relayers:
-            if spec.censored:
-                continue
+            bucket = self.deliveries.setdefault(now + spec.delay, [])
             for src in CHAINS:
-                dst = other_chain(src)
-                cursor = self.relayer_cursors[(spec.id, src)]
-                node = self.nodes[src]
-                bucket = self.deliveries.setdefault(now + spec.delay, [])
-                for header in node.headers[cursor.headers:]:
+                node, dst = self.nodes[src], other_chain(src)
+                view = self.nodes[dst].contract
+                for header in node.headers[len(view.remote_headers):]:
                     bucket.append(("header", dst, header))
-                cursor.headers = len(node.headers)
                 if not spec.honest:
                     continue  # withholds bridge state
                 c = node.contract
-                roots = tuple(c.tree.root_history[cursor.roots:])
-                nulls = tuple(pw.statement.nullifier for pw in c.pending_withdrawals[cursor.nulls:])
+                roots_from, nulls_from = len(view.remote_roots), len(view.remote_exposed)
+                roots = tuple(c.tree.root_history[roots_from:])
+                nulls = tuple(pw.statement.nullifier for pw in c.pending_withdrawals[nulls_from:])
                 if roots or nulls:
-                    att = StateAttestation(
-                        node.headers[-1].height, cursor.roots, roots, cursor.nulls, nulls
-                    )
+                    att = StateAttestation(node.headers[-1].height, roots_from, roots, nulls_from, nulls)
                     bucket.append(("state", dst, att))
-                    cursor.roots += len(roots)
-                    cursor.nulls += len(nulls)
 
     def _finalize(self, now: int):
         """Pay out what fell due; each payout must spend a note the engine

@@ -465,16 +465,15 @@ class TestAddBridgeState:
 @st.composite
 def relay_runs(draw):
     """A source history (entries appended per tick) and relayers as
-    (delay, carries_state) pairs; one relayer always carries state."""
+    (delay per tick, carries_state) pairs; one relayer always carries state."""
     ticks = draw(st.integers(1, 10))
     appends = draw(
         st.lists(
             st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=ticks, max_size=ticks
         )
     )
-    relayers = draw(
-        st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=3)
-    )
+    delays = st.lists(st.integers(1, 4), min_size=ticks, max_size=ticks)
+    relayers = draw(st.lists(st.tuples(delays, st.booleans()), min_size=1, max_size=3))
     relayers[0] = (relayers[0][0], True)
     return appends, relayers
 
@@ -483,7 +482,8 @@ def relay_runs(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(run=relay_runs())
 def test_relayed_views_stay_prefixes_of_the_source(run):
-    """Relayers with their own delays and cursors, as in the simulator, over a
+    """Relayers that send what the receiver's view lacks, as in the
+    simulator, with a delay drawn per send so deliveries reorder, over a
     random source history: no honest attestation is rejected, and the
     receiver's lists are always a prefix of the source's."""
     params = TINY_PARAMS
@@ -492,10 +492,9 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
     genesis, tip = mine_header(0, 0, commit(roots, nulls, params), EASY_TARGET, params)
     headers = [genesis]
     receiver = FakeContract(params, genesis)
-    cursors = [[1, 0, 0] for _ in relayers]  # headers, roots, nullifiers
     deliveries = {}
     value = iter(range(1000, 10**6))
-    horizon = len(appends) + max(delay for delay, _ in relayers) + 1
+    horizon = len(appends) + max(max(delays) for delays, _ in relayers) + 1
     for now in range(horizon):
         for kind, payload in deliveries.pop(now, []):
             if kind == "header":
@@ -512,17 +511,16 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
         nulls.extend(next(value) for _ in range(new_nulls))
         header, tip = mine_header(len(headers), tip, commit(roots, nulls, params), EASY_TARGET, params)
         headers.append(header)
-        for cursor, (delay, carries_state) in zip(cursors, relayers):
-            bucket = deliveries.setdefault(now + delay, [])
-            bucket.extend(("header", h) for h in headers[cursor[0]:])
-            cursor[0] = len(headers)
-            if carries_state and (roots[cursor[1]:] or nulls[cursor[2]:]):
+        roots_from, nulls_from = len(receiver.remote_roots), len(receiver.remote_exposed)
+        for delays, carries_state in relayers:
+            bucket = deliveries.setdefault(now + delays[now], [])
+            bucket.extend(("header", h) for h in headers[len(receiver.remote_headers):])
+            if carries_state and (roots[roots_from:] or nulls[nulls_from:]):
                 att = StateAttestation(
-                    len(headers) - 1, cursor[1], tuple(roots[cursor[1]:]),
-                    cursor[2], tuple(nulls[cursor[2]:]),
+                    len(headers) - 1, roots_from, tuple(roots[roots_from:]),
+                    nulls_from, tuple(nulls[nulls_from:]),
                 )
                 bucket.append(("state", att))
-                cursor[1], cursor[2] = len(roots), len(nulls)
     assert not deliveries
     assert receiver.remote_roots == roots and receiver.remote_exposed == nulls
     assert receiver.remote_root_digests == [chain_digest(roots[:k], params) for k in range(len(roots) + 1)]

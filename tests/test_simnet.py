@@ -185,7 +185,7 @@ def test_censored_relayer_blocks_cross_chain_withdrawal():
     # liveness needs at least one honest relayer; with none, the remote root
     # never lands and the withdrawal is rejected as unknown
     sc = base_scenario(
-        relayers=(RelayerSpec("mute", 2, censored=True),),
+        relayers=(),
         events=(
             SimEvent(0, "A", "deposit", note="n1"),
             SimEvent(5, "B", "submit_withdrawal", note="n1", recipient="alice"),
@@ -228,15 +228,13 @@ def test_two_relayers_redundant_delivery_is_idempotent():
 
 
 def test_relayer_ids_are_distinct():
-    # each relayer keeps its own relay cursors, keyed by its id: a second
-    # relayer under a taken id would find them advanced and never send
+    # relayers keep no state, so an id keys nothing: two relayers under one
+    # id both relay, and the faster one's state lands first
     deposit = (SimEvent(0, "A", "deposit", note="n1"),)
-    t = run(base_scenario(relayers=(RelayerSpec("r0", 5), RelayerSpec("r1", 1)), events=deposit))
-    assert [e.tick for e in kinds(t, "state-accepted") if e.chain == "B"][0] == 1
-    with pytest.raises(ScenarioError) as err:
-        run(base_scenario(relayers=(RelayerSpec("r0", 5), RelayerSpec("r0", 1)), events=deposit))
-    assert err.value.field_name == "relayers[1].id"
-    assert str(err.value) == "scenario field 'relayers[1].id': duplicate relayer id"
+    for ids in (("r0", "r1"), ("r0", "r0")):
+        relayers = (RelayerSpec(ids[0], 5), RelayerSpec(ids[1], 1))
+        t = run(base_scenario(relayers=relayers, events=deposit))
+        assert [e.tick for e in kinds(t, "state-accepted") if e.chain == "B"][0] == 1
 
 
 def test_both_contracts_share_one_proof_setup(monkeypatch):
@@ -286,8 +284,9 @@ def test_seed_changes_commitments():
 
 
 def test_liveness_with_one_honest_relayer_among_censored():
+    # a censored relayer sends nothing, so the run is the one without it
     sc = base_scenario(
-        relayers=(RelayerSpec("mute", 2, censored=True), RelayerSpec("ok", 2)),
+        relayers=(RelayerSpec("ok", 2),),
         events=(
             SimEvent(0, "A", "deposit", note="n1"),
             SimEvent(3, "B", "submit_withdrawal", note="n1", recipient="alice"),  # D + eps after deposit
@@ -381,6 +380,58 @@ def test_race_safety_over_the_assumption_space(delay):
         assert report.max_payouts() == (2 if eps < 0 and r == delay else 1), where
 
 
+class JitteredRelayer:
+    """An honest relayer whose delay is drawn from [1, bound] by a seeded rng
+    each time the engine schedules a send: every delivery lands within the
+    bound, in any order, and a later send may overtake an earlier one."""
+
+    honest = True
+
+    def __init__(self, bound, seed):
+        self.id = f"jitter{seed}"
+        self.bound = bound
+        self.rng = random.Random(seed)
+
+    @property
+    def delay(self):
+        return self.rng.randint(1, self.bound)
+
+
+def test_race_safety_when_deliveries_reorder_within_d():
+    # the safety argument assumes delivery within D, not in order: a send
+    # that overtakes an earlier one must not leave a gap that nothing fills
+    delay, eps = 3, 1
+    rows = []
+    for jitter_seed in range(20):
+        base = race_base(delay, eps, relayers=(JitteredRelayer(delay, jitter_seed),))
+        rows.extend((jitter_seed, row) for row in explore_races(base, range(0, 3 * delay)).rows)
+    assert all(row.honest_payouts == 1 for _, row in rows)
+    double_paid = [(jitter_seed, row) for jitter_seed, row in rows if row.payouts > 1]
+    assert not double_paid, f"{len(double_paid)} of {len(rows)} interleavings double-paid"
+
+
+@pytest.mark.parametrize("jitter_seed", range(10))
+def test_liveness_when_deliveries_reorder_within_d(jitter_seed):
+    # a deposit at each tick, each exited on the other chain D + epsilon
+    # later: every exit finalizes D + epsilon after its submission
+    delay, eps, deposits = 3, 1, 8
+    events = []
+    for i in range(deposits):
+        events.append(SimEvent(i, "A", "deposit", note=f"n{i}"))
+        events.append(SimEvent(i + delay + eps, "B", "submit_withdrawal", note=f"n{i}", recipient="alice"))
+    sc = base_scenario(
+        horizon=deposits + 2 * (delay + eps),
+        relay_delay=delay,
+        epsilon=eps,
+        relayers=(JitteredRelayer(delay, jitter_seed),),
+        events=tuple(sorted(events, key=lambda e: e.at)),
+    )
+    t = run(sc)
+    assert not kinds(t, "withdraw-rejected")
+    finalized = kinds(t, "withdraw-finalized")
+    assert [(e.chain, e.tick) for e in finalized] == [("B", i + 2 * (delay + eps)) for i in range(deposits)]
+
+
 # -- one mining search per distinct header ----------------------------------------
 
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -469,7 +520,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1), range(0, 7))
-    assert len(calls) == 1497
+    assert len(calls) == 1534
 
 
 def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
@@ -603,7 +654,7 @@ def test_claim_on_wrong_chain_rejected():
         (dict(epsilon=-1), "epsilon"),
         (dict(native_chain="C"), "native_chain"),
         (dict(pow_shift=0), "pow_shift"),
-        (dict(relayers=()), "relayers"),
+        (dict(relayers=(RelayerSpec("r 0", 2),)), "relayers[0].id"),
         (dict(relayers=(RelayerSpec("r0", 0),)), "relayers[0].delay"),
         (dict(events=(SimEvent(99, "A", "deposit", note="x"),)), "events[0].at"),
         (dict(events=(SimEvent(1, "C", "deposit", note="x"),)), "events[0].chain"),
@@ -635,7 +686,7 @@ ROUND_TRIP = {
     "horizon": 16,
     "relay_delay": 3,
     "hash_rounds": 8,
-    "relayers": [{"id": "r0", "delay": 3}, {"id": "mute", "censored": True}],
+    "relayers": [{"id": "r0", "delay": 3}, {"id": "lazy", "honest": False}],
     "events": [
         {"at": 0, "chain": "A", "action": "deposit", "note": "n1"},
         {"at": 6, "chain": "B", "action": "submit_withdrawal", "note": "n1", "recipient": "al"},
@@ -651,11 +702,18 @@ ROUND_TRIP = {
 def test_scenario_from_dict_round_trip():
     sc = scenario_from_dict(ROUND_TRIP)
     assert sc.relay_delay == 3 and sc.name == "scenario"  # the default; nothing derives it
-    assert sc.relayers[1].censored and sc.relayers[1].delay == 3  # defaults to relay_delay
+    assert not sc.relayers[1].honest and sc.relayers[1].delay == 3  # defaults to relay_delay
     assert sc.events[1].recipient == "al"
     assert sc.adversary.gap == 1
     assert sc.reward_for("A") == RewardSpec(2, 4) and sc.reward_for("B") is None
     run(sc)  # and it executes
+
+
+def test_an_explicit_empty_relayer_list_means_nobody_relays():
+    assert scenario_from_dict({"seed": 1, "horizon": 4}).relayers == (RelayerSpec("relayer0", 2),)
+    sc = scenario_from_dict({"seed": 1, "horizon": 4, "relayers": []})
+    assert sc.relayers == ()
+    assert not kinds(run(sc), "header-accepted")
 
 
 def test_hash_rounds_above_the_bound_rejected_before_set_up(monkeypatch):
@@ -699,15 +757,14 @@ def test_scenario_from_dict_shared_reward_block():
         ({"seed": 1, "horizon": 4, "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": -1}]}, "events[0].age"),
         ({"seed": 1, "horizon": 4, "rewards": {"rate": -1}}, "rewards.rate"),
-        ({"seed": 1, "horizon": 4, "relayers": [{"id": "r", "censored": "yes"}]}, "relayers[0].censored"),
+        ({"seed": 1, "horizon": 4, "relayers": [{"id": "r", "honest": "yes"}]}, "relayers[0].honest"),
         ({"seed": 1, "horizon": 9, "adversary": {
             "note": "a", "deposit_chain": "A", "deposit_at": 0, "first_chain": "A", "first_at": 3,
             "gap": -1}}, "adversary.gap"),
         ({"seed": 1, "horizon": 4, "tree_height": 33}, "tree_height"),
         (["seed", "horizon"], "<root>"),
         ({"seed": 1, "horizon": 4, "security": 2**32}, "security"),
-        ({"seed": 1, "horizon": 4, "relayers": [{"id": "r0", "delay": 5}, {"id": "r0", "delay": 1}]},
-         "relayers[1].id"),
+        ({"seed": 1, "horizon": 4, "relayers": [{"id": "r0"}, {"id": "r 1"}]}, "relayers[1].id"),
         ({"seed": 1, "horizon": 4, "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": "5"}]}, "events[0].age"),
         ({"seed": 1, "horizon": 4, "rewards": {"a": {"rate": 1}, "A": {"rate": 5}}}, "rewards.A"),
@@ -940,6 +997,36 @@ class CountingQueue(list):
         if self.counting:
             self.visits += len(self)
         return super().__iter__()
+
+
+def test_relay_traffic_is_at_most_delay_sends_per_entry(monkeypatch):
+    # a relayer sends what the receiver's view lacks, so it re-sends an entry
+    # each tick until the fastest relayer's copy lands: at most `delay` times.
+    # A relayer that sent from the start of each list would carry O(history)
+    # every tick
+    headers, entries = [], []
+    real_header, real_state = contract_mod.on_relayed_header, contract_mod.on_relayed_state
+
+    def count_header(state, header, now):
+        headers.append(header)
+        return real_header(state, header, now)
+
+    def count_state(state, att, now):
+        entries.append(len(att.roots) + len(att.nullifiers))
+        return real_state(state, att, now)
+
+    monkeypatch.setattr(contract_mod, "on_relayed_header", count_header)
+    monkeypatch.setattr(contract_mod, "on_relayed_state", count_state)
+    demos = [demo_scenario(path) for path in sorted(DEMO_SCENARIOS.glob("*.yaml"))]
+    for sc in [*per_tick_scenarios(), *demos]:
+        headers.clear()
+        entries.clear()
+        t = run(sc, allow_negative_epsilon=True)
+        mined = len(kinds(t, "header-mined"))
+        produced = sum(len(c.tree.root_history) - 1 + len(c.pending_withdrawals) for c in t.contracts.values())
+        assert len(headers) <= sum(r.delay for r in sc.relayers) * mined
+        assert sum(entries) <= sum(r.delay for r in sc.relayers if r.honest) * produced
+        assert headers and entries  # each scenario relays both
 
 
 def queue_visits(monkeypatch, check, scenarios):
