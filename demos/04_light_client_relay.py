@@ -6,7 +6,7 @@ Each contract embeds a light client of the other chain: a header chain with
 verified proof-of-work, plus state attestations that open a header's state
 commitment to the remote root and nullifier lists.  An attestation carries
 only the list entries the receiver's view lacks; the receiver folds them onto
-the digest history it already verified.  A relayed fact is trusted
+the running digest of each list it already verified.  A relayed fact is trusted
 because forging it would mean forging work, not because any relayer is.
 """
 
@@ -64,10 +64,10 @@ class Client:
         self.hash_params = params
         self.remote_headers = []
         self.remote_roots = [empty_root]
-        self.remote_root_digests = [0, hash2(0, empty_root, params)]
+        self.remote_root_digest = hash2(0, empty_root, params)
         self.remote_root_ticks = {empty_root: 0}  # each root, with the tick it arrived
         self.remote_exposed = []
-        self.remote_exposed_digests = [0]
+        self.remote_exposed_digest = 0
 
 from bridgemix.lightclient import add_bridge_state, add_header
 

@@ -101,14 +101,14 @@ class ContractState:
     # state_commitment_value of the two committed digests, refreshed by
     # _recommit wherever either digest changes
     state_commitment: FieldElement = 0
-    # relayed view of the other chain; the digest lists are indexed by the
-    # `*_from` cursors of incoming attestations, and remote_root_ticks maps
-    # each root of remote_roots to the tick it was installed
+    # relayed view of the other chain, one snapshot of its committed lists,
+    # each with its running digest; remote_root_ticks maps each root of
+    # remote_roots to the tick it was installed
     remote_roots: list = field(default_factory=list)
     remote_root_ticks: dict = field(default_factory=dict)
-    remote_root_digests: list = field(default_factory=lambda: [0])
+    remote_root_digest: FieldElement = 0
     remote_exposed: list = field(default_factory=list)
-    remote_exposed_digests: list = field(default_factory=lambda: [0])
+    remote_exposed_digest: FieldElement = 0
     remote_headers: list = field(default_factory=list)
     # every nullifier seen: one exposed here maps to the local withdrawal that
     # exposed it, a relayed one to None; none is ever removed
@@ -198,7 +198,7 @@ def contract_setup(
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
     state.remote_root_ticks[empty_root] = now
-    state.remote_root_digests.append(state.local_root_digest)
+    state.remote_root_digest = state.local_root_digest
     state.remote_headers.append(genesis)
     state.emit(
         now,
@@ -275,15 +275,16 @@ def process_tick(state: ContractState, now: int) -> list:
     for pw in state.pending_withdrawals[state.finalize_cursor :]:
         if pw.finalize_at > now:
             break
+        # checked before anything moves, so an unpaid withdrawal stays pending
+        if pw.status == PENDING and state.native and state.balance < state.denomination:
+            raise ContractError(
+                "insolvent", f"{state.chain_id} cannot cover withdrawal {pw.pending_id}"
+            )
         state.finalize_cursor += 1
         if pw.status != PENDING:
             continue  # cancelled
         pw.status = FINALIZED
         if state.native:
-            if state.balance < state.denomination:
-                raise ContractError(
-                    "insolvent", f"{state.chain_id} cannot cover withdrawal {pw.pending_id}"
-                )
             state.balance -= state.denomination
             mode = "native"
         else:
@@ -339,7 +340,8 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
     nullifiers that match a locally exposed one trigger cancellation."""
     result = lightclient.add_bridge_state(state, att, now)
     if not result.accepted:
-        state.emit(now, "state-rejected", reason=result.reason)
+        if result.reason != "stale":  # silent, like a duplicate header
+            state.emit(now, "state-rejected", reason=result.reason)
         return result
     duplicates = []
     for sn in result.installed_nullifiers:
@@ -347,13 +349,12 @@ def on_relayed_state(state: ContractState, att: StateAttestation, now: int) -> S
             state.nullifiers[sn] = None  # relayed
         elif state.nullifiers[sn] is not None:
             duplicates.append(sn)  # exposed here first
-    if result.installed_roots or result.installed_nullifiers:
-        state.emit(
-            now,
-            "state-accepted",
-            roots_installed=len(result.installed_roots),
-            nullifiers_installed=len(result.installed_nullifiers),
-        )
+    state.emit(
+        now,
+        "state-accepted",
+        roots_installed=len(result.installed_roots),
+        nullifiers_installed=len(result.installed_nullifiers),
+    )
     for sn in duplicates:
         on_duplicate_nullifier(state, sn, now)
     return result
@@ -389,7 +390,7 @@ def check_contract_invariants(state: ContractState):
     are those of the whole queue, since every earlier call passed; the
     cursors move only when every check passes, so a broken state keeps
     raising."""
-    roots, digests = len(state.remote_roots), len(state.remote_root_digests)
+    roots = len(state.remote_roots)
     queue = state.pending_withdrawals
     known = state.nullifiers
     unknown = [
@@ -408,8 +409,6 @@ def check_contract_invariants(state: ContractState):
         broken = f"balance >= 0, but balance = {state.balance}"
     elif roots != len(state.remote_root_ticks):
         broken = f"remote roots distinct, but {roots} hold {len(state.remote_root_ticks)} values"
-    elif digests != roots + 1:
-        broken = f"one digest per remote root prefix, but {digests} for {roots} roots"
     elif unknown:
         broken = f"exposed nullifiers known, but {len(unknown)} unknown, first {fe_hex(unknown[0])}"
     elif len(fresh) != len(new_paid):

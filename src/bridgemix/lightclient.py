@@ -8,9 +8,10 @@ and nothing here is hashed as bytes.  A field outside its range (the nonce
 in [0, 2**32), the height in [0, p // 2**32), the two hashes in [0, p)) is
 rejected before it is hashed, so the packing stays injective.  Relayed
 headers are accepted only if they extend the tracked chain with valid PoW;
-relayed state is accepted only if its suffixes, folded onto the receiver's
-digest history, open the referenced header's commitment and agree with what
-the receiver already knows.  Forks are rejected outright.
+relayed state is accepted only if it agrees with the receiver's view and its
+new entries, folded onto the view's running list digests, open the referenced
+header's commitment; one that brings nothing new is dropped unhashed as
+stale.  Forks are rejected outright.
 """
 from __future__ import annotations
 
@@ -138,7 +139,7 @@ class HeaderResult:
 @dataclass(frozen=True)
 class StateResult:
     accepted: bool
-    reason: str  # ok | unknown-header | bad-encoding | bad-opening
+    reason: str  # ok | unknown-header | bad-encoding | bad-opening | stale
     installed_roots: tuple = ()
     installed_nullifiers: tuple = ()
 
@@ -173,61 +174,62 @@ def add_header(state, header: BlockHeader) -> HeaderResult:
     return HeaderResult(True, "ok")
 
 
-def _verify_opening(known: list, digests: list, start: int, suffix: tuple, params) -> list | None:
-    """Running digests of the claimed list `known[:start] + suffix`: at the end
-    of its overlap with `known`, then after each new entry.  None when `start`
-    leaves a gap or `suffix` contradicts the overlap.
-
-    An honest `start` is the length of the receiver's view when the
-    attestation was sent, and a view only grows, so it never exceeds the
-    view when the attestation arrives, in whatever order it arrives; a gap
-    is rejected, not repaired."""
+def _past_view(known: list, start: int, suffix: tuple) -> int | None:
+    """How far the claimed list `known[:start] + suffix` runs past `known`
+    (negative if it ends inside), or None when `start` leaves a gap or
+    `suffix` contradicts `known` where they overlap.  An honest `start` is
+    the view's length when the attestation was sent, and a view only grows,
+    so no arrival order leaves a gap; a gap is rejected, not repaired."""
     if not 0 <= start <= len(known):
         return None
     end = min(len(known), start + len(suffix))
     if list(suffix[: end - start]) != known[start:end]:
         return None
-    fresh = [digests[end]]
-    for v in suffix[end - start:]:
-        fresh.append(hash2(fresh[-1], v, params))
-    return fresh
+    return start + len(suffix) - len(known)
 
 
 def add_bridge_state(state, att: StateAttestation, now: int) -> StateResult:
     """Verify an attestation against the referenced header and install the
-    source-list entries the receiver has not seen yet.
+    source-list entries the receiver has not seen yet: roots into
+    remote_roots, with the tick each became known in remote_root_ticks, and
+    nullifiers into the remote_exposed mirror.  Merging the returned
+    nullifiers into the receiver's nullifier set (with the duplicate check
+    and cancellation) is the contract module's job.
 
-    Installs roots into remote_roots, recording in remote_root_ticks the tick
-    each became known, and extends the remote_exposed mirror;
-    merging the returned nullifiers into the receiver's nullifier set (with
-    the duplicate check and cancellation) is the contract module's job.
+    Each install takes both lists to one header's state, so the view is one
+    snapshot of the source and one running digest per list opens it.  An
+    attestation with nothing past the view is stale and hashes nothing; one
+    that ends a list inside the view and extends the other matches no
+    snapshot.  Only the new entries are folded to check the commitment.
     """
     params = state.hash_params
     if not 0 <= att.header_index < len(state.remote_headers):
         return StateResult(False, "unknown-header")
     header = state.remote_headers[att.header_index]
-    # _verify_opening's fold reduces entries, so an unreduced one would open
-    # the commitment as its residue and be installed as itself
+    # the fold reduces entries, so an unreduced one would open the
+    # commitment as its residue and be installed as itself
     if not all(0 <= v < P for v in (*att.roots, *att.nullifiers)):
         return StateResult(False, "bad-encoding")
-
-    roots_fresh = _verify_opening(
-        state.remote_roots, state.remote_root_digests, att.roots_from, att.roots, params
-    )
-    nulls_fresh = _verify_opening(
-        state.remote_exposed, state.remote_exposed_digests, att.nullifiers_from, att.nullifiers, params
-    )
-    if roots_fresh is None or nulls_fresh is None:
+    roots_past = _past_view(state.remote_roots, att.roots_from, att.roots)
+    nulls_past = _past_view(state.remote_exposed, att.nullifiers_from, att.nullifiers)
+    if roots_past is None or nulls_past is None:
         return StateResult(False, "bad-opening")
-    if state_commitment_value(roots_fresh[-1], nulls_fresh[-1], params) != header.state_commitment:
+    if max(roots_past, nulls_past) <= 0:
+        return StateResult(False, "stale")
+    if min(roots_past, nulls_past) < 0:
         return StateResult(False, "bad-opening")
-
-    installed_roots = tuple(att.roots[len(state.remote_roots) - att.roots_from:])
-    for root in installed_roots:
-        state.remote_roots.append(root)
+    new_roots = tuple(att.roots[len(state.remote_roots) - att.roots_from:])
+    new_nulls = tuple(att.nullifiers[len(state.remote_exposed) - att.nullifiers_from:])
+    roots_digest, nulls_digest = state.remote_root_digest, state.remote_exposed_digest
+    for root in new_roots:
+        roots_digest = hash2(roots_digest, root, params)
+    for sn in new_nulls:
+        nulls_digest = hash2(nulls_digest, sn, params)
+    if state_commitment_value(roots_digest, nulls_digest, params) != header.state_commitment:
+        return StateResult(False, "bad-opening")
+    state.remote_roots.extend(new_roots)
+    for root in new_roots:
         state.remote_root_ticks.setdefault(root, now)
-    state.remote_root_digests.extend(roots_fresh[1:])
-    installed_nulls = tuple(att.nullifiers[len(state.remote_exposed) - att.nullifiers_from:])
-    state.remote_exposed.extend(installed_nulls)
-    state.remote_exposed_digests.extend(nulls_fresh[1:])
-    return StateResult(True, "ok", installed_roots, installed_nulls)
+    state.remote_exposed.extend(new_nulls)
+    state.remote_root_digest, state.remote_exposed_digest = roots_digest, nulls_digest
+    return StateResult(True, "ok", new_roots, new_nulls)

@@ -383,7 +383,8 @@ class _Engine:
     def _relay(self, now: int):
         """Each relayer sends what the receiver's view lacks, so an entry in
         flight is sent again each tick until it lands: a send that overtakes
-        an earlier one leaves no gap for good."""
+        an earlier one leaves no gap, and a copy that lands after its
+        entries did is stale and dropped unhashed."""
         for spec in self.scenario.relayers:
             bucket = self.deliveries.setdefault(now + spec.delay, [])
             for src in CHAINS:

@@ -83,10 +83,6 @@ class Statement:
     nullifier: FieldElement
 
 
-def statement_bytes(stmt: Statement) -> bytes:
-    return encode_fe(stmt.root_a) + encode_fe(stmt.root_b) + encode_fe(stmt.nullifier)
-
-
 @dataclass(frozen=True)
 class Witness:
     r: FieldElement
@@ -152,9 +148,10 @@ def relation_holds(pp: ProofParams, stmt: Statement, wit: Witness) -> bool:
 
 def _binding_tag(pp: ProofParams, stmt: Statement) -> FieldElement:
     # Bind the proof to the exact (params, statement) pair; without this the
-    # unselected root would be free to vary.  This is hash_bytes of
-    # enc(pp.digest) || statement_bytes(stmt), continued from pp.tag_state.
-    tail = encode_fe(pp.digest)[CHUNK_SIZE:] + statement_bytes(stmt)
+    # unselected root would be free to vary.  This is hash_bytes of enc(pp.digest)
+    # || enc(root_a) || enc(root_b) || enc(nullifier), continued from pp.tag_state.
+    statement = (stmt.root_a, stmt.root_b, stmt.nullifier)
+    tail = encode_fe(pp.digest)[CHUNK_SIZE:] + b"".join(map(encode_fe, statement))
     return absorb(pp.tag_state, tail, pp.hash_params)
 
 

@@ -9,7 +9,7 @@ from bridgemix.field_hash import fe_hex
 
 
 def full_rescan(state):
-    roots, digests = len(state.remote_roots), len(state.remote_root_digests)
+    roots = len(state.remote_roots)
     known = state.nullifiers
     unknown, paid = [], []
     for pw in state.pending_withdrawals:
@@ -22,8 +22,6 @@ def full_rescan(state):
         broken = f"balance >= 0, but balance = {state.balance}"
     elif roots != len(state.remote_root_ticks):
         broken = f"remote roots distinct, but {roots} hold {len(state.remote_root_ticks)} values"
-    elif digests != roots + 1:
-        broken = f"one digest per remote root prefix, but {digests} for {roots} roots"
     elif unknown:
         broken = f"exposed nullifiers known, but {len(unknown)} unknown, first {fe_hex(unknown[0])}"
     elif len(set(paid)) != len(paid):

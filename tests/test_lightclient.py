@@ -31,10 +31,10 @@ class FakeContract:
         self.hash_params = params
         self.remote_headers = [genesis]
         self.remote_roots = []
-        self.remote_root_digests = [0]
+        self.remote_root_digest = 0
         self.remote_root_ticks = {}
         self.remote_exposed = []
-        self.remote_exposed_digests = [0]
+        self.remote_exposed_digest = 0
 
 
 def chain_digest(values, params):
@@ -333,8 +333,8 @@ class TestAddBridgeState:
         assert contract.remote_exposed == [77]
         assert result.installed_nullifiers == (77,)
         assert contract.remote_root_ticks == {10: 4, 11: 4}
-        assert contract.remote_root_digests == [chain_digest([10, 11][:k], fast_params) for k in range(3)]
-        assert contract.remote_exposed_digests == [0, chain_digest([77], fast_params)]
+        assert contract.remote_root_digest == chain_digest([10, 11], fast_params)
+        assert contract.remote_exposed_digest == chain_digest([77], fast_params)
 
     @pytest.mark.parametrize("lie", ["root", "nullifier"])
     def test_unreduced_entry_rejected_then_honest_installs(self, fast_params, lie):
@@ -405,16 +405,27 @@ class TestAddBridgeState:
         assert result.installed_roots == (12, 13) and result.installed_nullifiers == (78,)
         # a stale attestation of an older, shorter state installs nothing
         stale = add_bridge_state(contract, StateAttestation(0, 1, (11,), 0, (77,)), now=0)
-        assert stale.accepted
+        assert stale.reason == "stale"
         assert stale.installed_roots == () and stale.installed_nullifiers == ()
         assert contract.remote_roots == [10, 11, 12, 13]
         assert contract.remote_exposed == [77, 78]
+
+    def test_attestation_ending_one_list_inside_the_view_rejected(self, fast_params):
+        # fewer roots but more nullifiers than the view: no snapshot of one
+        # source looks like that, and installing it would mix two states
+        contract, att = self._setup(fast_params, [10, 11], [77])
+        assert add_bridge_state(contract, att, now=0).accepted
+        height = self._extend(contract, [10], [77, 78], fast_params)
+        mixed = StateAttestation(height, 1, (), 1, (78,))
+        assert add_bridge_state(contract, mixed, now=0).reason == "bad-opening"
+        assert contract.remote_roots == [10, 11] and contract.remote_exposed == [77]
+        assert contract.remote_exposed_digest == chain_digest([77], fast_params)
 
     def test_idempotent_redelivery(self, fast_params):
         contract, att = self._setup(fast_params, [10, 11], [77])
         assert add_bridge_state(contract, att, now=0).accepted
         again = add_bridge_state(contract, att, now=0)
-        assert again.accepted
+        assert again.reason == "stale"
         assert again.installed_roots == () and again.installed_nullifiers == ()
         assert contract.remote_roots == [10, 11]
 
@@ -500,7 +511,7 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
             if kind == "header":
                 assert add_header(receiver, payload).reason in ("ok", "duplicate")
             else:
-                assert add_bridge_state(receiver, payload, now).accepted
+                assert add_bridge_state(receiver, payload, now).reason in ("ok", "stale")
             assert receiver.remote_roots == roots[: len(receiver.remote_roots)]
             assert receiver.remote_exposed == nulls[: len(receiver.remote_exposed)]
             assert validate_chain(receiver.remote_headers, params)
@@ -523,10 +534,8 @@ def test_relayed_views_stay_prefixes_of_the_source(run):
                 bucket.append(("state", att))
     assert not deliveries
     assert receiver.remote_roots == roots and receiver.remote_exposed == nulls
-    assert receiver.remote_root_digests == [chain_digest(roots[:k], params) for k in range(len(roots) + 1)]
-    assert receiver.remote_exposed_digests == [
-        chain_digest(nulls[:k], params) for k in range(len(nulls) + 1)
-    ]
+    assert receiver.remote_root_digest == chain_digest(roots, params)
+    assert receiver.remote_exposed_digest == chain_digest(nulls, params)
 
 
 class TestDigests:

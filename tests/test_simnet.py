@@ -143,8 +143,8 @@ def test_payout_of_a_forged_note_stops_the_run(monkeypatch):
         fake = make_note(5, 6, params)
         fake_tree = mt_setup(self.scenario.tree_height, params)
         mt_add(fake_tree, fake.commitment)
-        roots_digest = hash2(b.remote_root_digests[-1], fake_tree.root, params)
-        commitment = state_commitment_value(roots_digest, b.remote_exposed_digests[-1], params)
+        roots_digest = hash2(b.remote_root_digest, fake_tree.root, params)
+        commitment = state_commitment_value(roots_digest, b.remote_exposed_digest, params)
         header, _ = mine_header(
             len(b.remote_headers), header_digest(b.remote_headers[-1], params), commitment,
             self.target, params,
@@ -227,7 +227,7 @@ def test_two_relayers_redundant_delivery_is_idempotent():
     assert t.contracts["B"].remote_roots.count(deposit_root) == 1
 
 
-def test_relayer_ids_are_distinct():
+def test_two_relayers_under_one_id_both_relay():
     # relayers keep no state, so an id keys nothing: two relayers under one
     # id both relay, and the faster one's state lands first
     deposit = (SimEvent(0, "A", "deposit", note="n1"),)
@@ -283,8 +283,8 @@ def test_seed_changes_commitments():
     assert c1 != c2
 
 
-def test_liveness_with_one_honest_relayer_among_censored():
-    # a censored relayer sends nothing, so the run is the one without it
+def test_liveness_with_one_honest_relayer():
+    # one honest relayer alone carries the deposit over, so the exit pays on time
     sc = base_scenario(
         relayers=(RelayerSpec("ok", 2),),
         events=(
@@ -520,7 +520,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1), range(0, 7))
-    assert len(calls) == 1534
+    assert len(calls) == 1497
 
 
 def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
