@@ -8,11 +8,14 @@ Every report is UTF-8 text: a human-readable table followed by one
 machine-readable JSON summary as the last line.  Outputs are byte-reproducible
 given (scenario, seed).
 
-Exit codes: 0 success; 1 a race interleaving double-paid (races mode);
-2 unusable input (unreadable or non-UTF-8 scenario file, parse error, bad
-field, empty sweep range, an --out that cannot be made a directory);
-3 a protocol invariant broke mid-run, including a payout the paying contract
-cannot cover (partial transcript is dumped).
+Both commands check the report names, load the scenario, create --out, do
+their work and write; `main` alone maps how they end to an exit code:
+0 success; 1 a race interleaving double-paid (races mode), nothing else;
+2 unusable input or output (unreadable or non-UTF-8 scenario file, parse
+error, bad field, an --out that cannot be made a directory, a report that
+cannot be written); 3 a protocol invariant broke mid-run, including a payout
+the paying contract cannot cover (run mode dumps the partial transcript, and
+still exits 3 if that dump cannot be written).
 """
 from __future__ import annotations
 
@@ -67,15 +70,14 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
         scenario = dataclasses.replace(scenario, seed=config.seed_override)
     if config.epsilon_override is not None:
         scenario = dataclasses.replace(scenario, epsilon=config.epsilon_override)
-        simnet.validate_scenario(scenario, allow_negative_epsilon=True)
+        simnet.validate_scenario(scenario)  # may go below 0, not below -relay_delay
     return scenario
 
 
-def _write_report(out_dir: Path, name: str, lines, summary: dict) -> Path:
+def _write_report(out_dir: Path, name: str, lines, summary: dict) -> None:
     path = out_dir / f"{name}.txt"
     body = "\n".join(lines)
     path.write_text(body + "\n" + json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def _write_transcript(path: Path, transcript) -> None:
@@ -99,26 +101,18 @@ def _payout_lines(transcript) -> tuple:
     return lines, summary
 
 
-def cmd_run(config: RunConfig) -> int:
-    for name in config.reports:
-        if name not in REPORT_NAMES:
-            _fail(f"unknown report {name!r}; choose from {', '.join(REPORT_NAMES)}")
-            return EXIT_BAD_INPUT
+def _dump_partial(out_dir: Path, transcript) -> str:
+    """Write the transcript up to a failing tick; say where, or why not."""
+    dump = out_dir / "transcript-failure.txt"
     try:
-        scenario = load_scenario(config)
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
-    except (OSError, simnet.ScenarioError) as err:
-        _fail(str(err))
-        return EXIT_BAD_INPUT
-    try:
-        transcript = simnet.run(scenario, allow_negative_epsilon=True)
-    except simnet.SimInvariantError as err:
-        # dump what happened up to the failing tick so it can be debugged
-        dump = out_dir / "transcript-failure.txt"
-        _write_transcript(dump, err.transcript)
-        _fail(f"invariant violation: {err} (partial transcript in {dump})")
-        return EXIT_INVARIANT
+        _write_transcript(dump, transcript)
+    except OSError as err:
+        return f"partial transcript not written: {err}"
+    return f"partial transcript in {dump}"
+
+
+def cmd_run(config: RunConfig, scenario: simnet.Scenario, out_dir: Path) -> int:
+    transcript = simnet.run(scenario)
     if "transcript" in config.reports:
         _write_transcript(out_dir / "transcript.txt", transcript)
     if "races" in config.reports:
@@ -136,29 +130,14 @@ def cmd_run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_races(config: RunConfig) -> int:
-    try:
-        scenario = load_scenario(config)
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
-        # validate_scenario keeps relay_delay + epsilon >= 0, so t_max >= 0
-        t_max = 2 * (scenario.relay_delay + scenario.epsilon)
-        report = simnet.explore_races(scenario, range(0, t_max + 1))
-    except (OSError, simnet.ScenarioError) as err:
-        _fail(str(err))
-        return EXIT_BAD_INPUT
-    except simnet.SimInvariantError as err:
-        _fail(f"invariant violation during sweep: {err}")
-        return EXIT_INVARIANT
+def cmd_races(scenario: simnet.Scenario, out_dir: Path) -> int:
+    # validate_scenario keeps relay_delay + epsilon >= 0, so t_max >= 0
+    t_max = 2 * (scenario.relay_delay + scenario.epsilon)
+    report = simnet.explore_races(scenario, range(0, t_max + 1))
     _write_report(out_dir, "races", report.render_lines(), report.summary())
-    if report.double_payout_rows:
-        for row in report.double_payout_rows:
-            _fail(
-                f"double payout at t'={row.t_prime} order={row.order}"
-                f" (payouts={row.payouts})"
-            )
-        return EXIT_DOUBLE_PAYOUT
-    return EXIT_OK
+    for row in report.double_payout_rows:
+        _fail(f"double payout at t'={row.t_prime} order={row.order} (payouts={row.payouts})")
+    return EXIT_DOUBLE_PAYOUT if report.double_payout_rows else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,9 +185,26 @@ def main(argv=None) -> int:
         seed_override=args.seed,
         epsilon_override=args.epsilon_override,
     )
-    if args.command == "run":
-        return cmd_run(config)
-    return cmd_races(config)
+    for name in config.reports:
+        if name not in REPORT_NAMES:
+            _fail(f"unknown report {name!r}; choose from {', '.join(REPORT_NAMES)}")
+            return EXIT_BAD_INPUT
+    out_dir = Path(config.out_dir)
+    try:
+        scenario = load_scenario(config)
+        out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
+        if args.command == "run":
+            return cmd_run(config, scenario, out_dir)
+        return cmd_races(scenario, out_dir)
+    except (OSError, simnet.ScenarioError) as err:  # a report that cannot be written too
+        _fail(str(err))
+        return EXIT_BAD_INPUT
+    except simnet.SimInvariantError as err:
+        if args.command == "races":
+            _fail(f"invariant violation during sweep: {err}")
+        else:
+            _fail(f"invariant violation: {err} ({_dump_partial(out_dir, err.transcript)})")
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -236,15 +236,20 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
     return index
 
 
+def check_roots_known(state: ContractState, stmt: Statement) -> None:
+    """root_a is one of this contract's roots, root_b one relayed to it."""
+    if stmt.root_a not in state.local_roots:
+        raise ContractError("unknown-local-root", "root_a not in this contract's history")
+    if stmt.root_b not in state.remote_root_ticks:
+        raise ContractError("unknown-remote-root", "root_b not relayed to this contract")
+
+
 def submit_withdrawal(
     state: ContractState, stmt: Statement, proof: Proof, recipient: str, now: int
 ) -> str:
     """Validate roots, nullifier freshness, and the proof; expose the
     nullifier immediately and queue payout for now + relay_delay + epsilon."""
-    if stmt.root_a not in state.local_roots:
-        raise ContractError("unknown-local-root", "root_a not in this contract's history")
-    if stmt.root_b not in state.remote_root_ticks:
-        raise ContractError("unknown-remote-root", "root_b not relayed to this contract")
+    check_roots_known(state, stmt)
     if stmt.nullifier in state.nullifiers:
         raise ContractError("nullifier-known", "nullifier already seen")
     if not zkrel.zk_verify(state.params, stmt, proof):

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contract import ContractError
-from .field_hash import fe_hex
+from .contract import ContractError, check_roots_known
 from .zkrel import Proof, Statement, zk_verify
 
 
@@ -43,10 +42,7 @@ def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
     already-withdrawn / age-overstated / below-min-lock / not-incremental.
     """
     stmt = claim.statement
-    if stmt.root_a not in state.local_roots:
-        raise ContractError("unknown-local-root", f"root_a {fe_hex(stmt.root_a)} not local")
-    if stmt.root_b not in state.remote_root_ticks:
-        raise ContractError("unknown-remote-root", f"root_b {fe_hex(stmt.root_b)} not relayed")
+    check_roots_known(state, stmt)
     if not zk_verify(state.params, stmt, claim.proof):
         raise ContractError("invalid-proof", "membership proof rejected")
     if stmt.nullifier in state.nullifiers:

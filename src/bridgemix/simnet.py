@@ -118,7 +118,8 @@ def other_chain(chain: str) -> str:
     return "B" if chain == "A" else "A"
 
 
-def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
+def validate_scenario(sc: Scenario):
+    """Range checks; epsilon may go down to -relay_delay, the negative control."""
     if sc.horizon < 1:
         raise ScenarioError("horizon", "must be >= 1")
     if not 1 <= sc.tree_height <= 32:
@@ -127,8 +128,6 @@ def validate_scenario(sc: Scenario, allow_negative_epsilon: bool = False):
         raise ScenarioError("denomination", "must be >= 1")
     if sc.relay_delay < 1:
         raise ScenarioError("relay_delay", "must be >= 1")
-    if sc.epsilon < 0 and not allow_negative_epsilon:
-        raise ScenarioError("epsilon", "must be >= 0 (negative only via override)")
     if sc.relay_delay + sc.epsilon < 0:
         raise ScenarioError("epsilon", "relay_delay + epsilon must be >= 0")
     if sc.native_chain not in CHAINS:
@@ -226,8 +225,8 @@ class _ChainNode:
 
 
 class _Engine:
-    def __init__(self, scenario: Scenario, allow_negative_epsilon: bool):
-        validate_scenario(scenario, allow_negative_epsilon)
+    def __init__(self, scenario: Scenario):
+        validate_scenario(scenario)
         self.scenario = scenario
         self.params = make_params(scenario.hash_rounds)
         self.target = P >> scenario.pow_shift
@@ -459,9 +458,9 @@ def _adversary_events(adv: AdversarySpec | None) -> list:
     ]
 
 
-def run(scenario: Scenario, allow_negative_epsilon: bool = False) -> Transcript:
+def run(scenario: Scenario) -> Transcript:
     """Execute a scenario; the transcript is a pure function of (scenario, seed)."""
-    return _Engine(scenario, allow_negative_epsilon).run()
+    return _Engine(scenario).run()
 
 
 # -- race exploration ---------------------------------------------------------
@@ -552,7 +551,7 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
             adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
             needed = adv.first_at + t_prime + 2 * base.relay_delay + abs(base.epsilon) + 4
             scenario = dataclasses.replace(base, adversary=adv, horizon=max(base.horizon, needed))
-            transcript = run(scenario, allow_negative_epsilon=True)
+            transcript = run(scenario)
             tallies = _note_tallies(transcript)
             payouts, cancels, rejected = tallies.get(transcript.notes[adv.note].nullifier, _NO_EVENTS)
             honest = sum(
@@ -648,7 +647,7 @@ def _rewards(raw) -> tuple:
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed structured text, with field-precise errors:
     names, scalar types and defaults come from the dataclasses, and
-    validate_scenario checks the ranges."""
+    validate_scenario checks the ranges.  Only here must epsilon be >= 0."""
     kwargs = _build(Scenario, data, "")
     delay = kwargs.get("relay_delay", Scenario.relay_delay)
     kwargs["relayers"] = tuple(
@@ -664,5 +663,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         kwargs["adversary"] = AdversarySpec(**_build(AdversarySpec, adversary, "adversary"))
     kwargs["rewards"] = _rewards(kwargs.get("rewards"))
     scenario = Scenario(**kwargs)
+    if scenario.epsilon < 0:
+        raise ScenarioError("epsilon", "must be >= 0 (negative only via override)")
     validate_scenario(scenario)
     return scenario

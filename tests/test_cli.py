@@ -1,10 +1,14 @@
 import json
+import shutil
 import tracemalloc
 
 import pytest
+import yaml
+from hypothesis import given, seed, settings
 
 from bridgemix import cli, field_hash, simnet
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, SimInvariantError
+from test_simnet import mutated_scenarios
 
 HAPPY = """\
 seed: 11
@@ -202,6 +206,20 @@ def test_races_negative_control_exits_one_and_names_interleaving(tmp_path, capsy
     assert summary["double_payouts"] >= 1
 
 
+@pytest.mark.parametrize(
+    "epsilon, flags, message",
+    [
+        ("-1", [], "must be >= 0 (negative only via override)"),  # a file's epsilon
+        ("1", ["--epsilon-override", "-3"], "relay_delay + epsilon must be >= 0"),  # D = 2
+    ],
+)
+def test_epsilon_out_of_range_exits_2(tmp_path, capsys, epsilon, flags, message):
+    scn = write_scenario(tmp_path, RACES.replace("epsilon: 1", f"epsilon: {epsilon}"))
+    rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o"), *flags])
+    assert rc == cli.EXIT_BAD_INPUT
+    assert f"error: scenario field 'epsilon': {message}" in capsys.readouterr().err
+
+
 def test_races_requires_adversary(tmp_path, capsys):
     scn = write_scenario(tmp_path, HAPPY)
     rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")])
@@ -215,8 +233,8 @@ def test_invariant_violation_dumps_partial_transcript(tmp_path, capsys, monkeypa
 
     real_run = cli.simnet.run
 
-    def broken_run(scenario, allow_negative_epsilon=False):
-        transcript = real_run(scenario, allow_negative_epsilon)
+    def broken_run(scenario):
+        transcript = real_run(scenario)
         raise SimInvariantError("tick 3: value conservation broken", transcript)
 
     monkeypatch.setattr(cli.simnet, "run", broken_run)
@@ -244,9 +262,9 @@ def recording_run(monkeypatch) -> list:
     seen = []
     real_run = cli.simnet.run
 
-    def run(scenario, allow_negative_epsilon=False):
+    def run(scenario):
         try:
-            seen.append(real_run(scenario, allow_negative_epsilon))
+            seen.append(real_run(scenario))
         except SimInvariantError as err:
             seen.append(err.transcript)
             raise
@@ -282,7 +300,7 @@ def test_transcript_is_written_without_holding_its_text(tmp_path, monkeypatch):
     ))
     rendered = transcript.render()
 
-    def traced_run(scenario, allow_negative_epsilon=False):
+    def traced_run(scenario):
         tracemalloc.start()  # traces everything the CLI does after the run
         return transcript
 
@@ -305,3 +323,56 @@ def test_races_insolvent_payout_exits_3(tmp_path, capsys):
     rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INVARIANT
     assert "A cannot cover withdrawal A" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, report", [("run", "transcript.txt"), ("races", "races.txt")])
+def test_report_that_cannot_be_written_exits_2(tmp_path, capsys, command, report):
+    out = tmp_path / "out"
+    (out / report).mkdir(parents=True)  # the report's path is taken by a directory
+    rc = cli.main([command, "--scenario", write_scenario(tmp_path, RACES), "--out", str(out)])
+    assert rc == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / report) in err and "Traceback" not in err
+
+
+def test_unwritable_failure_dump_still_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "transcript-failure.txt").mkdir(parents=True)
+    rc = cli.main(["run", "--scenario", write_scenario(tmp_path, INSOLVENT), "--out", str(out)])
+    assert rc == cli.EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "tick 7: A cannot cover withdrawal A0" in err
+    assert "partial transcript not written" in err and str(out / "transcript-failure.txt") in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+def fuzz_main(fuzz_dir, command, data) -> int:
+    """cli.main on `data` written as a scenario file, into an emptied --out."""
+    out = fuzz_dir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    scn = fuzz_dir / "scn.yaml"
+    scn.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    return cli.main([command, "--scenario", str(scn), "--out", str(out)])
+
+
+@seed(2103)
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=mutated_scenarios())
+def test_fuzzed_scenario_runs_end_in_a_documented_code(fuzz_dir, data):
+    # any exception escaping cli.main fails the test
+    assert fuzz_main(fuzz_dir, "run", data) in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_INVARIANT)
+
+
+@seed(2104)
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=mutated_scenarios().filter(lambda d: isinstance(d, dict) and "adversary" in d))
+def test_fuzzed_race_sweeps_exit_1_only_on_a_double_payout(fuzz_dir, data):
+    code = fuzz_main(fuzz_dir, "races", data)
+    assert code in (cli.EXIT_OK, cli.EXIT_DOUBLE_PAYOUT, cli.EXIT_BAD_INPUT, cli.EXIT_INVARIANT)
+    if code in (cli.EXIT_OK, cli.EXIT_DOUBLE_PAYOUT):
+        summary = json.loads((fuzz_dir / "out" / "races.txt").read_text().splitlines()[-1])
+        assert (code == cli.EXIT_DOUBLE_PAYOUT) == (summary["double_payouts"] > 0)

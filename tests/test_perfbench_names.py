@@ -1,7 +1,8 @@
 """perfbench/job.py instruments bridgemix by name, from outside.  A renamed
 function would fail the tracer's install, but a renamed attribute that an
-observer reads through a `getattr` default would silently read 0.  These
-tests import job.py without running it and check both kinds of name."""
+observer reads through a `getattr` default would silently read 0, and a
+function the CLI holds other than as a module attribute would never be
+traced.  These tests import job.py without running it and check all three."""
 import importlib
 import importlib.util
 import sys
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from bridgemix import cli
 from bridgemix.lightclient import StateAttestation, StateResult
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DEMO_SCENARIOS = PERFBENCH.parent / "demos" / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +52,27 @@ def test_observers_read_live_attributes(job):
     att = StateAttestation(1, 1, (7, 8), 0, (9,))
     result = StateResult(True, "ok", (8,), (9,))
     assert job._relay_entries((b, att), {}, result) == {"carried": 3, "installed": 2}
+
+
+def test_cli_calls_each_coarse_span_through_its_module_attribute(job, tmp_path, monkeypatch):
+    # the tracer rebinds module attributes; a function the CLI captured at
+    # import time, in a table or a default, would never open its span, and
+    # job.py would fail on the missing aggregate
+    coarse, _ = job._spanned(lambda transcript: None)
+    originals = set()
+    for name in coarse:
+        module_name, attr = name.rsplit(".", 1)
+        originals.add(id(getattr(importlib.import_module(f"bridgemix.{module_name}"), attr)))
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "bridgemix" or module_name.startswith("bridgemix."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(module, attr, value)  # undone after the test
+    tracer = job.Tracer()
+    tracer.install(coarse)
+    for command, scenario in (("run", "happy_path"), ("races", "races")):
+        argv = [command, "--scenario", str(DEMO_SCENARIOS / f"{scenario}.yaml"), "--out", str(tmp_path / command)]
+        assert cli.main(argv) == cli.EXIT_OK
+    called = {span.name for span in tracer.spans}
+    # job.py calls the linkability audit itself; the CLI has no report for it
+    assert set(coarse) - {"metrics.linkability_audit"} <= called

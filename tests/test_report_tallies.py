@@ -111,15 +111,15 @@ def naive_race_row(transcript):
 
 
 def assert_matches_reference(scenario, t_primes):
-    t = run(scenario, allow_negative_epsilon=True)
+    t = run(scenario)
     assert payout_table(t) == naive_payout_table(t)
     assert anonymity_report(t).rows == naive_anonymity_rows(t)
     if scenario.adversary is None:
         return
     transcripts = []
 
-    def recording_run(sc, allow_negative_epsilon=False):
-        transcripts.append(run(sc, allow_negative_epsilon))
+    def recording_run(sc):
+        transcripts.append(run(sc))
         return transcripts[-1]
 
     with mock.patch.object(simnet, "run", recording_run):

@@ -451,8 +451,8 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
     swept = []
     real_run = simnet.run
 
-    def recording_run(sc, allow_negative_epsilon=False):
-        transcript = real_run(sc, allow_negative_epsilon)
+    def recording_run(sc):
+        transcript = real_run(sc)
         swept.append((sc, transcript.render()))
         return transcript
 
@@ -464,7 +464,7 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
         # the reference run mines, hashes, derives and proves everything itself
         for cached in cached_functions().values():
             cached.cache_clear()
-        assert text == real_run(sc, allow_negative_epsilon=True).render(), sc.name
+        assert text == real_run(sc).render(), sc.name
 
 
 def test_sweep_mines_each_distinct_header_once(monkeypatch):
@@ -532,8 +532,8 @@ def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
     real_note, real_prove, real_run = simnet.make_note, simnet.zk_prove, simnet.run
     real_relation = zkrel.relation_holds
 
-    def recording_run(sc, allow_negative_epsilon=False):
-        transcript = real_run(sc, allow_negative_epsilon)
+    def recording_run(sc):
+        transcript = real_run(sc)
         swept.append(transcript)
         return transcript
 
@@ -568,8 +568,8 @@ def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
         proofs.append((pp, stmt, wit))
         return real_prove(pp, stmt, wit)
 
-    def recording_run(sc, allow_negative_epsilon=False):
-        transcript = real_run(sc, allow_negative_epsilon)
+    def recording_run(sc):
+        transcript = real_run(sc)
         rendered.append(transcript.render())
         return transcript
 
@@ -651,7 +651,7 @@ def test_claim_on_wrong_chain_rejected():
         (dict(tree_height=33), "tree_height"),
         (dict(denomination=0), "denomination"),
         (dict(relay_delay=0), "relay_delay"),
-        (dict(epsilon=-1), "epsilon"),
+        (dict(epsilon=-3), "epsilon"),  # below -relay_delay at D = 2
         (dict(native_chain="C"), "native_chain"),
         (dict(pow_shift=0), "pow_shift"),
         (dict(relayers=(RelayerSpec("r 0", 2),)), "relayers[0].id"),
@@ -768,6 +768,7 @@ def test_scenario_from_dict_shared_reward_block():
         ({"seed": 1, "horizon": 4, "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": "5"}]}, "events[0].age"),
         ({"seed": 1, "horizon": 4, "rewards": {"a": {"rate": 1}, "A": {"rate": 5}}}, "rewards.A"),
+        ({"seed": 1, "horizon": 4, "epsilon": -1}, "epsilon"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):
@@ -919,7 +920,7 @@ def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
     monkeypatch.setattr(contract_mod, "check_contract_invariants", check_fresh)
     for sc in per_tick_scenarios():
         checks.clear()
-        t = run(sc, allow_negative_epsilon=True)
+        t = run(sc)
         assert len(checks) == 2 * sc.horizon
         # a relayed header links only if the miner's kept tip digest was right
         assert len(kinds(t, "header-accepted")) == 2 * (sc.horizon - max(r.delay for r in sc.relayers))
@@ -949,7 +950,7 @@ def test_root_tick_maps_follow_the_root_lists_after_every_tick(monkeypatch):
     monkeypatch.setattr(contract_mod, "check_contract_invariants", check_maps)
     for sc in per_tick_scenarios():
         checks.clear()
-        t = run(sc, allow_negative_epsilon=True)
+        t = run(sc)
         assert checks == [now for now in range(sc.horizon) for _ in "AB"]
         if sc.rewards:
             assert kinds(t, "reward-claimed")  # the claim read both maps
@@ -973,7 +974,7 @@ def test_incremental_invariants_agree_with_the_full_rescan_after_every_tick(monk
     paid = 0
     for sc in (*per_tick_scenarios(), *demos):
         checks.clear()
-        t = run(sc, allow_negative_epsilon=True)
+        t = run(sc)
         assert len(checks) == 2 * sc.horizon
         paid += len(kinds(t, "withdraw-finalized"))
     assert paid > 0
@@ -1021,7 +1022,7 @@ def test_relay_traffic_is_at_most_delay_sends_per_entry(monkeypatch):
     for sc in [*per_tick_scenarios(), *demos]:
         headers.clear()
         entries.clear()
-        t = run(sc, allow_negative_epsilon=True)
+        t = run(sc)
         mined = len(kinds(t, "header-mined"))
         produced = sum(len(c.tree.root_history) - 1 + len(c.pending_withdrawals) for c in t.contracts.values())
         assert len(headers) <= sum(r.delay for r in sc.relayers) * mined
@@ -1051,7 +1052,7 @@ def queue_visits(monkeypatch, check, scenarios):
     monkeypatch.setattr(contract_mod, "contract_setup", counting_setup)
     monkeypatch.setattr(contract_mod, "check_contract_invariants", counting_check)
     for sc in scenarios:
-        run(sc, allow_negative_epsilon=True)
+        run(sc)
     return sum(q.visits for q in queues), 2 * sum(len(q) for q in queues)
 
 
