@@ -11,11 +11,12 @@ given (scenario, seed).
 Both commands check the report names, load the scenario, create --out, do
 their work and write; `main` alone maps how they end to an exit code:
 0 success; 1 a race interleaving double-paid (races mode), nothing else;
-2 unusable input or output (unreadable or non-UTF-8 scenario file, parse
-error, bad field, an --out that cannot be made a directory, a report that
-cannot be written); 3 a protocol invariant broke mid-run, including a payout
-the paying contract cannot cover (run mode dumps the partial transcript, and
-still exits 3 if that dump cannot be written).
+2 unusable input or output (an unknown or empty --reports list, unreadable
+or non-UTF-8 scenario file, parse error, repeated key, bad field, an --out
+that cannot be made a directory, a report that cannot be written); 3 a
+protocol invariant broke mid-run, including a payout the paying contract
+cannot cover (run mode dumps the partial transcript, and still exits 3 if
+that dump cannot be written).
 """
 from __future__ import annotations
 
@@ -47,6 +48,24 @@ class RunConfig:
     epsilon_override: int | None = None
 
 
+class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser when PyYAML has it, except that a
+    key repeated within one mapping is an error, not a silent overwrite.
+    Merge keys (`<<`) keep their meaning: a key they merge may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)  # a scalar key is hashable
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found repeated key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
@@ -56,9 +75,7 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
     OSError with a message naming the problem."""
     path = Path(config.scenario_path)
     try:
-        # libyaml's parser when PyYAML was built with it; same safe constructors
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ScenarioLoader)
     except UnicodeDecodeError as err:
         raise simnet.ScenarioError("<syntax>", f"not UTF-8 text: {err}")
     except yaml.YAMLError as err:
@@ -185,6 +202,9 @@ def main(argv=None) -> int:
         seed_override=args.seed,
         epsilon_override=args.epsilon_override,
     )
+    if not config.reports:
+        _fail(f"--reports selects no report; choose from {', '.join(REPORT_NAMES)}")
+        return EXIT_BAD_INPUT
     for name in config.reports:
         if name not in REPORT_NAMES:
             _fail(f"unknown report {name!r}; choose from {', '.join(REPORT_NAMES)}")

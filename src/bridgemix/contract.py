@@ -22,6 +22,8 @@ from .lightclient import BlockHeader, StateAttestation, StateResult, header_dige
 from .merkle import MerkleTree, mt_add, mt_setup
 from .zkrel import Proof, ProofParams, Statement
 
+DENOMINATION = 10  # every deposit and every payout moves exactly this much
+
 PENDING = "pending"
 FINALIZED = "finalized"
 CANCELLED = "cancelled"
@@ -80,7 +82,6 @@ class ContractState:
     cache, which the receiver filled when it accepted each header."""
 
     chain_id: str
-    denomination: int
     epsilon: int
     relay_delay: int
     native: bool  # pays from balance; otherwise mints wrapped units
@@ -91,7 +92,7 @@ class ContractState:
     total_deposited: int = 0
     wrapped_minted: int = 0
     # each root of tree.root_history, in order, mapped to the tick it became
-    # known: the set-up tick for the empty root, else its deposit's tick
+    # known: tick 0, set-up, for the empty root, else its deposit's tick
     local_roots: dict = field(default_factory=dict)
     # running digest of tree.root_history (committed)
     local_root_digest: FieldElement = 0
@@ -162,24 +163,20 @@ def contract_setup(
     chain_id: str,
     genesis: BlockHeader,
     params: ProofParams,
-    denomination: int,
     *,
     epsilon: int,
     relay_delay: int,
     native: bool,
     events: list,
-    now: int,
 ) -> ContractState:
-    """A chain's contract, fully set up: a tree of the circuit's height
-    (`params.height`), the other chain's genesis header installed, and both
-    root lists seeded with the shared empty root.  Appends its `setup` event to
-    `events`, the transcript the contract keeps writing to."""
+    """A chain's contract, fully set up at tick 0: a tree of the circuit's
+    height (`params.height`), the other chain's genesis header installed, and
+    both root lists seeded with the shared empty root.  Appends its `setup`
+    event to `events`, the transcript the contract keeps writing to."""
     if relay_delay < 1:
         raise ContractError("bad-delay", "relay_delay must be >= 1")
     if relay_delay + epsilon < 0:
         raise ContractError("bad-delay", "relay_delay + epsilon must be >= 0")
-    if denomination <= 0:
-        raise ContractError("bad-denomination", "denomination must be positive")
     if genesis.height != 0:
         raise ContractError("bad-genesis", "genesis must have height 0")
     if not lightclient.fields_in_range(genesis):
@@ -189,22 +186,22 @@ def contract_setup(
     if header_digest(genesis, params.hash_params) >= genesis.work_target:
         raise ContractError("bad-genesis", "genesis fails its own work target")
     tree = mt_setup(params.height, params.hash_params)
-    state = ContractState(chain_id, denomination, epsilon, relay_delay, native, tree, params, events)
+    state = ContractState(chain_id, epsilon, relay_delay, native, tree, params, events)
     empty_root = tree.root
-    state.local_roots[empty_root] = now
+    state.local_roots[empty_root] = 0
     state.local_root_digest, state.state_commitment = empty_state_digests(
         empty_root, params.hash_params
     )
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
-    state.remote_root_ticks[empty_root] = now
+    state.remote_root_ticks[empty_root] = 0
     state.remote_root_digest = state.local_root_digest
     state.remote_headers.append(genesis)
     state.emit(
-        now,
+        0,
         "setup",
         height=params.height,
-        denomination=denomination,
+        denomination=DENOMINATION,
         epsilon=epsilon,
         relay_delay=relay_delay,
         empty_root=empty_root,
@@ -214,10 +211,8 @@ def contract_setup(
 
 def deposit(state: ContractState, amount: int, commitment: FieldElement, now: int) -> int:
     """Fixed-denomination deposit of a note commitment; returns the leaf index."""
-    if amount != state.denomination:
-        raise ContractError(
-            "wrong-amount", f"deposit {amount} != denomination {state.denomination}"
-        )
+    if amount != DENOMINATION:
+        raise ContractError("wrong-amount", f"deposit {amount} != denomination {DENOMINATION}")
     if not 0 <= commitment < P:
         raise ContractError("bad-commitment", "commitment out of field range")
     if commitment in state.commitments:
@@ -281,7 +276,7 @@ def process_tick(state: ContractState, now: int) -> list:
         if pw.finalize_at > now:
             break
         # checked before anything moves, so an unpaid withdrawal stays pending
-        if pw.status == PENDING and state.native and state.balance < state.denomination:
+        if pw.status == PENDING and state.native and state.balance < DENOMINATION:
             raise ContractError(
                 "insolvent", f"{state.chain_id} cannot cover withdrawal {pw.pending_id}"
             )
@@ -290,12 +285,12 @@ def process_tick(state: ContractState, now: int) -> list:
             continue  # cancelled
         pw.status = FINALIZED
         if state.native:
-            state.balance -= state.denomination
+            state.balance -= DENOMINATION
             mode = "native"
         else:
-            state.wrapped_minted += state.denomination
+            state.wrapped_minted += DENOMINATION
             mode = "wrapped"
-        state.credits[pw.recipient] = state.credits.get(pw.recipient, 0) + state.denomination
+        state.credits[pw.recipient] = state.credits.get(pw.recipient, 0) + DENOMINATION
         events.append(
             state.emit(
                 now,
@@ -303,7 +298,7 @@ def process_tick(state: ContractState, now: int) -> list:
                 wid=pw.pending_id,
                 nullifier=pw.statement.nullifier,
                 recipient=pw.recipient,
-                amount=state.denomination,
+                amount=DENOMINATION,
                 mode=mode,
             )
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contract import ContractError, check_roots_known
+from .contract import DENOMINATION, ContractError, check_roots_known
 from .zkrel import Proof, Statement, zk_verify
 
 
@@ -118,13 +118,11 @@ class LiquiditySeries:
 
 def vampire_metrics(transcript) -> LiquiditySeries:
     """Per-tick locked value, wrapped supply, and cumulative rewards per chain,
-    reconstructed purely from the public event transcript in one pass.  The
-    engine appends events in tick order, so an event at tick t completes every
-    tick before t."""
-    scenario = transcript.scenario
-    denom = scenario.denomination
-    native = scenario.native_chain
-    horizon = scenario.horizon
+    reconstructed from the public event transcript in one pass; each
+    contract says whether it pays natively.  The engine appends events in
+    tick order, so an event at tick t completes every tick before t."""
+    native = {chain: c.native for chain, c in transcript.contracts.items()}
+    horizon = transcript.scenario.horizon
     locked = {"A": 0, "B": 0}
     wrapped = {"A": 0, "B": 0}
     rewards = {"A": 0, "B": 0}
@@ -149,12 +147,12 @@ def vampire_metrics(transcript) -> LiquiditySeries:
             close(tick)
             tick += 1
         if e.kind == "deposit":
-            locked[e.chain] += denom
+            locked[e.chain] += DENOMINATION
         elif e.kind == "withdraw-finalized":
-            if e.chain == native:
-                locked[e.chain] -= denom
+            if native[e.chain]:
+                locked[e.chain] -= DENOMINATION
             else:
-                wrapped[e.chain] += denom
+                wrapped[e.chain] += DENOMINATION
         elif e.kind == "reward-claimed":
             rewards[e.chain] += e.get("amount")
     while tick < horizon:

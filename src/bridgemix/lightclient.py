@@ -23,10 +23,7 @@ from .field_hash import P, FieldElement, HashParams, hash2
 
 NONCE_SPAN = 1 << 32  # a nonce is the low 32 bits of the packed (height, nonce) word
 HEIGHT_LIMIT = P // NONCE_SPAN  # heights in [0, HEIGHT_LIMIT) keep the packed word below p
-MINING_TRIES = 1 << 20  # at most NONCE_SPAN
-# at target p >> k a try succeeds with probability about 2**-k, so mining fails
-# with probability about exp(-MINING_TRIES / 2**k): e**-64 at k = MAX_POW_SHIFT
-MAX_POW_SHIFT = MINING_TRIES.bit_length() - 1 - 6
+MINING_TRIES = 1 << 20  # at most NONCE_SPAN; far beyond what target p >> 2 needs
 
 
 class MiningError(Exception):

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 from . import contract as contract_mod
 from . import incentives as incentives_mod
-from .contract import ContractError, ContractState
+from .contract import DENOMINATION, ContractError, ContractState
 from .field_hash import FieldElement, P, fe_hex, make_params
 from .incentives import RewardSpec
-from .lightclient import MAX_POW_SHIFT, StateAttestation, mine_header
+from .lightclient import StateAttestation, mine_header
 from .merkle import mt_path, zero_subtree_roots
 from .zkrel import (
     DepositNote,
@@ -35,7 +35,9 @@ from .zkrel import (
     zk_setup,
 )
 
-CHAINS = ("A", "B")
+CHAINS = ("A", "B")  # A holds the native asset, B mints its wrapped twin
+
+WORK_TARGET = P >> 2  # every header's proof-of-work target: a try succeeds with odds about 1/4
 
 USER_ACTIONS = ("deposit", "submit_withdrawal", "incentive_claim")
 
@@ -95,11 +97,8 @@ class Scenario:
     seed: int
     horizon: int
     tree_height: int = 4
-    denomination: int = 10
     epsilon: int = 1
     relay_delay: int = 2  # the protocol bound D
-    native_chain: str = "A"
-    pow_shift: int = 2  # work target = p >> pow_shift
     hash_rounds: int = 64
     name: str = "scenario"  # a free-form label; no output reads it
     relayers: tuple = ()
@@ -124,16 +123,10 @@ def validate_scenario(sc: Scenario):
         raise ScenarioError("horizon", "must be >= 1")
     if not 1 <= sc.tree_height <= 32:
         raise ScenarioError("tree_height", "must be in [1, 32]")
-    if sc.denomination < 1:
-        raise ScenarioError("denomination", "must be >= 1")
     if sc.relay_delay < 1:
         raise ScenarioError("relay_delay", "must be >= 1")
     if sc.relay_delay + sc.epsilon < 0:
         raise ScenarioError("epsilon", "relay_delay + epsilon must be >= 0")
-    if sc.native_chain not in CHAINS:
-        raise ScenarioError("native_chain", "must be 'A' or 'B'")
-    if not 1 <= sc.pow_shift <= MAX_POW_SHIFT:
-        raise ScenarioError("pow_shift", f"must be in [1, {MAX_POW_SHIFT}]")
     if not 1 <= sc.hash_rounds <= MAX_HASH_ROUNDS:
         raise ScenarioError("hash_rounds", f"must be in [1, {MAX_HASH_ROUNDS}]")
     for i, spec in enumerate(sc.relayers):
@@ -178,18 +171,15 @@ def validate_scenario(sc: Scenario):
         last = adv.first_at + adv.gap
         if last >= sc.horizon:
             raise ScenarioError("horizon", f"too short for adversary submissions (need > {last})")
-    # the shared `rewards: {rate, min_lock}` block gives both chains one spec
-    shared = len(sc.rewards) == 2 and sc.rewards[0][1] is sc.rewards[1][1]
     for i, (chain, spec) in enumerate(sc.rewards):
         if chain not in CHAINS:
             raise ScenarioError("rewards", f"unknown chain {chain!r}")
         if any(c == chain for c, _ in sc.rewards[:i]):  # reward_for reads only the first
             raise ScenarioError(f"rewards.{chain}", "duplicate chain")
-        where = "rewards" if shared else f"rewards.{chain}"
         if spec.rate < 0:
-            raise ScenarioError(f"{where}.rate", "must be >= 0")
+            raise ScenarioError(f"rewards.{chain}.rate", "must be >= 0")
         if spec.min_lock < 0:
-            raise ScenarioError(f"{where}.min_lock", "must be >= 0")
+            raise ScenarioError(f"rewards.{chain}.min_lock", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -229,13 +219,12 @@ class _Engine:
         validate_scenario(scenario)
         self.scenario = scenario
         self.params = make_params(scenario.hash_rounds)
-        self.target = P >> scenario.pow_shift
         self.events: list = []  # shared, globally ordered transcript
         # both chains share tree shape, so both genesis headers commit the
         # same empty state; mine one header and install it on both sides
         empty_root = zero_subtree_roots(scenario.tree_height, self.params)[-1]
         _, initial_commitment = contract_mod.empty_state_digests(empty_root, self.params)
-        genesis, genesis_digest = mine_header(0, 0, initial_commitment, self.target, self.params)
+        genesis, genesis_digest = mine_header(0, 0, initial_commitment, WORK_TARGET, self.params)
         # one circuit for the shared tree height: every proof and both contracts use it
         self.proof_params = zk_setup(scenario.tree_height, self.params)
         self.nodes: dict = {}
@@ -244,12 +233,10 @@ class _Engine:
                 chain,
                 genesis,
                 self.proof_params,
-                scenario.denomination,
                 epsilon=scenario.epsilon,
                 relay_delay=scenario.relay_delay,
-                native=(chain == scenario.native_chain),
+                native=(chain == "A"),
                 events=self.events,
-                now=0,
             )
             self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
         self.notes: dict = {}
@@ -331,9 +318,7 @@ class _Engine:
             if ev.action == "deposit":
                 note = self.note(note_id)
                 try:
-                    index = contract_mod.deposit(
-                        c, self.scenario.denomination, note.commitment, now
-                    )
+                    index = contract_mod.deposit(c, DENOMINATION, note.commitment, now)
                 except ContractError as err:
                     c.emit(now, "deposit-rejected", commitment=note.commitment, reason=err.reason)
                     continue
@@ -373,7 +358,7 @@ class _Engine:
                 len(node.headers),
                 node.tip_digest,
                 node.contract.state_commitment,
-                self.target,
+                WORK_TARGET,
                 self.params,
             )
             node.headers.append(header)
@@ -628,19 +613,17 @@ def _build(cls, raw, where, **defaults):
 
 
 def _rewards(raw) -> tuple:
-    """`rewards: {rate, min_lock}` applies one spec to both chains;
-    otherwise each key names a chain and holds that chain's spec."""
+    """Each key names a chain, exactly A or B, and holds that chain's spec."""
     if raw is None:
         return ()
-    if not isinstance(raw, dict) or raw.keys() & {f.name for f in dataclasses.fields(RewardSpec)}:
-        spec = RewardSpec(**_build(RewardSpec, raw, "rewards"))
-        return tuple((chain, spec) for chain in CHAINS)
+    if not isinstance(raw, dict):
+        raise ScenarioError("rewards", "expected a mapping")
     rewards = []
     for chain, entry in raw.items():
         where = f"rewards.{chain}"
-        if str(chain).upper() not in CHAINS:
+        if chain not in CHAINS:
             raise ScenarioError(where, "chain must be A or B")
-        rewards.append((str(chain).upper(), RewardSpec(**_build(RewardSpec, entry, where))))
+        rewards.append((chain, RewardSpec(**_build(RewardSpec, entry, where))))
     return tuple(rewards)
 
 

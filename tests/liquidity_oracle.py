@@ -5,13 +5,12 @@ appending them in tick order; this groups the events by tick first and then
 walks the ticks, so it needs no order at all.  Tests compare the two on
 engine transcripts.
 """
+from bridgemix.contract import DENOMINATION
 from bridgemix.incentives import LIQUIDITY_COLUMNS, LiquiditySeries
 
 
 def liquidity_by_tick(transcript) -> LiquiditySeries:
     scenario = transcript.scenario
-    denom = scenario.denomination
-    native = scenario.native_chain
     locked = {"A": 0, "B": 0}
     wrapped = {"A": 0, "B": 0}
     rewards = {"A": 0, "B": 0}
@@ -22,12 +21,12 @@ def liquidity_by_tick(transcript) -> LiquiditySeries:
     for tick in range(scenario.horizon):
         for e in by_tick.get(tick, ()):
             if e.kind == "deposit":
-                locked[e.chain] += denom
+                locked[e.chain] += DENOMINATION
             elif e.kind == "withdraw-finalized":
-                if e.chain == native:
-                    locked[e.chain] -= denom
+                if transcript.contracts[e.chain].native:
+                    locked[e.chain] -= DENOMINATION
                 else:
-                    wrapped[e.chain] += denom
+                    wrapped[e.chain] += DENOMINATION
             elif e.kind == "reward-claimed":
                 rewards[e.chain] += e.get("amount")
         rows.append(

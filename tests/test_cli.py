@@ -91,6 +91,21 @@ def test_run_rejects_unknown_report(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reports", ["", ",", " , "])
+def test_run_rejects_an_empty_report_list_before_loading(tmp_path, capsys, monkeypatch, reports):
+    def no_load(config):
+        raise AssertionError("scenario loaded")
+
+    monkeypatch.setattr(cli, "load_scenario", no_load)
+    out = tmp_path / "o"
+    scn = write_scenario(tmp_path, HAPPY)
+    assert cli.main(["run", "--scenario", scn, "--out", str(out), "--reports", reports]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --reports selects no report; choose from ")
+    assert all(name in err for name in cli.REPORT_NAMES)
+    assert not out.exists()
+
+
 def test_malformed_scenario_names_the_field(tmp_path, capsys):
     scn = write_scenario(tmp_path, "seed: 1\nhorizon: 4\nwidgets: 9\n")
     rc = cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o")])
@@ -127,6 +142,24 @@ def test_yaml_syntax_error_names_the_line(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_BAD_INPUT
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("seed: 1\nhorizon: 14\nhorizon: 3\n", "horizon", 3),
+        ("seed: 1\nhorizon: 4\nevents:\n  - {at: 0, chain: A, action: deposit, note: n, at: 1}\n", "at", 4),
+        ("seed: 1\nhorizon: 4\nrewards:\n  A: {rate: 1}\n  B: {rate: 2}\n  A: {rate: 3}\n", "A", 6),
+    ],
+    ids=["top-level", "event", "rewards"],
+)
+def test_repeated_key_exits_2_naming_key_and_line(tmp_path, capsys, text, key, line):
+    # PyYAML alone keeps the last value: the first file would run with horizon 3
+    rc = cli.main(["run", "--scenario", write_scenario(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario field '<syntax>': unparseable scenario at line {line}:")
+    assert f"found repeated key {key!r}" in err
 
 
 @pytest.mark.parametrize("command", ["run", "races"])

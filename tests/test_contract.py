@@ -45,17 +45,17 @@ def make_genesis(h, params):
     return genesis
 
 
-def setup_one(chain, genesis, params, h=3, denomination=DENOM, epsilon=1, delay=2, native=True):
+def setup_one(chain, genesis, params, h=3, epsilon=1, delay=2, native=True):
     return contract_setup(
-        chain, genesis, zk_setup(h, params), denomination,
-        epsilon=epsilon, relay_delay=delay, native=native, events=[], now=0,
+        chain, genesis, zk_setup(h, params),
+        epsilon=epsilon, relay_delay=delay, native=native, events=[],
     )
 
 
-def make_pair(params, h=3, epsilon=1, delay=2, native_chain="A"):
+def make_pair(params, h=3, epsilon=1, delay=2, native_side="A"):
     genesis = make_genesis(h, params)
-    a = setup_one("A", genesis, params, h, epsilon=epsilon, delay=delay, native=(native_chain == "A"))
-    b = setup_one("B", genesis, params, h, epsilon=epsilon, delay=delay, native=(native_chain == "B"))
+    a = setup_one("A", genesis, params, h, epsilon=epsilon, delay=delay, native=(native_side == "A"))
+    b = setup_one("B", genesis, params, h, epsilon=epsilon, delay=delay, native=(native_side == "B"))
     return a, b
 
 
@@ -116,11 +116,6 @@ class TestSetup:
         with pytest.raises(ContractError) as err:
             setup_one("A", make_genesis(2, fast_params), fast_params, 2, epsilon=epsilon, delay=delay)
         assert err.value.reason == "bad-delay"
-
-    def test_zero_denomination_rejected(self, fast_params):
-        with pytest.raises(ContractError) as err:
-            setup_one("A", make_genesis(2, fast_params), fast_params, 2, denomination=0)
-        assert err.value.reason == "bad-denomination"
 
     def test_bad_genesis_rejected(self, fast_params):
         genesis = make_genesis(2, fast_params)
@@ -276,7 +271,7 @@ class TestSubmitWithdrawal:
 
 class TestProcessTick:
     def test_finalizes_at_deadline(self, fast_params):
-        a, b = make_pair(fast_params, epsilon=1, delay=2, native_chain="B")
+        a, b = make_pair(fast_params, epsilon=1, delay=2, native_side="B")
         note = make_note(21, 22, fast_params)
         index = deposit(b, DENOM, note.commitment, now=0)
         stmt, proof = withdrawal_for(note, index, b, b)
@@ -291,7 +286,7 @@ class TestProcessTick:
         assert conservation_holds([a, b])
 
     def test_wrapped_mint_on_non_native_side(self, fast_params):
-        a, b = make_pair(fast_params, native_chain="A")
+        a, b = make_pair(fast_params, native_side="A")
         note = make_note(31, 32, fast_params)
         index = deposit(a, DENOM, note.commitment, now=0)
         relay_all(a, b, now=2)
@@ -306,7 +301,7 @@ class TestProcessTick:
     def test_insolvent_payout_leaves_the_withdrawal_pending(self, fast_params):
         # a note deposited on wrapped B and withdrawn on native A, which holds
         # nothing: the payout raises before it marks or skips the withdrawal
-        a, b = make_pair(fast_params, native_chain="A")
+        a, b = make_pair(fast_params, native_side="A")
         note = make_note(51, 52, fast_params)
         index = deposit(b, DENOM, note.commitment, now=0)
         relay_all(b, a, now=1)
@@ -515,8 +510,8 @@ class TestInvariantHelpers:
             "from bridgemix.zkrel import zk_setup\n"
             "params = make_params(4)\n"
             "genesis, _ = mine_header(0, 0, 0, P >> 2, params)\n"
-            "c = contract_setup('A', genesis, zk_setup(2, params), 10, epsilon=1, relay_delay=1,\n"
-            "                   native=True, events=[], now=0)\n"
+            "c = contract_setup('A', genesis, zk_setup(2, params), epsilon=1, relay_delay=1,\n"
+            "                   native=True, events=[])\n"
             "c.balance = -5\n"
             "try:\n"
             "    check_contract_invariants(c)\n"

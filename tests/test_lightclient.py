@@ -549,8 +549,8 @@ class TestDigests:
         # the contract keeps the same fold of its root history, one root at a time
         genesis, _ = mine_header(0, 0, 0, EASY_TARGET, fast_params)
         c = contract_setup(
-            "A", genesis, zk_setup(2, fast_params), 10,
-            epsilon=1, relay_delay=1, native=True, events=[], now=0,
+            "A", genesis, zk_setup(2, fast_params),
+            epsilon=1, relay_delay=1, native=True, events=[],
         )
         for commitment in values:
             deposit(c, 10, commitment, now=0)

@@ -22,6 +22,7 @@ from bridgemix.simnet import (
     ScenarioError,
     SimEvent,
     SimInvariantError,
+    WORK_TARGET,
     explore_races,
     payout_table,
     run,
@@ -147,7 +148,7 @@ def test_payout_of_a_forged_note_stops_the_run(monkeypatch):
         commitment = state_commitment_value(roots_digest, b.remote_exposed_digest, params)
         header, _ = mine_header(
             len(b.remote_headers), header_digest(b.remote_headers[-1], params), commitment,
-            self.target, params,
+            WORK_TARGET, params,
         )
         assert contract_mod.on_relayed_header(b, header, now).accepted
         att = StateAttestation(header.height, len(b.remote_roots), (fake_tree.root,), 0, ())
@@ -649,11 +650,14 @@ def test_claim_on_wrong_chain_rejected():
         (dict(horizon=0), "horizon"),
         (dict(tree_height=0), "tree_height"),
         (dict(tree_height=33), "tree_height"),
-        (dict(denomination=0), "denomination"),
+        (dict(hash_rounds=0), "hash_rounds"),
         (dict(relay_delay=0), "relay_delay"),
         (dict(epsilon=-3), "epsilon"),  # below -relay_delay at D = 2
-        (dict(native_chain="C"), "native_chain"),
-        (dict(pow_shift=0), "pow_shift"),
+        (dict(events=(SimEvent(1, "A", "submit_withdrawal", note="x"),)), "events[0].recipient"),
+        (
+            dict(rewards=tuple(zip("AB", [RewardSpec(-1, 0)] * 2))),
+            "rewards.A.rate",
+        ),  # one spec object on both chains is still named per chain
         (dict(relayers=(RelayerSpec("r 0", 2),)), "relayers[0].id"),
         (dict(relayers=(RelayerSpec("r0", 0),)), "relayers[0].delay"),
         (dict(events=(SimEvent(99, "A", "deposit", note="x"),)), "events[0].at"),
@@ -672,7 +676,6 @@ def test_claim_on_wrong_chain_rejected():
             dict(adversary=AdversarySpec("a", "A", 0, "A", 11, 5)),
             "horizon",
         ),  # second submission would land past the end
-        (dict(pow_shift=32), "pow_shift"),  # unminable within the try budget
     ],
 )
 def test_scenario_validation_names_the_field(over, field):
@@ -734,8 +737,6 @@ def test_hash_rounds_above_the_bound_rejected_before_set_up(monkeypatch):
 
 
 def test_scenario_from_dict_shared_reward_block():
-    sc = scenario_from_dict({"seed": 1, "horizon": 4, "rewards": {"rate": 3, "min_lock": 2}})
-    assert sc.reward_for("A") == RewardSpec(3, 2) == sc.reward_for("B")
     assert scenario_from_dict({"seed": 1, "horizon": 4, "rewards": None}).rewards == ()
 
 
@@ -767,7 +768,7 @@ def test_scenario_from_dict_shared_reward_block():
         ({"seed": 1, "horizon": 4, "relayers": [{"id": "r0"}, {"id": "r 1"}]}, "relayers[1].id"),
         ({"seed": 1, "horizon": 4, "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": "5"}]}, "events[0].age"),
-        ({"seed": 1, "horizon": 4, "rewards": {"a": {"rate": 1}, "A": {"rate": 5}}}, "rewards.A"),
+        ({"seed": 1, "horizon": 4, "rewards": {"a": {"rate": 1}, "A": {"rate": 5}}}, "rewards.a"),
         ({"seed": 1, "horizon": 4, "epsilon": -1}, "epsilon"),
     ],
 )
@@ -777,16 +778,16 @@ def test_scenario_from_dict_names_offending_field(data, field):
     assert err.value.field_name == field
 
 
-# valid scenarios covering every section, payload key and both reward forms
+# valid scenarios covering every section and payload key
 FUZZ_BASES = (
     ROUND_TRIP,
     {
-        "seed": 2, "horizon": 12, "hash_rounds": 8, "pow_shift": 3,
+        "seed": 2, "horizon": 12, "hash_rounds": 8,
         "events": [
             {"at": 0, "chain": "A", "action": "deposit", "note": "n1"},
             {"at": 5, "chain": "A", "action": "incentive_claim", "note": "n1", "claimant": "c", "age": 4},
         ],
-        "rewards": {"rate": 2, "min_lock": 1},
+        "rewards": {"A": {"rate": 2, "min_lock": 1}},
     },
 )
 OTHER_TYPES = (None, "x", 1.5, True, 7, [], {}, [{}])
