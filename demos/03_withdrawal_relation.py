@@ -43,9 +43,14 @@ mt_add(remote, note.commitment)            # ours, at leaf 1
 stmt = Statement(root_a=local.root, root_b=remote.root, nullifier=note.nullifier)
 wit = Witness(note.r, note.s, mt_path(remote, 1), tree_selector=1)
 proof = zk_prove(pp, stmt, wit)
-# this backend's proof is a value: the witness itself plus a tag that binds
-# it to one (params, statement) pair
-print("proof tag:", fe_hex(proof.tag), "| path siblings:", len(proof.witness.path.siblings))
+# this backend's proof is a value: the witness itself plus the circuit digest
+# and the statement it was made for, which the verifier checks by equality
+bound = proof.statement
+print(
+    "proof binds: circuit", fe_hex(proof.params_digest),
+    "| statement", fe_hex(bound.root_a), fe_hex(bound.root_b), fe_hex(bound.nullifier),
+    "| path siblings:", len(proof.witness.path.siblings),
+)
 print("verifies:", zk_verify(pp, stmt, proof))
 
 # the proof binds the whole statement: touching any field kills it

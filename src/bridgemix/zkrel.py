@@ -5,29 +5,27 @@ tree_selector).  The relation holds when nullifier = H(enc(r)) and the
 commitment H(enc(r) || enc(s)) sits under the selected root via the path.
 There is one circuit per tree height: zk_setup(height) names it
 `or-membership-h<height>` and hashes that name, the height and the hash
-parameters into the digest every proof is bound to.
+parameters into the digest every proof carries.
 
-The reference backend is *transparent*: a proof is the witness itself plus a
-tag binding it to (params, statement), and the verifier checks the relation
-directly.  The prover does not evaluate the relation: a proof made from an
-unsatisfying witness is still a proof, and zk_verify rejects it.  The backend
-is complete, sound, statement-bound, and deterministic — everything the
-protocol logic relies on — but not hiding.  A hiding backend is a drop-in
-replacement behind the same three functions.
+The reference backend is *transparent*: a proof is the witness itself plus
+the circuit digest and the statement it was made for, and the verifier checks
+both by equality before it evaluates the relation directly, as a verifier
+checks a public input.  The prover does not evaluate the relation: a proof
+made from an unsatisfying witness is still a proof, and zk_verify rejects it.
+The backend is complete, sound, statement-bound, and deterministic —
+everything the protocol logic relies on — but not hiding.  A hiding backend
+is a drop-in replacement behind the same three functions.
 
-Shared absorb prefixes are hashed once.  A note's commitment and nullifier
-both start with the first 7-byte chunk of enc(r), so note_hashes absorbs it
-once: 4 permutes for the pair, not 5.  Every binding tag starts with the
-first chunk of enc(pp.digest), so zk_setup absorbs it into
-ProofParams.tag_state and each tag continues from there: 4 permutes, not 5.
-Every value is the one the plain byte absorber computes.
+A note's commitment and nullifier both start with the first 7-byte chunk of
+enc(r), so note_hashes absorbs it once: 4 permutes for the pair, not 5, each
+value the one the plain byte absorber computes.
 
 The prover's side is cached: make_note, zk_setup and zk_prove are pure
 functions with frozen results, so a race sweep derives each note and each
-proof once per process.  The verifier's side (relation_holds, note_hashes and
-_binding_tag as zk_verify calls them, zk_verify) is not: a verifier never
-reads a value that the prover computed, and evaluates the relation in every
-run: 8 + height permutes per zk_verify.
+proof once per process; a proof costs no permutes.  The verifier's side
+(relation_holds, note_hashes as zk_verify calls it, zk_verify) is not: a
+verifier never reads a value that the prover computed, and evaluates the
+relation in every run: 4 + height permutes per zk_verify.
 """
 from __future__ import annotations
 
@@ -47,7 +45,7 @@ class UnknownCircuitError(ZkError):
 
 
 # a fixed 4-byte level field in the zk_setup digest blob; it keeps each
-# circuit's digest, and so every proof's binding tag, at its pinned value
+# circuit's digest at its pinned value
 _LEVEL_WORD = (128).to_bytes(4, "little")
 
 
@@ -94,7 +92,8 @@ class Witness:
 @dataclass(frozen=True)
 class Proof:
     witness: Witness
-    tag: FieldElement  # _binding_tag of the (params, statement) pair it was made for
+    params_digest: FieldElement  # ProofParams.digest of the circuit it was made for
+    statement: Statement  # the statement it was made for
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,6 @@ class ProofParams:
     height: int
     hash_params: HashParams
     digest: FieldElement
-    # absorb state after the first chunk of enc(digest), which every binding
-    # tag starts with
-    tag_state: FieldElement
 
 
 @lru_cache(maxsize=None)
@@ -123,14 +119,7 @@ def zk_setup(height: int, hash_params: HashParams) -> ProofParams:
         + _LEVEL_WORD
         + encode_fe(params_digest(hash_params))
     )
-    digest = hash_bytes(blob, hash_params)
-    return ProofParams(
-        circuit_id=circuit_id,
-        height=height,
-        hash_params=hash_params,
-        digest=digest,
-        tag_state=absorb(0, encode_fe(digest)[:CHUNK_SIZE], hash_params),
-    )
+    return ProofParams(circuit_id, height, hash_params, hash_bytes(blob, hash_params))
 
 
 def relation_holds(pp: ProofParams, stmt: Statement, wit: Witness) -> bool:
@@ -146,33 +135,26 @@ def relation_holds(pp: ProofParams, stmt: Statement, wit: Witness) -> bool:
     return mt_verify(commitment, wit.path, root, pp.hash_params)
 
 
-def _binding_tag(pp: ProofParams, stmt: Statement) -> FieldElement:
-    # Bind the proof to the exact (params, statement) pair; without this the
-    # unselected root would be free to vary.  This is hash_bytes of enc(pp.digest)
-    # || enc(root_a) || enc(root_b) || enc(nullifier), continued from pp.tag_state.
-    statement = (stmt.root_a, stmt.root_b, stmt.nullifier)
-    tail = encode_fe(pp.digest)[CHUNK_SIZE:] + b"".join(map(encode_fe, statement))
-    return absorb(pp.tag_state, tail, pp.hash_params)
-
-
 @lru_cache(maxsize=None)
 def zk_prove(pp: ProofParams, stmt: Statement, wit: Witness) -> Proof:
-    """Bind the witness to (pp, stmt).  The relation is not evaluated here:
-    zk_verify evaluates it, so a proof from an unsatisfying witness fails
-    there.  Proof is frozen, so results are cached: a race sweep proves
-    each (statement, witness) pair once, and every run still verifies it."""
-    return Proof(wit, _binding_tag(pp, stmt))
+    """Bind the witness to (pp, stmt) by carrying both; nothing is hashed.
+    The relation is not evaluated here: zk_verify evaluates it, so a proof
+    from an unsatisfying witness fails there.  Proof is frozen, so results
+    are cached: a race sweep proves each (statement, witness) pair once, and
+    every run still verifies it."""
+    return Proof(wit, pp.digest, stmt)
 
 
 def zk_verify(pp: ProofParams, stmt: Statement, proof: Proof) -> bool:
     """1 iff the proof attests a witness for stmt under pp; never raises."""
     wit = proof.witness
-    # encode_fe raises on an unreduced statement field or secret, and an
-    # unreduced sibling would hash like its reduced value, so range-check
-    # before the binding tag and the relation run
+    # encode_fe raises on an unreduced secret, the relation never reads the
+    # unselected root, and an unreduced sibling would hash like its reduced
+    # value, so range-check every field before the binding and the relation
     fields = (stmt.root_a, stmt.root_b, stmt.nullifier, wit.r, wit.s, *wit.path.siblings)
     if not all(0 <= x < P for x in fields):
         return False
-    if proof.tag != _binding_tag(pp, stmt):
+    # the relation ignores the unselected root, so the binding must not
+    if proof.params_digest != pp.digest or proof.statement != stmt:
         return False
     return relation_holds(pp, stmt, wit)

@@ -38,7 +38,6 @@ UNCACHED = (
     "bridgemix.zkrel.zk_verify",
     "bridgemix.zkrel.relation_holds",
     "bridgemix.zkrel.note_hashes",
-    "bridgemix.zkrel._binding_tag",
     "bridgemix.lightclient.add_header",
     "bridgemix.lightclient.add_bridge_state",
     "bridgemix.lightclient._past_view",

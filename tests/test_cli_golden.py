@@ -66,7 +66,7 @@ class OpaqueBackend:
         self.verified = 0
 
     def setup(self, height, hash_params):
-        return zkrel.ProofParams(f"opaque-h{height}", height, hash_params, digest=0, tag_state=0)
+        return zkrel.ProofParams(f"opaque-h{height}", height, hash_params, digest=0)
 
     def prove(self, pp, stmt, wit):
         proof = next(self.ids)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import itertools
@@ -15,6 +16,7 @@ from bridgemix.field_hash import P, fe_hex, hash2, make_params
 from bridgemix.lightclient import StateAttestation, header_digest, mine_header, state_commitment_value
 from bridgemix.merkle import mt_add, mt_path, mt_setup
 from bridgemix.simnet import (
+    CHAINS,
     AdversarySpec,
     RelayerSpec,
     RewardSpec,
@@ -391,11 +393,24 @@ class JitteredRelayer:
     def __init__(self, bound, seed):
         self.id = f"jitter{seed}"
         self.bound = bound
+        self.seed = seed
         self.rng = random.Random(seed)
+
+    def __repr__(self):
+        return f"JitteredRelayer({self.bound}, {self.seed})"
 
     @property
     def delay(self):
         return self.rng.randint(1, self.bound)
+
+
+def restarted(sc):
+    """`sc` with each jittered relayer back at its first draw, so a rerun
+    sees the delays the first run saw."""
+    relayers = tuple(
+        JitteredRelayer(r.bound, r.seed) if isinstance(r, JitteredRelayer) else r for r in sc.relayers
+    )
+    return dataclasses.replace(sc, relayers=relayers)
 
 
 def test_race_safety_when_deliveries_reorder_within_d():
@@ -521,7 +536,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1), range(0, 7))
-    assert len(calls) == 1497
+    assert len(calls) == 1356
 
 
 def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
@@ -736,7 +751,7 @@ def test_hash_rounds_above_the_bound_rejected_before_set_up(monkeypatch):
     assert scenario_from_dict({"seed": 1, "horizon": 4, "hash_rounds": bound}).hash_rounds == bound
 
 
-def test_scenario_from_dict_shared_reward_block():
+def test_scenario_from_dict_null_rewards_means_no_rewards():
     assert scenario_from_dict({"seed": 1, "horizon": 4, "rewards": None}).rewards == ()
 
 
@@ -957,10 +972,11 @@ def test_root_tick_maps_follow_the_root_lists_after_every_tick(monkeypatch):
             assert kinds(t, "reward-claimed")  # the claim read both maps
 
 
-def test_incremental_invariants_agree_with_the_full_rescan_after_every_tick(monkeypatch):
-    # the per-tick check reads only the news; the oracle walks the whole
-    # queue, and after every tick both pass and agree on the paid set (the
-    # tamper tests in test_contract.py compare their messages)
+@contextlib.contextmanager
+def rescan_after_every_tick():
+    """Within the block, each per-tick invariant check also runs the full
+    rescan: both must pass and agree on the paid set.  Yields the list of
+    checked chain ids, one per check."""
     real_check = contract_mod.check_contract_invariants
     checks = []
 
@@ -970,15 +986,96 @@ def test_incremental_invariants_agree_with_the_full_rescan_after_every_tick(monk
         assert state.paid_nullifiers == paid_by_rescan(state)
         checks.append(state.chain_id)
 
-    monkeypatch.setattr(contract_mod, "check_contract_invariants", check_both)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contract_mod, "check_contract_invariants", check_both)
+        yield checks
+
+
+def test_incremental_invariants_agree_with_the_full_rescan_after_every_tick():
+    # the per-tick check reads only the news; the oracle walks the whole
+    # queue, and after every tick both pass and agree on the paid set (the
+    # tamper tests in test_contract.py compare their messages)
     demos = [demo_scenario(path) for path in sorted(DEMO_SCENARIOS.glob("*.yaml"))]
     paid = 0
-    for sc in (*per_tick_scenarios(), *demos):
-        checks.clear()
-        t = run(sc)
-        assert len(checks) == 2 * sc.horizon
-        paid += len(kinds(t, "withdraw-finalized"))
+    with rescan_after_every_tick() as checks:
+        for sc in (*per_tick_scenarios(), *demos):
+            checks.clear()
+            t = run(sc)
+            assert len(checks) == 2 * sc.horizon
+            paid += len(kinds(t, "withdraw-finalized"))
     assert paid > 0
+
+
+@st.composite
+def engine_scenarios(draw):
+    """A valid scenario on a short horizon at 1 or 2 hash rounds: honest,
+    withholding and jittered relayers that all deliver within D, rewards on
+    either chain, and deposits, withdrawals (some spent again on the other
+    chain within D) and reward claims at any tick."""
+    horizon = draw(st.integers(4, 18))
+    delay = draw(st.integers(1, 3))
+    relayers = draw(st.lists(
+        st.one_of(
+            st.builds(RelayerSpec, st.sampled_from(("r0", "r1")), st.integers(1, delay), st.booleans()),
+            st.builds(JitteredRelayer, st.just(delay), st.integers(0, 99)),
+        ),
+        max_size=3,
+    ))
+    chains = st.sampled_from(CHAINS)
+    reward_chains = sorted(draw(st.sets(chains)))
+    rewards = tuple((c, RewardSpec(draw(st.integers(0, 3)), draw(st.integers(0, 4)))) for c in reward_chains)
+    deposited = {f"n{i}": draw(st.integers(0, horizon // 2)) for i in range(draw(st.integers(1, 4)))}
+    events = [SimEvent(at, draw(chains), "deposit", note) for note, at in deposited.items()]
+
+    def later(note):  # mostly after the note's deposit, sometimes before it
+        return min(horizon - 1, max(0, deposited[note] + draw(st.integers(-1, horizon))))
+
+    for note in draw(st.lists(st.sampled_from(sorted(deposited)), max_size=5)):
+        at, chain = later(note), draw(chains)
+        events.append(SimEvent(at, chain, "submit_withdrawal", note, recipient="u"))
+        if draw(st.booleans()):  # a double spend on the other chain within D
+            second = min(horizon - 1, at + draw(st.integers(0, delay)))
+            events.append(SimEvent(second, simnet.other_chain(chain), "submit_withdrawal", note, recipient="v"))
+    if reward_chains:
+        for note in draw(st.lists(st.sampled_from(sorted(deposited)), max_size=3)):
+            age = draw(st.none() | st.integers(0, horizon))
+            chain = draw(st.sampled_from(reward_chains))
+            events.append(SimEvent(later(note), chain, "incentive_claim", note, claimant="c", age=age))
+    return Scenario(
+        seed=draw(st.integers(0, 3)),  # few seeds, so later examples meet cached notes and proofs
+        horizon=horizon,
+        tree_height=draw(st.integers(2, 4)),
+        epsilon=draw(st.integers(0, 2)),
+        relay_delay=delay,
+        hash_rounds=draw(st.integers(1, 2)),
+        relayers=tuple(relayers),
+        events=tuple(sorted(events, key=lambda e: e.at)),
+        rewards=rewards,
+    )
+
+
+def run_to_an_end(sc) -> str:
+    """The rendered transcript of a run that returns, or of the partial one an
+    insolvent payout stops; any other outcome fails."""
+    try:
+        return run(sc).render()
+    except SimInvariantError as err:
+        assert err.__context__.reason == "insolvent", err
+        return f"{err.transcript.render()}{err}\n"
+
+
+@seed(2203)
+@settings(max_examples=40, deadline=None, database=None)
+@given(sc=engine_scenarios())
+def test_valid_scenarios_run_to_an_end_and_replay_from_cold_caches(sc):
+    # the per-tick invariants agree with the full rescan, and a rerun that
+    # derives every note, proof, header and digest afresh renders the same
+    with rescan_after_every_tick():
+        rendered = run_to_an_end(sc)
+    assert "reason=invalid-proof" not in rendered  # the engine proves only true statements
+    for cached in cached_functions().values():
+        cached.cache_clear()
+    assert run_to_an_end(restarted(sc)) == rendered
 
 
 class CountingQueue(list):

@@ -10,7 +10,6 @@ from bridgemix.zkrel import (
     Statement,
     UnknownCircuitError,
     Witness,
-    _binding_tag,
     make_note,
     note_hashes,
     relation_holds,
@@ -79,7 +78,7 @@ class TestProve:
             assert zk_verify(pp, stmt, proof) is True
 
     # the prover does not check the relation; a proof from an unsatisfying
-    # witness carries the right binding tag, and the verifier refuses it
+    # witness carries the right digest and statement, and the verifier refuses it
     def test_refuses_wrong_selector(self, fast_params):
         rng = random.Random(3)
         pp = zk_setup(2, fast_params)
@@ -124,7 +123,7 @@ class TestVerify:
         assert zk_verify(pp, advanced, proof) is False
 
     def test_unselected_root_is_still_bound(self, fast_params):
-        # The relation ignores root_b for selector 0; the binding tag must not.
+        # The relation ignores root_b for selector 0; the binding must not.
         rng = random.Random(7)
         pp, tree_a, tree_b, note, stmt, wit = self._instance(rng, fast_params)
         proof = zk_prove(pp, stmt, wit)
@@ -139,27 +138,30 @@ class TestVerify:
         # an unreduced sibling hashes like its reduced value, so only the
         # range check tells it apart from the honest path
         unreduced = dataclasses.replace(path, siblings=(path.siblings[0] + P,) + path.siblings[1:])
-        *_, other_stmt, other_wit = self._instance(random.Random(9), fast_params)
-        other_tag = zk_prove(pp, other_stmt, other_wit).tag
+        *_, other_stmt, _ = self._instance(random.Random(9), fast_params)
+        other_circuit = zk_setup(3, fast_params)
         for bad in (
             dataclasses.replace(proof, witness=dataclasses.replace(wit, tree_selector=2)),
             dataclasses.replace(proof, witness=dataclasses.replace(wit, path=short)),
             dataclasses.replace(proof, witness=dataclasses.replace(wit, r=wit.r + P)),
             dataclasses.replace(proof, witness=dataclasses.replace(wit, s=P)),
             dataclasses.replace(proof, witness=dataclasses.replace(wit, path=unreduced)),
-            dataclasses.replace(proof, tag=other_tag),
+            dataclasses.replace(proof, statement=other_stmt),
+            dataclasses.replace(proof, params_digest=other_circuit.digest),
         ):
             assert zk_verify(pp, stmt, bad) is False
         assert zk_verify(pp, stmt, proof) is True
 
     @pytest.mark.parametrize("name", ["root_a", "root_b", "nullifier"])
     def test_unreduced_statement_fields_return_false(self, fast_params, name):
-        # each field equals its reduced value mod P, but encoding it for the
-        # binding tag would raise, so the verifier range-checks it first
+        # each field equals its reduced value mod P; a proof made for the
+        # unreduced statement itself must fail too, and for the unselected
+        # root_b only the range check stops it, as the relation never reads it
         pp, tree_a, tree_b, note, stmt, wit = self._instance(random.Random(10), fast_params)
         proof = zk_prove(pp, stmt, wit)
         unreduced = dataclasses.replace(stmt, **{name: getattr(stmt, name) + P})
         assert zk_verify(pp, unreduced, proof) is False
+        assert zk_verify(pp, unreduced, zk_prove(pp, unreduced, wit)) is False
         assert zk_verify(pp, stmt, proof) is True
 
     def test_proof_is_deterministic(self, fast_params):
@@ -235,8 +237,8 @@ class TestNote:
         assert note.nullifier == hash_bytes(encode_fe(5), fast_params)
 
     def test_shared_prefixes_hash_like_the_plain_absorber(self, fast_params):
-        # note_hashes and the binding tag each start from a state that
-        # absorbed a shared first chunk; the values are the plain ones
+        # note_hashes absorbs the shared first chunk of enc(r) once; the
+        # values are the plain ones
         rng = random.Random(16)
         edges = [(0, 0), (P - 1, P - 1), (2**56 - 1, 2**56)]
         for r, s in edges + [(rng.randrange(P), rng.randrange(P)) for _ in range(40)]:
@@ -244,12 +246,6 @@ class TestNote:
                 hash_bytes(encode_fe(r) + encode_fe(s), fast_params),
                 hash_bytes(encode_fe(r), fast_params),
             )
-        for height in (1, 4, MAX_HEIGHT):
-            pp = zk_setup(height, fast_params)
-            for _ in range(10):
-                stmt = Statement(rng.randrange(P), rng.randrange(P), rng.randrange(P))
-                blob = b"".join(map(encode_fe, (pp.digest, stmt.root_a, stmt.root_b, stmt.nullifier)))
-                assert _binding_tag(pp, stmt) == hash_bytes(blob, fast_params)
 
 
 @pytest.fixture
@@ -267,8 +263,9 @@ class TestHashCosts:
         assert len(permutes) == 4
 
     @pytest.mark.parametrize("height", [1, 3, 8])
-    def test_verify_costs_eight_plus_height(self, fast_params, height, permutes):
-        # binding tag 4, note hashes 4, merkle path `height`, in every call
+    def test_verify_costs_four_plus_height(self, fast_params, height, permutes):
+        # note hashes 4, merkle path `height`, in every call; the binding is
+        # two equality checks and costs nothing
         pp = zk_setup(height, fast_params)
         tree_a, tree_b, note, index = two_trees_with_note(random.Random(height), height, fast_params, 0)
         stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
@@ -276,4 +273,15 @@ class TestHashCosts:
         permutes.clear()
         for _ in range(2):
             assert zk_verify(pp, stmt, proof) is True
-        assert len(permutes) == 2 * (8 + height)
+        assert len(permutes) == 2 * (4 + height)
+
+    def test_prove_costs_no_permutes(self, fast_params, permutes):
+        pp = zk_setup(3, fast_params)
+        tree_a, tree_b, note, index = two_trees_with_note(random.Random(3), 3, fast_params, 0)
+        stmt = Statement(tree_a.root, tree_b.root, note.nullifier)
+        wit = Witness(note.r, note.s, mt_path(tree_a, index), 0)
+        zk_prove.cache_clear()  # a cached proof would cost no permutes either
+        permutes.clear()
+        proof = zk_prove(pp, stmt, wit)
+        assert zk_prove.cache_info().misses == 1 and not permutes
+        assert (proof.params_digest, proof.statement) == (pp.digest, stmt)
