@@ -52,7 +52,7 @@ def vampire_scenario(rate_a, rate_b, agents=AGENTS):
         hash_rounds=8,
         relayers=(RelayerSpec("relayer0", D),),
         events=tuple(events),
-        rewards=(("A", RewardSpec(rate_a, MIN_LOCK)), ("B", RewardSpec(rate_b, MIN_LOCK))),
+        rewards={"A": RewardSpec(rate_a, MIN_LOCK), "B": RewardSpec(rate_b, MIN_LOCK)},
     )
 
 

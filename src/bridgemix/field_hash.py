@@ -119,9 +119,9 @@ def make_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
     return HashParams(rounds=rounds, round_constants=tuple(constants))
 
 
-@functools.lru_cache(maxsize=None)
 def params_digest(params: HashParams) -> FieldElement:
-    """Field-element fingerprint of a parameter set, used for proof binding."""
+    """Field-element fingerprint of a parameter set; zk_setup hashes it into
+    each circuit's digest.  Not cached: zk_setup, its caller, is."""
     blob = params.rounds.to_bytes(4, "little") + EXPONENT.to_bytes(1, "little")
     blob += b"".join(encode_fe(c) for c in params.round_constants)
     return hash_bytes(blob, params)

@@ -26,54 +26,36 @@ class RewardSpec:
     min_lock: int = 0  # minimum total claimed age before anything pays
 
 
-@dataclass(frozen=True)
-class RewardClaim:
-    statement: Statement
-    proof: Proof
-    claimed_age: int
-    claimant: str
-
-
-def claim_reward(state, cfg: RewardSpec, claim: RewardClaim, now: int) -> int:
-    """Validate a lock-age claim against ``state`` and mint governance tokens.
+def claim_reward(state, cfg: RewardSpec, stmt: Statement, proof: Proof, age: int, claimant: str, now: int) -> int:
+    """Validate a claim that the note behind ``stmt`` has been locked for
+    ``age`` ticks, and mint governance tokens to ``claimant``.
 
     Returns the amount minted.  Raises ContractError with reasons
     unknown-local-root / unknown-remote-root / invalid-proof /
     already-withdrawn / age-overstated / below-min-lock / not-incremental.
     """
-    stmt = claim.statement
     check_roots_known(state, stmt)
-    if not zk_verify(state.params, stmt, claim.proof):
+    if not zk_verify(state.params, stmt, proof):
         raise ContractError("invalid-proof", "membership proof rejected")
     if stmt.nullifier in state.nullifiers:
         raise ContractError("already-withdrawn", "note already spent or burned")
-    if claim.claimed_age < 0:
+    if age < 0:
         raise ContractError("age-overstated", "negative age")
     # age can only be bounded by what the chain can see: the older of the two
-    # referenced roots must itself be at least claimed_age ticks old
+    # referenced roots must itself be at least age ticks old
     older_ts = min(state.local_roots[stmt.root_a], state.remote_root_ticks[stmt.root_b])
-    if claim.claimed_age > now - older_ts:
-        raise ContractError(
-            "age-overstated",
-            f"claimed {claim.claimed_age} > verifiable {now - older_ts}",
-        )
-    if claim.claimed_age < cfg.min_lock:
-        raise ContractError("below-min-lock", f"claimed {claim.claimed_age} < {cfg.min_lock}")
+    if age > now - older_ts:
+        raise ContractError("age-overstated", f"claimed {age} > verifiable {now - older_ts}")
+    if age < cfg.min_lock:
+        raise ContractError("below-min-lock", f"claimed {age} < {cfg.min_lock}")
     prev = state.reward_ages.get(stmt.nullifier, 0)
-    if claim.claimed_age <= prev:
+    if age <= prev:
         raise ContractError("not-incremental", f"already paid through age {prev}")
-    amount = cfg.rate * (claim.claimed_age - prev)
-    state.reward_ages[stmt.nullifier] = claim.claimed_age
-    state.gov_minted[claim.claimant] = state.gov_minted.get(claim.claimant, 0) + amount
+    amount = cfg.rate * (age - prev)
+    state.reward_ages[stmt.nullifier] = age
+    state.gov_minted[claimant] = state.gov_minted.get(claimant, 0) + amount
     state.gov_total += amount
-    state.emit(
-        now,
-        "reward-claimed",
-        nullifier=stmt.nullifier,
-        claimant=claim.claimant,
-        age=claim.claimed_age,
-        amount=amount,
-    )
+    state.emit(now, "reward-claimed", nullifier=stmt.nullifier, claimant=claimant, age=age, amount=amount)
     return amount
 
 
@@ -92,16 +74,15 @@ LIQUIDITY_COLUMNS = (
 
 @dataclass
 class LiquiditySeries:
-    columns: tuple
-    rows: list  # one tuple per tick, cumulative values after that tick
+    rows: list  # one tuple per tick, cumulative values after that tick, in LIQUIDITY_COLUMNS order
 
     def final(self) -> dict:
         if not self.rows:
-            return {c: 0 for c in self.columns}
-        return dict(zip(self.columns, self.rows[-1]))
+            return {c: 0 for c in LIQUIDITY_COLUMNS}
+        return dict(zip(LIQUIDITY_COLUMNS, self.rows[-1]))
 
     def render_lines(self) -> list:
-        lines = [" ".join(f"{c:>10}" for c in self.columns)]
+        lines = [" ".join(f"{c:>10}" for c in LIQUIDITY_COLUMNS)]
         for row in self.rows:
             lines.append(" ".join(f"{v:>10}" for v in row))
         return lines
@@ -123,23 +104,14 @@ def vampire_metrics(transcript) -> LiquiditySeries:
     tick order, so an event at tick t completes every tick before t."""
     native = {chain: c.native for chain, c in transcript.contracts.items()}
     horizon = transcript.scenario.horizon
-    locked = {"A": 0, "B": 0}
-    wrapped = {"A": 0, "B": 0}
-    rewards = {"A": 0, "B": 0}
+    # the transcript lists its contracts in chain order, the columns' order
+    locked = dict.fromkeys(native, 0)
+    wrapped = dict.fromkeys(native, 0)
+    rewards = dict.fromkeys(native, 0)
     rows = []
 
     def close(tick):
-        rows.append(
-            (
-                tick,
-                locked["A"],
-                locked["B"],
-                wrapped["A"],
-                wrapped["B"],
-                rewards["A"],
-                rewards["B"],
-            )
-        )
+        rows.append((tick, *locked.values(), *wrapped.values(), *rewards.values()))
 
     tick = 0  # every tick before this one has its row
     for e in transcript.events:
@@ -158,4 +130,4 @@ def vampire_metrics(transcript) -> LiquiditySeries:
     while tick < horizon:
         close(tick)
         tick += 1
-    return LiquiditySeries(LIQUIDITY_COLUMNS, rows)
+    return LiquiditySeries(rows)

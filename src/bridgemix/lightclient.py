@@ -38,10 +38,6 @@ class BlockHeader:
     nonce: int
     work_target: FieldElement
 
-    @staticmethod
-    def encoded_size() -> int:
-        return 5 * 8  # five 8-byte words on the wire
-
 
 def fields_in_range(header: BlockHeader) -> bool:
     """Whether every hashed field lies in its range: prev_hash and

@@ -6,9 +6,10 @@ are never consulted, so the anonymity numbers mean what they claim.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .contract import EventRecord
+from .field_hash import ENCODED_SIZE
 from .lightclient import BlockHeader
 from .simnet import other_chain
 
@@ -17,8 +18,8 @@ class MetricsError(ValueError):
     pass
 
 
-FE_BYTES = 8
-HEADER_BYTES = BlockHeader.encoded_size()
+FE_BYTES = ENCODED_SIZE
+HEADER_BYTES = len(fields(BlockHeader)) * FE_BYTES  # one word per header field on the wire
 
 _WITHDRAW_KINDS = frozenset({
     "withdraw-submitted",
@@ -32,7 +33,7 @@ def _walk(transcript) -> tuple:
     """One pass over the log: per chain, root -> number of deposits it commits
     to; wid -> (chain, root_a, root_b) from its first withdraw-submitted event;
     and (wid, chain) of each withdraw-finalized event, in log order."""
-    counts = {"A": {}, "B": {}}
+    counts = {chain: {} for chain in transcript.contracts}
     subs = {}
     finalized = []
     for e in transcript.events:
@@ -186,7 +187,7 @@ class StorageRow:
 
 @dataclass
 class StorageReport:
-    rows: list  # one StorageRow per chain, A then B
+    rows: list  # one StorageRow per chain, in chain order
 
     def render_lines(self) -> list:
         lines = [
@@ -225,8 +226,7 @@ def storage_report(transcript) -> StorageReport:
     so those are subtracted: the counts measure what bridging *added*.
     """
     rows = []
-    for chain in ("A", "B"):
-        c = transcript.contracts[chain]
+    for chain, c in transcript.contracts.items():
         rows.append(
             StorageRow(
                 chain=chain,

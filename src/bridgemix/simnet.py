@@ -55,11 +55,13 @@ class ScenarioError(ValueError):
 
 
 class SimInvariantError(Exception):
-    """A protocol invariant broke mid-run; carries the partial transcript."""
+    """A run stopped mid-way; carries the partial transcript and the reason:
+    `insolvent` (a payout the contract cannot cover) or `invariant`."""
 
-    def __init__(self, message: str, transcript: "Transcript"):
+    def __init__(self, message: str, transcript: "Transcript", reason: str):
         super().__init__(message)
         self.transcript = transcript
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,7 @@ class Scenario:
     relayers: tuple = ()
     events: tuple = ()
     adversary: AdversarySpec | None = None
-    rewards: tuple = ()  # ordered (chain, RewardSpec) pairs
-
-    def reward_for(self, chain: str) -> RewardSpec | None:
-        for c, spec in self.rewards:
-            if c == chain:
-                return spec
-        return None
+    rewards: dict = dataclasses.field(default_factory=dict)  # chain -> RewardSpec
 
 
 def other_chain(chain: str) -> str:
@@ -151,7 +147,7 @@ def validate_scenario(sc: Scenario):
         if ev.action == "incentive_claim":
             if not _NAME_RE.match(ev.claimant):
                 raise ScenarioError(f"{where}.claimant", "claimant required")
-            if sc.reward_for(ev.chain) is None:
+            if ev.chain not in sc.rewards:
                 raise ScenarioError(f"{where}", f"no reward scheme configured on {ev.chain}")
     adv = sc.adversary
     if adv is not None:
@@ -171,11 +167,9 @@ def validate_scenario(sc: Scenario):
         last = adv.first_at + adv.gap
         if last >= sc.horizon:
             raise ScenarioError("horizon", f"too short for adversary submissions (need > {last})")
-    for i, (chain, spec) in enumerate(sc.rewards):
+    for chain, spec in sc.rewards.items():
         if chain not in CHAINS:
             raise ScenarioError("rewards", f"unknown chain {chain!r}")
-        if any(c == chain for c, _ in sc.rewards[:i]):  # reward_for reads only the first
-            raise ScenarioError(f"rewards.{chain}", "duplicate chain")
         if spec.rate < 0:
             raise ScenarioError(f"rewards.{chain}.rate", "must be >= 0")
         if spec.min_lock < 0:
@@ -200,11 +194,8 @@ class Transcript:
     notes: dict
     deposits: dict
 
-    def render_lines(self) -> list:
-        return [e.to_line() for e in self.events]
-
     def render(self) -> str:
-        return "\n".join(self.render_lines()) + "\n"
+        return "\n".join(e.to_line() for e in self.events) + "\n"
 
 
 @dataclass
@@ -290,7 +281,7 @@ class _Engine:
         path = mt_path(source.tree, dep.index, leaf_count=count)
         return self._prove(note_id, target.tree.root, source.tree.root_history[count], path, 1)
 
-    def build_reward_claim(self, note_id: str, on_chain: str, claimant: str, age, now: int):
+    def build_reward_claim(self, note_id: str, on_chain: str, age, now: int):
         dep = self._deposit(note_id)
         if dep.chain != on_chain:
             raise ContractError("wrong-chain", "claims are made where the note is locked")
@@ -300,7 +291,7 @@ class _Engine:
         stmt, proof = self._prove(note_id, root, c.remote_roots[-1], path, 0)
         if age is None:
             age = now - dep.tick  # honest agents claim the true lock duration
-        return incentives_mod.RewardClaim(stmt, proof, int(age), claimant)
+        return stmt, proof, int(age)
 
     # -- tick phases --------------------------------------------------------
     def _deliver(self, now: int):
@@ -338,9 +329,9 @@ class _Engine:
                     )
             elif ev.action == "incentive_claim":
                 try:
-                    claim = self.build_reward_claim(note_id, ev.chain, ev.claimant, ev.age, now)
+                    stmt, proof, age = self.build_reward_claim(note_id, ev.chain, ev.age, now)
                     incentives_mod.claim_reward(
-                        c, self.scenario.reward_for(ev.chain), claim, now
+                        c, self.scenario.rewards[ev.chain], stmt, proof, age, ev.claimant, now
                     )
                 except ContractError as err:
                     c.emit(
@@ -428,7 +419,7 @@ class _Engine:
                     )
                     raise ContractError("invariant", f"value conservation broken: {terms}")
             except ContractError as err:
-                raise SimInvariantError(f"tick {now}: {err}", self._transcript())
+                raise SimInvariantError(f"tick {now}: {err}", self._transcript(), err.reason)
         return self._transcript()
 
 
@@ -522,9 +513,10 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
     """One run per (t', submission order); reports payouts and cancellations
     for the adversary's note in each interleaving.  The prover's side is
     shared through caches: a header that several interleavings mine is
-    searched for once (`mine_header`), and each note and proof is derived
-    once (`make_note`, `zk_prove`).  The verifiers are not: every run checks
-    each relayed header and evaluates the relation for each proof."""
+    searched for once (`mine_header`), and each note is derived once
+    (`make_note`).  A proof costs no hashing, so each run builds its own.
+    The verifiers are not shared: every run checks each relayed header and
+    evaluates the relation for each proof."""
     if base.adversary is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
     t_primes = list(t_prime_range)
@@ -607,24 +599,24 @@ def _build(cls, raw, where, **defaults):
             kwargs[f.name] = _typed(raw[f.name], f.type, where, f.name)
         elif f.name in defaults:
             kwargs[f.name] = defaults[f.name]
-        elif f.default is dataclasses.MISSING:
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ScenarioError(_at(where, f.name), "required")
     return kwargs
 
 
-def _rewards(raw) -> tuple:
+def _rewards(raw) -> dict:
     """Each key names a chain, exactly A or B, and holds that chain's spec."""
     if raw is None:
-        return ()
+        return {}
     if not isinstance(raw, dict):
         raise ScenarioError("rewards", "expected a mapping")
-    rewards = []
+    rewards = {}
     for chain, entry in raw.items():
         where = f"rewards.{chain}"
         if chain not in CHAINS:
             raise ScenarioError(where, "chain must be A or B")
-        rewards.append((chain, RewardSpec(**_build(RewardSpec, entry, where))))
-    return tuple(rewards)
+        rewards[chain] = RewardSpec(**_build(RewardSpec, entry, where))
+    return rewards
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -20,12 +20,12 @@ A note's commitment and nullifier both start with the first 7-byte chunk of
 enc(r), so note_hashes absorbs it once: 4 permutes for the pair, not 5, each
 value the one the plain byte absorber computes.
 
-The prover's side is cached: make_note, zk_setup and zk_prove are pure
-functions with frozen results, so a race sweep derives each note and each
-proof once per process; a proof costs no permutes.  The verifier's side
-(relation_holds, note_hashes as zk_verify calls it, zk_verify) is not: a
-verifier never reads a value that the prover computed, and evaluates the
-relation in every run: 4 + height permutes per zk_verify.
+make_note and zk_setup are cached: pure functions with frozen results, so a
+race sweep derives each note and each circuit once per process.  zk_prove
+is not: a proof costs no permutes, so a cache would save nothing.  Nor is
+the verifier's side (relation_holds, note_hashes as zk_verify calls it,
+zk_verify): a verifier never reads a value that the prover computed, and
+evaluates the relation in every run: 4 + height permutes per zk_verify.
 """
 from __future__ import annotations
 
@@ -135,13 +135,10 @@ def relation_holds(pp: ProofParams, stmt: Statement, wit: Witness) -> bool:
     return mt_verify(commitment, wit.path, root, pp.hash_params)
 
 
-@lru_cache(maxsize=None)
 def zk_prove(pp: ProofParams, stmt: Statement, wit: Witness) -> Proof:
     """Bind the witness to (pp, stmt) by carrying both; nothing is hashed.
     The relation is not evaluated here: zk_verify evaluates it, so a proof
-    from an unsatisfying witness fails there.  Proof is frozen, so results
-    are cached: a race sweep proves each (statement, witness) pair once, and
-    every run still verifies it."""
+    from an unsatisfying witness fails there."""
     return Proof(wit, pp.digest, stmt)
 
 

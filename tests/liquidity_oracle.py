@@ -6,7 +6,7 @@ walks the ticks, so it needs no order at all.  Tests compare the two on
 engine transcripts.
 """
 from bridgemix.contract import DENOMINATION
-from bridgemix.incentives import LIQUIDITY_COLUMNS, LiquiditySeries
+from bridgemix.incentives import LiquiditySeries
 
 
 def liquidity_by_tick(transcript) -> LiquiditySeries:
@@ -32,4 +32,4 @@ def liquidity_by_tick(transcript) -> LiquiditySeries:
         rows.append(
             (tick, locked["A"], locked["B"], wrapped["A"], wrapped["B"], rewards["A"], rewards["B"])
         )
-    return LiquiditySeries(LIQUIDITY_COLUMNS, rows)
+    return LiquiditySeries(rows)

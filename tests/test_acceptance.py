@@ -332,7 +332,7 @@ def test_criterion_7_reward_accounting(report):
         relay_delay=2,
         relayers=(RelayerSpec("r0", 2),),
         events=tuple(events),
-        rewards=(("A", RewardSpec(rate, min_lock)),),
+        rewards={"A": RewardSpec(rate, min_lock)},
     )
     t = run(sc)
     a = t.contracts["A"]

@@ -1,35 +1,32 @@
-"""Every cached function in the library returns a hashable value.
+"""Every cached function in the library returns a hashable value and
+saves hashing.
 
 An `lru_cache`d function hands the same result object to every caller in
 the process, so a race sweep's interleavings share it.  A hashable result
 (ints, tuples, frozen dataclasses with no list inside) cannot carry a
-mutation from one run into the next.  A new cached function must get sample
-arguments here before this test passes.
+mutation from one run into the next.  A cache costs a hash of its arguments
+on every lookup, so a function that hashes nothing itself gets none.  A new
+cached function must get sample arguments here before these tests pass.
 """
 import importlib
 import pkgutil
 
 import bridgemix
+from bridgemix import field_hash
 from bridgemix.field_hash import P, make_params
 from bridgemix.lightclient import mine_header
-from bridgemix.merkle import MerklePath
-from bridgemix.zkrel import Statement, Witness, zk_setup
 
 PARAMS = make_params(8)
 HEADER, _ = mine_header(0, 0, 1, P >> 2, PARAMS)
-STATEMENT = Statement(1, 2, 3)
-WITNESS = Witness(4, 5, MerklePath(0, (6,)), 0)
 
 SAMPLE_ARGS = {
     "bridgemix.field_hash.make_params": (8,),
-    "bridgemix.field_hash.params_digest": (PARAMS,),
     "bridgemix.merkle.zero_subtree_roots": (3, PARAMS),
     "bridgemix.lightclient.mine_header": (0, 0, 1, P >> 2, PARAMS),
     "bridgemix.lightclient.header_digest": (HEADER, PARAMS),
     "bridgemix.contract.empty_state_digests": (7, PARAMS),
     "bridgemix.zkrel.zk_setup": (3, PARAMS),
     "bridgemix.zkrel.make_note": (4, 5, PARAMS),
-    "bridgemix.zkrel.zk_prove": (zk_setup(1, PARAMS), STATEMENT, WITNESS),
 }
 
 # the verifier's and receiver's checks: each run computes these itself, so
@@ -61,6 +58,19 @@ def test_every_cached_function_returns_a_hashable_value():
     assert sorted(found) == sorted(SAMPLE_ARGS)
     for name, fn in found.items():
         hash(fn(*SAMPLE_ARGS[name]))
+
+
+def test_every_cached_function_permutes(monkeypatch):
+    found = cached_functions()
+    permute = field_hash.permute
+    for name, args in SAMPLE_ARGS.items():
+        for cached in found.values():
+            cached.cache_clear()
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(field_hash, "permute", lambda *a: calls.append(1) or permute(*a))
+            found[name](*args)
+        assert calls, f"{name} hashes nothing, so its cache saves nothing"
 
 
 def test_verifier_checks_are_not_cached():

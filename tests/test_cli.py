@@ -268,7 +268,7 @@ def test_invariant_violation_dumps_partial_transcript(tmp_path, capsys, monkeypa
 
     def broken_run(scenario):
         transcript = real_run(scenario)
-        raise SimInvariantError("tick 3: value conservation broken", transcript)
+        raise SimInvariantError("tick 3: value conservation broken", transcript, "invariant")
 
     monkeypatch.setattr(cli.simnet, "run", broken_run)
     rc = cli.main(["run", "--scenario", scn, "--out", str(out)])

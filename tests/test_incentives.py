@@ -8,7 +8,6 @@ import pytest
 from bridgemix.contract import ContractError, conservation_holds
 from bridgemix.incentives import (
     LIQUIDITY_COLUMNS,
-    RewardClaim,
     RewardSpec,
     claim_reward,
     vampire_metrics,
@@ -39,7 +38,7 @@ def scenario_state(events, horizon=10, rate=3, min_lock=5):
         horizon=horizon,
         hash_rounds=8,
         relayers=(RelayerSpec("r0", 2),),
-        rewards=(("A", RewardSpec(rate, min_lock)), ("B", RewardSpec(rate, min_lock))),
+        rewards={"A": RewardSpec(rate, min_lock), "B": RewardSpec(rate, min_lock)},
         events=tuple(events),
     )
     t = run(sc)
@@ -47,6 +46,7 @@ def scenario_state(events, horizon=10, rate=3, min_lock=5):
 
 
 def claim_for(t, state, note_id, age, root_a=None, root_b=None, claimant="alice"):
+    """claim_reward's (stmt, proof, age, claimant) arguments."""
     dep = t.deposits[note_id]
     note = t.notes[note_id]
     path = mt_path(state.tree, dep.index, leaf_count=dep.index + 1)
@@ -60,12 +60,12 @@ def claim_for(t, state, note_id, age, root_a=None, root_b=None, claimant="alice"
         root_b = deposit_root if root_b is None else root_b
     stmt = Statement(root_a, root_b, note.nullifier)
     proof = zk_prove(state.params, stmt, Witness(note.r, note.s, path, selector))
-    return RewardClaim(stmt, proof, age, claimant)
+    return stmt, proof, age, claimant
 
 
 def test_claim_pays_rate_times_age():
     t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
-    amount = claim_reward(a, cfg, claim_for(t, a, "n1", age=8), now=8)
+    amount = claim_reward(a, cfg, *claim_for(t, a, "n1", age=8), now=8)
     assert amount == 3 * 8
     assert a.gov_minted == {"alice": 24} and a.gov_total == 24
     assert a.reward_ages == {t.notes["n1"].nullifier: 8}
@@ -75,11 +75,11 @@ def test_claim_pays_rate_times_age():
 
 def test_incremental_claims_pay_only_the_difference():
     t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
-    assert claim_reward(a, cfg, claim_for(t, a, "n1", age=6), now=6) == 18
-    assert claim_reward(a, cfg, claim_for(t, a, "n1", age=9), now=9) == 9  # 3 * (9 - 6)
+    assert claim_reward(a, cfg, *claim_for(t, a, "n1", age=6), now=6) == 18
+    assert claim_reward(a, cfg, *claim_for(t, a, "n1", age=9), now=9) == 9  # 3 * (9 - 6)
     for age, now in [(9, 12), (5, 12)]:
         with pytest.raises(ContractError) as err:
-            claim_reward(a, cfg, claim_for(t, a, "n1", age=age), now=now)
+            claim_reward(a, cfg, *claim_for(t, a, "n1", age=age), now=now)
         assert err.value.reason == "not-incremental"
     assert a.gov_total == 27
 
@@ -87,7 +87,7 @@ def test_incremental_claims_pay_only_the_difference():
 def test_below_min_lock_rejected_and_pays_nothing():
     t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
     with pytest.raises(ContractError) as err:
-        claim_reward(a, cfg, claim_for(t, a, "n1", age=4), now=4)
+        claim_reward(a, cfg, *claim_for(t, a, "n1", age=4), now=4)
     assert err.value.reason == "below-min-lock"
     assert a.gov_total == 0 and not a.gov_minted
 
@@ -104,7 +104,7 @@ def test_fresh_root_pair_cannot_carry_age():
         horizon=8,
     )
     with pytest.raises(ContractError) as err:
-        claim_reward(a, cfg, claim_for(t, a, "n2", age=5), now=7)
+        claim_reward(a, cfg, *claim_for(t, a, "n2", age=5), now=7)
     assert err.value.reason == "age-overstated"
     assert a.gov_total == 0
 
@@ -116,7 +116,7 @@ def test_old_empty_root_inflates_the_age_cap():
     empty_remote = a.remote_roots[0]
     assert a.remote_root_ticks[empty_remote] == 0
     amount = claim_reward(
-        a, cfg, claim_for(t, a, "n1", age=7, root_b=empty_remote), now=7
+        a, cfg, *claim_for(t, a, "n1", age=7, root_b=empty_remote), now=7
     )
     assert amount == 21  # paid for 7 ticks though the note locked for 1
 
@@ -124,24 +124,19 @@ def test_old_empty_root_inflates_the_age_cap():
 def test_unknown_roots_rejected():
     t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
     with pytest.raises(ContractError) as err:
-        claim_reward(a, cfg, claim_for(t, a, "n1", age=6, root_a=12345), now=6)
+        claim_reward(a, cfg, *claim_for(t, a, "n1", age=6, root_a=12345), now=6)
     assert err.value.reason == "unknown-local-root"
     with pytest.raises(ContractError) as err:
-        claim_reward(a, cfg, claim_for(t, a, "n1", age=6, root_b=12345), now=6)
+        claim_reward(a, cfg, *claim_for(t, a, "n1", age=6, root_b=12345), now=6)
     assert err.value.reason == "unknown-remote-root"
 
 
 def test_tampered_proof_rejected():
     t, a, cfg = scenario_state([SimEvent(0, "A", "deposit", note="n1")])
-    claim = claim_for(t, a, "n1", age=6)
-    bad = RewardClaim(
-        Statement(claim.statement.root_a, claim.statement.root_b, claim.statement.nullifier ^ 1),
-        claim.proof,
-        6,
-        "alice",
-    )
+    stmt, proof, age, claimant = claim_for(t, a, "n1", age=6)
+    bad = Statement(stmt.root_a, stmt.root_b, stmt.nullifier ^ 1)
     with pytest.raises(ContractError) as err:
-        claim_reward(a, cfg, bad, now=6)
+        claim_reward(a, cfg, bad, proof, age, claimant, now=6)
     assert err.value.reason == "invalid-proof"
 
 
@@ -165,7 +160,7 @@ def test_withdraw_then_claim_rejected():
     ]
     t, a, cfg = scenario_state(events, horizon=12)
     with pytest.raises(ContractError) as err:
-        claim_reward(a, cfg, claim_for(t, a, "n1", age=11), now=11)
+        claim_reward(a, cfg, *claim_for(t, a, "n1", age=11), now=11)
     assert err.value.reason == "already-withdrawn"
 
 
@@ -179,7 +174,7 @@ def test_reward_conservation_over_random_claims(fast_params):
         age = rng.randrange(1, 40)
         now = max(age + 6, a.local_roots[a.tree.root_history[t.deposits[note].index + 1]] + age)
         try:
-            paid += claim_reward(a, cfg, claim_for(t, a, note, age=age), now=now)
+            paid += claim_reward(a, cfg, *claim_for(t, a, note, age=age), now=now)
         except ContractError:
             continue
     assert paid == a.gov_total == sum(a.gov_minted.values())
@@ -191,7 +186,6 @@ def test_vampire_symmetric_rates_nobody_moves(build_vampire_scenario):
     sc = build_vampire_scenario(rate_a=2, rate_b=2)
     series = vampire_metrics(run(sc))
     final = series.final()
-    assert series.columns == LIQUIDITY_COLUMNS
     assert final["locked_a"] == 60 and final["locked_b"] == 0
     assert final["rewards_b"] == 0 and final["rewards_a"] > 0
     # relocking always forfeits age, so equal rates never justify the move

@@ -38,7 +38,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 def published(transcript):
     """Each rendered transcript line as a dict of its key=value texts."""
-    return [dict(tok.split("=", 1) for tok in line.split(" ")) for line in transcript.render_lines()]
+    return [dict(tok.split("=", 1) for tok in line.split(" ")) for line in transcript.render().splitlines()]
 
 
 def naive_note_events(transcript, nullifier_hex):

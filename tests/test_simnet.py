@@ -167,7 +167,25 @@ def test_payout_of_a_forged_note_stops_the_run(monkeypatch):
         "tick 4: B invariant broken: every payout spends a deposited note,"
         f" but B0 paid nullifier {sn}, which no deposit made"
     )
-    assert err.value.transcript.render_lines()[-1].startswith("t=4 chain=B ev=withdraw-finalized wid=B0")
+    assert err.value.transcript.render().splitlines()[-1].startswith("t=4 chain=B ev=withdraw-finalized wid=B0")
+
+
+def test_a_stopped_run_names_its_reason(monkeypatch):
+    # a payout the paying chain cannot cover is `insolvent`; a broken
+    # protocol invariant is `invariant`
+    insolvent = base_scenario(
+        events=(
+            SimEvent(0, "B", "deposit", note="n1"),
+            SimEvent(4, "A", "submit_withdrawal", note="n1", recipient="alice"),
+        )
+    )
+    with pytest.raises(SimInvariantError, match="^tick 7: A cannot cover withdrawal A0$") as err:
+        run(insolvent)
+    assert err.value.reason == "insolvent"
+    leak_at_tick_5(monkeypatch, lambda state: state.credits.update(mallory=3))
+    with pytest.raises(SimInvariantError, match="^tick 5: value conservation broken: ") as err:
+        run(base_scenario(events=(SimEvent(0, "A", "deposit", note="n1"),)))
+    assert err.value.reason == "invariant"
 
 
 def test_same_chain_withdrawal_pays_from_balance():
@@ -539,12 +557,11 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     assert len(calls) == 1356
 
 
-def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
-    """The prover's caches make each note and proof once per process; the
-    verifier still evaluates the relation for every proof in every run."""
-    made = {"make_note": [], "zk_prove": []}
-    verified = []
-    swept = []
+def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
+    """make_note's cache derives each note once per process; the verifier
+    evaluates the relation for every proof in every run, more often than
+    there are distinct proofs."""
+    notes, proved, verified, swept = [], [], [], []
     real_note, real_prove, real_run = simnet.make_note, simnet.zk_prove, simnet.run
     real_relation = zkrel.relation_holds
 
@@ -553,16 +570,13 @@ def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
         swept.append(transcript)
         return transcript
 
-    monkeypatch.setattr(simnet, "make_note", lambda *args: made["make_note"].append(args) or real_note(*args))
-    monkeypatch.setattr(simnet, "zk_prove", lambda *args: made["zk_prove"].append(args) or real_prove(*args))
+    monkeypatch.setattr(simnet, "make_note", lambda *args: notes.append(args) or real_note(*args))
+    monkeypatch.setattr(simnet, "zk_prove", lambda *args: proved.append(args) or real_prove(*args))
     monkeypatch.setattr(zkrel, "relation_holds", lambda *args: verified.append(args) or real_relation(*args))
     monkeypatch.setattr(simnet, "run", recording_run)
     make_note.cache_clear()
-    zk_prove.cache_clear()
     explore_races(races_demo(1), range(0, 7))
-    for fn in (make_note, zk_prove):
-        calls = made[fn.__name__]
-        assert fn.cache_info().misses == len(set(calls)) < len(calls), fn.__name__
+    assert make_note.cache_info().misses == len(set(notes)) < len(notes)
     reached = sum(
         1
         for transcript in swept
@@ -570,7 +584,7 @@ def test_sweep_proves_once_and_verifies_in_every_interleaving(monkeypatch):
         if e.kind == "withdraw-submitted"
         or (e.kind == "withdraw-rejected" and e.get("reason") == "invalid-proof")
     )
-    assert len(swept) == 14 and len(verified) == reached > len(set(made["zk_prove"]))
+    assert len(swept) == 14 and len(verified) == reached > len(set(proved))
 
 
 def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
@@ -628,7 +642,7 @@ def test_explore_races_rejects_empty_range():
 def test_reward_claims_through_engine():
     sc = base_scenario(
         horizon=14,
-        rewards=(("A", RewardSpec(rate=2, min_lock=3)),),
+        rewards={"A": RewardSpec(rate=2, min_lock=3)},
         events=(
             SimEvent(0, "A", "deposit", note="n1"),
             SimEvent(2, "A", "incentive_claim", note="n1", claimant="alice"),   # age 2 < min_lock
@@ -649,7 +663,7 @@ def test_reward_claims_through_engine():
 def test_claim_on_wrong_chain_rejected():
     sc = base_scenario(
         horizon=14,
-        rewards=(("A", RewardSpec(2, 3)), ("B", RewardSpec(2, 3))),
+        rewards={"A": RewardSpec(2, 3), "B": RewardSpec(2, 3)},
         events=(
             SimEvent(0, "A", "deposit", note="n1"),
             SimEvent(6, "B", "incentive_claim", note="n1", claimant="alice"),
@@ -670,7 +684,7 @@ def test_claim_on_wrong_chain_rejected():
         (dict(epsilon=-3), "epsilon"),  # below -relay_delay at D = 2
         (dict(events=(SimEvent(1, "A", "submit_withdrawal", note="x"),)), "events[0].recipient"),
         (
-            dict(rewards=tuple(zip("AB", [RewardSpec(-1, 0)] * 2))),
+            dict(rewards=dict.fromkeys("AB", RewardSpec(-1, 0))),
             "rewards.A.rate",
         ),  # one spec object on both chains is still named per chain
         (dict(relayers=(RelayerSpec("r 0", 2),)), "relayers[0].id"),
@@ -691,6 +705,7 @@ def test_claim_on_wrong_chain_rejected():
             dict(adversary=AdversarySpec("a", "A", 0, "A", 11, 5)),
             "horizon",
         ),  # second submission would land past the end
+        (dict(rewards={"C": RewardSpec()}), "rewards"),  # a chain no engine runs
     ],
 )
 def test_scenario_validation_names_the_field(over, field):
@@ -723,7 +738,7 @@ def test_scenario_from_dict_round_trip():
     assert not sc.relayers[1].honest and sc.relayers[1].delay == 3  # defaults to relay_delay
     assert sc.events[1].recipient == "al"
     assert sc.adversary.gap == 1
-    assert sc.reward_for("A") == RewardSpec(2, 4) and sc.reward_for("B") is None
+    assert sc.rewards == {"A": RewardSpec(2, 4)}
     run(sc)  # and it executes
 
 
@@ -752,7 +767,7 @@ def test_hash_rounds_above_the_bound_rejected_before_set_up(monkeypatch):
 
 
 def test_scenario_from_dict_null_rewards_means_no_rewards():
-    assert scenario_from_dict({"seed": 1, "horizon": 4, "rewards": None}).rewards == ()
+    assert scenario_from_dict({"seed": 1, "horizon": 4, "rewards": None}).rewards == {}
 
 
 @pytest.mark.parametrize(
@@ -913,7 +928,7 @@ def per_tick_scenarios():
         *random_scenarios(2031, 6),
         race_base(2, 1),
         race_base(2, -1),
-        base_scenario(rewards=(("A", RewardSpec(2, 3)),), events=claims),
+        base_scenario(rewards={"A": RewardSpec(2, 3)}, events=claims),
     ]
 
 
@@ -1023,7 +1038,7 @@ def engine_scenarios(draw):
     ))
     chains = st.sampled_from(CHAINS)
     reward_chains = sorted(draw(st.sets(chains)))
-    rewards = tuple((c, RewardSpec(draw(st.integers(0, 3)), draw(st.integers(0, 4)))) for c in reward_chains)
+    rewards = {c: RewardSpec(draw(st.integers(0, 3)), draw(st.integers(0, 4))) for c in reward_chains}
     deposited = {f"n{i}": draw(st.integers(0, horizon // 2)) for i in range(draw(st.integers(1, 4)))}
     events = [SimEvent(at, draw(chains), "deposit", note) for note, at in deposited.items()]
 
@@ -1042,7 +1057,7 @@ def engine_scenarios(draw):
             chain = draw(st.sampled_from(reward_chains))
             events.append(SimEvent(later(note), chain, "incentive_claim", note, claimant="c", age=age))
     return Scenario(
-        seed=draw(st.integers(0, 3)),  # few seeds, so later examples meet cached notes and proofs
+        seed=draw(st.integers(0, 3)),  # few seeds, so later examples meet cached notes
         horizon=horizon,
         tree_height=draw(st.integers(2, 4)),
         epsilon=draw(st.integers(0, 2)),
@@ -1060,7 +1075,7 @@ def run_to_an_end(sc) -> str:
     try:
         return run(sc).render()
     except SimInvariantError as err:
-        assert err.__context__.reason == "insolvent", err
+        assert err.reason == "insolvent", err
         return f"{err.transcript.render()}{err}\n"
 
 
