@@ -21,7 +21,6 @@ Modules:
 """
 
 from .field_hash import (
-    DEFAULT_PARAMS,
     P,
     HashParams,
     fe_hex,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversarySpec",
-    "DEFAULT_PARAMS",
     "HashParams",
     "MerklePath",
     "MerkleTree",

@@ -12,11 +12,16 @@ Both commands check the report names, load the scenario, create --out, do
 their work and write; `main` alone maps how they end to an exit code:
 0 success; 1 a race interleaving double-paid (races mode), nothing else;
 2 unusable input or output (an unknown or empty --reports list, unreadable
-or non-UTF-8 scenario file, parse error, repeated key, bad field, an --out
-that cannot be made a directory, a report that cannot be written); 3 a
-protocol invariant broke mid-run, including a payout the paying contract
-cannot cover (run mode dumps the partial transcript, and still exits 3 if
-that dump cannot be written).
+or non-UTF-8 scenario file, parse error, repeated or non-scalar key, a
+tagged collection, a second document, nesting deeper than MAX_NESTING, bad
+field, an --out that cannot be made a directory, a report that cannot be
+written); 3 a protocol invariant broke mid-run, including a payout the
+paying contract cannot cover (run mode dumps the partial transcript, and
+still exits 3 if that dump cannot be written).
+
+The scenario file is read in one pass over the YAML parser's events, on
+libyaml when PyYAML has it, and no node graph is built.  Scalars, anchors,
+aliases and merge keys (`<<`) keep the safe loader's meaning.
 """
 from __future__ import annotations
 
@@ -48,22 +53,139 @@ class RunConfig:
     epsilon_override: int | None = None
 
 
-class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader, on libyaml's parser when PyYAML has it, except that a
-    key repeated within one mapping is an error, not a silent overwrite.
-    Merge keys (`<<`) keep their meaning: a key they merge may be overridden."""
+MAX_NESTING = 16
+"""Deepest nesting of sequences and mappings in a scenario file, counted
+through aliases.  A scenario needs 3: the root, its events list, one event."""
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
-                key = self.construct_object(key_node)  # a scalar key is hashable
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"found repeated key {key!r}", key_node.start_mark
-                    )
-                seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+_TAG = "tag:yaml.org,2002:"
+_COLLECTION_TAGS = frozenset(_TAG + kind for kind in ("seq", "map", "set", "omap", "pairs"))
+_MERGE = object()  # a `<<` key: the mapping, or list of mappings, after it is merged in
+_NO_KEY = object()  # a mapping's next value is a key
+
+
+def _error(problem: str, mark) -> yaml.YAMLError:
+    return yaml.constructor.ConstructorError(None, None, problem, mark)
+
+
+class _Open:
+    """A sequence or mapping whose end event has not come yet: what it holds,
+    the height of its tallest member (a scalar is 0), and, in a mapping, the
+    key awaiting its value and the mappings `<<` merges in."""
+
+    __slots__ = ("start", "items", "height", "key", "merges")
+
+    def __init__(self, start, items):
+        self.start = start
+        self.items = items
+        self.height = 0
+        self.key = _NO_KEY
+        self.merges = []
+
+    def add(self, value, height, mark):
+        self.height = max(self.height, height)
+        items = self.items
+        if isinstance(items, dict) and self.key is _NO_KEY:
+            if isinstance(value, (list, dict)):
+                raise _error("found a key that is not a scalar", mark)
+            if value in items:
+                raise _error(f"found repeated key {value!r}", mark)
+            self.key = value
+            return
+        if value is _MERGE:
+            raise _error(f"could not determine a constructor for the tag {_TAG + 'merge'!r}", mark)
+        if isinstance(items, list):
+            items.append(value)
+        elif self.key is _MERGE:
+            # SafeConstructor.flatten_mapping's order: of a list, the first mapping wins
+            if isinstance(value, dict):
+                self.merges.append(value)
+            elif isinstance(value, list) and all(isinstance(m, dict) for m in value):
+                self.merges.extend(reversed(value))
+            else:
+                raise _error("expected a mapping or list of mappings for merging", mark)
+        else:
+            items[self.key] = value
+        self.key = _NO_KEY
+
+    def close(self):
+        """The finished value: merged keys first, each overridden by a later
+        merge and by the mapping's own keys."""
+        if not self.merges:
+            return self.items
+        merged = {}
+        for source in self.merges:
+            merged.update(source)
+        merged.update(self.items)
+        return merged
+
+
+def _scalar(loader, event):
+    """A scalar as the safe loader reads it: its explicit tag or the one its
+    text resolves to, built by SafeConstructor's own constructor."""
+    tag = event.tag
+    if tag is None or tag == "!":
+        tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+    if tag == _TAG + "merge":
+        return _MERGE
+    if tag in _COLLECTION_TAGS:
+        raise _error(f"found a scalar tagged {tag}", event.start_mark)
+    construct = loader.yaml_constructors.get(tag, loader.yaml_constructors[None])
+    return construct(loader, yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark))
+
+
+def _read_yaml(text: str):
+    """The one document in `text`, as yaml.load(text, Loader=yaml.SafeLoader)
+    reads it, built in one pass over the parser's events, so no node graph is
+    ever held.  Beyond the safe loader it rejects a repeated or non-scalar
+    key, an explicit tag on a collection other than its own kind's, an alias
+    inside the collection it names, and nesting deeper than MAX_NESTING."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+    try:
+        loader.get_event()  # StreamStartEvent
+        if loader.check_event(yaml.StreamEndEvent):
+            return None  # an empty file
+        loader.get_event()  # DocumentStartEvent
+        document = _Open(None, [])
+        stack = [document]
+        anchors = {}  # name -> (value, height); None while its collection is open
+        while not document.items:
+            event = loader.get_event()
+            mark, anchor = event.start_mark, None
+            if isinstance(event, yaml.AliasEvent):
+                if anchors.get(event.anchor) is None:
+                    raise _error(f"found undefined alias {event.anchor!r}", mark)
+                value, height = anchors[event.anchor]
+                if len(stack) - 1 + height > MAX_NESTING:
+                    raise _error(f"found nesting deeper than {MAX_NESTING}", mark)
+            elif isinstance(event, yaml.CollectionEndEvent):
+                opened = stack.pop()
+                value, height = opened.close(), opened.height + 1
+                mark, anchor = opened.start.start_mark, opened.start.anchor
+            else:
+                anchor = event.anchor
+                if anchor is not None and anchor in anchors:
+                    raise _error(f"found duplicate anchor {anchor!r}", mark)
+                if isinstance(event, yaml.ScalarEvent):
+                    value, height = _scalar(loader, event), 0
+                else:
+                    kind = "seq" if isinstance(event, yaml.SequenceStartEvent) else "map"
+                    if event.tag not in (None, "!", _TAG + kind):
+                        raise _error(f"found a collection tagged {event.tag}", mark)
+                    if len(stack) > MAX_NESTING:
+                        raise _error(f"found nesting deeper than {MAX_NESTING}", mark)
+                    if anchor is not None:
+                        anchors[anchor] = None
+                    stack.append(_Open(event, [] if kind == "seq" else {}))
+                    continue
+            if anchor is not None:
+                anchors[anchor] = (value, height)
+            stack[-1].add(value, height, mark)
+        loader.get_event()  # DocumentEndEvent
+        if not loader.check_event(yaml.StreamEndEvent):
+            raise _error("found a second document", loader.get_event().start_mark)
+        return document.items[0]
+    finally:
+        loader.dispose()
 
 
 def _fail(message: str) -> None:
@@ -75,7 +197,7 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
     OSError with a message naming the problem."""
     path = Path(config.scenario_path)
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ScenarioLoader)
+        raw = _read_yaml(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as err:
         raise simnet.ScenarioError("<syntax>", f"not UTF-8 text: {err}")
     except yaml.YAMLError as err:

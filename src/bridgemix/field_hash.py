@@ -125,6 +125,3 @@ def params_digest(params: HashParams) -> FieldElement:
     blob = params.rounds.to_bytes(4, "little") + EXPONENT.to_bytes(1, "little")
     blob += b"".join(encode_fe(c) for c in params.round_constants)
     return hash_bytes(blob, params)
-
-
-DEFAULT_PARAMS = make_params(DEFAULT_ROUNDS)

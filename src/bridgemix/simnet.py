@@ -192,7 +192,6 @@ class Transcript:
     events: list
     contracts: dict
     notes: dict
-    deposits: dict
 
     def render(self) -> str:
         return "\n".join(e.to_line() for e in self.events) + "\n"
@@ -396,7 +395,6 @@ class _Engine:
             events=self.events,
             contracts={chain: self.nodes[chain].contract for chain in CHAINS},
             notes=dict(self.notes),
-            deposits=dict(self.deposits),
         )
 
     def run(self) -> Transcript:
@@ -572,7 +570,10 @@ def _at(where, key):
 def _typed(value, annotation, where, key):
     kind = _SCALARS.get(annotation)
     if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
-        raise ScenarioError(_at(where, key), f"expected {kind.__name__}, got {value!r}")
+        # a collection is named, not shown: through aliases a few hundred
+        # bytes of YAML can stand for a value too large to print
+        got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+        raise ScenarioError(_at(where, key), f"expected {kind.__name__}, got {got}")
     return value
 
 

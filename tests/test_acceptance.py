@@ -9,7 +9,6 @@ import pytest
 
 from bridgemix import contract as contract_mod
 from bridgemix.field_hash import (
-    DEFAULT_PARAMS,
     P,
     encode_fe,
     hash2,
@@ -222,7 +221,7 @@ def test_criterion_4_merkle_oracle_equivalence(report):
 
     started = time.monotonic()
     rng = random.Random(2027)
-    params = DEFAULT_PARAMS
+    params = make_params()
     mismatches = path_failures = trees = 0
     for h in (2, 3, 4):
         for _ in range(3):

@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
@@ -160,6 +164,135 @@ def test_repeated_key_exits_2_naming_key_and_line(tmp_path, capsys, text, key, l
     err = capsys.readouterr().err
     assert err.startswith(f"error: scenario field '<syntax>': unparseable scenario at line {line}:")
     assert f"found repeated key {key!r}" in err
+
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.yaml"))
+
+# documents the scenario reader must read as PyYAML's safe loader does
+CRAFTED = {
+    "anchor-and-alias": "a: &n {x: 1}\nb: *n\n",
+    "alias-of-a-sequence": "l: &l [1, [2, 3]]\nm: *l\nn: [*l, *l]\n",
+    "alias-as-key": "k: &k name\n*k : 3\n",
+    "merge-one-mapping": "base: &b {x: 1, y: 2}\nm:\n  y: 3\n  <<: *b\n  z: 4\n",
+    "merge-a-list": "a: &a {x: 1}\nb: &b {x: 2, z: 9}\nm:\n  <<: [*a, *b]\n  w: 0\n",
+    "merge-twice": "a: &a {x: 1}\nb: &b {x: 2, z: 9}\nm: {<<: *a, <<: *b, z: 3}\n",
+    "merge-of-a-merge": "a: &a {x: 1, y: 1}\nb: &b {<<: *a, y: 2}\nm: {<<: *b}\n",
+    "scalar-tags": "a: !!str 5\nb: !!int '7'\nc: !!float 1\nd: !!bool 'yes'\ne: !!null ''\nf: !!str\n",
+    "collection-tags-of-their-own-kind": "!!map {a: !!seq [1], b: ! [2]}\n",
+    "yaml-1.1-scalars": "[yes, No, on, OFF, 0x1f, 1_000, 0o17, 017, 0b101, 1:30, 1.5e3, -.Inf, ~, null, '', 2001-12-14]\n",
+    "empty": "",
+    "null-document": "~\n",
+    "document-markers": "--- {seed: 1}\n...\n",
+    "explicit-key": "? seed\n: 1\n",
+    "nesting-at-the-bound": "[" * cli.MAX_NESTING + "]" * cli.MAX_NESTING,
+}
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def parser(request, monkeypatch):
+    """Read on libyaml's parser, then on PyYAML's own: one code path serves both."""
+    if request.param == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+@pytest.mark.parametrize(
+    "text",
+    [path.read_text(encoding="utf-8") for path in SCENARIO_FILES] + list(CRAFTED.values()),
+    ids=[path.name for path in SCENARIO_FILES] + list(CRAFTED),
+)
+def test_scenario_reader_reads_what_the_safe_loader_reads(parser, text):
+    read = cli._read_yaml(text)
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert read == expected
+    assert repr(read) == repr(expected)  # the same types and key order
+
+
+@pytest.mark.parametrize(
+    "text, line, problem",
+    [
+        ("seed: 1\nhorizon: 4\n[1]: 2\n", 3, "found a key that is not a scalar"),
+        ("seed: 1\nhorizon: 4\n{a: 1}: 2\n", 3, "found a key that is not a scalar"),
+        ("seed: 1\nhorizon: *h\n", 2, "found undefined alias 'h'"),
+        ("seed: &s 1\nhorizon: &s 4\n", 2, "found duplicate anchor 's'"),
+        ("seed: 1\nhorizon: 4\nrewards: &r {A: *r}\n", 3, "found undefined alias 'r'"),
+        ("seed: 1\nhorizon: 4\nrewards:\n  <<: 3\n", 4, "expected a mapping or list of mappings for merging"),
+        ("seed: 1\nhorizon: 4\nrewards:\n  <<: [{A: {}}, 3]\n", 4, "expected a mapping or list of mappings"),
+        ("seed: 1\nhorizon: <<\n", 2, "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"),
+        ("seed: 1\nhorizon: 4\n---\nseed: 2\n", 3, "found a second document"),
+        ("seed: 1\nhorizon: 4\nrewards: !!set {A}\n", 3, "found a collection tagged tag:yaml.org,2002:set"),
+        ("seed: 1\nhorizon: 4\nevents: !!omap [{a: 1}]\n", 3, "found a collection tagged tag:yaml.org,2002:omap"),
+        ("seed: 1\nhorizon: !!seq 4\n", 2, "found a scalar tagged tag:yaml.org,2002:seq"),
+        ("seed: 1\nhorizon: !bogus 4\n", 2, "could not determine a constructor for the tag '!bogus'"),
+        # 1,000 deep: printing the value in a field error would exceed the recursion limit
+        ("seed: 1\nhorizon: " + "[" * 1000 + "]" * 1000 + "\n", 2, "found nesting deeper than 16"),
+        # each alone within the bound, the alias puts one inside the other
+        ("seed: 1\nd: &d " + "[" * 8 + "]" * 8 + "\nhorizon: " + "[" * 8 + "*d" + "]" * 8 + "\n", 3,
+         "found nesting deeper than 16"),
+    ],
+    ids=[
+        "sequence-key", "mapping-key", "undefined-alias", "duplicate-anchor", "alias-inside-its-anchor",
+        "merge-of-a-scalar", "merge-of-a-list-with-a-scalar", "merge-key-as-a-value", "second-document",
+        "set", "omap", "scalar-with-a-collection-tag", "unknown-tag", "nested-1000-deep",
+        "nested-too-deep-through-an-alias",
+    ],
+)
+def test_malformed_scenario_file_exits_2_naming_the_line(tmp_path, capsys, parser, text, line, problem):
+    rc = cli.main(["run", "--scenario", write_scenario(tmp_path, text), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario field '<syntax>': unparseable scenario at line {line}:")
+    assert problem in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_aliases_that_multiply_a_value_exit_2_with_a_short_message(tmp_path, capsys):
+    # each list holds the one before it ten times: 7 levels in about 400
+    # bytes stand for 10**7 ones, which would take 35 MB to print
+    items = ["&l0 [" + ", ".join(["1"] * 10) + "]"]
+    items += [f"&l{i} [" + ", ".join([f"*l{i - 1}"] * 10) + "]" for i in range(1, 7)]
+    scn = write_scenario(tmp_path, "seed: 1\nhorizon: [" + ", ".join(items) + "]\n")
+    assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: scenario field 'horizon': expected int, got list\n"
+
+
+def test_nesting_100000_deep_exits_2_in_its_own_process(tmp_path):
+    # deep enough to overflow the C stack of a recursive composer: a signal,
+    # not an exit code, so the run gets a process of its own
+    scn = write_scenario(tmp_path, "seed: 1\nhorizon: " + "[" * 100_000 + "]" * 100_000 + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bridgemix.cli", "run", "--scenario", scn, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_BAD_INPUT, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: scenario field '<syntax>': unparseable scenario at line 2:")
+    assert f"found nesting deeper than {cli.MAX_NESTING}" in proc.stderr
+
+
+def test_scenario_is_read_without_holding_a_node_graph(tmp_path):
+    # 1,200 events, about 80 KB of YAML: a node graph of this file alone
+    # peaks at about 5.7 MB
+    n = 600
+    events = [{"at": i, "chain": "A", "action": "deposit", "note": f"n{i}"} for i in range(n)]
+    events += [
+        {"at": n + 3 + i, "chain": "B", "action": "submit_withdrawal", "note": f"n{i}", "recipient": f"w{i}"}
+        for i in range(n)
+    ]
+    text = yaml.safe_dump(
+        {"seed": 1, "horizon": 2 * n + 8, "hash_rounds": 8, "tree_height": 10, "events": events},
+        sort_keys=False,
+    )
+    config = cli.RunConfig(write_scenario(tmp_path, text), str(tmp_path / "out"))
+    tracemalloc.start()
+    try:
+        scenario = cli.load_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scenario.events) == 2 * n
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("command", ["run", "races"])

@@ -5,7 +5,6 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bridgemix.field_hash import (
-    DEFAULT_PARAMS,
     ENCODED_SIZE,
     EXPONENT,
     P,
@@ -93,14 +92,14 @@ class TestPermute:
         for _ in range(25):
             x, k = rng.randrange(P), rng.randrange(P)
             expect = x
-            for c in DEFAULT_PARAMS.round_constants:
+            for c in make_params().round_constants:
                 expect = pow((expect + k + c) % P, 7, P)
             expect = (expect + k) % P
-            assert permute(x, k, DEFAULT_PARAMS) == expect
+            assert permute(x, k, make_params()) == expect
 
     def test_bijection_on_byte_subdomain(self):
         # No collisions among 2^8 inputs under a fixed key.
-        outs = {permute(x, 3, DEFAULT_PARAMS) for x in range(256)}
+        outs = {permute(x, 3, make_params()) for x in range(256)}
         assert len(outs) == 256
 
     def test_exponent_invertible_mod_group_order(self):
@@ -113,32 +112,32 @@ class TestHash2:
         assert hash2(0, 0, zero1) == 0
 
     def test_asymmetric(self):
-        a = hash2(1, 2, DEFAULT_PARAMS)
-        b = hash2(2, 1, DEFAULT_PARAMS)
+        a = hash2(1, 2, make_params())
+        b = hash2(2, 1, make_params())
         assert a != b
         # oracle cross-check of both sides
-        assert a == (permute(1, 2, DEFAULT_PARAMS) + 3) % P
-        assert b == (permute(2, 1, DEFAULT_PARAMS) + 3) % P
+        assert a == (permute(1, 2, make_params()) + 3) % P
+        assert b == (permute(2, 1, make_params()) + 3) % P
 
     def test_deterministic(self):
-        assert hash2(11, 22, DEFAULT_PARAMS) == hash2(11, 22, DEFAULT_PARAMS)
+        assert hash2(11, 22, make_params()) == hash2(11, 22, make_params())
 
 
 class TestHashBytes:
     def test_empty_is_zero(self):
-        assert hash_bytes(b"", DEFAULT_PARAMS) == 0
+        assert hash_bytes(b"", make_params()) == 0
 
     def test_single_encoded_element_matches_oracle(self):
         data = encode_fe(5)
-        assert hash_bytes(data, DEFAULT_PARAMS) == absorb_oracle(data, DEFAULT_PARAMS)
+        assert hash_bytes(data, make_params()) == absorb_oracle(data, make_params())
 
     def test_concatenation_differs_from_prefix(self):
         rng = random.Random(99)
         for _ in range(20):
             r, s = rng.randrange(1, P), rng.randrange(1, P)
-            joint = hash_bytes(encode_fe(r) + encode_fe(s), DEFAULT_PARAMS)
-            assert joint == absorb_oracle(encode_fe(r) + encode_fe(s), DEFAULT_PARAMS)
-            assert joint != hash_bytes(encode_fe(r), DEFAULT_PARAMS)
+            joint = hash_bytes(encode_fe(r) + encode_fe(s), make_params())
+            assert joint == absorb_oracle(encode_fe(r) + encode_fe(s), make_params())
+            assert joint != hash_bytes(encode_fe(r), make_params())
 
     def test_collision_sanity_100k(self, fast_params):
         rng = random.Random(0xC0111)
@@ -169,9 +168,10 @@ class TestEncoding:
 
 class TestParams:
     def test_defaults(self):
-        assert DEFAULT_PARAMS.rounds == 64
-        assert DEFAULT_PARAMS.round_constants[0] == 0
-        assert len(set(DEFAULT_PARAMS.round_constants)) == 64
+        params = make_params()
+        assert params.rounds == 64
+        assert params.round_constants[0] == 0
+        assert len(set(params.round_constants)) == 64
 
     def test_derivation_is_deterministic(self):
         assert make_params(8) == make_params(8)
@@ -201,4 +201,4 @@ class TestParams:
 
     def test_digest_distinguishes_params(self):
         assert params_digest(make_params(8)) != params_digest(make_params(16))
-        assert params_digest(DEFAULT_PARAMS) == params_digest(make_params(64))
+        assert params_digest(make_params()) == params_digest(make_params(64))

@@ -45,12 +45,19 @@ def scenario_state(events, horizon=10, rate=3, min_lock=5):
     return t, t.contracts["A"], RewardSpec(rate, min_lock)
 
 
+def deposit_event(t, note_id):
+    """The `deposit` event of `note_id`, found by its commitment."""
+    commitment = t.notes[note_id].commitment
+    return next(e for e in t.events if e.kind == "deposit" and e.get("commitment") == commitment)
+
+
 def claim_for(t, state, note_id, age, root_a=None, root_b=None, claimant="alice"):
     """claim_reward's (stmt, proof, age, claimant) arguments."""
-    dep = t.deposits[note_id]
+    deposit = deposit_event(t, note_id)
     note = t.notes[note_id]
-    path = mt_path(state.tree, dep.index, leaf_count=dep.index + 1)
-    deposit_root = state.tree.root_history[dep.index + 1]
+    index = deposit.get("index")
+    path = mt_path(state.tree, index, leaf_count=index + 1)
+    deposit_root = deposit.get("new_root")
     if root_a is None:  # membership under the local slot
         selector = 0
         root_a = deposit_root
@@ -172,7 +179,7 @@ def test_reward_conservation_over_random_claims(fast_params):
     for _ in range(40):
         note = rng.choice(notes)
         age = rng.randrange(1, 40)
-        now = max(age + 6, a.local_roots[a.tree.root_history[t.deposits[note].index + 1]] + age)
+        now = max(age + 6, a.local_roots[deposit_event(t, note).get("new_root")] + age)
         try:
             paid += claim_reward(a, cfg, *claim_for(t, a, note, age=age), now=now)
         except ContractError:

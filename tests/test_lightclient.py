@@ -86,7 +86,7 @@ class TestHeaderDigest:
         # pinned once from the oracle hash2(hash2(prev_hash, state_commitment),
         # height * 2**32 + nonce)
         header = BlockHeader(0, 0, 0, 0, P >> 2)
-        params = field_hash.DEFAULT_PARAMS
+        params = field_hash.make_params()
         assert header_digest(header, params) == 13919005314840334143
         top = lightclient.HEIGHT_LIMIT - 1
         for height, prev, commitment, nonce in ((0, 0, 0, 0), (3, 11, P - 1, 7), (top, P - 1, 5, 2**32 - 1)):

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bridgemix import merkle
-from bridgemix.field_hash import DEFAULT_PARAMS, P, hash2, make_params, zero_constant_params
+from bridgemix.field_hash import P, hash2, make_params, zero_constant_params
 from bridgemix.merkle import (
     MerkleError,
     mt_add,
@@ -31,7 +31,7 @@ class TestSetup:
         assert tree.root == 0
 
     def test_h20_capacity(self):
-        tree = mt_setup(20, DEFAULT_PARAMS)
+        tree = mt_setup(20, make_params())
         assert tree.capacity == 2**20
         assert tree.leaves == []
         assert tree.root_history == [tree.zero_roots[20]]
@@ -39,7 +39,7 @@ class TestSetup:
     @pytest.mark.parametrize("h", [0, -1, 33])
     def test_height_out_of_range(self, h):
         with pytest.raises(MerkleError):
-            mt_setup(h, DEFAULT_PARAMS)
+            mt_setup(h, make_params())
 
     def test_empty_root_matches_zero_chain(self, fast_params):
         zeros = zero_subtree_roots(3, fast_params)
