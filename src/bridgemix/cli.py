@@ -10,7 +10,9 @@ given (scenario, seed).
 
 Both commands check the report names, load the scenario, create --out, do
 their work and write; `main` alone maps how they end to an exit code:
-0 success; 1 a race interleaving double-paid (races mode), nothing else;
+0 success; 1 a double payout, and nothing else: a race interleaving paid a
+note twice (races mode), or the run did (run mode, after its reports are
+written; stderr names each payout's chain, wid and tick);
 2 unusable input or output (an unknown or empty --reports list, unreadable
 or non-UTF-8 scenario file, parse error, repeated or non-scalar key, a
 tagged collection, a second document, nesting deeper than MAX_NESTING, bad
@@ -20,7 +22,8 @@ paying contract cannot cover (run mode dumps the partial transcript, and
 still exits 3 if that dump cannot be written).
 
 The scenario file is read in one pass over the YAML parser's events, on
-libyaml when PyYAML has it, and no node graph is built.  Scalars, anchors,
+libyaml when PyYAML has it, and no node graph is built.  Each distinct scalar
+is built once, and equal scalars share that one value.  Scalars, anchors,
 aliases and merge keys (`<<`) keep the safe loader's meaning.
 """
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 import yaml
 
 from . import incentives, metrics, simnet
+from .field_hash import fe_hex
 
 REPORT_NAMES = ("transcript", "races", "anonymity", "liquidity", "storage")
 
@@ -136,9 +140,11 @@ def _scalar(loader, event):
 def _read_yaml(text: str):
     """The one document in `text`, as yaml.load(text, Loader=yaml.SafeLoader)
     reads it, built in one pass over the parser's events, so no node graph is
-    ever held.  Beyond the safe loader it rejects a repeated or non-scalar
-    key, an explicit tag on a collection other than its own kind's, an alias
-    inside the collection it names, and nesting deeper than MAX_NESTING."""
+    ever held.  Each distinct scalar is built once: every scalar the safe
+    loader constructs is immutable, so equal ones share one value.  Beyond
+    the safe loader it rejects a repeated or non-scalar key, an explicit tag
+    on a collection other than its own kind's, an alias inside the collection
+    it names, and nesting deeper than MAX_NESTING."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         loader.get_event()  # StreamStartEvent
@@ -148,6 +154,7 @@ def _read_yaml(text: str):
         document = _Open(None, [])
         stack = [document]
         anchors = {}  # name -> (value, height); None while its collection is open
+        scalars = {}  # (tag, text, implicit) -> its value; a scalar that raises is never stored
         while not document.items:
             event = loader.get_event()
             mark, anchor = event.start_mark, None
@@ -166,7 +173,12 @@ def _read_yaml(text: str):
                 if anchor is not None and anchor in anchors:
                     raise _error(f"found duplicate anchor {anchor!r}", mark)
                 if isinstance(event, yaml.ScalarEvent):
-                    value, height = _scalar(loader, event), 0
+                    key = (event.tag, event.value, event.implicit)
+                    try:
+                        value = scalars[key]
+                    except KeyError:
+                        value = scalars[key] = _scalar(loader, event)
+                    height = 0
                 else:
                     kind = "seq" if isinstance(event, yaml.SequenceStartEvent) else "map"
                     if event.tag not in (None, "!", _TAG + kind):
@@ -227,11 +239,10 @@ def _write_transcript(path: Path, transcript) -> None:
             out.write(e.to_line() + "\n")
 
 
-def _payout_lines(transcript) -> tuple:
-    rows = simnet.payout_table(transcript)
+def _payout_lines(rows) -> tuple:
     lines = [f"{'nullifier':>16} {'payouts':>8} {'cancels':>8} {'rejected':>9}"]
     for sn, payouts, cancels, rejected in rows:
-        lines.append(f"{sn:>16} {payouts:>8} {cancels:>8} {str(rejected).lower():>9}")
+        lines.append(f"{fe_hex(sn):>16} {payouts:>8} {cancels:>8} {str(rejected).lower():>9}")
     summary = {
         "nullifiers": len(rows),
         "max_payouts": max((r[1] for r in rows), default=0),
@@ -254,8 +265,9 @@ def cmd_run(config: RunConfig, scenario: simnet.Scenario, out_dir: Path) -> int:
     transcript = simnet.run(scenario)
     if "transcript" in config.reports:
         _write_transcript(out_dir / "transcript.txt", transcript)
+    rows = simnet.payout_table(transcript)  # after the transcript: their peaks do not stack
     if "races" in config.reports:
-        lines, summary = _payout_lines(transcript)
+        lines, summary = _payout_lines(rows)
         _write_report(out_dir, "races", lines, summary)
     if "anonymity" in config.reports:
         report = metrics.anonymity_report(transcript)
@@ -266,7 +278,15 @@ def cmd_run(config: RunConfig, scenario: simnet.Scenario, out_dir: Path) -> int:
     if "storage" in config.reports:
         report = metrics.storage_report(transcript)
         _write_report(out_dir, "storage", report.render_lines(), report.summary())
-    return EXIT_OK
+    paid = {sn: [] for sn, payouts, _, _ in rows if payouts > 1}  # nullifier -> its payouts
+    if not paid:
+        return EXIT_OK
+    for e in transcript.events:
+        if e.kind == "withdraw-finalized" and e.get("nullifier") in paid:
+            paid[e.get("nullifier")].append(f"chain={e.chain} wid={e.get('wid')} t={e.tick}")
+    for sn, payouts in paid.items():
+        _fail(f"double payout of nullifier {fe_hex(sn)}: {', '.join(payouts)}")
+    return EXIT_DOUBLE_PAYOUT
 
 
 def cmd_races(scenario: simnet.Scenario, out_dir: Path) -> int:

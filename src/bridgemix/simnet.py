@@ -549,10 +549,10 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
 
 def payout_table(transcript: Transcript) -> list:
     """Per-nullifier payout/cancellation tallies for a single run, one row
-    (nullifier hex, payouts, cancels, rejected) per note."""
+    (nullifier, payouts, cancels, rejected) per note."""
     tallies = _note_tallies(transcript)
     return [
-        (fe_hex(note.nullifier), *tallies.get(note.nullifier, _NO_EVENTS))
+        (note.nullifier, *tallies.get(note.nullifier, _NO_EVENTS))
         for note in transcript.notes.values()
     ]
 

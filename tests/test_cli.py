@@ -185,6 +185,17 @@ CRAFTED = {
     "document-markers": "--- {seed: 1}\n...\n",
     "explicit-key": "? seed\n: 1\n",
     "nesting-at-the-bound": "[" * cli.MAX_NESTING + "]" * cli.MAX_NESTING,
+    # one text, read again under another tag or quoting, must not take the first reading's value
+    "repeated-texts-that-resolve-apart": (
+        "[1, '1', !!str 1, 1, '1', !!str 1, !!float 1, yes, \"yes\", yes, \"yes\", ! yes,"
+        " ~, null, \"null\", ~, null, \"null\", '~']\n"
+    ),
+    "repeated-timestamp-and-binary": (
+        "a: 2001-12-14t21:59:43.10-05:00\nb: 2001-12-14t21:59:43.10-05:00\nc: '2001-12-14'\n"
+        "d: 2001-12-14\ne: !!binary aGk=\nf: !!binary aGk=\ng: aGk=\n"
+    ),
+    "merge-in-two-mappings": "a: &a {x: 1, y: 2}\nm: {<<: *a, y: 3}\nn: {<<: *a, '<<': 4}\n",
+    "anchored-scalar-used-again": "a: &s deposit\nb: *s\nc: deposit\nd: [deposit, *s, 'deposit']\n",
 }
 
 
@@ -206,6 +217,32 @@ def test_scenario_reader_reads_what_the_safe_loader_reads(parser, text):
     expected = yaml.load(text, Loader=yaml.SafeLoader)
     assert read == expected
     assert repr(read) == repr(expected)  # the same types and key order
+
+
+def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
+    # a scenario and every crafted document: one construction per distinct
+    # (tag, text, implicit), and equal scenario fields are one object
+    built = []
+
+    def counted(construct):
+        def wrapper(loader, node):
+            built.append(node.tag)
+            return construct(loader, node)
+        return wrapper
+
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    monkeypatch.setattr(loader, "yaml_constructors",
+                        {tag: counted(construct) for tag, construct in loader.yaml_constructors.items()})
+    storage = next(path for path in SCENARIO_FILES if path.name == "storage.yaml")
+    for text in [storage.read_text(encoding="utf-8")] + list(CRAFTED.values()):
+        built.clear()
+        cli._read_yaml(text)
+        keys = {(e.tag, e.value, e.implicit) for e in yaml.parse(text) if isinstance(e, yaml.ScalarEvent)}
+        merges = sum(1 for tag, value, implicit in keys if value == "<<" and implicit[0] and tag is None)
+        assert len(built) == len(keys) - merges, text[:60]
+    scenario = cli.load_scenario(cli.RunConfig(str(storage), "unused"))
+    deposits = [ev for ev in scenario.events if ev.action == "deposit"]
+    assert len(deposits) > 1 and all(ev.action is deposits[0].action for ev in deposits)
 
 
 @pytest.mark.parametrize(
@@ -370,6 +407,21 @@ def test_races_negative_control_exits_one_and_names_interleaving(tmp_path, capsy
     assert "double payout" in err and "t'=0" in err
     summary = json.loads((out / "races.txt").read_text().splitlines()[-1])
     assert summary["double_payouts"] >= 1
+
+
+def test_run_that_double_pays_exits_one_after_writing_its_reports(tmp_path, capsys):
+    scn = str(Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "races.yaml")
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", scn, "--out", str(out), "--epsilon-override", "-1"])
+    assert rc == cli.EXIT_DOUBLE_PAYOUT
+    assert capsys.readouterr().err == (
+        "error: double payout of nullifier 50477695b2f13284: chain=A wid=A0 t=4, chain=B wid=B0 t=4\n"
+    )
+    reports = read_reports(out)
+    assert sorted(reports) == sorted(f"{name}.txt" for name in cli.REPORT_NAMES)
+    assert json.loads(reports["races.txt"].splitlines()[-1])["double_payouts"] == 1
+    for payout in ("chain=A ev=withdraw-finalized wid=A0", "chain=B ev=withdraw-finalized wid=B0"):
+        assert f"t=4 {payout} nullifier=50477695b2f13284" in reports["transcript.txt"]
 
 
 @pytest.mark.parametrize(

@@ -112,7 +112,7 @@ def naive_race_row(transcript):
 
 def assert_matches_reference(scenario, t_primes):
     t = run(scenario)
-    assert payout_table(t) == naive_payout_table(t)
+    assert [(fe_hex(sn), *tally) for sn, *tally in payout_table(t)] == naive_payout_table(t)
     assert anonymity_report(t).rows == naive_anonymity_rows(t)
     if scenario.adversary is None:
         return

@@ -622,12 +622,8 @@ def test_payout_table_tallies_by_nullifier():
     rows = {sn: (p, c, r) for sn, p, c, r in payout_table(t)}
     assert len(rows) == 2
     # gap 0 <= eps: both adversary submissions cancel; honest note paid once
-    import bridgemix.field_hash as fh
-
-    adv_sn = fh.fe_hex(t.notes["adv"].nullifier)
-    hon_sn = fh.fe_hex(t.notes["honest"].nullifier)
-    assert rows[adv_sn] == (0, 2, False)
-    assert rows[hon_sn] == (1, 0, False)
+    assert rows[t.notes["adv"].nullifier] == (0, 2, False)
+    assert rows[t.notes["honest"].nullifier] == (1, 0, False)
 
 
 def test_explore_races_requires_adversary():
