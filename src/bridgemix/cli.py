@@ -14,17 +14,17 @@ their work and write; `main` alone maps how they end to an exit code:
 note twice (races mode), or the run did (run mode, after its reports are
 written; stderr names each payout's chain, wid and tick);
 2 unusable input or output (an unknown or empty --reports list, unreadable
-or non-UTF-8 scenario file, parse error, repeated or non-scalar key, a
-tagged collection, a second document, nesting deeper than MAX_NESTING, bad
-field, an --out that cannot be made a directory, a report that cannot be
-written); 3 a protocol invariant broke mid-run, including a payout the
-paying contract cannot cover (run mode dumps the partial transcript, and
-still exits 3 if that dump cannot be written).
+or non-UTF-8 scenario file, parse error, an anchor, alias or `<<` merge key,
+repeated or non-scalar key, a tagged collection, a second document, nesting
+deeper than MAX_NESTING, bad field, an --out that cannot be made a
+directory, a report that cannot be written); 3 a protocol invariant broke
+mid-run, including a payout the paying contract cannot cover (run mode dumps
+the partial transcript, and still exits 3 if that dump cannot be written).
 
-The scenario file is read in one pass over the YAML parser's events, on
-libyaml when PyYAML has it, and no node graph is built.  Each distinct scalar
-is built once, and equal scalars share that one value.  Scalars, anchors,
-aliases and merge keys (`<<`) keep the safe loader's meaning.
+The scenario file is plain YAML, read in one pass over the YAML parser's
+events, on libyaml when PyYAML has it, and no node graph is built.  Each
+distinct scalar is built once, and equal scalars share that one value.
+Scalars keep the safe loader's meaning.
 """
 from __future__ import annotations
 
@@ -58,79 +58,25 @@ class RunConfig:
 
 
 MAX_NESTING = 16
-"""Deepest nesting of sequences and mappings in a scenario file, counted
-through aliases.  A scenario needs 3: the root, its events list, one event."""
+"""Deepest nesting of sequences and mappings in a scenario file: the depth of
+the reader's stack of open collections.  A scenario needs 3: the root, its
+events list, one event."""
 
 _TAG = "tag:yaml.org,2002:"
 _COLLECTION_TAGS = frozenset(_TAG + kind for kind in ("seq", "map", "set", "omap", "pairs"))
-_MERGE = object()  # a `<<` key: the mapping, or list of mappings, after it is merged in
-_NO_KEY = object()  # a mapping's next value is a key
 
 
 def _error(problem: str, mark) -> yaml.YAMLError:
     return yaml.constructor.ConstructorError(None, None, problem, mark)
 
 
-class _Open:
-    """A sequence or mapping whose end event has not come yet: what it holds,
-    the height of its tallest member (a scalar is 0), and, in a mapping, the
-    key awaiting its value and the mappings `<<` merges in."""
-
-    __slots__ = ("start", "items", "height", "key", "merges")
-
-    def __init__(self, start, items):
-        self.start = start
-        self.items = items
-        self.height = 0
-        self.key = _NO_KEY
-        self.merges = []
-
-    def add(self, value, height, mark):
-        self.height = max(self.height, height)
-        items = self.items
-        if isinstance(items, dict) and self.key is _NO_KEY:
-            if isinstance(value, (list, dict)):
-                raise _error("found a key that is not a scalar", mark)
-            if value in items:
-                raise _error(f"found repeated key {value!r}", mark)
-            self.key = value
-            return
-        if value is _MERGE:
-            raise _error(f"could not determine a constructor for the tag {_TAG + 'merge'!r}", mark)
-        if isinstance(items, list):
-            items.append(value)
-        elif self.key is _MERGE:
-            # SafeConstructor.flatten_mapping's order: of a list, the first mapping wins
-            if isinstance(value, dict):
-                self.merges.append(value)
-            elif isinstance(value, list) and all(isinstance(m, dict) for m in value):
-                self.merges.extend(reversed(value))
-            else:
-                raise _error("expected a mapping or list of mappings for merging", mark)
-        else:
-            items[self.key] = value
-        self.key = _NO_KEY
-
-    def close(self):
-        """The finished value: merged keys first, each overridden by a later
-        merge and by the mapping's own keys."""
-        if not self.merges:
-            return self.items
-        merged = {}
-        for source in self.merges:
-            merged.update(source)
-        merged.update(self.items)
-        return merged
-
-
 def _scalar(loader, event):
     """A scalar as the safe loader reads it: its explicit tag or the one its
-    text resolves to, built by SafeConstructor's own constructor."""
+    text resolves to, built by SafeConstructor's own constructor.  A plain
+    `<<` resolves to the merge tag, which has no constructor, so it raises."""
     tag = event.tag
     if tag is None or tag == "!":
         tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
-    if tag == _TAG + "merge":
-        return _MERGE
     if tag in _COLLECTION_TAGS:
         raise _error(f"found a scalar tagged {tag}", event.start_mark)
     construct = loader.yaml_constructors.get(tag, loader.yaml_constructors[None])
@@ -142,60 +88,59 @@ def _read_yaml(text: str):
     reads it, built in one pass over the parser's events, so no node graph is
     ever held.  Each distinct scalar is built once: every scalar the safe
     loader constructs is immutable, so equal ones share one value.  Beyond
-    the safe loader it rejects a repeated or non-scalar key, an explicit tag
-    on a collection other than its own kind's, an alias inside the collection
-    it names, and nesting deeper than MAX_NESTING."""
+    the safe loader it rejects an anchor, an alias, a `<<` merge key, a
+    repeated or non-scalar key, an explicit tag on a collection other than
+    its own kind's, and nesting deeper than MAX_NESTING."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         loader.get_event()  # StreamStartEvent
         if loader.check_event(yaml.StreamEndEvent):
             return None  # an empty file
         loader.get_event()  # DocumentStartEvent
-        document = _Open(None, [])
-        stack = [document]
-        anchors = {}  # name -> (value, height); None while its collection is open
+        document = []
+        stack = [(document, None)]  # each open list or dict, and its key in the dict that holds it
+        key, keyed = None, False  # the innermost open dict's key awaiting its value, if keyed
         scalars = {}  # (tag, text, implicit) -> its value; a scalar that raises is never stored
-        while not document.items:
+        while not document:
             event = loader.get_event()
-            mark, anchor = event.start_mark, None
-            if isinstance(event, yaml.AliasEvent):
-                if anchors.get(event.anchor) is None:
-                    raise _error(f"found undefined alias {event.anchor!r}", mark)
-                value, height = anchors[event.anchor]
-                if len(stack) - 1 + height > MAX_NESTING:
-                    raise _error(f"found nesting deeper than {MAX_NESTING}", mark)
-            elif isinstance(event, yaml.CollectionEndEvent):
-                opened = stack.pop()
-                value, height = opened.close(), opened.height + 1
-                mark, anchor = opened.start.start_mark, opened.start.anchor
+            mark = event.start_mark
+            if isinstance(event, yaml.CollectionEndEvent):
+                value, key = stack.pop()
+                keyed = True
+            elif event.anchor is not None:  # an alias's anchor is the name it refers to
+                sign = "*" if isinstance(event, yaml.AliasEvent) else "&"
+                raise _error(f"found {sign}{event.anchor}: scenario files take no anchors or aliases", mark)
+            elif isinstance(event, yaml.ScalarEvent):
+                cached = (event.tag, event.value, event.implicit)
+                try:
+                    value = scalars[cached]
+                except KeyError:
+                    value = scalars[cached] = _scalar(loader, event)
             else:
-                anchor = event.anchor
-                if anchor is not None and anchor in anchors:
-                    raise _error(f"found duplicate anchor {anchor!r}", mark)
-                if isinstance(event, yaml.ScalarEvent):
-                    key = (event.tag, event.value, event.implicit)
-                    try:
-                        value = scalars[key]
-                    except KeyError:
-                        value = scalars[key] = _scalar(loader, event)
-                    height = 0
-                else:
-                    kind = "seq" if isinstance(event, yaml.SequenceStartEvent) else "map"
-                    if event.tag not in (None, "!", _TAG + kind):
-                        raise _error(f"found a collection tagged {event.tag}", mark)
-                    if len(stack) > MAX_NESTING:
-                        raise _error(f"found nesting deeper than {MAX_NESTING}", mark)
-                    if anchor is not None:
-                        anchors[anchor] = None
-                    stack.append(_Open(event, [] if kind == "seq" else {}))
-                    continue
-            if anchor is not None:
-                anchors[anchor] = (value, height)
-            stack[-1].add(value, height, mark)
+                kind = "seq" if isinstance(event, yaml.SequenceStartEvent) else "map"
+                if event.tag not in (None, "!", _TAG + kind):
+                    raise _error(f"found a collection tagged {event.tag}", mark)
+                if len(stack) > MAX_NESTING:
+                    raise _error(f"found nesting deeper than {MAX_NESTING}", mark)
+                if isinstance(stack[-1][0], dict) and not keyed:
+                    raise _error("found a key that is not a scalar", mark)
+                stack.append(([] if kind == "seq" else {}, key))
+                keyed = False
+                continue
+            items = stack[-1][0]
+            if isinstance(items, list):
+                items.append(value)
+            elif keyed:
+                items[key] = value
+                keyed = False
+            elif value in items:
+                raise _error(f"found repeated key {value!r}", mark)
+            else:
+                key, keyed = value, True
         loader.get_event()  # DocumentEndEvent
         if not loader.check_event(yaml.StreamEndEvent):
             raise _error("found a second document", loader.get_event().start_mark)
-        return document.items[0]
+        return document[0]
     finally:
         loader.dispose()
 

@@ -559,7 +559,8 @@ def payout_table(transcript: Transcript) -> list:
 
 # -- scenario parsing ---------------------------------------------------------
 
-# annotations are strings here (postponed); an optional int, when given, is an int
+# annotations are strings here (postponed); an optional int given null takes
+# None, as if omitted, and any other value must be an int
 _SCALARS = {"int": int, "str": str, "bool": bool, "int | None": int}
 
 
@@ -569,9 +570,11 @@ def _at(where, key):
 
 def _typed(value, annotation, where, key):
     kind = _SCALARS.get(annotation)
+    if value is None and annotation.endswith("| None"):
+        return None
     if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
-        # a collection is named, not shown: through aliases a few hundred
-        # bytes of YAML can stand for a value too large to print
+        # a list or mapping is named by its type, not shown: one value can be
+        # as large as the whole file
         got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
         raise ScenarioError(_at(where, key), f"expected {kind.__name__}, got {got}")
     return value

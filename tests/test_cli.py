@@ -12,7 +12,8 @@ from hypothesis import given, seed, settings
 
 from bridgemix import cli, field_hash, simnet
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, SimInvariantError
-from test_simnet import mutated_scenarios
+from test_readme import README, YAML_RE, load_workloads
+from test_simnet import AliasFreeDumper, mutated_scenarios
 
 HAPPY = """\
 seed: 11
@@ -170,13 +171,6 @@ SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "demos" / "sce
 
 # documents the scenario reader must read as PyYAML's safe loader does
 CRAFTED = {
-    "anchor-and-alias": "a: &n {x: 1}\nb: *n\n",
-    "alias-of-a-sequence": "l: &l [1, [2, 3]]\nm: *l\nn: [*l, *l]\n",
-    "alias-as-key": "k: &k name\n*k : 3\n",
-    "merge-one-mapping": "base: &b {x: 1, y: 2}\nm:\n  y: 3\n  <<: *b\n  z: 4\n",
-    "merge-a-list": "a: &a {x: 1}\nb: &b {x: 2, z: 9}\nm:\n  <<: [*a, *b]\n  w: 0\n",
-    "merge-twice": "a: &a {x: 1}\nb: &b {x: 2, z: 9}\nm: {<<: *a, <<: *b, z: 3}\n",
-    "merge-of-a-merge": "a: &a {x: 1, y: 1}\nb: &b {<<: *a, y: 2}\nm: {<<: *b}\n",
     "scalar-tags": "a: !!str 5\nb: !!int '7'\nc: !!float 1\nd: !!bool 'yes'\ne: !!null ''\nf: !!str\n",
     "collection-tags-of-their-own-kind": "!!map {a: !!seq [1], b: ! [2]}\n",
     "yaml-1.1-scalars": "[yes, No, on, OFF, 0x1f, 1_000, 0o17, 017, 0b101, 1:30, 1.5e3, -.Inf, ~, null, '', 2001-12-14]\n",
@@ -194,8 +188,7 @@ CRAFTED = {
         "a: 2001-12-14t21:59:43.10-05:00\nb: 2001-12-14t21:59:43.10-05:00\nc: '2001-12-14'\n"
         "d: 2001-12-14\ne: !!binary aGk=\nf: !!binary aGk=\ng: aGk=\n"
     ),
-    "merge-in-two-mappings": "a: &a {x: 1, y: 2}\nm: {<<: *a, y: 3}\nn: {<<: *a, '<<': 4}\n",
-    "anchored-scalar-used-again": "a: &s deposit\nb: *s\nc: deposit\nd: [deposit, *s, 'deposit']\n",
+    "quoted-merge-key": "m: {x: 1, '<<': 4}\nn: {\"<<\": [5]}\n",
 }
 
 
@@ -207,16 +200,30 @@ def parser(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize(
-    "text",
-    [path.read_text(encoding="utf-8") for path in SCENARIO_FILES] + list(CRAFTED.values()),
-    ids=[path.name for path in SCENARIO_FILES] + list(CRAFTED),
-)
-def test_scenario_reader_reads_what_the_safe_loader_reads(parser, text):
+def assert_read_as_the_safe_loader_reads(text):
     read = cli._read_yaml(text)
     expected = yaml.load(text, Loader=yaml.SafeLoader)
     assert read == expected
     assert repr(read) == repr(expected)  # the same types and key order
+
+
+@pytest.mark.parametrize(
+    "text",
+    [path.read_text(encoding="utf-8") for path in SCENARIO_FILES]
+    + YAML_RE.findall(README.read_text(encoding="utf-8"))
+    + list(CRAFTED.values()),
+    ids=[path.name for path in SCENARIO_FILES] + ["README.md"] + list(CRAFTED),
+)
+def test_scenario_reader_reads_what_the_safe_loader_reads(parser, text):
+    assert_read_as_the_safe_loader_reads(text)
+
+
+def test_generated_workloads_read_what_the_safe_loader_reads(parser, monkeypatch):
+    # each benchmark workload, written as perfbench/run.py's prepare writes it
+    workloads = load_workloads(monkeypatch)
+    for generate in workloads.GENERATORS.values():
+        scenario = generate(3, 0.05)[0]
+        assert_read_as_the_safe_loader_reads(yaml.safe_dump(scenario, default_flow_style=None, sort_keys=False))
 
 
 def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
@@ -238,11 +245,13 @@ def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
         built.clear()
         cli._read_yaml(text)
         keys = {(e.tag, e.value, e.implicit) for e in yaml.parse(text) if isinstance(e, yaml.ScalarEvent)}
-        merges = sum(1 for tag, value, implicit in keys if value == "<<" and implicit[0] and tag is None)
-        assert len(built) == len(keys) - merges, text[:60]
+        assert len(built) == len(keys), text[:60]
     scenario = cli.load_scenario(cli.RunConfig(str(storage), "unused"))
     deposits = [ev for ev in scenario.events if ev.action == "deposit"]
     assert len(deposits) > 1 and all(ev.action is deposits[0].action for ev in deposits)
+
+
+_NO_MERGE = "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"
 
 
 @pytest.mark.parametrize(
@@ -250,12 +259,12 @@ def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
     [
         ("seed: 1\nhorizon: 4\n[1]: 2\n", 3, "found a key that is not a scalar"),
         ("seed: 1\nhorizon: 4\n{a: 1}: 2\n", 3, "found a key that is not a scalar"),
-        ("seed: 1\nhorizon: *h\n", 2, "found undefined alias 'h'"),
-        ("seed: &s 1\nhorizon: &s 4\n", 2, "found duplicate anchor 's'"),
-        ("seed: 1\nhorizon: 4\nrewards: &r {A: *r}\n", 3, "found undefined alias 'r'"),
-        ("seed: 1\nhorizon: 4\nrewards:\n  <<: 3\n", 4, "expected a mapping or list of mappings for merging"),
-        ("seed: 1\nhorizon: 4\nrewards:\n  <<: [{A: {}}, 3]\n", 4, "expected a mapping or list of mappings"),
-        ("seed: 1\nhorizon: <<\n", 2, "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"),
+        ("seed: 1\nhorizon: *h\n", 2, "found *h: scenario files take no anchors or aliases"),
+        ("seed: &s 1\nhorizon: &s 4\n", 1, "found &s: scenario files take no anchors or aliases"),
+        ("seed: 1\nhorizon: 4\nrewards: &r {A: *r}\n", 3, "found &r"),
+        ("seed: 1\nhorizon: 4\nrewards:\n  <<: 3\n", 4, _NO_MERGE),
+        ("seed: 1\nhorizon: 4\nrewards:\n  <<: [{A: {}}, 3]\n", 4, _NO_MERGE),
+        ("seed: 1\nhorizon: <<\n", 2, _NO_MERGE),
         ("seed: 1\nhorizon: 4\n---\nseed: 2\n", 3, "found a second document"),
         ("seed: 1\nhorizon: 4\nrewards: !!set {A}\n", 3, "found a collection tagged tag:yaml.org,2002:set"),
         ("seed: 1\nhorizon: 4\nevents: !!omap [{a: 1}]\n", 3, "found a collection tagged tag:yaml.org,2002:omap"),
@@ -263,15 +272,29 @@ def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
         ("seed: 1\nhorizon: !bogus 4\n", 2, "could not determine a constructor for the tag '!bogus'"),
         # 1,000 deep: printing the value in a field error would exceed the recursion limit
         ("seed: 1\nhorizon: " + "[" * 1000 + "]" * 1000 + "\n", 2, "found nesting deeper than 16"),
-        # each alone within the bound, the alias puts one inside the other
-        ("seed: 1\nd: &d " + "[" * 8 + "]" * 8 + "\nhorizon: " + "[" * 8 + "*d" + "]" * 8 + "\n", 3,
-         "found nesting deeper than 16"),
+        # each alone within the bound, an alias would put one inside the other
+        ("seed: 1\nd: &d " + "[" * 8 + "]" * 8 + "\nhorizon: " + "[" * 8 + "*d" + "]" * 8 + "\n", 2,
+         "found &d"),
+        # documents the safe loader reads, which a scenario file may not hold
+        ("a: &n {x: 1}\nb: *n\n", 1, "found &n"),
+        ("l: &l [1, [2, 3]]\nm: *l\nn: [*l, *l]\n", 1, "found &l"),
+        ("k: &k name\n*k : 3\n", 1, "found &k"),
+        ("base: &b {x: 1, y: 2}\nm:\n  y: 3\n  <<: *b\n  z: 4\n", 1, "found &b"),
+        ("a: &a {x: 1}\nb: &b {x: 2, z: 9}\nm:\n  <<: [*a, *b]\n  w: 0\n", 1, "found &a"),
+        ("a: &a {x: 1}\nb: &b {x: 2, z: 9}\nm: {<<: *a, <<: *b, z: 3}\n", 1, "found &a"),
+        ("a: &a {x: 1, y: 1}\nb: &b {<<: *a, y: 2}\nm: {<<: *b}\n", 1, "found &a"),
+        ("a: &a {x: 1, y: 2}\nm: {<<: *a, y: 3}\nn: {<<: *a, '<<': 4}\n", 1, "found &a"),
+        ("a: &s deposit\nb: *s\nc: deposit\nd: [deposit, *s, 'deposit']\n", 1, "found &s"),
+        ("m: {x: 1, <<: {y: 2}}\n", 1, _NO_MERGE),
     ],
     ids=[
         "sequence-key", "mapping-key", "undefined-alias", "duplicate-anchor", "alias-inside-its-anchor",
         "merge-of-a-scalar", "merge-of-a-list-with-a-scalar", "merge-key-as-a-value", "second-document",
         "set", "omap", "scalar-with-a-collection-tag", "unknown-tag", "nested-1000-deep",
         "nested-too-deep-through-an-alias",
+        "anchor-and-alias", "alias-of-a-sequence", "alias-as-key", "merge-one-mapping", "merge-a-list",
+        "merge-twice", "merge-of-a-merge", "merge-in-two-mappings", "anchored-scalar-used-again",
+        "merge-without-an-alias",
     ],
 )
 def test_malformed_scenario_file_exits_2_naming_the_line(tmp_path, capsys, parser, text, line, problem):
@@ -285,13 +308,14 @@ def test_malformed_scenario_file_exits_2_naming_the_line(tmp_path, capsys, parse
 
 def test_aliases_that_multiply_a_value_exit_2_with_a_short_message(tmp_path, capsys):
     # each list holds the one before it ten times: 7 levels in about 400
-    # bytes stand for 10**7 ones, which would take 35 MB to print
+    # bytes would stand for 10**7 ones, which would take 35 MB to print
     items = ["&l0 [" + ", ".join(["1"] * 10) + "]"]
     items += [f"&l{i} [" + ", ".join([f"*l{i - 1}"] * 10) + "]" for i in range(1, 7)]
     scn = write_scenario(tmp_path, "seed: 1\nhorizon: [" + ", ".join(items) + "]\n")
     assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err == "error: scenario field 'horizon': expected int, got list\n"
+    assert err.startswith("error: scenario field '<syntax>': unparseable scenario at line 2:")
+    assert "found &l0: scenario files take no anchors or aliases" in err and len(err) < 500
 
 
 def test_nesting_100000_deep_exits_2_in_its_own_process(tmp_path):
@@ -573,7 +597,7 @@ def fuzz_main(fuzz_dir, command, data) -> int:
     out = fuzz_dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     scn = fuzz_dir / "scn.yaml"
-    scn.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    scn.write_text(yaml.dump(data, Dumper=AliasFreeDumper, sort_keys=False), encoding="utf-8")
     return cli.main([command, "--scenario", str(scn), "--out", str(out)])
 
 

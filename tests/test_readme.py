@@ -1,6 +1,7 @@
 """The README's examples hold: every ```python block runs as written, in order,
 in one namespace (later blocks use names the earlier ones define), and the
-scenario-file block parses and names every key a scenario file can hold.
+scenario-file block parses through the CLI's reader and names every key a
+scenario file can hold.
 Every such key is also one that a demo scenario or a benchmark workload sets:
 a value that nothing varies is a constant, not a scenario field."""
 import dataclasses
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from bridgemix import simnet
+from bridgemix import cli, simnet
 from bridgemix.incentives import RewardSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +43,7 @@ def _keys(node):
 
 def test_readme_scenario_block_parses_and_names_every_file_key():
     (block,) = YAML_RE.findall(README.read_text(encoding="utf-8"))
-    data = yaml.safe_load(block)
+    data = cli._read_yaml(block)
     simnet.scenario_from_dict(data)
     documented = set(_keys(data))
     for cls in FILE_CLASSES:
@@ -50,11 +51,17 @@ def test_readme_scenario_block_parses_and_names_every_file_key():
             assert f.name in documented, f"{cls.__name__}.{f.name}"
 
 
-def test_every_file_key_is_set_by_a_demo_or_a_workload(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, imported without writing bytecode under perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_file_key_is_set_by_a_demo_or_a_workload(monkeypatch):
+    workloads = load_workloads(monkeypatch)
     used = set()
     for path in sorted((ROOT / "demos" / "scenarios").glob("*.yaml")):
         used.update(_keys(yaml.safe_load(path.read_text(encoding="utf-8"))))

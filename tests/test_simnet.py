@@ -767,6 +767,12 @@ def test_scenario_from_dict_null_rewards_means_no_rewards():
     assert scenario_from_dict({"seed": 1, "horizon": 4, "rewards": None}).rewards == {}
 
 
+def test_scenario_from_dict_null_age_means_the_true_age():
+    claim = {"at": 2, "chain": "A", "action": "incentive_claim", "note": "n", "claimant": "c", "age": None}
+    data = {"seed": 1, "horizon": 4, "rewards": {"A": {"rate": 1}}, "events": [claim]}
+    assert scenario_from_dict(data).events[0].age is None
+
+
 @pytest.mark.parametrize(
     "data,field",
     [
@@ -841,7 +847,7 @@ def mutated_scenarios(draw):
     """A valid scenario with one fault at any depth: a dropped key, a value of
     another type, a negated integer or an unknown key.  Some also hold one
     sub-mapping in two places, which yaml.safe_dump writes as an anchor and
-    an alias."""
+    an alias, and a scenario file may not hold."""
     holder = {"doc": copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))}
     path = draw(st.sampled_from(list(_paths(holder))[1:]))
     parent = _node(holder, path[:-1])
@@ -876,16 +882,29 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.yaml"
 
 
+class AliasFreeDumper(yaml.SafeDumper):
+    """Writes a value held in two places twice: no anchors, no aliases."""
+
+    def ignore_aliases(self, data):
+        return True
+
+
 @seed(2102)
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=mutated_scenarios())
 def test_parser_returns_scenario_or_scenario_error(fuzz_file, data):
     # any other exception escapes _outcome and fails the test
-    fuzz_file.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    def load(text):
+        fuzz_file.write_text(text, encoding="utf-8")
+        return _outcome(lambda: cli.load_scenario(cli.RunConfig(str(fuzz_file), str(fuzz_file.parent))))
+
     parsed = _outcome(lambda: scenario_from_dict(data))
-    loaded = _outcome(lambda: cli.load_scenario(cli.RunConfig(str(fuzz_file), str(fuzz_file.parent))))
     assert isinstance(parsed, (Scenario, str))
-    assert loaded == parsed  # the YAML route parses to the same result
+    plain = yaml.dump(data, Dumper=AliasFreeDumper, sort_keys=False)
+    assert load(plain) == parsed  # the YAML route parses to the same result
+    aliased = yaml.safe_dump(data, sort_keys=False)
+    if aliased != plain:  # a shared sub-mapping, written as an anchor and an alias
+        assert load(aliased) == "<syntax>"
 
 
 def random_scenarios(rng_seed, trials):
