@@ -14,12 +14,13 @@ their work and write; `main` alone maps how they end to an exit code:
 note twice (races mode), or the run did (run mode, after its reports are
 written; stderr names each payout's chain, wid and tick);
 2 unusable input or output (an unknown or empty --reports list, unreadable
-or non-UTF-8 scenario file, parse error, an anchor, alias or `<<` merge key,
-repeated or non-scalar key, a tagged collection, a second document, nesting
-deeper than MAX_NESTING, bad field, an --out that cannot be made a
-directory, a report that cannot be written); 3 a protocol invariant broke
-mid-run, including a payout the paying contract cannot cover (run mode dumps
-the partial transcript, and still exits 3 if that dump cannot be written).
+or non-UTF-8 scenario file, parse error, an anchor, alias, tag or `<<` merge
+key, repeated or non-scalar key, a scalar that cannot be built, an integer
+outside the signed 64-bit range, a second document, nesting deeper than
+MAX_NESTING, bad field, an --out that cannot be made a directory, a report
+that cannot be written); 3 a protocol invariant broke mid-run, including a
+payout the paying contract cannot cover (run mode dumps the partial
+transcript, and still exits 3 if that dump cannot be written).
 
 The scenario file is plain YAML, read in one pass over the YAML parser's
 events, on libyaml when PyYAML has it, and no node graph is built.  Each
@@ -62,25 +63,26 @@ MAX_NESTING = 16
 the reader's stack of open collections.  A scenario needs 3: the root, its
 events list, one event."""
 
-_TAG = "tag:yaml.org,2002:"
-_COLLECTION_TAGS = frozenset(_TAG + kind for kind in ("seq", "map", "set", "omap", "pairs"))
-
 
 def _error(problem: str, mark) -> yaml.YAMLError:
     return yaml.constructor.ConstructorError(None, None, problem, mark)
 
 
 def _scalar(loader, event):
-    """A scalar as the safe loader reads it: its explicit tag or the one its
-    text resolves to, built by SafeConstructor's own constructor.  A plain
-    `<<` resolves to the merge tag, which has no constructor, so it raises."""
-    tag = event.tag
-    if tag is None or tag == "!":
-        tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
-    if tag in _COLLECTION_TAGS:
-        raise _error(f"found a scalar tagged {tag}", event.start_mark)
+    """A scalar as the safe loader reads it: the tag its text resolves to,
+    built by SafeConstructor's own constructor.  A plain `<<` resolves to the
+    merge tag, which has no constructor, so it raises.  So does text the
+    constructor cannot build, such as an integer past Python's digit limit,
+    and an integer that no scenario field can hold."""
+    tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
     construct = loader.yaml_constructors.get(tag, loader.yaml_constructors[None])
-    return construct(loader, yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark))
+    try:
+        value = construct(loader, yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark))
+    except ValueError as err:
+        raise _error(f"found a scalar that cannot be built: {err}", event.start_mark)
+    if type(value) is int and value not in simnet.INT64:
+        raise _error("found an integer outside the signed 64-bit range", event.start_mark)
+    return value
 
 
 def _read_yaml(text: str):
@@ -88,9 +90,9 @@ def _read_yaml(text: str):
     reads it, built in one pass over the parser's events, so no node graph is
     ever held.  Each distinct scalar is built once: every scalar the safe
     loader constructs is immutable, so equal ones share one value.  Beyond
-    the safe loader it rejects an anchor, an alias, a `<<` merge key, a
-    repeated or non-scalar key, an explicit tag on a collection other than
-    its own kind's, and nesting deeper than MAX_NESTING."""
+    the safe loader it rejects an anchor, an alias, a tag, a `<<` merge key,
+    a repeated or non-scalar key, an integer outside the signed 64-bit range
+    and nesting deeper than MAX_NESTING."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         loader.get_event()  # StreamStartEvent
@@ -100,7 +102,7 @@ def _read_yaml(text: str):
         document = []
         stack = [(document, None)]  # each open list or dict, and its key in the dict that holds it
         key, keyed = None, False  # the innermost open dict's key awaiting its value, if keyed
-        scalars = {}  # (tag, text, implicit) -> its value; a scalar that raises is never stored
+        scalars = {}  # (text, implicit) -> its value; a scalar that raises is never stored
         while not document:
             event = loader.get_event()
             mark = event.start_mark
@@ -110,21 +112,20 @@ def _read_yaml(text: str):
             elif event.anchor is not None:  # an alias's anchor is the name it refers to
                 sign = "*" if isinstance(event, yaml.AliasEvent) else "&"
                 raise _error(f"found {sign}{event.anchor}: scenario files take no anchors or aliases", mark)
+            elif event.tag is not None:  # after the anchor check: an alias has no tag
+                raise _error(f"found the tag {event.tag}: scenario files take no tags", mark)
             elif isinstance(event, yaml.ScalarEvent):
-                cached = (event.tag, event.value, event.implicit)
+                cached = (event.value, event.implicit)
                 try:
                     value = scalars[cached]
                 except KeyError:
                     value = scalars[cached] = _scalar(loader, event)
             else:
-                kind = "seq" if isinstance(event, yaml.SequenceStartEvent) else "map"
-                if event.tag not in (None, "!", _TAG + kind):
-                    raise _error(f"found a collection tagged {event.tag}", mark)
                 if len(stack) > MAX_NESTING:
                     raise _error(f"found nesting deeper than {MAX_NESTING}", mark)
                 if isinstance(stack[-1][0], dict) and not keyed:
                     raise _error("found a key that is not a scalar", mark)
-                stack.append(([] if kind == "seq" else {}, key))
+                stack.append(([] if isinstance(event, yaml.SequenceStartEvent) else {}, key))
                 keyed = False
                 continue
             items = stack[-1][0]
@@ -235,9 +236,7 @@ def cmd_run(config: RunConfig, scenario: simnet.Scenario, out_dir: Path) -> int:
 
 
 def cmd_races(scenario: simnet.Scenario, out_dir: Path) -> int:
-    # validate_scenario keeps relay_delay + epsilon >= 0, so t_max >= 0
-    t_max = 2 * (scenario.relay_delay + scenario.epsilon)
-    report = simnet.explore_races(scenario, range(0, t_max + 1))
+    report = simnet.explore_races(scenario)
     _write_report(out_dir, "races", report.render_lines(), report.summary())
     for row in report.double_payout_rows:
         _fail(f"double payout at t'={row.t_prime} order={row.order} (payouts={row.payouts})")

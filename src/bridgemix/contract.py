@@ -209,12 +209,11 @@ def contract_setup(
     return state
 
 
-def deposit(state: ContractState, amount: int, commitment: FieldElement, now: int) -> int:
-    """Fixed-denomination deposit of a note commitment; returns the leaf index."""
-    if amount != DENOMINATION:
-        raise ContractError("wrong-amount", f"deposit {amount} != denomination {DENOMINATION}")
-    if not 0 <= commitment < P:
-        raise ContractError("bad-commitment", "commitment out of field range")
+def deposit(state: ContractState, commitment: FieldElement, now: int) -> int:
+    """Deposit DENOMINATION behind a note commitment; returns the leaf index.
+    0 is the empty leaf: a deposit of it would leave the root unchanged."""
+    if not 0 < commitment < P:
+        raise ContractError("bad-commitment", "commitment is 0 or out of field range")
     if commitment in state.commitments:
         raise ContractError("duplicate-commitment", "commitment already deposited")
     index = len(state.tree.leaves)
@@ -225,8 +224,8 @@ def deposit(state: ContractState, amount: int, commitment: FieldElement, now: in
     state.local_roots.setdefault(new_root, now)
     state.local_root_digest = hash2(state.local_root_digest, new_root, state.hash_params)
     _recommit(state)
-    state.balance += amount
-    state.total_deposited += amount
+    state.balance += DENOMINATION
+    state.total_deposited += DENOMINATION
     state.emit(now, "deposit", index=index, commitment=commitment, new_root=new_root)
     return index
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import contract as contract_mod
 from . import incentives as incentives_mod
-from .contract import DENOMINATION, ContractError, ContractState
+from .contract import ContractError, ContractState
 from .field_hash import FieldElement, P, fe_hex, make_params
 from .incentives import RewardSpec
 from .lightclient import StateAttestation, mine_header
@@ -42,6 +42,8 @@ WORK_TARGET = P >> 2  # every header's proof-of-work target: a try succeeds with
 USER_ACTIONS = ("deposit", "submit_withdrawal", "incentive_claim")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+INT64 = range(-(2**63), 2**63)  # every integer a scenario field may hold
 
 # make_params derives rounds - 1 constants, each hashed at `rounds` rounds, so
 # set-up time grows with the square of hash_rounds
@@ -169,7 +171,7 @@ def validate_scenario(sc: Scenario):
             raise ScenarioError("horizon", f"too short for adversary submissions (need > {last})")
     for chain, spec in sc.rewards.items():
         if chain not in CHAINS:
-            raise ScenarioError("rewards", f"unknown chain {chain!r}")
+            raise ScenarioError(f"rewards.{chain}", "chain must be A or B")
         if spec.rate < 0:
             raise ScenarioError(f"rewards.{chain}.rate", "must be >= 0")
         if spec.min_lock < 0:
@@ -230,8 +232,7 @@ class _Engine:
             )
             self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
         self.notes: dict = {}
-        self.deposits: dict = {}
-        self.deposited_nullifiers: set = set()  # of every note deposited on either chain
+        self.deposits: dict = {}  # nullifier -> DepositInfo, for every note deposited on either chain
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
         self.user_events: dict = {}
         for ev in scenario.events:
@@ -250,7 +251,7 @@ class _Engine:
         return note
 
     def _deposit(self, note_id: str) -> DepositInfo:
-        dep = self.deposits.get(note_id)
+        dep = self.deposits.get(self.note(note_id).nullifier)
         if dep is None:
             raise ContractError("no-deposit", "note was never deposited")
         return dep
@@ -308,12 +309,11 @@ class _Engine:
             if ev.action == "deposit":
                 note = self.note(note_id)
                 try:
-                    index = contract_mod.deposit(c, DENOMINATION, note.commitment, now)
+                    index = contract_mod.deposit(c, note.commitment, now)
                 except ContractError as err:
                     c.emit(now, "deposit-rejected", commitment=note.commitment, reason=err.reason)
                     continue
-                self.deposits[note_id] = DepositInfo(ev.chain, index, now)
-                self.deposited_nullifiers.add(note.nullifier)
+                self.deposits[note.nullifier] = DepositInfo(ev.chain, index, now)
             elif ev.action == "submit_withdrawal":
                 try:
                     stmt, proof = self.build_withdrawal(note_id, ev.chain)
@@ -382,7 +382,7 @@ class _Engine:
         for chain in CHAINS:
             for e in contract_mod.process_tick(self.nodes[chain].contract, now):
                 sn = e.get("nullifier")
-                if sn not in self.deposited_nullifiers:
+                if sn not in self.deposits:
                     raise ContractError(
                         "invariant",
                         f"{chain} invariant broken: every payout spends a deposited note,"
@@ -507,8 +507,10 @@ def _note_tallies(transcript: Transcript) -> dict:
     return tallies
 
 
-def explore_races(base: Scenario, t_prime_range) -> RaceReport:
-    """One run per (t', submission order); reports payouts and cancellations
+def explore_races(base: Scenario) -> RaceReport:
+    """One run per (t', submission order), for every submission gap t' in
+    [0, 2(D + epsilon)]: twice the wait of D + epsilon during which both
+    submissions can be pending at once.  Reports payouts and cancellations
     for the adversary's note in each interleaving.  The prover's side is
     shared through caches: a header that several interleavings mine is
     searched for once (`mine_header`), and each note is derived once
@@ -517,11 +519,11 @@ def explore_races(base: Scenario, t_prime_range) -> RaceReport:
     evaluates the relation for each proof."""
     if base.adversary is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
-    t_primes = list(t_prime_range)
-    if not t_primes:
-        raise ScenarioError("t_prime_range", "empty range")
+    # each run checks its own adversary, whose gap the sweep sets; this check
+    # keeps relay_delay + epsilon >= 0, so the window is never empty
+    validate_scenario(dataclasses.replace(base, adversary=None))
     rows = []
-    for t_prime in t_primes:
+    for t_prime in range(2 * (base.relay_delay + base.epsilon) + 1):
         for first_chain in (base.adversary.first_chain, other_chain(base.adversary.first_chain)):
             adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
             needed = adv.first_at + t_prime + 2 * base.relay_delay + abs(base.epsilon) + 4
@@ -572,6 +574,8 @@ def _typed(value, annotation, where, key):
     kind = _SCALARS.get(annotation)
     if value is None and annotation.endswith("| None"):
         return None
+    if type(value) is int and value not in INT64:  # too long to print, or to seed a note
+        raise ScenarioError(_at(where, key), "integer outside the signed 64-bit range")
     if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
         # a list or mapping is named by its type, not shown: one value can be
         # as large as the whole file
@@ -609,18 +613,15 @@ def _build(cls, raw, where, **defaults):
 
 
 def _rewards(raw) -> dict:
-    """Each key names a chain, exactly A or B, and holds that chain's spec."""
+    """Each key names a chain, which validate_scenario checks, and holds that
+    chain's spec."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ScenarioError("rewards", "expected a mapping")
-    rewards = {}
-    for chain, entry in raw.items():
-        where = f"rewards.{chain}"
-        if chain not in CHAINS:
-            raise ScenarioError(where, "chain must be A or B")
-        rewards[chain] = RewardSpec(**_build(RewardSpec, entry, where))
-    return rewards
+    return {
+        chain: RewardSpec(**_build(RewardSpec, entry, f"rewards.{chain}")) for chain, entry in raw.items()
+    }
 
 
 def scenario_from_dict(data: dict) -> Scenario:

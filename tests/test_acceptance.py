@@ -114,7 +114,7 @@ def test_criterion_2_race_safety_and_negative_control(report):
     eps = 1
     bad = []
     for delay in (1, 2, 3, 4):
-        rep = explore_races(race_base(delay, eps), range(0, 2 * (delay + eps) + 1))
+        rep = explore_races(race_base(delay, eps))
         for row in rep.rows:
             if row.payouts > 1:
                 bad.append((delay, row))
@@ -123,7 +123,7 @@ def test_criterion_2_race_safety_and_negative_control(report):
                 bad.append((delay, row))
             if row.honest_payouts != 1:
                 bad.append((delay, row))
-    neg = explore_races(race_base(2, -1), range(0, 3))  # contract waits only D-1
+    neg = explore_races(race_base(2, -1))  # contract waits only D-1
     negative_ok = neg.max_payouts() >= 2
     elapsed = time.monotonic() - started
     ok = not bad and negative_ok and elapsed < 30.0
@@ -383,8 +383,8 @@ def test_criterion_9_determinism(report):
     sc = race_base(2, 1)
     t1, t2 = run(sc), run(sc)
     transcripts_equal = t1.render() == t2.render()
-    r1 = explore_races(sc, range(0, 4))
-    r2 = explore_races(sc, range(0, 4))
+    r1 = explore_races(sc)
+    r2 = explore_races(sc)
     reports_equal = (
         r1.rows == r2.rows and "\n".join(r1.render_lines()) == "\n".join(r2.render_lines())
     )

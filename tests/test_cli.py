@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bridgemix import cli, field_hash, simnet
 from bridgemix.simnet import RelayerSpec, Scenario, SimEvent, SimInvariantError
@@ -171,22 +172,19 @@ SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "demos" / "sce
 
 # documents the scenario reader must read as PyYAML's safe loader does
 CRAFTED = {
-    "scalar-tags": "a: !!str 5\nb: !!int '7'\nc: !!float 1\nd: !!bool 'yes'\ne: !!null ''\nf: !!str\n",
-    "collection-tags-of-their-own-kind": "!!map {a: !!seq [1], b: ! [2]}\n",
     "yaml-1.1-scalars": "[yes, No, on, OFF, 0x1f, 1_000, 0o17, 017, 0b101, 1:30, 1.5e3, -.Inf, ~, null, '', 2001-12-14]\n",
     "empty": "",
     "null-document": "~\n",
     "document-markers": "--- {seed: 1}\n...\n",
     "explicit-key": "? seed\n: 1\n",
     "nesting-at-the-bound": "[" * cli.MAX_NESTING + "]" * cli.MAX_NESTING,
-    # one text, read again under another tag or quoting, must not take the first reading's value
+    # one text, read again under other quoting, must not take the first reading's value
     "repeated-texts-that-resolve-apart": (
-        "[1, '1', !!str 1, 1, '1', !!str 1, !!float 1, yes, \"yes\", yes, \"yes\", ! yes,"
-        " ~, null, \"null\", ~, null, \"null\", '~']\n"
+        "[1, '1', 1, '1', yes, \"yes\", yes, \"yes\", ~, null, \"null\", ~, null, \"null\", '~']\n"
     ),
-    "repeated-timestamp-and-binary": (
+    "repeated-timestamp-and-date": (
         "a: 2001-12-14t21:59:43.10-05:00\nb: 2001-12-14t21:59:43.10-05:00\nc: '2001-12-14'\n"
-        "d: 2001-12-14\ne: !!binary aGk=\nf: !!binary aGk=\ng: aGk=\n"
+        "d: 2001-12-14\n"
     ),
     "quoted-merge-key": "m: {x: 1, '<<': 4}\nn: {\"<<\": [5]}\n",
 }
@@ -228,7 +226,7 @@ def test_generated_workloads_read_what_the_safe_loader_reads(parser, monkeypatch
 
 def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
     # a scenario and every crafted document: one construction per distinct
-    # (tag, text, implicit), and equal scenario fields are one object
+    # (text, implicit), and equal scenario fields are one object
     built = []
 
     def counted(construct):
@@ -244,7 +242,7 @@ def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
     for text in [storage.read_text(encoding="utf-8")] + list(CRAFTED.values()):
         built.clear()
         cli._read_yaml(text)
-        keys = {(e.tag, e.value, e.implicit) for e in yaml.parse(text) if isinstance(e, yaml.ScalarEvent)}
+        keys = {(e.value, e.implicit) for e in yaml.parse(text) if isinstance(e, yaml.ScalarEvent)}
         assert len(built) == len(keys), text[:60]
     scenario = cli.load_scenario(cli.RunConfig(str(storage), "unused"))
     deposits = [ev for ev in scenario.events if ev.action == "deposit"]
@@ -252,6 +250,9 @@ def test_each_distinct_scalar_is_built_once(parser, monkeypatch):
 
 
 _NO_MERGE = "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"
+_NO_TAGS = "scenario files take no tags"
+_OUT_OF_RANGE = "found an integer outside the signed 64-bit range"
+_PAST_64_BITS = "0x" + "f" * 4000
 
 
 @pytest.mark.parametrize(
@@ -266,10 +267,32 @@ _NO_MERGE = "could not determine a constructor for the tag 'tag:yaml.org,2002:me
         ("seed: 1\nhorizon: 4\nrewards:\n  <<: [{A: {}}, 3]\n", 4, _NO_MERGE),
         ("seed: 1\nhorizon: <<\n", 2, _NO_MERGE),
         ("seed: 1\nhorizon: 4\n---\nseed: 2\n", 3, "found a second document"),
-        ("seed: 1\nhorizon: 4\nrewards: !!set {A}\n", 3, "found a collection tagged tag:yaml.org,2002:set"),
-        ("seed: 1\nhorizon: 4\nevents: !!omap [{a: 1}]\n", 3, "found a collection tagged tag:yaml.org,2002:omap"),
-        ("seed: 1\nhorizon: !!seq 4\n", 2, "found a scalar tagged tag:yaml.org,2002:seq"),
-        ("seed: 1\nhorizon: !bogus 4\n", 2, "could not determine a constructor for the tag '!bogus'"),
+        ("seed: 1\nhorizon: 4\nrewards: !!set {A}\n", 3, "found the tag tag:yaml.org,2002:set: " + _NO_TAGS),
+        ("seed: 1\nhorizon: 4\nevents: !!omap [{a: 1}]\n", 3, "found the tag tag:yaml.org,2002:omap"),
+        ("seed: 1\nhorizon: !!seq 4\n", 2, "found the tag tag:yaml.org,2002:seq"),
+        ("seed: 1\nhorizon: !bogus 4\n", 2, "found the tag !bogus: " + _NO_TAGS),
+        # tags the safe loader reads, which a scenario file may not hold
+        ("a: !!str 5\nb: !!int '7'\nc: !!float 1\nd: !!bool 'yes'\ne: !!null ''\nf: !!str\n", 1,
+         "found the tag tag:yaml.org,2002:str"),
+        ("seed: 1\nhorizon: 4\nname: ! yes\n", 3, "found the tag !: " + _NO_TAGS),
+        ("!!map {a: !!seq [1], b: ! [2]}\n", 1, "found the tag tag:yaml.org,2002:map"),
+        ("seed: 1\nhorizon: 4\nevents: !!seq []\n", 3, "found the tag tag:yaml.org,2002:seq"),
+        # tags whose constructor raises on this text
+        ("seed: !!int abc\nhorizon: 4\n", 1, "found the tag tag:yaml.org,2002:int"),
+        ("seed: 1\nhorizon: !!float xyz\n", 2, "found the tag tag:yaml.org,2002:float"),
+        ("seed: 1\nhorizon: 4\nrelayers: [{honest: !!bool maybe}]\n", 3, "found the tag tag:yaml.org,2002:bool"),
+        ("seed: 1\nhorizon: 4\nname: !!timestamp nope\n", 3, "found the tag tag:yaml.org,2002:timestamp"),
+        # past Python's 4,300-digit limit for int(str)
+        ("seed: " + "9" * 5000 + "\nhorizon: 4\n", 1, "found a scalar that cannot be built: Exceeds the limit"),
+        ("seed: 1\nhorizon: 4\nname: 2001-13-45\n", 3, "found a scalar that cannot be built: month must be in"),
+        # a hex integer is read whole, but a note's secrets are seeded from the seed's decimal text
+        ("seed: " + _PAST_64_BITS + "\nhorizon: 4\nevents: [{at: 0, chain: A, action: deposit, note: n}]\n",
+         1, _OUT_OF_RANGE),
+        # the transcript prints relay_delay
+        ("seed: 1\nhorizon: 4\nrelay_delay: " + _PAST_64_BITS + "\n", 3, _OUT_OF_RANGE),
+        # an explicit key: a plain one stops at 1,024 characters
+        ("seed: 1\nhorizon: 4\n? " + _PAST_64_BITS + "\n: 1\n", 3, _OUT_OF_RANGE),
+        ("seed: 1\nhorizon: 4\nepsilon: -0x8000000000000001\n", 3, _OUT_OF_RANGE),
         # 1,000 deep: printing the value in a field error would exceed the recursion limit
         ("seed: 1\nhorizon: " + "[" * 1000 + "]" * 1000 + "\n", 2, "found nesting deeper than 16"),
         # each alone within the bound, an alias would put one inside the other
@@ -290,7 +313,11 @@ _NO_MERGE = "could not determine a constructor for the tag 'tag:yaml.org,2002:me
     ids=[
         "sequence-key", "mapping-key", "undefined-alias", "duplicate-anchor", "alias-inside-its-anchor",
         "merge-of-a-scalar", "merge-of-a-list-with-a-scalar", "merge-key-as-a-value", "second-document",
-        "set", "omap", "scalar-with-a-collection-tag", "unknown-tag", "nested-1000-deep",
+        "set", "omap", "scalar-with-a-collection-tag", "unknown-tag",
+        "scalar-tags", "non-specific-tag", "collection-tags-of-their-own-kind", "empty-tagged-sequence",
+        "int-tag-on-letters", "float-tag-on-letters", "bool-tag-on-a-word", "timestamp-tag-on-a-word",
+        "int-past-the-digit-limit", "date-with-no-such-month", "hex-seed-past-64-bits",
+        "hex-relay-delay-past-64-bits", "hex-key-past-64-bits", "epsilon-below-64-bits", "nested-1000-deep",
         "nested-too-deep-through-an-alias",
         "anchor-and-alias", "alias-of-a-sequence", "alias-as-key", "merge-one-mapping", "merge-a-list",
         "merge-twice", "merge-of-a-merge", "merge-in-two-mappings", "anchored-scalar-used-again",
@@ -592,28 +619,52 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz")
 
 
-def fuzz_main(fuzz_dir, command, data) -> int:
-    """cli.main on `data` written as a scenario file, into an emptied --out."""
+# scalar text that the safe loader cannot build, or builds into an integer
+# too long to print
+HOSTILE_SCALARS = ("!!int abc", "!!bool maybe", "!!timestamp nope", "9" * 5000, _PAST_64_BITS)
+
+
+@st.composite
+def scenario_files(draw, scenarios=mutated_scenarios()):
+    """(text, hostile): a mutated scenario written as YAML, and in half of
+    them one scalar's text, key or value, rewritten to a HOSTILE_SCALARS
+    entry."""
+    text = yaml.dump(draw(scenarios), Dumper=AliasFreeDumper, sort_keys=False)
+    scalars = [e for e in yaml.parse(text) if isinstance(e, yaml.ScalarEvent)]
+    if not scalars or not draw(st.booleans()):
+        return text, False
+    event = draw(st.sampled_from(scalars))
+    hostile = draw(st.sampled_from(HOSTILE_SCALARS))
+    return text[: event.start_mark.index] + hostile + text[event.end_mark.index :], True
+
+
+def fuzz_main(fuzz_dir, command, text) -> int:
+    """cli.main on `text` written as a scenario file, into an emptied --out."""
     out = fuzz_dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     scn = fuzz_dir / "scn.yaml"
-    scn.write_text(yaml.dump(data, Dumper=AliasFreeDumper, sort_keys=False), encoding="utf-8")
+    scn.write_text(text, encoding="utf-8")
     return cli.main([command, "--scenario", str(scn), "--out", str(out)])
 
 
 @seed(2103)
 @settings(max_examples=200, deadline=None, database=None)
-@given(data=mutated_scenarios())
-def test_fuzzed_scenario_runs_end_in_a_documented_code(fuzz_dir, data):
+@given(file=scenario_files())
+def test_fuzzed_scenario_runs_end_in_a_documented_code(fuzz_dir, file):
     # any exception escaping cli.main fails the test
-    assert fuzz_main(fuzz_dir, "run", data) in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_INVARIANT)
+    text, hostile = file
+    code = fuzz_main(fuzz_dir, "run", text)
+    assert code in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_INVARIANT)
+    assert code == cli.EXIT_BAD_INPUT or not hostile
 
 
 @seed(2104)
 @settings(max_examples=12, deadline=None, database=None)
-@given(data=mutated_scenarios().filter(lambda d: isinstance(d, dict) and "adversary" in d))
-def test_fuzzed_race_sweeps_exit_1_only_on_a_double_payout(fuzz_dir, data):
-    code = fuzz_main(fuzz_dir, "races", data)
+@given(file=scenario_files(mutated_scenarios().filter(lambda d: isinstance(d, dict) and "adversary" in d)))
+def test_fuzzed_race_sweeps_exit_1_only_on_a_double_payout(fuzz_dir, file):
+    text, hostile = file
+    code = fuzz_main(fuzz_dir, "races", text)
+    assert code == cli.EXIT_BAD_INPUT or not hostile
     assert code in (cli.EXIT_OK, cli.EXIT_DOUBLE_PAYOUT, cli.EXIT_BAD_INPUT, cli.EXIT_INVARIANT)
     if code in (cli.EXIT_OK, cli.EXIT_DOUBLE_PAYOUT):
         summary = json.loads((fuzz_dir / "out" / "races.txt").read_text().splitlines()[-1])

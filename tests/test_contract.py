@@ -162,38 +162,32 @@ class TestDeposit:
     def test_first_deposit(self, fast_params):
         a, _ = make_pair(fast_params)
         note = make_note(1, 2, fast_params)
-        assert deposit(a, DENOM, note.commitment, now=0) == 0
+        assert deposit(a, note.commitment, now=0) == 0
         assert a.balance == DENOM
         assert a.local_roots[a.tree.root] == 0
         assert len(a.tree.root_history) == 2
 
-    def test_wrong_amount_rejected(self, fast_params):
-        a, _ = make_pair(fast_params)
-        note = make_note(1, 2, fast_params)
-        with pytest.raises(ContractError) as err:
-            deposit(a, 2 * DENOM, note.commitment, now=0)
-        assert err.value.reason == "wrong-amount"
-
     def test_duplicate_commitment_rejected(self, fast_params):
         a, _ = make_pair(fast_params)
         note = make_note(1, 2, fast_params)
-        deposit(a, DENOM, note.commitment, now=0)
+        deposit(a, note.commitment, now=0)
         with pytest.raises(ContractError) as err:
-            deposit(a, DENOM, note.commitment, now=1)
+            deposit(a, note.commitment, now=1)
         assert err.value.reason == "duplicate-commitment"
 
     def test_tree_full(self, fast_params):
         a, _ = make_pair(fast_params, h=1)
-        deposit(a, DENOM, make_note(1, 1, fast_params).commitment, 0)
-        deposit(a, DENOM, make_note(2, 2, fast_params).commitment, 0)
+        deposit(a, make_note(1, 1, fast_params).commitment, 0)
+        deposit(a, make_note(2, 2, fast_params).commitment, 0)
         with pytest.raises(ContractError) as err:
-            deposit(a, DENOM, make_note(3, 3, fast_params).commitment, 0)
+            deposit(a, make_note(3, 3, fast_params).commitment, 0)
         assert err.value.reason == "tree-full"
 
-    @pytest.mark.parametrize("commitment", [P, P + 5, -1])
+    # 0 is the empty leaf: depositing it would leave the root unchanged
+    @pytest.mark.parametrize("commitment", [P, P + 5, -1, 0])
     def test_unreduced_commitment_rejected_before_any_change(self, fast_params, commitment):
         a, _ = make_pair(fast_params)
-        deposit(a, DENOM, make_note(1, 2, fast_params).commitment, now=0)
+        deposit(a, make_note(1, 2, fast_params).commitment, now=0)
 
         def snapshot():
             return (list(a.tree.leaves), a.balance, list(a.tree.root_history), dict(a.local_roots),
@@ -201,16 +195,28 @@ class TestDeposit:
 
         before = snapshot()
         with pytest.raises(ContractError) as err:
-            deposit(a, DENOM, commitment, now=1)
+            deposit(a, commitment, now=1)
         assert err.value.reason == "bad-commitment"
         assert snapshot() == before
+
+    def test_rejected_empty_leaf_keeps_the_other_chains_invariants(self, fast_params):
+        # had A taken commitment 0, its root history would repeat the empty
+        # root, and B's relayed roots would no longer be distinct
+        a, b = make_pair(fast_params)
+        with pytest.raises(ContractError) as err:
+            deposit(a, 0, now=0)
+        assert err.value.reason == "bad-commitment"
+        deposit(a, make_note(1, 2, fast_params).commitment, now=1)
+        relay_all(a, b, now=2)
+        assert b.remote_roots == a.tree.root_history
+        check_contract_invariants(b)
 
 
 class TestSubmitWithdrawal:
     def test_cross_chain_flow(self, fast_params):
         a, b = make_pair(fast_params, epsilon=1, delay=2)
         note = make_note(10, 11, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         wid = submit_withdrawal(b, stmt, proof, "alice", now=3)
@@ -223,7 +229,7 @@ class TestSubmitWithdrawal:
     def test_unrelayed_root_rejected(self, fast_params):
         a, b = make_pair(fast_params)
         note = make_note(10, 11, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         stmt, proof = withdrawal_for(note, index, a, b)  # no relay happened
         with pytest.raises(ContractError) as err:
             submit_withdrawal(b, stmt, proof, "alice", now=1)
@@ -232,7 +238,7 @@ class TestSubmitWithdrawal:
     def test_unknown_local_root_rejected(self, fast_params):
         a, b = make_pair(fast_params)
         note = make_note(10, 11, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         forged = dataclasses.replace(stmt, root_a=(stmt.root_a + 1) % P)
@@ -243,7 +249,7 @@ class TestSubmitWithdrawal:
     def test_repeat_nullifier_rejected(self, fast_params):
         a, b = make_pair(fast_params)
         note = make_note(10, 11, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "alice", now=3)
@@ -255,8 +261,8 @@ class TestSubmitWithdrawal:
         a, b = make_pair(fast_params)
         n1 = make_note(10, 11, fast_params)
         n2 = make_note(12, 13, fast_params)
-        i1 = deposit(a, DENOM, n1.commitment, now=0)
-        deposit(a, DENOM, n2.commitment, now=0)
+        i1 = deposit(a, n1.commitment, now=0)
+        deposit(a, n2.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(n1, i1, a, b)
         # valid roots, fresh nullifier, but proof belongs to a different
@@ -273,7 +279,7 @@ class TestProcessTick:
     def test_finalizes_at_deadline(self, fast_params):
         a, b = make_pair(fast_params, epsilon=1, delay=2, native_side="B")
         note = make_note(21, 22, fast_params)
-        index = deposit(b, DENOM, note.commitment, now=0)
+        index = deposit(b, note.commitment, now=0)
         stmt, proof = withdrawal_for(note, index, b, b)
         submit_withdrawal(b, stmt, proof, "alice", now=1)
         assert process_tick(b, 3) == []  # before finalize_at: no state change
@@ -288,7 +294,7 @@ class TestProcessTick:
     def test_wrapped_mint_on_non_native_side(self, fast_params):
         a, b = make_pair(fast_params, native_side="A")
         note = make_note(31, 32, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "carol", now=2)
@@ -303,7 +309,7 @@ class TestProcessTick:
         # nothing: the payout raises before it marks or skips the withdrawal
         a, b = make_pair(fast_params, native_side="A")
         note = make_note(51, 52, fast_params)
-        index = deposit(b, DENOM, note.commitment, now=0)
+        index = deposit(b, note.commitment, now=0)
         relay_all(b, a, now=1)
         stmt, proof = withdrawal_for(note, index, b, a)
         submit_withdrawal(a, stmt, proof, "gina", now=2)
@@ -314,7 +320,7 @@ class TestProcessTick:
         assert a.finalize_cursor == 0
         assert a.credits == {} and a.events[-1].kind == "withdraw-submitted"
         # once A can cover it, a later tick pays it
-        deposit(a, DENOM, make_note(53, 54, fast_params).commitment, now=6)
+        deposit(a, make_note(53, 54, fast_params).commitment, now=6)
         (paid,) = process_tick(a, 6)
         assert paid.get("wid") == "A0" and a.pending_withdrawals[0].status == FINALIZED
         assert a.finalize_cursor == 1 and a.credits == {"gina": DENOM}
@@ -323,7 +329,7 @@ class TestProcessTick:
     def test_idempotent_after_finalize(self, fast_params):
         a, b = make_pair(fast_params)
         note = make_note(41, 42, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "dave", now=2)
@@ -335,7 +341,7 @@ class TestDuplicateCancellation:
     def _double_submit(self, fast_params):
         a, b = make_pair(fast_params, epsilon=1, delay=2)
         note = make_note(51, 52, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt_a, proof_a = withdrawal_for(note, index, a, a)
         stmt_b, proof_b = withdrawal_for(note, index, a, b)
@@ -392,7 +398,7 @@ class TestDuplicateCancellation:
         # when it shows up again in a later attestation.
         a, b = make_pair(fast_params)
         note = make_note(61, 62, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "erin", now=2)
@@ -403,10 +409,10 @@ class TestDuplicateCancellation:
 
     def test_stale_attestation_costs_no_permute_and_logs_nothing(self, fast_params, monkeypatch):
         a, b = make_pair(fast_params)
-        deposit(a, DENOM, make_note(63, 64, fast_params).commitment, now=0)
+        deposit(a, make_note(63, 64, fast_params).commitment, now=0)
         old = deliver_header(a, b, now=1)
         assert on_relayed_state(b, old, now=1).accepted
-        deposit(a, DENOM, make_note(65, 66, fast_params).commitment, now=2)
+        deposit(a, make_note(65, 66, fast_params).commitment, now=2)
         assert relay_all(a, b, now=3).accepted
         resend = deliver_header(a, b, now=4)
         calls, events = [], list(b.events)
@@ -444,7 +450,7 @@ class TestInvariantHelpers:
     def test_invariants_hold_through_flow(self, fast_params):
         a, b = make_pair(fast_params)
         note = make_note(71, 72, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "frank", now=2)
@@ -485,7 +491,7 @@ class TestInvariantHelpers:
     def test_second_payout_of_a_nullifier_raises(self, fast_params):
         a, b = make_pair(fast_params)
         note = make_note(91, 92, fast_params)
-        index = deposit(a, DENOM, note.commitment, now=0)
+        index = deposit(a, note.commitment, now=0)
         relay_all(a, b, now=2)
         stmt, proof = withdrawal_for(note, index, a, b)
         submit_withdrawal(b, stmt, proof, "gina", now=2)
@@ -530,6 +536,6 @@ class TestInvariantHelpers:
     def test_event_lines_render(self, fast_params):
         a, _ = make_pair(fast_params)
         note = make_note(81, 82, fast_params)
-        deposit(a, DENOM, note.commitment, now=4)
+        deposit(a, note.commitment, now=4)
         line = a.events[-1].to_line()
         assert line.startswith("t=4 chain=A ev=deposit index=0 commitment=")

@@ -553,5 +553,5 @@ class TestDigests:
             epsilon=1, relay_delay=1, native=True, events=[],
         )
         for commitment in values:
-            deposit(c, 10, commitment, now=0)
+            deposit(c, commitment, now=0)
         assert c.local_root_digest == chain_digest(c.tree.root_history, fast_params)

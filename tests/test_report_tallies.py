@@ -110,7 +110,7 @@ def naive_race_row(transcript):
     )
 
 
-def assert_matches_reference(scenario, t_primes):
+def assert_matches_reference(scenario):
     t = run(scenario)
     assert [(fe_hex(sn), *tally) for sn, *tally in payout_table(t)] == naive_payout_table(t)
     assert anonymity_report(t).rows == naive_anonymity_rows(t)
@@ -123,8 +123,8 @@ def assert_matches_reference(scenario, t_primes):
         return transcripts[-1]
 
     with mock.patch.object(simnet, "run", recording_run):
-        report = explore_races(scenario, t_primes)
-    assert len(transcripts) == 2 * len(t_primes)
+        report = explore_races(scenario)
+    assert len(transcripts) == 2 * (2 * (scenario.relay_delay + scenario.epsilon) + 1)
     assert report.rows == [naive_race_row(tr) for tr in transcripts]
 
 
@@ -144,12 +144,12 @@ def demo_scenario(name):
 
 @pytest.mark.parametrize("name", ["happy_path", "races", "storage", "vampire"])
 def test_demo_scenarios_match_naive_reference(name):
-    assert_matches_reference(demo_scenario(name), range(0, 3))
+    assert_matches_reference(demo_scenario(name))
 
 
 def test_race_negative_control_matches_naive_reference():
     sc = dataclasses.replace(demo_scenario("races"), epsilon=-1)
-    assert_matches_reference(sc, range(0, 3))
+    assert_matches_reference(sc)
 
 
 @st.composite
@@ -194,7 +194,7 @@ def small_scenarios(draw):
 @settings(max_examples=30, deadline=None, database=None)
 @given(scenario=small_scenarios())
 def test_random_scenarios_match_naive_reference(scenario):
-    assert_matches_reference(scenario, range(0, 2))
+    assert_matches_reference(scenario)
 
 
 # -- walk counts --------------------------------------------------------------------

@@ -357,7 +357,7 @@ def race_base(delay, eps, **over):
 @pytest.mark.parametrize("delay", [1, 2, 3])
 def test_race_sweep_matches_closed_form(delay):
     eps = 1
-    report = explore_races(race_base(delay, eps), range(0, 2 * (delay + eps) + 1))
+    report = explore_races(race_base(delay, eps))
     assert len(report.rows) == 2 * (2 * (delay + eps) + 1)
     for row in report.rows:
         want = expected_race(delay, eps, row.t_prime)
@@ -369,7 +369,7 @@ def test_race_sweep_matches_closed_form(delay):
 
 def test_negative_control_underdelayed_finalization_double_pays():
     # processing delay D-1 (epsilon = -1): back-to-back submissions both pay
-    report = explore_races(race_base(2, -1), range(0, 3))
+    report = explore_races(race_base(2, -1))
     by_tp = {}
     for row in report.rows:
         by_tp.setdefault(row.t_prime, []).append(row)
@@ -394,7 +394,7 @@ def test_race_safety_over_the_assumption_space(delay):
         r, deposit_chain, first_at, eps = where
         base = race_base(delay, eps, relayers=(RelayerSpec("r0", r),))
         adv = dataclasses.replace(base.adversary, deposit_chain=deposit_chain, first_at=first_at)
-        report = explore_races(dataclasses.replace(base, adversary=adv), range(0, 2 * (delay + eps) + 1))
+        report = explore_races(dataclasses.replace(base, adversary=adv))
         for row in report.rows:
             got = (row.payouts, row.cancellations, row.second_rejected)
             assert got == expected_race(r, delay + eps - r, row.t_prime), (where, row)
@@ -439,7 +439,7 @@ def test_race_safety_when_deliveries_reorder_within_d():
     rows = []
     for jitter_seed in range(20):
         base = race_base(delay, eps, relayers=(JitteredRelayer(delay, jitter_seed),))
-        rows.extend((jitter_seed, row) for row in explore_races(base, range(0, 3 * delay)).rows)
+        rows.extend((jitter_seed, row) for row in explore_races(base).rows)
     assert all(row.honest_payouts == 1 for _, row in rows)
     double_paid = [(jitter_seed, row) for jitter_seed, row in rows if row.payouts > 1]
     assert not double_paid, f"{len(double_paid)} of {len(rows)} interleavings double-paid"
@@ -493,7 +493,7 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
 
     monkeypatch.setattr(simnet, "run", recording_run)
     t_max = 2 * (base.relay_delay + eps)
-    explore_races(base, range(0, t_max + 1))
+    explore_races(base)
     assert len(swept) == 2 * (t_max + 1)
     for sc, text in swept:
         # the reference run mines, hashes, derives and proves everything itself
@@ -506,13 +506,13 @@ def test_sweep_mines_each_distinct_header_once(monkeypatch):
     calls = []
     monkeypatch.setattr(simnet, "mine_header", lambda *args: calls.append(args) or mine_header(*args))
     mine_header.cache_clear()
-    explore_races(races_demo(1), range(0, 7))
+    explore_races(races_demo(1))
     first = set(calls)
     assert mine_header.cache_info().misses == len(first) < len(calls)
     # a second sweep, here the negative control, searches only for the
     # headers the first one did not mine
     calls.clear()
-    explore_races(races_demo(-1), range(0, 3))
+    explore_races(races_demo(-1))
     second = set(calls)
     assert second & first
     assert mine_header.cache_info().misses == len(first) + len(second - first)
@@ -529,11 +529,11 @@ def test_sweep_hashes_each_distinct_header_once(monkeypatch):
     monkeypatch.setattr(contract_mod, "header_digest", recording_digest)
     monkeypatch.setattr(lightclient, "header_digest", recording_digest)
     header_digest.cache_clear()
-    explore_races(races_demo(1), range(0, 7))
+    explore_races(races_demo(1))
     first = set(calls)
     assert header_digest.cache_info().misses == len(first) < len(calls)
     calls.clear()
-    explore_races(races_demo(-1), range(0, 3))
+    explore_races(races_demo(-1))
     second = set(calls)
     assert second & first
     assert header_digest.cache_info().misses == len(first) + len(second - first)
@@ -554,7 +554,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     calls = []
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
-    explore_races(races_demo(1), range(0, 7))
+    explore_races(races_demo(1))
     assert len(calls) == 1356
 
 
@@ -576,7 +576,7 @@ def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
     monkeypatch.setattr(zkrel, "relation_holds", lambda *args: verified.append(args) or real_relation(*args))
     monkeypatch.setattr(simnet, "run", recording_run)
     make_note.cache_clear()
-    explore_races(races_demo(1), range(0, 7))
+    explore_races(races_demo(1))
     assert make_note.cache_info().misses == len(set(notes)) < len(notes)
     reached = sum(
         1
@@ -610,7 +610,7 @@ def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
         simnet.run(sc)
     for eps in (1, -1):
         base = race_base(2, eps)
-        explore_races(base, range(0, 2 * (base.relay_delay + eps) + 1))
+        explore_races(base)
     assert proofs and len(rendered) > 10
     assert all(relation_holds(pp, stmt, wit) for pp, stmt, wit in proofs)
     assert not any("reason=invalid-proof" in text for text in rendered)
@@ -628,12 +628,14 @@ def test_payout_table_tallies_by_nullifier():
 
 def test_explore_races_requires_adversary():
     with pytest.raises(ScenarioError, match="adversary"):
-        explore_races(base_scenario(), range(3))
+        explore_races(base_scenario())
 
 
-def test_explore_races_rejects_empty_range():
-    with pytest.raises(ScenarioError, match="t_prime_range"):
-        explore_races(race_base(2, 1), range(0))
+def test_explore_races_rejects_a_window_below_zero():
+    # epsilon below -relay_delay would make the t' window empty: no run, no report
+    with pytest.raises(ScenarioError) as err:
+        explore_races(race_base(2, -3))
+    assert err.value.field_name == "epsilon"
 
 
 def test_reward_claims_through_engine():
@@ -702,7 +704,7 @@ def test_claim_on_wrong_chain_rejected():
             dict(adversary=AdversarySpec("a", "A", 0, "A", 11, 5)),
             "horizon",
         ),  # second submission would land past the end
-        (dict(rewards={"C": RewardSpec()}), "rewards"),  # a chain no engine runs
+        (dict(rewards={"C": RewardSpec()}), "rewards.C"),  # a chain no engine runs
     ],
 )
 def test_scenario_validation_names_the_field(over, field):
@@ -803,6 +805,11 @@ def test_scenario_from_dict_null_age_means_the_true_age():
             {"at": 0, "chain": "A", "action": "deposit", "note": "n", "age": "5"}]}, "events[0].age"),
         ({"seed": 1, "horizon": 4, "rewards": {"a": {"rate": 1}, "A": {"rate": 5}}}, "rewards.a"),
         ({"seed": 1, "horizon": 4, "epsilon": -1}, "epsilon"),
+        # integers outside the signed 64-bit range: a note's secrets are seeded
+        # from the seed's text, and Python prints no int past 4,300 digits
+        ({"seed": 2**63, "horizon": 4}, "seed"),
+        ({"seed": 1, "horizon": 4, "relay_delay": -(2**63) - 1}, "relay_delay"),
+        ({"seed": 1, "horizon": 4, "name": 16**4000}, "name"),
     ],
 )
 def test_scenario_from_dict_names_offending_field(data, field):
@@ -1211,6 +1218,6 @@ def test_invariant_check_reads_each_queue_entry_at_most_twice(monkeypatch):
 def test_the_empty_state_is_hashed_once_per_process():
     # the engine's genesis and both contracts commit to the same empty state
     contract_mod.empty_state_digests.cache_clear()
-    explore_races(races_demo(1), range(0, 3))
+    explore_races(races_demo(1))
     info = contract_mod.empty_state_digests.cache_info()
-    assert (info.misses, info.hits) == (1, 3 * 2 * 3 - 1)  # 6 runs, 3 reads each
+    assert (info.misses, info.hits) == (1, 7 * 2 * 3 - 1)  # 14 runs, 3 reads each
