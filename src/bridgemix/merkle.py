@@ -2,14 +2,16 @@
 
 Leaves are field elements; empty slots are zero-padded, so the root of an
 empty subtree at level i is the precomputed Z_i (Z_0 = 0, Z_{i+1} =
-hash2(Z_i, Z_i)).  The tree keeps each complete node once, stored by the
-add that completes it; an add costs exactly h hashes.  A path for any (leaf,
-history point) pair reads complete siblings from that store and hashes only
-the partial ones, at most one per level.
+hash2(Z_i, Z_i)).  The add of leaf k costs exactly h hashes and keeps the
+node it made at each level: the leaf, levels 1..h-1 in one flat store, and
+the root as history entry k+1.  The node over any range at any history point
+is the one made by the add of its last present leaf, so a path for any
+(leaf, history point) pair is one lookup per level and hashes nothing.
 """
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 
 from .field_hash import FieldElement, HashParams, P, hash2
@@ -45,14 +47,12 @@ class MerkleTree:
     height: int
     params: HashParams
     zero_roots: tuple = ()
-    # nodes[level][i]: the node over leaves [i*2^level, (i+1)*2^level), kept
-    # once all of them are present; nodes[0] are the leaves
-    nodes: list = field(default_factory=list)
+    leaves: list = field(default_factory=list)
+    # nodes[k*(h-1) + level-1], level 1..h-1: the node on leaf k's path that its
+    # add made, over the present leaves of [j*2^level, (j+1)*2^level), j = k >> level;
+    # level 0 is leaves[k] and level h is root_history[k+1]
+    nodes: array = field(default_factory=lambda: array("Q"))
     root_history: list = field(default_factory=list)  # entry k: the root after k leaves
-
-    @property
-    def leaves(self) -> list:
-        return self.nodes[0]
 
     @property
     def capacity(self) -> int:
@@ -68,13 +68,7 @@ def mt_setup(h: int, params: HashParams) -> MerkleTree:
     if not 1 <= h <= MAX_HEIGHT:
         raise MerkleError(f"height must be in [1, {MAX_HEIGHT}], got {h}")
     zeros = zero_subtree_roots(h, params)
-    return MerkleTree(
-        height=h,
-        params=params,
-        zero_roots=zeros,
-        nodes=[[] for _ in range(h + 1)],
-        root_history=[zeros[h]],
-    )
+    return MerkleTree(height=h, params=params, zero_roots=zeros, root_history=[zeros[h]])
 
 
 def mt_add(tree: MerkleTree, y: FieldElement) -> bool:
@@ -84,51 +78,45 @@ def mt_add(tree: MerkleTree, y: FieldElement) -> bool:
     index = len(tree.leaves)
     if index >= tree.capacity:
         return False
+    h, nodes = tree.height, tree.nodes
     tree.leaves.append(y)
     node = y
-    idx = index
-    complete = True  # the path node is full while every step so far was a right child
-    for level in range(tree.height):
-        if idx % 2 == 0:
+    for level in range(h):
+        if index >> level & 1:
+            # the left sibling is complete; the add of the leaf just before this node made it
+            last = (index >> level << level) - 1
+            left = tree.leaves[last] if level == 0 else nodes[last * (h - 1) + level - 1]
+            node = hash2(left, node, tree.params)
+        else:  # the right sibling is empty
             node = hash2(node, tree.zero_roots[level], tree.params)
-            complete = False
-        else:
-            node = hash2(tree.nodes[level][idx - 1], node, tree.params)
-        idx //= 2
-        if complete:
-            tree.nodes[level + 1].append(node)
+        if level < h - 1:
+            nodes.append(node)
     tree.root_history.append(node)
     return True
 
 
-def _node(tree: MerkleTree, level: int, index: int, leaf_count: int) -> FieldElement:
-    """Value of the node covering leaves [index*2^level, (index+1)*2^level)
-    when only the first leaf_count leaves are present."""
-    start = index << level
-    if start >= leaf_count:
-        return tree.zero_roots[level]
-    if start + (1 << level) <= leaf_count:
-        return tree.nodes[level][index]
-    # the one partial node of this level
-    return hash2(
-        _node(tree, level - 1, 2 * index, leaf_count),
-        _node(tree, level - 1, 2 * index + 1, leaf_count),
-        tree.params,
-    )
-
-
 def mt_path(tree: MerkleTree, leaf_index: int, leaf_count: int | None = None) -> MerklePath:
-    """Path for a leaf against the root after `leaf_count` adds (default: now)."""
+    """Path for a leaf against the root after `leaf_count` adds (default: now).
+    Each sibling is empty or was made by the add of its last present leaf, so
+    a path is one lookup per level and hashes nothing."""
     if leaf_count is None:
         leaf_count = len(tree.leaves)
     if not 0 < leaf_count <= len(tree.leaves):
         raise MerkleError(f"leaf_count out of range: {leaf_count}")
     if not 0 <= leaf_index < leaf_count:
         raise MerkleError(f"leaf index {leaf_index} out of bounds (< {leaf_count})")
-    siblings = tuple(
-        _node(tree, level, (leaf_index >> level) ^ 1, leaf_count) for level in range(tree.height)
-    )
-    return MerklePath(leaf_index, siblings)
+    h = tree.height
+    siblings = []
+    for level in range(h):
+        start = ((leaf_index >> level) ^ 1) << level
+        if start >= leaf_count:
+            siblings.append(tree.zero_roots[level])
+        elif level == 0:
+            siblings.append(tree.leaves[start])
+        else:
+            last = min(start + (1 << level), leaf_count) - 1
+            siblings.append(tree.nodes[last * (h - 1) + level - 1])
+    return MerklePath(leaf_index, tuple(siblings))
 
 
 def mt_verify(y: FieldElement, path: MerklePath, root: FieldElement, params: HashParams) -> bool:

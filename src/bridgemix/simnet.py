@@ -49,6 +49,12 @@ INT64 = range(-(2**63), 2**63)  # every integer a scenario field may hold
 # set-up time grows with the square of hash_rounds
 MAX_HASH_ROUNDS = 256
 
+# a run takes time in proportion to its horizon, and a race sweep makes
+# 2(2(D + epsilon) + 1) runs, each longer than 2(D + epsilon) ticks, so a
+# sweep's time grows with the square of D + epsilon
+MAX_HORIZON = 2**16
+MAX_DELAY = 64  # the most relay_delay or epsilon may be
+
 
 class ScenarioError(ValueError):
     def __init__(self, field_name: str, message: str):
@@ -117,14 +123,16 @@ def other_chain(chain: str) -> str:
 
 def validate_scenario(sc: Scenario):
     """Range checks; epsilon may go down to -relay_delay, the negative control."""
-    if sc.horizon < 1:
-        raise ScenarioError("horizon", "must be >= 1")
+    if not 1 <= sc.horizon <= MAX_HORIZON:
+        raise ScenarioError("horizon", f"must be in [1, {MAX_HORIZON}]")
     if not 1 <= sc.tree_height <= 32:
         raise ScenarioError("tree_height", "must be in [1, 32]")
-    if sc.relay_delay < 1:
-        raise ScenarioError("relay_delay", "must be >= 1")
+    if not 1 <= sc.relay_delay <= MAX_DELAY:
+        raise ScenarioError("relay_delay", f"must be in [1, {MAX_DELAY}]")
     if sc.relay_delay + sc.epsilon < 0:
         raise ScenarioError("epsilon", "relay_delay + epsilon must be >= 0")
+    if sc.epsilon > MAX_DELAY:
+        raise ScenarioError("epsilon", f"must be <= {MAX_DELAY}")
     if not 1 <= sc.hash_rounds <= MAX_HASH_ROUNDS:
         raise ScenarioError("hash_rounds", f"must be in [1, {MAX_HASH_ROUNDS}]")
     for i, spec in enumerate(sc.relayers):

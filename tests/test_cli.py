@@ -489,6 +489,28 @@ def test_epsilon_out_of_range_exits_2(tmp_path, capsys, epsilon, flags, message)
     assert f"error: scenario field 'epsilon': {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "races"])
+@pytest.mark.parametrize(
+    "line, edited, flags, field",
+    [
+        ("epsilon: 1", "epsilon: 1", ["--epsilon-override", "1000000"], "epsilon"),
+        ("horizon: 20", "horizon: 1000000000", [], "horizon"),
+        ("relay_delay: 2", "relay_delay: 1000000", [], "relay_delay"),
+    ],
+)
+def test_a_scenario_that_would_run_too_long_exits_2_before_running(
+    tmp_path, capsys, monkeypatch, command, line, edited, flags, field
+):
+    def no_run(scenario):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(simnet, "run", no_run)
+    scn = write_scenario(tmp_path, RACES.replace(line, edited))
+    assert cli.main([command, "--scenario", scn, "--out", str(tmp_path / "o"), *flags]) == cli.EXIT_BAD_INPUT
+    assert f"error: scenario field '{field}': must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_races_requires_adversary(tmp_path, capsys):
     scn = write_scenario(tmp_path, HAPPY)
     rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")])

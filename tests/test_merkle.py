@@ -150,20 +150,26 @@ class TestInvariants:
         for k, root in enumerate(tree.root_history):
             assert root == naive_root(tree.leaves[:k], h, fast_params)
 
-    def test_path_against_history_entry(self, fast_params):
-        tree = mt_setup(3, fast_params)
-        rng = random.Random(77)
-        for _ in range(8):
-            mt_add(tree, rng.randrange(P))
-        for k in range(8):
-            root_k = tree.root_history[k + 1]
-            for i in range(8):
-                if i <= k:
-                    path = mt_path(tree, i, leaf_count=k + 1)
-                    assert mt_verify(tree.leaves[i], path, root_k, fast_params)
-                else:
-                    with pytest.raises(MerkleError):
-                        mt_path(tree, i, leaf_count=k + 1)
+    @seed(6102)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(h=st.integers(1, 5), data=st.data())
+    def test_path_against_history_entry(self, h, data):
+        params = make_params(4)
+        leaves = data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=1 << h))
+        tree = mt_setup(h, params)
+        for y in leaves:
+            mt_add(tree, y)
+        for n in range(1, len(leaves) + 1):
+            fresh = mt_setup(h, params)  # a tree that only ever held the first n leaves
+            for y in leaves[:n]:
+                mt_add(fresh, y)
+            assert fresh.root == tree.root_history[n]
+            for i in range(n):
+                path = mt_path(tree, i, leaf_count=n)
+                assert path == mt_path(fresh, i)
+                assert mt_verify(leaves[i], path, tree.root_history[n], params)
+            with pytest.raises(MerkleError):
+                mt_path(tree, n, leaf_count=n)
 
     def test_current_path_fails_against_older_roots(self, fast_params):
         tree = mt_setup(2, fast_params)
@@ -182,17 +188,22 @@ class TestInvariants:
         tree = mt_setup(h, params)
         for y in leaves:
             mt_add(tree, y)
-        assert len(tree.nodes) == h + 1
-        for level, stored in enumerate(tree.nodes):
-            width = 1 << level
-            assert len(stored) == len(leaves) >> level  # every complete node, no other
-            for i, node in enumerate(stored):
-                assert node == naive_root(leaves[i * width : (i + 1) * width], level, params)
+        assert tree.leaves == leaves
+        assert len(tree.nodes) == len(leaves) * (h - 1)  # one node per add and inner level
+        assert len(tree.root_history) == len(leaves) + 1
+        for k in range(len(leaves)):
+            # the add of leaf k made the node over the present leaves of its range
+            for level in range(1, h + 1):
+                start = k >> level << level
+                if level == h:
+                    stored = tree.root_history[k + 1]
+                else:
+                    stored = tree.nodes[k * (h - 1) + level - 1]
+                assert stored == naive_root(leaves[start : k + 1], level, params)
 
-    def test_paths_against_power_of_two_snapshots_hash_nothing(self, fast_params, monkeypatch):
-        tree = mt_setup(4, fast_params)
-        for y in range(8):
-            mt_add(tree, y + 100)
+    def test_paths_hash_nothing_and_adds_hash_height_times(self, fast_params, monkeypatch):
+        h = 4
+        tree = mt_setup(h, fast_params)
         calls = []
 
         def counting_hash2(a, b, params=None):
@@ -200,11 +211,14 @@ class TestInvariants:
             return hash2(a, b, params)
 
         monkeypatch.setattr(merkle, "hash2", counting_hash2)
-        snapshots = [(i, count) for count in (1, 2, 4, 8) for i in range(count)]
+        for y in range(11):
+            calls.clear()
+            assert mt_add(tree, y + 100)
+            assert len(calls) == h
+        calls.clear()
+        snapshots = [(i, count) for count in range(1, 12) for i in range(count)]
         paths = [mt_path(tree, i, leaf_count=count) for i, count in snapshots]
-        assert calls == []  # every sibling is complete or empty, so each is a lookup
-        mt_path(tree, 0, leaf_count=3)
-        assert len(calls) == 1  # the partial node over leaves 2 and 3
+        assert calls == []  # every sibling is empty or a lookup, at every history point
         monkeypatch.undo()
         for (i, count), path in zip(snapshots, paths):
             assert mt_verify(tree.leaves[i], path, tree.root_history[count], fast_params)

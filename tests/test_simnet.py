@@ -705,6 +705,9 @@ def test_claim_on_wrong_chain_rejected():
             "horizon",
         ),  # second submission would land past the end
         (dict(rewards={"C": RewardSpec()}), "rewards.C"),  # a chain no engine runs
+        (dict(horizon=simnet.MAX_HORIZON + 1), "horizon"),
+        (dict(relay_delay=simnet.MAX_DELAY + 1), "relay_delay"),
+        (dict(epsilon=simnet.MAX_DELAY + 1), "epsilon"),
     ],
 )
 def test_scenario_validation_names_the_field(over, field):
