@@ -17,9 +17,10 @@ written; stderr names each payout's chain, wid and tick);
 or non-UTF-8 scenario file, parse error, an anchor, alias, tag or `<<` merge
 key, repeated or non-scalar key, a scalar that cannot be built, an integer
 outside the signed 64-bit range, a second document, nesting deeper than
-MAX_NESTING, bad field, a horizon above simnet.MAX_HORIZON or a relay_delay
-or epsilon above simnet.MAX_DELAY, overrides included, an --out that cannot
-be made a directory, a report that cannot be written); 3 a protocol
+MAX_NESTING, bad field, a horizon above simnet.MAX_HORIZON or a relay_delay,
+epsilon or relayer delay above simnet.MAX_DELAY, overrides included, a race
+sweep whose widest interleaving would run past simnet.MAX_HORIZON, an --out
+that cannot be made a directory, a report that cannot be written); 3 a protocol
 invariant broke mid-run, including a payout the paying contract cannot cover
 (run mode dumps the partial transcript, and still exits 3 if that dump
 cannot be written).

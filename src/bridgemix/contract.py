@@ -79,7 +79,8 @@ class PendingWithdrawal:
 class ContractState:
     """One chain's contract.  Each fact is stored once; the digests of
     remote_headers are not stored at all but read from header_digest's
-    cache, which the receiver filled when it accepted each header."""
+    cache, which the receiver filled when it accepted each header, and the
+    miner derives its headers' state commitment from the committed digests."""
 
     chain_id: str
     epsilon: int
@@ -99,9 +100,6 @@ class ContractState:
     # running digest of the nullifiers this contract exposed itself, in
     # exposure order, which is the order of pending_withdrawals (committed)
     exposed_digest: FieldElement = 0
-    # state_commitment_value of the two committed digests, refreshed by
-    # _recommit wherever either digest changes
-    state_commitment: FieldElement = 0
     # relayed view of the other chain, one snapshot of its committed lists,
     # each with its running digest; remote_root_ticks maps each root of
     # remote_roots to the tick it was installed
@@ -143,18 +141,12 @@ class ContractState:
         return record
 
 
-def _recommit(state: ContractState):
-    state.state_commitment = lightclient.state_commitment_value(
-        state.local_root_digest, state.exposed_digest, state.hash_params
-    )
-
-
 @lru_cache(maxsize=None)
 def empty_state_digests(empty_root: FieldElement, params: HashParams) -> tuple:
-    """(local_root_digest, state_commitment) of a contract whose root list is
-    the empty root alone and which exposed no nullifier.  Both contracts and
-    the genesis header they share commit to it, so results are cached: a
-    run, and a race sweep, hashes it once per process."""
+    """(local_root_digest, state commitment) of a contract whose root list is
+    the empty root alone and which exposed no nullifier: each contract starts
+    from the digest, and the genesis header both share carries the commitment.
+    Cached, so a run, and a race sweep, hashes them once per process."""
     roots_digest = hash2(0, empty_root, params)
     return roots_digest, lightclient.state_commitment_value(roots_digest, 0, params)
 
@@ -170,8 +162,9 @@ def contract_setup(
     events: list,
 ) -> ContractState:
     """A chain's contract, fully set up at tick 0: a tree of the circuit's
-    height (`params.height`), the other chain's genesis header installed, and
-    both root lists seeded with the shared empty root.  Appends its `setup`
+    height (`params.height`), the other chain's genesis header installed,
+    both root lists seeded with the shared empty root, and both root digests
+    that of the empty state (`empty_state_digests`).  Appends its `setup`
     event to `events`, the transcript the contract keeps writing to."""
     if relay_delay < 1:
         raise ContractError("bad-delay", "relay_delay must be >= 1")
@@ -189,9 +182,7 @@ def contract_setup(
     state = ContractState(chain_id, epsilon, relay_delay, native, tree, params, events)
     empty_root = tree.root
     state.local_roots[empty_root] = 0
-    state.local_root_digest, state.state_commitment = empty_state_digests(
-        empty_root, params.hash_params
-    )
+    state.local_root_digest = empty_state_digests(empty_root, params.hash_params)[0]
     # the remote side runs the same tree shape, so its empty root is known
     state.remote_roots.append(empty_root)
     state.remote_root_ticks[empty_root] = 0
@@ -223,7 +214,6 @@ def deposit(state: ContractState, commitment: FieldElement, now: int) -> int:
     new_root = state.tree.root
     state.local_roots.setdefault(new_root, now)
     state.local_root_digest = hash2(state.local_root_digest, new_root, state.hash_params)
-    _recommit(state)
     state.balance += DENOMINATION
     state.total_deposited += DENOMINATION
     state.emit(now, "deposit", index=index, commitment=commitment, new_root=new_root)
@@ -254,7 +244,6 @@ def submit_withdrawal(
     state.pending_withdrawals.append(pw)
     state.nullifiers[stmt.nullifier] = pw
     state.exposed_digest = hash2(state.exposed_digest, stmt.nullifier, state.hash_params)
-    _recommit(state)
     state.emit(
         now,
         "withdraw-submitted",

@@ -158,7 +158,9 @@ def linkability_audit(transcript) -> LinkabilityReport:
     return LinkabilityReport(findings)
 
 
-STORAGE_COLUMNS = ("chain", "local_roots", "remote_roots", "nullifiers", "remote_headers")
+# each store a contract grows, in report order, with the bytes of one entry
+STORAGE_KINDS = dict(local_roots=FE_BYTES, remote_roots=FE_BYTES, nullifiers=FE_BYTES, remote_headers=HEADER_BYTES)
+STORAGE_COLUMNS = ("chain", *STORAGE_KINDS)
 
 
 @dataclass
@@ -169,13 +171,11 @@ class StorageRow:
     nullifiers: int
     remote_headers: int
 
+    def counts(self) -> dict:
+        return {kind: getattr(self, kind) for kind in STORAGE_KINDS}
+
     def bytes_by_kind(self) -> dict:
-        return {
-            "local_roots": self.local_roots * FE_BYTES,
-            "remote_roots": self.remote_roots * FE_BYTES,
-            "nullifiers": self.nullifiers * FE_BYTES,
-            "remote_headers": self.remote_headers * HEADER_BYTES,
-        }
+        return {kind: n * STORAGE_KINDS[kind] for kind, n in self.counts().items()}
 
     def total_bytes(self) -> int:
         return sum(self.bytes_by_kind().values())
@@ -190,33 +190,22 @@ class StorageReport:
     rows: list  # one StorageRow per chain, in chain order
 
     def render_lines(self) -> list:
-        lines = [
-            " ".join(f"{c:>14}" for c in STORAGE_COLUMNS)
-            + f" {'total_bytes':>12} {'dominant':>15}"
-        ]
+        lines = [" ".join(f"{c:>14}" for c in STORAGE_COLUMNS) + f" {'total_bytes':>12} {'dominant':>15}"]
         for r in self.rows:
-            lines.append(
-                f"{r.chain:>14} {r.local_roots:>14} {r.remote_roots:>14}"
-                f" {r.nullifiers:>14} {r.remote_headers:>14}"
-                f" {r.total_bytes():>12} {r.dominant():>15}"
-            )
+            cells = " ".join(f"{v:>14}" for v in (r.chain, *r.counts().values()))
+            lines.append(f"{cells} {r.total_bytes():>12} {r.dominant():>15}")
         return lines
 
     def summary(self) -> dict:
-        out = {}
-        for r in self.rows:
-            out[r.chain] = {
-                "counts": {
-                    "local_roots": r.local_roots,
-                    "remote_roots": r.remote_roots,
-                    "nullifiers": r.nullifiers,
-                    "remote_headers": r.remote_headers,
-                },
+        return {
+            r.chain: {
+                "counts": r.counts(),
                 "bytes": r.bytes_by_kind(),
                 "total_bytes": r.total_bytes(),
                 "dominant": r.dominant(),
             }
-        return out
+            for r in self.rows
+        }
 
 
 def storage_report(transcript) -> StorageReport:
@@ -225,15 +214,8 @@ def storage_report(transcript) -> StorageReport:
     Setup itself installs the empty root (both sides) and the genesis header,
     so those are subtracted: the counts measure what bridging *added*.
     """
-    rows = []
-    for chain, c in transcript.contracts.items():
-        rows.append(
-            StorageRow(
-                chain=chain,
-                local_roots=len(c.tree.root_history) - 1,
-                remote_roots=len(c.remote_roots) - 1,
-                nullifiers=len(c.nullifiers),
-                remote_headers=len(c.remote_headers) - 1,
-            )
-        )
-    return StorageReport(rows)
+    return StorageReport([
+        StorageRow(chain, local_roots=len(c.tree.root_history) - 1, remote_roots=len(c.remote_roots) - 1,
+                   nullifiers=len(c.nullifiers), remote_headers=len(c.remote_headers) - 1)
+        for chain, c in transcript.contracts.items()
+    ])

@@ -4,7 +4,7 @@ Integer ticks; within each tick the phases run in a fixed order:
 
     DELIVER   relayed headers/state scheduled for this tick arrive
     USER      scripted deposits, withdrawals, and reward claims execute
-    MINE      each chain mines one header committing its current state
+    MINE      each chain mines one header committing its contract's digests
     RELAY     relayers send what the receiver's view lacks, delivered at +delay
     FINALIZE  pending withdrawals whose delay elapsed pay out
 
@@ -24,7 +24,7 @@ from . import incentives as incentives_mod
 from .contract import ContractError, ContractState
 from .field_hash import FieldElement, P, fe_hex, make_params
 from .incentives import RewardSpec
-from .lightclient import StateAttestation, mine_header
+from .lightclient import StateAttestation, mine_header, state_commitment_value
 from .merkle import mt_path, zero_subtree_roots
 from .zkrel import (
     DepositNote,
@@ -53,7 +53,7 @@ MAX_HASH_ROUNDS = 256
 # 2(2(D + epsilon) + 1) runs, each longer than 2(D + epsilon) ticks, so a
 # sweep's time grows with the square of D + epsilon
 MAX_HORIZON = 2**16
-MAX_DELAY = 64  # the most relay_delay or epsilon may be
+MAX_DELAY = 64  # the most relay_delay, epsilon or a relayer's delay may be
 
 
 class ScenarioError(ValueError):
@@ -136,8 +136,8 @@ def validate_scenario(sc: Scenario):
     if not 1 <= sc.hash_rounds <= MAX_HASH_ROUNDS:
         raise ScenarioError("hash_rounds", f"must be in [1, {MAX_HASH_ROUNDS}]")
     for i, spec in enumerate(sc.relayers):
-        if spec.delay < 1:
-            raise ScenarioError(f"relayers[{i}].delay", "must be >= 1")
+        if not 1 <= spec.delay <= MAX_DELAY:  # one read: a test relayer draws anew on each
+            raise ScenarioError(f"relayers[{i}].delay", f"must be in [1, {MAX_DELAY}]")
         if not _NAME_RE.match(spec.id):
             raise ScenarioError(f"relayers[{i}].id", "invalid identifier")
     for i, ev in enumerate(sc.events):
@@ -190,7 +190,6 @@ def validate_scenario(sc: Scenario):
 class DepositInfo:
     chain: str
     index: int
-    tick: int
 
 
 @dataclass
@@ -212,6 +211,7 @@ class _ChainNode:
     contract: ContractState
     headers: list  # the chain's own full header chain, genesis first
     tip_digest: FieldElement  # header_digest(headers[-1]), from the mining search
+    committed: tuple  # the contract's (local_root_digest, exposed_digest) headers[-1] commits to
 
 
 class _Engine:
@@ -238,7 +238,7 @@ class _Engine:
                 native=(chain == "A"),
                 events=self.events,
             )
-            self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest)
+            self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest, (c.local_root_digest, c.exposed_digest))
         self.notes: dict = {}
         self.deposits: dict = {}  # nullifier -> DepositInfo, for every note deposited on either chain
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
@@ -298,7 +298,7 @@ class _Engine:
         root = c.tree.root_history[dep.index + 1]  # the root the deposit made
         stmt, proof = self._prove(note_id, root, c.remote_roots[-1], path, 0)
         if age is None:
-            age = now - dep.tick  # honest agents claim the true lock duration
+            age = now - c.local_roots[root]  # honest agents claim the true lock duration
         return stmt, proof, int(age)
 
     # -- tick phases --------------------------------------------------------
@@ -321,7 +321,7 @@ class _Engine:
                 except ContractError as err:
                     c.emit(now, "deposit-rejected", commitment=note.commitment, reason=err.reason)
                     continue
-                self.deposits[note.nullifier] = DepositInfo(ev.chain, index, now)
+                self.deposits[note.nullifier] = DepositInfo(ev.chain, index)
             elif ev.action == "submit_withdrawal":
                 try:
                     stmt, proof = self.build_withdrawal(note_id, ev.chain)
@@ -352,15 +352,16 @@ class _Engine:
     def _mine(self, now: int):
         for chain in CHAINS:
             node = self.nodes[chain]
+            c = node.contract
+            digests = (c.local_root_digest, c.exposed_digest)
+            commitment = node.headers[-1].state_commitment
+            if digests != node.committed:  # hashed only when the state changed since the last header
+                commitment, node.committed = state_commitment_value(*digests, self.params), digests
             header, node.tip_digest = mine_header(
-                len(node.headers),
-                node.tip_digest,
-                node.contract.state_commitment,
-                WORK_TARGET,
-                self.params,
+                len(node.headers), node.tip_digest, commitment, WORK_TARGET, self.params
             )
             node.headers.append(header)
-            node.contract.emit(now, "header-mined", height=header.height)
+            c.emit(now, "header-mined", height=header.height)
 
     def _relay(self, now: int):
         """Each relayer sends what the receiver's view lacks, so an entry in
@@ -530,11 +531,16 @@ def explore_races(base: Scenario) -> RaceReport:
     # each run checks its own adversary, whose gap the sweep sets; this check
     # keeps relay_delay + epsilon >= 0, so the window is never empty
     validate_scenario(dataclasses.replace(base, adversary=None))
+    widest = 2 * (base.relay_delay + base.epsilon)
+    # the horizon the run for gap 0 needs; each tick of gap adds one
+    slack = base.adversary.first_at + 2 * base.relay_delay + abs(base.epsilon) + 4
+    if slack + widest > MAX_HORIZON:
+        raise ScenarioError("adversary.first_at", f"the sweep needs horizon {slack + widest}, over {MAX_HORIZON}")
     rows = []
-    for t_prime in range(2 * (base.relay_delay + base.epsilon) + 1):
+    for t_prime in range(widest + 1):
         for first_chain in (base.adversary.first_chain, other_chain(base.adversary.first_chain)):
             adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
-            needed = adv.first_at + t_prime + 2 * base.relay_delay + abs(base.epsilon) + 4
+            needed = slack + t_prime
             scenario = dataclasses.replace(base, adversary=adv, horizon=max(base.horizon, needed))
             transcript = run(scenario)
             tallies = _note_tallies(transcript)

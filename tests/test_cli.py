@@ -496,6 +496,7 @@ def test_epsilon_out_of_range_exits_2(tmp_path, capsys, epsilon, flags, message)
         ("epsilon: 1", "epsilon: 1", ["--epsilon-override", "1000000"], "epsilon"),
         ("horizon: 20", "horizon: 1000000000", [], "horizon"),
         ("relay_delay: 2", "relay_delay: 1000000", [], "relay_delay"),
+        ("relay_delay: 2", "relay_delay: 2\nrelayers: [{delay: 1000000000}]", [], "relayers[0].delay"),
     ],
 )
 def test_a_scenario_that_would_run_too_long_exits_2_before_running(
@@ -509,6 +510,22 @@ def test_a_scenario_that_would_run_too_long_exits_2_before_running(
     assert cli.main([command, "--scenario", scn, "--out", str(tmp_path / "o"), *flags]) == cli.EXIT_BAD_INPUT
     assert f"error: scenario field '{field}': must be" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_sweep_whose_widest_interleaving_runs_too_long_exits_2_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    # a valid horizon, but the interleaving at t' = 2(D + epsilon) would run
+    # to 65525 + 6 + 2*2 + 1 + 4 = 65540 ticks
+    def no_run(scenario):
+        raise AssertionError("an interleaving ran")
+
+    monkeypatch.setattr(simnet, "run", no_run)
+    text = RACES.replace("horizon: 20", "horizon: 65536").replace("first_at: 3", "first_at: 65525")
+    scn = write_scenario(tmp_path, text)
+    assert cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error: scenario field 'adversary.first_at': the sweep needs horizon 65540" in err
 
 
 def test_races_requires_adversary(tmp_path, capsys):

@@ -65,9 +65,8 @@ def deliver_header(src, dst, now):
     entries past dst's view."""
     params = src.hash_params
     prev = header_digest(dst.remote_headers[-1], params)
-    header, _ = mine_header(
-        len(dst.remote_headers), prev, src.state_commitment, EASY_TARGET, params
-    )
+    commitment = state_commitment_value(src.local_root_digest, src.exposed_digest, params)
+    header, _ = mine_header(len(dst.remote_headers), prev, commitment, EASY_TARGET, params)
     assert on_relayed_header(dst, header, now).accepted
     roots_from, nulls_from = len(dst.remote_roots), len(dst.remote_exposed)
     return StateAttestation(
@@ -148,8 +147,9 @@ class TestSetup:
     def test_unreduced_relayed_header_rejected(self, fast_params):
         # hash2 reduces its inputs, so c + p is refused, not hashed as c
         a, b = make_pair(fast_params, h=2)
+        commitment = state_commitment_value(b.local_root_digest, b.exposed_digest, fast_params)
         header, _ = mine_header(
-            1, header_digest(a.remote_headers[0], fast_params), b.state_commitment + P,
+            1, header_digest(a.remote_headers[0], fast_params), commitment + P,
             EASY_TARGET, fast_params,
         )
         result = on_relayed_header(a, header, now=1)
@@ -191,7 +191,7 @@ class TestDeposit:
 
         def snapshot():
             return (list(a.tree.leaves), a.balance, list(a.tree.root_history), dict(a.local_roots),
-                    a.state_commitment, list(a.events), set(a.commitments))
+                    a.local_root_digest, a.exposed_digest, list(a.events), set(a.commitments))
 
         before = snapshot()
         with pytest.raises(ContractError) as err:

@@ -555,7 +555,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1))
-    assert len(calls) == 1356
+    assert len(calls) == 1341
 
 
 def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
@@ -708,12 +708,34 @@ def test_claim_on_wrong_chain_rejected():
         (dict(horizon=simnet.MAX_HORIZON + 1), "horizon"),
         (dict(relay_delay=simnet.MAX_DELAY + 1), "relay_delay"),
         (dict(epsilon=simnet.MAX_DELAY + 1), "epsilon"),
+        (dict(relayers=(RelayerSpec("r0", simnet.MAX_DELAY + 1),)), "relayers[0].delay"),
     ],
 )
 def test_scenario_validation_names_the_field(over, field):
     with pytest.raises(ScenarioError) as err:
         run(base_scenario(**over))
     assert err.value.field_name == field
+
+
+@pytest.mark.parametrize("extra, swept", [(0, True), (1, False)])
+def test_a_sweep_checks_its_widest_interleaving_before_its_first_run(monkeypatch, extra, swept):
+    # the run for gap t' needs first_at + t' + 2D + |epsilon| + 4 ticks, so
+    # the widest, t' = 2(D + epsilon), fits only if this first_at does
+    class Swept(Exception):
+        pass
+
+    def no_run(scenario):
+        raise Swept
+
+    monkeypatch.setattr(simnet, "run", no_run)
+    delay, eps = 2, 1
+    first_at = simnet.MAX_HORIZON - 2 * (delay + eps) - (2 * delay + eps + 4) + extra
+    base = race_base(delay, eps, horizon=first_at + 1, adversary=AdversarySpec("adv", "A", 0, "A", first_at))
+    with pytest.raises(Swept if swept else ScenarioError) as err:
+        explore_races(base)
+    if not swept:
+        assert err.value.field_name == "adversary.first_at"
+        assert f"needs horizon {simnet.MAX_HORIZON + 1}," in str(err.value)
 
 
 ROUND_TRIP = {
@@ -971,26 +993,26 @@ def per_tick_scenarios():
 
 
 def test_stored_digests_equal_fresh_hashes_after_every_tick(monkeypatch):
-    # the engine keeps each mined header's digest from the search, and each
-    # contract its state commitment; checked here against a rehash, not in
-    # the per-tick invariants, which would spend again the hashing that
-    # storing them saves
-    real_check = contract_mod.check_contract_invariants
-    checks = []
+    # the engine keeps each mined header's digest from the search, and
+    # reuses the last header's state commitment while its contract's digests
+    # are unchanged; checked here against a rehash, not in the per-tick
+    # invariants, which would spend again the hashing that keeping them saves
+    real_mine = simnet._Engine._mine
+    mined = []
 
-    def check_fresh(state):
-        real_check(state)
-        params = state.hash_params
-        assert state.state_commitment == state_commitment_value(
-            state.local_root_digest, state.exposed_digest, params
-        )
-        checks.append(state.chain_id)
+    def mine_fresh(engine, now):
+        real_mine(engine, now)
+        for chain, node in engine.nodes.items():
+            c = node.contract
+            fresh = state_commitment_value(c.local_root_digest, c.exposed_digest, c.hash_params)
+            assert node.headers[-1].state_commitment == fresh, (chain, now)
+            mined.append(chain)
 
-    monkeypatch.setattr(contract_mod, "check_contract_invariants", check_fresh)
+    monkeypatch.setattr(simnet._Engine, "_mine", mine_fresh)
     for sc in per_tick_scenarios():
-        checks.clear()
+        mined.clear()
         t = run(sc)
-        assert len(checks) == 2 * sc.horizon
+        assert len(mined) == 2 * sc.horizon
         # a relayed header links only if the miner's kept tip digest was right
         assert len(kinds(t, "header-accepted")) == 2 * (sc.horizon - max(r.delay for r in sc.relayers))
         assert not kinds(t, "header-rejected")
