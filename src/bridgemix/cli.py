@@ -8,8 +8,8 @@ Every report is UTF-8 text: a human-readable table followed by one
 machine-readable JSON summary as the last line.  Outputs are byte-reproducible
 given (scenario, seed).
 
-Both commands check the report names, load the scenario, create --out, do
-their work and write; `main` alone maps how they end to an exit code:
+Both commands check the report names, load the scenario, and (races) make
+the sweep's own checks, then create --out, do their work and write; `main` alone maps how they end to an exit code:
 0 success; 1 a double payout, and nothing else: a race interleaving paid a
 note twice (races mode), or the run did (run mode, after its reports are
 written; stderr names each payout's chain, wid and tick);
@@ -301,6 +301,8 @@ def main(argv=None) -> int:
     out_dir = Path(config.out_dir)
     try:
         scenario = load_scenario(config)
+        if args.command == "races":
+            simnet.check_race_sweep(scenario)  # a sweep that cannot start leaves no --out behind
         out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
         if args.command == "run":
             return cmd_run(config, scenario, out_dir)

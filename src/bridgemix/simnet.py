@@ -14,6 +14,7 @@ pure function of (scenario, seed).
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 import re
@@ -50,8 +51,9 @@ INT64 = range(-(2**63), 2**63)  # every integer a scenario field may hold
 MAX_HASH_ROUNDS = 256
 
 # a run takes time in proportion to its horizon, and a race sweep makes
-# 2(2(D + epsilon) + 1) runs, each longer than 2(D + epsilon) ticks, so a
-# sweep's time grows with the square of D + epsilon
+# 2(2(D + epsilon) + 1) runs, each of which executes on its own at least the
+# 2D + |epsilon| + 4 ticks from its second submission on, so a sweep's time
+# grows with the square of D + epsilon
 MAX_HORIZON = 2**16
 MAX_DELAY = 64  # the most relay_delay, epsilon or a relayer's delay may be
 
@@ -239,14 +241,35 @@ class _Engine:
                 events=self.events,
             )
             self.nodes[chain] = _ChainNode(c, [genesis], genesis_digest, (c.local_root_digest, c.exposed_digest))
+        self.contracts = [self.nodes[chain].contract for chain in CHAINS]
         self.notes: dict = {}
         self.deposits: dict = {}  # nullifier -> DepositInfo, for every note deposited on either chain
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
-        self.user_events: dict = {}
-        for ev in scenario.events:
-            self.user_events.setdefault(ev.at, []).append(ev)
-        for ev in _adversary_events(scenario.adversary):
-            self.user_events.setdefault(ev.at, []).append(ev)
+        self.user_events = _schedule(scenario)
+        self.tick = 0  # the next tick to run
+
+    def fork(self, scenario: Scenario) -> "_Engine":
+        """A copy of this engine at its current tick that runs `scenario`'s
+        schedule from here on.  It shares only immutable values (event
+        records, headers, notes, attestations, parameters) and copies every
+        container a tick mutates, each pending withdrawal included, since its
+        status changes.  Running `scenario` from tick 0 must reach this
+        engine's state at this tick; `_Trunk.branch` checks that it does."""
+        validate_scenario(scenario)
+        twin = copy.copy(self)
+        twin.scenario = scenario
+        twin.user_events = _schedule(scenario)
+        twin.events = list(self.events)
+        twin.nodes = {
+            chain: _ChainNode(_fork_contract(node.contract, twin.events), list(node.headers),
+                              node.tip_digest, node.committed)
+            for chain, node in self.nodes.items()
+        }
+        twin.contracts = [twin.nodes[chain].contract for chain in CHAINS]
+        twin.notes = dict(self.notes)
+        twin.deposits = dict(self.deposits)
+        twin.deliveries = {tick: list(bucket) for tick, bucket in self.deliveries.items()}
+        return twin
 
     # -- note/derivation helpers ------------------------------------------
     def note(self, note_id: str) -> DepositNote:
@@ -406,28 +429,64 @@ class _Engine:
             notes=dict(self.notes),
         )
 
+    def step(self, now: int):
+        """Run tick `now`'s five phases, then the per-tick checks; a failed
+        check raises SimInvariantError with the transcript so far."""
+        self._deliver(now)
+        self._user(now)
+        self._mine(now)
+        self._relay(now)
+        contracts = self.contracts
+        try:
+            self._finalize(now)  # an uncovered or unbacked payout raises
+            for c in contracts:
+                contract_mod.check_contract_invariants(c)
+            if not contract_mod.conservation_holds(contracts):
+                terms = "; ".join(
+                    f"{c.chain_id} balance {c.balance}, credits {sum(c.credits.values())},"
+                    f" deposited {c.total_deposited}, wrapped {c.wrapped_minted},"
+                    f" gov {c.gov_total}, gov minted {sum(c.gov_minted.values())}"
+                    for c in contracts
+                )
+                raise ContractError("invariant", f"value conservation broken: {terms}")
+        except ContractError as err:
+            raise SimInvariantError(f"tick {now}: {err}", self._transcript(), err.reason)
+
+    def advance(self, until: int):
+        """Run the ticks from self.tick up to, not including, `until`."""
+        while self.tick < until:
+            self.step(self.tick)
+            self.tick += 1
+
     def run(self) -> Transcript:
-        contracts = [self.nodes[chain].contract for chain in CHAINS]
-        for now in range(self.scenario.horizon):
-            self._deliver(now)
-            self._user(now)
-            self._mine(now)
-            self._relay(now)
-            try:
-                self._finalize(now)  # an uncovered or unbacked payout raises
-                for c in contracts:
-                    contract_mod.check_contract_invariants(c)
-                if not contract_mod.conservation_holds(contracts):
-                    terms = "; ".join(
-                        f"{c.chain_id} balance {c.balance}, credits {sum(c.credits.values())},"
-                        f" deposited {c.total_deposited}, wrapped {c.wrapped_minted},"
-                        f" gov {c.gov_total}, gov minted {sum(c.gov_minted.values())}"
-                        for c in contracts
-                    )
-                    raise ContractError("invariant", f"value conservation broken: {terms}")
-            except ContractError as err:
-                raise SimInvariantError(f"tick {now}: {err}", self._transcript(), err.reason)
+        self.advance(self.scenario.horizon)
         return self._transcript()
+
+
+def _fork_contract(c: ContractState, events: list) -> ContractState:
+    """A copy of `c` appending to `events` that shares no mutable container
+    with it; the nullifier map points at the copied pending withdrawals."""
+    twin = copy.copy(c)
+    twin.events = events
+    tree = c.tree
+    twin.tree = dataclasses.replace(
+        tree, leaves=list(tree.leaves), nodes=tree.nodes[:], root_history=list(tree.root_history)
+    )
+    twin.pending_withdrawals = [copy.copy(pw) for pw in c.pending_withdrawals]
+    twin_of = {id(pw): twin_pw for pw, twin_pw in zip(c.pending_withdrawals, twin.pending_withdrawals)}
+    twin.nullifiers = {sn: None if pw is None else twin_of[id(pw)] for sn, pw in c.nullifiers.items()}
+    for name in ("local_roots", "remote_roots", "remote_root_ticks", "remote_exposed", "remote_headers",
+                 "paid_nullifiers", "commitments", "credits", "gov_minted", "reward_ages"):
+        setattr(twin, name, getattr(c, name).copy())
+    return twin
+
+
+def _schedule(scenario: Scenario) -> dict:
+    """Tick -> the user events a run of `scenario` executes at it, in order."""
+    schedule: dict = {}
+    for ev in (*scenario.events, *_adversary_events(scenario.adversary)):
+        schedule.setdefault(ev.at, []).append(ev)
+    return schedule
 
 
 def _adversary_events(adv: AdversarySpec | None) -> list:
@@ -441,9 +500,50 @@ def _adversary_events(adv: AdversarySpec | None) -> list:
     ]
 
 
-def run(scenario: Scenario) -> Transcript:
-    """Execute a scenario; the transcript is a pure function of (scenario, seed)."""
-    return _Engine(scenario).run()
+class _Trunk:
+    """One interleaving that others branch from.  Its engine is built by the
+    first branch and only moves forward: each branch advances it to the
+    first tick at which the branch's schedule differs from the trunk's and
+    forks it there, so the ticks before run once for every branch.  The
+    trunk's own scenario finishes the engine itself."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.engine: _Engine | None = None
+
+    def branch(self, scenario: Scenario) -> _Engine:
+        """An engine at the tick where `scenario` leaves the trunk.  Raises
+        ValueError if `scenario` differs from the trunk's in more than its
+        schedule (events and adversary) and horizon, or leaves the trunk at
+        a tick the trunk has passed."""
+        own = self.scenario
+        if dataclasses.replace(scenario, events=own.events, adversary=own.adversary, horizon=own.horizon) != own:
+            raise ValueError("a branch may differ from its trunk only in its schedule and horizon")
+        if self.engine is None:
+            self.engine = _Engine(own)
+        trunk = self.engine
+        if scenario == own:
+            return trunk
+        schedule = _schedule(scenario)
+        differ = (t for t in schedule.keys() | trunk.user_events.keys() if schedule.get(t) != trunk.user_events.get(t))
+        at = min(scenario.horizon, own.horizon, *differ)
+        if at < trunk.tick:
+            raise ValueError(f"the branch leaves its trunk at tick {at}, which the trunk has passed ({trunk.tick})")
+        try:
+            trunk.advance(at)
+        except SimInvariantError as err:
+            self.engine = None  # stopped mid-tick: a later branch starts a fresh trunk
+            err.transcript.scenario = scenario  # the branch would have stopped here too
+            raise
+        return trunk.fork(scenario)
+
+
+def run(scenario: Scenario, trunk: _Trunk | None = None) -> Transcript:
+    """Execute a scenario; the transcript is a pure function of (scenario, seed).
+    With `trunk`, the ticks `scenario` shares with the trunk's interleaving
+    are executed once for both (`_Trunk.branch`)."""
+    engine = _Engine(scenario) if trunk is None else trunk.branch(scenario)
+    return engine.run()
 
 
 # -- race exploration ---------------------------------------------------------
@@ -516,39 +616,57 @@ def _note_tallies(transcript: Transcript) -> dict:
     return tallies
 
 
-def explore_races(base: Scenario) -> RaceReport:
-    """One run per (t', submission order), for every submission gap t' in
-    [0, 2(D + epsilon)]: twice the wait of D + epsilon during which both
-    submissions can be pending at once.  Reports payouts and cancellations
-    for the adversary's note in each interleaving.  The prover's side is
-    shared through caches: a header that several interleavings mine is
-    searched for once (`mine_header`), and each note is derived once
-    (`make_note`).  A proof costs no hashing, so each run builds its own.
-    The verifiers are not shared: every run checks each relayed header and
-    evaluates the relation for each proof."""
+def check_race_sweep(base: Scenario) -> tuple:
+    """The checks a race sweep makes before its first run: `base` has an
+    adversary, its window of gaps is not empty, and its widest interleaving
+    fits in MAX_HORIZON.  Raises ScenarioError; returns the widest gap,
+    2(D + epsilon), and the horizon the interleaving at gap 0 needs, to
+    which each tick of gap adds one."""
     if base.adversary is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
     # each run checks its own adversary, whose gap the sweep sets; this check
     # keeps relay_delay + epsilon >= 0, so the window is never empty
     validate_scenario(dataclasses.replace(base, adversary=None))
     widest = 2 * (base.relay_delay + base.epsilon)
-    # the horizon the run for gap 0 needs; each tick of gap adds one
     slack = base.adversary.first_at + 2 * base.relay_delay + abs(base.epsilon) + 4
     if slack + widest > MAX_HORIZON:
         raise ScenarioError("adversary.first_at", f"the sweep needs horizon {slack + widest}, over {MAX_HORIZON}")
+    return widest, slack
+
+
+def explore_races(base: Scenario) -> RaceReport:
+    """One run per (t', submission order), for every submission gap t' in
+    [0, 2(D + epsilon)]: twice the wait of D + epsilon during which both
+    submissions can be pending at once.  Reports payouts and cancellations
+    for the adversary's note in each interleaving.
+
+    Every execution verifies what it meets: each relayed header, and the
+    relation of each proof.  Interleavings share the execution of their
+    common prefix: per submission order, the widest interleaving is a trunk
+    (`_Trunk`), and each narrower one forks from it at its second
+    submission, so the deposits, relays and first submission run once per
+    order.  The prover's side is shared through caches: a header that
+    several interleavings mine is searched for once (`mine_header`), and
+    each note is derived once (`make_note`).  No verifier value is cached."""
+    widest, slack = check_race_sweep(base)
+    orders = (base.adversary.first_chain, other_chain(base.adversary.first_chain))
+
+    def interleaving(t_prime: int, first_chain: str) -> Scenario:
+        adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
+        return dataclasses.replace(base, adversary=adv, horizon=max(base.horizon, slack + t_prime))
+
+    trunks = {first_chain: _Trunk(interleaving(widest, first_chain)) for first_chain in orders}
+    note = base.adversary.note
     rows = []
     for t_prime in range(widest + 1):
-        for first_chain in (base.adversary.first_chain, other_chain(base.adversary.first_chain)):
-            adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
-            needed = slack + t_prime
-            scenario = dataclasses.replace(base, adversary=adv, horizon=max(base.horizon, needed))
-            transcript = run(scenario)
+        for first_chain in orders:
+            transcript = run(interleaving(t_prime, first_chain), trunks[first_chain])
             tallies = _note_tallies(transcript)
-            payouts, cancels, rejected = tallies.get(transcript.notes[adv.note].nullifier, _NO_EVENTS)
+            payouts, cancels, rejected = tallies.get(transcript.notes[note].nullifier, _NO_EVENTS)
             honest = sum(
-                tallies.get(note.nullifier, _NO_EVENTS)[0]
-                for note_id, note in transcript.notes.items()
-                if note_id != adv.note
+                tallies.get(other.nullifier, _NO_EVENTS)[0]
+                for note_id, other in transcript.notes.items()
+                if note_id != note
             )
             rows.append(
                 RaceRow(

@@ -24,8 +24,10 @@ make_note and zk_setup are cached: pure functions with frozen results, so a
 race sweep derives each note and each circuit once per process.  zk_prove
 is not: a proof costs no permutes, so a cache would save nothing.  Nor is
 the verifier's side (relation_holds, note_hashes as zk_verify calls it,
-zk_verify): a verifier never reads a value that the prover computed, and
-evaluates the relation in every run: 4 + height permutes per zk_verify.
+zk_verify): a verifier never reads a value that the prover computed.  Every
+execution verifies what it meets, at 4 + height permutes per zk_verify; a
+race sweep's interleavings share the execution of their common prefix, so
+they share its verifications too, and no verifier value is cached.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ class DepositNote:
 def note_hashes(r: FieldElement, s: FieldElement, params: HashParams) -> tuple:
     """(commitment H(enc(r) || enc(s)), nullifier H(enc(r))): the first chunk
     of enc(r), which both absorb, is absorbed once, so the pair costs 4
-    permutes.  Not cached: relation_holds recomputes both in every run."""
+    permutes.  Not cached: relation_holds recomputes both for every proof it checks."""
     r_bytes = encode_fe(r)
     head = absorb(0, r_bytes[:CHUNK_SIZE], params)
     rest = r_bytes[CHUNK_SIZE:]

@@ -502,7 +502,7 @@ def test_epsilon_out_of_range_exits_2(tmp_path, capsys, epsilon, flags, message)
 def test_a_scenario_that_would_run_too_long_exits_2_before_running(
     tmp_path, capsys, monkeypatch, command, line, edited, flags, field
 ):
-    def no_run(scenario):
+    def no_run(scenario, trunk=None):
         raise AssertionError("the scenario ran")
 
     monkeypatch.setattr(simnet, "run", no_run)
@@ -517,7 +517,7 @@ def test_a_sweep_whose_widest_interleaving_runs_too_long_exits_2_before_running(
 ):
     # a valid horizon, but the interleaving at t' = 2(D + epsilon) would run
     # to 65525 + 6 + 2*2 + 1 + 4 = 65540 ticks
-    def no_run(scenario):
+    def no_run(scenario, trunk=None):
         raise AssertionError("an interleaving ran")
 
     monkeypatch.setattr(simnet, "run", no_run)
@@ -526,6 +526,7 @@ def test_a_sweep_whose_widest_interleaving_runs_too_long_exits_2_before_running(
     assert cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert "error: scenario field 'adversary.first_at': the sweep needs horizon 65540" in err
+    assert not (tmp_path / "o").exists()  # checked before --out is made
 
 
 def test_races_requires_adversary(tmp_path, capsys):
@@ -533,6 +534,7 @@ def test_races_requires_adversary(tmp_path, capsys):
     rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_BAD_INPUT
     assert "adversary" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # checked before --out is made
 
 
 def test_invariant_violation_dumps_partial_transcript(tmp_path, capsys, monkeypatch):
@@ -541,8 +543,8 @@ def test_invariant_violation_dumps_partial_transcript(tmp_path, capsys, monkeypa
 
     real_run = cli.simnet.run
 
-    def broken_run(scenario):
-        transcript = real_run(scenario)
+    def broken_run(scenario, trunk=None):
+        transcript = real_run(scenario, trunk)
         raise SimInvariantError("tick 3: value conservation broken", transcript, "invariant")
 
     monkeypatch.setattr(cli.simnet, "run", broken_run)
@@ -570,9 +572,9 @@ def recording_run(monkeypatch) -> list:
     seen = []
     real_run = cli.simnet.run
 
-    def run(scenario):
+    def run(scenario, trunk=None):
         try:
-            seen.append(real_run(scenario))
+            seen.append(real_run(scenario, trunk))
         except SimInvariantError as err:
             seen.append(err.transcript)
             raise
@@ -608,7 +610,7 @@ def test_transcript_is_written_without_holding_its_text(tmp_path, monkeypatch):
     ))
     rendered = transcript.render()
 
-    def traced_run(scenario):
+    def traced_run(scenario, trunk=None):
         tracemalloc.start()  # traces everything the CLI does after the run
         return transcript
 

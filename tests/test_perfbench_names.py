@@ -2,9 +2,11 @@
 function would fail the tracer's install, but a renamed attribute that an
 observer reads through a `getattr` default would silently read 0, and a
 function the CLI holds other than as a module attribute would never be
-traced.  These tests import job.py without running it and check all three."""
+traced.  These tests import job.py without running it and check all three,
+and check the metric names bench_snapshot.py marks."""
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -76,3 +78,15 @@ def test_cli_calls_each_coarse_span_through_its_module_attribute(job, tmp_path, 
     called = {span.name for span in tracer.spans}
     # job.py calls the linkability audit itself; the CLI has no report for it
     assert set(coarse) - {"metrics.linkability_audit"} <= called
+
+
+def test_every_metric_the_snapshot_marks_is_a_benchmark_metric():
+    root = PERFBENCH.parent
+    spec = importlib.util.spec_from_file_location("bench_snapshot", root / "bench_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(snapshot)
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"] for m in (*bench["end_to_end"], *bench["per_layer"])}
+    assert snapshot.MISREPORTING and set(snapshot.MISREPORTING) <= names

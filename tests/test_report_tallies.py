@@ -118,8 +118,8 @@ def assert_matches_reference(scenario):
         return
     transcripts = []
 
-    def recording_run(sc):
-        transcripts.append(run(sc))
+    def recording_run(sc, trunk=None):
+        transcripts.append(run(sc, trunk))
         return transcripts[-1]
 
     with mock.patch.object(simnet, "run", recording_run):

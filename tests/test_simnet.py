@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import itertools
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -486,8 +487,8 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
     swept = []
     real_run = simnet.run
 
-    def recording_run(sc):
-        transcript = real_run(sc)
+    def recording_run(sc, trunk=None):
+        transcript = real_run(sc, trunk)
         swept.append((sc, transcript.render()))
         return transcript
 
@@ -555,19 +556,20 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1))
-    assert len(calls) == 1341
+    assert len(calls) == 973
 
 
 def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
     """make_note's cache derives each note once per process; the verifier
-    evaluates the relation for every proof in every run, more often than
-    there are distinct proofs."""
+    evaluates the relation once for each submission executed that reaches
+    it, and interleavings share the execution of their common prefix, so it
+    does so fewer times than such submissions appear across the transcripts."""
     notes, proved, verified, swept = [], [], [], []
     real_note, real_prove, real_run = simnet.make_note, simnet.zk_prove, simnet.run
     real_relation = zkrel.relation_holds
 
-    def recording_run(sc):
-        transcript = real_run(sc)
+    def recording_run(sc, trunk=None):
+        transcript = real_run(sc, trunk)
         swept.append(transcript)
         return transcript
 
@@ -578,14 +580,16 @@ def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
     make_note.cache_clear()
     explore_races(races_demo(1))
     assert make_note.cache_info().misses == len(set(notes)) < len(notes)
-    reached = sum(
-        1
+    reached = [
+        e
         for transcript in swept
         for e in transcript.events
         if e.kind == "withdraw-submitted"
         or (e.kind == "withdraw-rejected" and e.get("reason") == "invalid-proof")
-    )
-    assert len(swept) == 14 and len(verified) == reached > len(set(proved))
+    ]
+    # a fork shares its trunk's event records, so each record is one execution
+    assert len(swept) == 14 and len(verified) == len({id(e) for e in reached}) < len(reached)
+    assert len(verified) <= len(proved)  # a proof of a known nullifier is rejected unverified
 
 
 def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
@@ -599,8 +603,8 @@ def test_every_proof_the_engine_builds_satisfies_the_relation(monkeypatch):
         proofs.append((pp, stmt, wit))
         return real_prove(pp, stmt, wit)
 
-    def recording_run(sc):
-        transcript = real_run(sc)
+    def recording_run(sc, trunk=None):
+        transcript = real_run(sc, trunk)
         rendered.append(transcript.render())
         return transcript
 
@@ -724,7 +728,7 @@ def test_a_sweep_checks_its_widest_interleaving_before_its_first_run(monkeypatch
     class Swept(Exception):
         pass
 
-    def no_run(scenario):
+    def no_run(scenario, trunk=None):
         raise Swept
 
     monkeypatch.setattr(simnet, "run", no_run)
@@ -1082,20 +1086,16 @@ def test_incremental_invariants_agree_with_the_full_rescan_after_every_tick():
 
 
 @st.composite
-def engine_scenarios(draw):
+def engine_scenarios(draw, jitter=True):
     """A valid scenario on a short horizon at 1 or 2 hash rounds: honest,
-    withholding and jittered relayers that all deliver within D, rewards on
-    either chain, and deposits, withdrawals (some spent again on the other
-    chain within D) and reward claims at any tick."""
+    withholding and (if `jitter`) jittered relayers that all deliver within
+    D, rewards on either chain, and deposits, withdrawals (some spent again
+    on the other chain within D) and reward claims at any tick."""
     horizon = draw(st.integers(4, 18))
     delay = draw(st.integers(1, 3))
-    relayers = draw(st.lists(
-        st.one_of(
-            st.builds(RelayerSpec, st.sampled_from(("r0", "r1")), st.integers(1, delay), st.booleans()),
-            st.builds(JitteredRelayer, st.just(delay), st.integers(0, 99)),
-        ),
-        max_size=3,
-    ))
+    fixed = st.builds(RelayerSpec, st.sampled_from(("r0", "r1")), st.integers(1, delay), st.booleans())
+    jittered = st.builds(JitteredRelayer, st.just(delay), st.integers(0, 99))
+    relayers = draw(st.lists(st.one_of(fixed, jittered) if jitter else fixed, max_size=3))
     chains = st.sampled_from(CHAINS)
     reward_chains = sorted(draw(st.sets(chains)))
     rewards = {c: RewardSpec(draw(st.integers(0, 3)), draw(st.integers(0, 4))) for c in reward_chains}
@@ -1129,14 +1129,18 @@ def engine_scenarios(draw):
     )
 
 
-def run_to_an_end(sc) -> str:
-    """The rendered transcript of a run that returns, or of the partial one an
-    insolvent payout stops; any other outcome fails."""
+def rendered_end(finish) -> str:
+    """The rendered transcript that `finish()` returns, or the partial one
+    of an insolvent payout that stops it; any other outcome fails."""
     try:
-        return run(sc).render()
+        return finish().render()
     except SimInvariantError as err:
         assert err.reason == "insolvent", err
         return f"{err.transcript.render()}{err}\n"
+
+
+def run_to_an_end(sc) -> str:
+    return rendered_end(lambda: run(sc))
 
 
 @seed(2203)
@@ -1151,6 +1155,98 @@ def test_valid_scenarios_run_to_an_end_and_replay_from_cold_caches(sc):
     for cached in cached_functions().values():
         cached.cache_clear()
     assert run_to_an_end(restarted(sc)) == rendered
+
+
+def mutable_parts(engine) -> list:
+    """Everything the engine holds that a tick may mutate: each list, dict,
+    set and array of it, its chain nodes, contracts and trees, each delivery
+    bucket, and each pending withdrawal, as queued and as the nullifier map
+    holds it."""
+    owners = [engine, *engine.nodes.values()]
+    for c in engine.contracts:
+        owners += [c, c.tree]
+    parts = [v for owner in owners for v in vars(owner).values() if isinstance(v, (list, dict, set, array))]
+    for c in engine.contracts:
+        parts += [*c.pending_withdrawals, *filter(None, c.nullifiers.values())]
+    return parts + list(engine.deliveries.values())
+
+
+def assert_fork_runs_like_fresh(sc, at):
+    """An engine advanced to tick `at` and forked there: it and its fork
+    each render like a fresh run of `sc`, the partial transcript and reason
+    of an insolvent payout included.  The trunk runs to its end first, so a
+    container the fork still shared would show in the fork."""
+    fresh = run_to_an_end(sc)
+    trunk, forks = simnet._Engine(sc), []
+
+    def fork_then_finish():
+        trunk.advance(at)  # an insolvent payout may stop it before the fork
+        forks.append(trunk.fork(sc))
+        assert not {id(v) for v in mutable_parts(trunk)} & {id(v) for v in mutable_parts(forks[0])}
+        return trunk.run()
+
+    assert rendered_end(fork_then_finish) == fresh
+    if forks:
+        assert forks[0].tick == at
+        assert rendered_end(forks[0].run) == fresh
+    return fresh
+
+
+@seed(2311)
+@settings(max_examples=40, deadline=None, database=None)
+@given(sc=engine_scenarios(jitter=False), data=st.data())
+def test_an_engine_and_its_fork_each_run_like_a_fresh_run(sc, data):
+    # fixed-delay relayers only: a jittered one's draws are not part of the
+    # engine, so a fork would not replay them
+    assert_fork_runs_like_fresh(sc, data.draw(st.integers(0, sc.horizon), label="fork tick"))
+
+
+@pytest.mark.parametrize("at", [0, 5, 7, 8, 12])
+def test_a_fork_stops_where_its_trunk_does(at):
+    # A cannot cover the payout due at tick 7, before or after the fork
+    sc = base_scenario(
+        events=(SimEvent(0, "B", "deposit", note="n1"), SimEvent(4, "A", "submit_withdrawal", "n1", "al"))
+    )
+    assert "tick 7: A cannot cover" in assert_fork_runs_like_fresh(sc, at)
+
+
+def test_a_misused_branch_raises():
+    base = race_base(2, 1)
+    widest = dataclasses.replace(base, adversary=dataclasses.replace(base.adversary, gap=6))
+    narrow = dataclasses.replace(base, adversary=dataclasses.replace(base.adversary, gap=1))
+    trunk = simnet._Trunk(widest)
+    for other in (dataclasses.replace(narrow, seed=base.seed + 1), dataclasses.replace(narrow, epsilon=0)):
+        with pytest.raises(ValueError, match="only in its schedule and horizon"):
+            run(other, trunk)
+    assert trunk.engine is None  # a rejected branch runs nothing
+    assert run(narrow, trunk).render() == run(narrow).render()
+    assert trunk.engine.tick == base.adversary.first_at + 1  # where the second submissions part
+    with pytest.raises(ValueError, match="which the trunk has passed"):
+        run(base, trunk)  # gap 0 leaves the trunk a tick earlier
+    assert run(widest, trunk).render() == run(widest).render()
+    with pytest.raises(ValueError, match="which the trunk has passed"):
+        run(narrow, trunk)
+
+
+def test_a_trunk_stopped_before_the_branch_leaves_it_stops_the_branch():
+    # B's deposit backs A's payout at tick 7, which A cannot cover; the
+    # interleavings part at tick 11, so the trunk stops before any fork
+    sc = base_scenario(
+        horizon=20,
+        events=(SimEvent(0, "B", "deposit", note="n1"), SimEvent(4, "A", "submit_withdrawal", "n1", "al")),
+        adversary=AdversarySpec("adv", "B", 0, "B", 10, 3),
+    )
+    branch = dataclasses.replace(sc, adversary=dataclasses.replace(sc.adversary, gap=1))
+    with pytest.raises(SimInvariantError) as fresh:
+        run(branch)
+    trunk = simnet._Trunk(sc)
+    for _ in range(2):  # the stopped trunk is dropped, and the next branch builds its own
+        with pytest.raises(SimInvariantError) as err:
+            run(branch, trunk)
+        assert err.value.reason == fresh.value.reason == "insolvent" and str(err.value) == str(fresh.value)
+        assert err.value.transcript.scenario == branch
+        assert err.value.transcript.render() == fresh.value.transcript.render()
+        assert trunk.engine is None
 
 
 class CountingQueue(list):
@@ -1245,4 +1341,5 @@ def test_the_empty_state_is_hashed_once_per_process():
     contract_mod.empty_state_digests.cache_clear()
     explore_races(races_demo(1))
     info = contract_mod.empty_state_digests.cache_info()
-    assert (info.misses, info.hits) == (1, 7 * 2 * 3 - 1)  # 14 runs, 3 reads each
+    # one engine per submission order, 3 reads each: the 14 interleavings fork from 2 trunks
+    assert (info.misses, info.hits) == (1, 2 * 3 - 1)
