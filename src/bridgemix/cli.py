@@ -8,8 +8,9 @@ Every report is UTF-8 text: a human-readable table followed by one
 machine-readable JSON summary as the last line.  Outputs are byte-reproducible
 given (scenario, seed).
 
-Both commands check the report names, load the scenario, and (races) make
-the sweep's own checks, then create --out, do their work and write; `main` alone maps how they end to an exit code:
+Both commands check the report names and load the scenario; races also
+makes the sweep's own checks.  Only then do they create --out, do their work
+and write; `main` alone maps how they end to an exit code:
 0 success; 1 a double payout, and nothing else: a race interleaving paid a
 note twice (races mode), or the run did (run mode, after its reports are
 written; stderr names each payout's chain, wid and tick);

@@ -62,7 +62,8 @@ class DepositNote:
 def note_hashes(r: FieldElement, s: FieldElement, params: HashParams) -> tuple:
     """(commitment H(enc(r) || enc(s)), nullifier H(enc(r))): the first chunk
     of enc(r), which both absorb, is absorbed once, so the pair costs 4
-    permutes.  Not cached: relation_holds recomputes both for every proof it checks."""
+    permutes.  Not cached: relation_holds recomputes both for every proof
+    it checks."""
     r_bytes = encode_fe(r)
     head = absorb(0, r_bytes[:CHUNK_SIZE], params)
     rest = r_bytes[CHUNK_SIZE:]
