@@ -1,18 +1,17 @@
 """Write BENCH_<n>.json: one benchmark snapshot of a checkout, so that the
 numbers a change quotes can be read back from a committed file.
 
-    python3 bench_snapshot.py N [--root DIR] [--seconds S]
+    python3 bench_snapshot.py N [--root DIR]
 
 Runs DIR/perfbench/run.py as it is (DIR defaults to the checkout holding
 this file) on every workload BENCHMARK.json names, at seed 3: once with
---trace 0, which repeats the workload's job for S seconds and reports the
-end-to-end metrics, and once with --trace 1, which reports the per-layer
-metrics.  Both result objects (run.py's last output line) go into
+--trace 0, which repeats the workload's job for SECONDS seconds and reports
+the end-to-end metrics, and once with --trace 1, which reports the
+per-layer metrics.  Both result objects (run.py's last output line) go into
 BENCH_N.json beside this file, with DIR's git revision (and whether its
-tracked files differ from it), S, and the metrics
-listed in MISREPORTING, which read what they do not claim to.  N is the
-number of the change the snapshot belongs to.  With the default S the
-whole snapshot takes about 5 minutes.
+tracked files differ from it), SECONDS, and the metrics listed in
+MISREPORTING, which read what they do not claim to.  N is the number of the
+change the snapshot belongs to.  The whole snapshot takes about 5 minutes.
 """
 from __future__ import annotations
 
@@ -45,10 +44,10 @@ MISREPORTING = {
 }
 
 
-def run_benchmark(root: Path, workload: str, trace: int, seconds: int) -> dict:
+def run_benchmark(root: Path, workload: str, trace: int) -> dict:
     """run.py's result object; exits naming the run if it gave none."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -60,7 +59,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="the number of the change: writes BENCH_<n>.json")
     parser.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    parser.add_argument("--seconds", type=int, default=SECONDS, help="--seconds of each --trace 0 run")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     def git(*argv) -> str:
@@ -69,7 +67,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
     results = {}
     for workload in workloads:
-        results[workload] = {f"trace{trace}": run_benchmark(root, workload, trace, args.seconds)
+        results[workload] = {f"trace{trace}": run_benchmark(root, workload, trace)
                              for trace in (0, 1)}
         print(f"{workload}: done", file=sys.stderr)
     snapshot = {
@@ -77,7 +75,7 @@ def main(argv=None) -> int:
         # tracked files that differ from the revision: the numbers are then not its own
         "revision_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "seed": SEED,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "misreporting": MISREPORTING,
         "workloads": results,

@@ -467,6 +467,10 @@ def _fork_contract(c: ContractState, events: list) -> ContractState:
     """A copy of `c` appending to `events` that shares no mutable container
     with it; the nullifier map points at the copied pending withdrawals."""
     twin = copy.copy(c)
+    for f in dataclasses.fields(c):
+        value = getattr(c, f.name)
+        if isinstance(value, (list, dict, set)):
+            setattr(twin, f.name, value.copy())
     twin.events = events
     tree = c.tree
     twin.tree = dataclasses.replace(
@@ -475,9 +479,6 @@ def _fork_contract(c: ContractState, events: list) -> ContractState:
     twin.pending_withdrawals = [copy.copy(pw) for pw in c.pending_withdrawals]
     twin_of = {id(pw): twin_pw for pw, twin_pw in zip(c.pending_withdrawals, twin.pending_withdrawals)}
     twin.nullifiers = {sn: None if pw is None else twin_of[id(pw)] for sn, pw in c.nullifiers.items()}
-    for name in ("local_roots", "remote_roots", "remote_root_ticks", "remote_exposed", "remote_headers",
-                 "paid_nullifiers", "commitments", "credits", "gov_minted", "reward_ages"):
-        setattr(twin, name, getattr(c, name).copy())
     return twin
 
 

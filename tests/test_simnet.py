@@ -435,7 +435,10 @@ def restarted(sc):
 
 def test_race_safety_when_deliveries_reorder_within_d():
     # the safety argument assumes delivery within D, not in order: a send
-    # that overtakes an earlier one must not leave a gap that nothing fills
+    # that overtakes an earlier one must not leave a gap that nothing fills.
+    # An order's interleavings fork from one trunk and share its relayer, so
+    # each order and seed draws one delay schedule, which every fork follows
+    # up to the tick it leaves the trunk
     delay, eps = 3, 1
     rows = []
     for jitter_seed in range(20):
