@@ -10,7 +10,8 @@ given (scenario, seed).
 
 Both commands check the report names and load the scenario; races also
 makes the sweep's own checks.  Only then do they create --out, do their work
-and write; `main` alone maps how they end to an exit code:
+and write (a sweep that never raced writes nothing); `main` alone maps how
+they end to an exit code:
 0 success; 1 a double payout, and nothing else: a race interleaving paid a
 note twice (races mode), or the run did (run mode, after its reports are
 written; stderr names each payout's chain, wid and tick);
@@ -20,8 +21,11 @@ key, repeated or non-scalar key, a scalar that cannot be built, an integer
 outside the signed 64-bit range, a second document, nesting deeper than
 MAX_NESTING, bad field, a horizon above simnet.MAX_HORIZON or a relay_delay,
 epsilon or relayer delay above simnet.MAX_DELAY, overrides included, a race
-sweep whose widest interleaving would run past simnet.MAX_HORIZON, an --out
-that cannot be made a directory, a report that cannot be written); 3 a protocol
+sweep whose widest interleaving would run past simnet.MAX_HORIZON or that
+would execute more than simnet.MAX_SWEEP_TICKS ticks, a race sweep that never
+raced: an adversary submission rejected for any reason but nullifier-known,
+named with its t', order and reason, an --out that cannot be made a
+directory, a report that cannot be written); 3 a protocol
 invariant broke mid-run, including a payout the paying contract cannot cover
 (run mode dumps the partial transcript, and still exits 3 if that dump
 cannot be written).

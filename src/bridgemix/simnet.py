@@ -51,11 +51,18 @@ INT64 = range(-(2**63), 2**63)  # every integer a scenario field may hold
 MAX_HASH_ROUNDS = 256
 
 # a run takes time in proportion to its horizon, and a race sweep makes
-# 2(2(D + epsilon) + 1) runs, each of which executes on its own at least the
-# 2D + |epsilon| + 4 ticks from its second submission on, so a sweep's time
-# grows with the square of D + epsilon
+# 2(2(D + epsilon) + 1) runs, each of which executes on its own the ticks from
+# its second submission until its outcome is settled, at least 2D + |epsilon|
+# + 4, so a sweep's time grows with the square of D + epsilon, and a late
+# event stretches every run; MAX_SWEEP_TICKS bounds the sum
 MAX_HORIZON = 2**16
 MAX_DELAY = 64  # the most relay_delay, epsilon or a relayer's delay may be
+# the most ticks one race sweep may execute: two trunks of MAX_HORIZON ticks
+# and as many fork ticks again.  Within the bounds above, a sweep needs at
+# most about 2.3 * 10^5 unless a late event stretches its runs.  On a 2-CPU
+# Xeon host, a sweep of 2.5 * 10^5 ticks that mine new headers takes 37 s at
+# 64 hash rounds and 115 s at 256
+MAX_SWEEP_TICKS = 2**18
 
 
 class ScenarioError(ValueError):
@@ -598,10 +605,13 @@ _TALLY_KINDS = frozenset({"withdraw-finalized", "withdraw-cancelled", "withdraw-
 _NO_EVENTS = (0, 0, False)
 
 
-def _note_tallies(transcript: Transcript) -> dict:
-    """Nullifier -> (payouts, cancels, rejected) from one walk of the events;
-    a nullifier with no such event reads _NO_EVENTS."""
+def _note_tallies(transcript: Transcript) -> tuple:
+    """From one walk of the events: nullifier -> (payouts, cancels,
+    rejected), where a nullifier with no such event reads _NO_EVENTS and
+    `rejected` means rejected as nullifier-known; and nullifier -> its first
+    withdrawal rejected for any other reason."""
     tallies: dict = {}
+    refused: dict = {}
     for e in transcript.events:
         if e.kind not in _TALLY_KINDS:
             continue
@@ -613,33 +623,58 @@ def _note_tallies(transcript: Transcript) -> dict:
             cancels += 1
         elif e.get("reason") == "nullifier-known":
             rejected = True
+        else:
+            refused.setdefault(sn, e)
         tallies[sn] = (payouts, cancels, rejected)
-    return tallies
+    return tallies, refused
 
 
 def check_race_sweep(base: Scenario) -> tuple:
     """The checks a race sweep makes before its first run: `base` has an
-    adversary, its window of gaps is not empty, and its widest interleaving
-    fits in MAX_HORIZON.  Raises ScenarioError; returns the widest gap,
-    2(D + epsilon), and the horizon the interleaving at gap 0 needs, to
-    which each tick of gap adds one."""
-    if base.adversary is None:
+    adversary, its window of gaps is not empty, its widest interleaving fits
+    in MAX_HORIZON, and the ticks the sweep executes fit in MAX_SWEEP_TICKS.
+    Raises ScenarioError; returns the horizon of the interleaving at each gap
+    t' in [0, 2(D + epsilon)].
+
+    The interleaving at gap t' settles the adversary's note by slack + t'.
+    Every other submission pays, is cancelled or is rejected by its own tick
+    + D + epsilon, and none follows the last event, so the run lasts until
+    one tick past that, or the file's horizon if that comes first.  Per
+    order, the widest interleaving executes its whole horizon, and each
+    narrower one its ticks from its second submission, first_at + t', on
+    (`_Trunk`)."""
+    adv = base.adversary
+    if adv is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
     # each run checks its own adversary, whose gap the sweep sets; this check
     # keeps relay_delay + epsilon >= 0, so the window is never empty
     validate_scenario(dataclasses.replace(base, adversary=None))
-    widest = 2 * (base.relay_delay + base.epsilon)
-    slack = base.adversary.first_at + 2 * base.relay_delay + abs(base.epsilon) + 4
+    wait = base.relay_delay + base.epsilon
+    widest = 2 * wait
+    slack = adv.first_at + 2 * base.relay_delay + abs(base.epsilon) + 4
     if slack + widest > MAX_HORIZON:
         raise ScenarioError("adversary.first_at", f"the sweep needs horizon {slack + widest}, over {MAX_HORIZON}")
-    return widest, slack
+    settled = min(base.horizon, max((ev.at + wait + 1 for ev in base.events), default=0))
+    horizons = tuple(max(slack + t_prime, settled) for t_prime in range(widest + 1))
+    forks = sum(horizon - adv.first_at - t_prime for t_prime, horizon in enumerate(horizons[:-1]))
+    ticks = 2 * (horizons[-1] + forks)
+    if ticks > MAX_SWEEP_TICKS:
+        raise ScenarioError(
+            "events",
+            f"the sweep would execute {ticks} ticks, over {MAX_SWEEP_TICKS}: its runs last until tick {settled}",
+        )
+    return horizons
 
 
 def explore_races(base: Scenario) -> RaceReport:
     """One run per (t', submission order), for every submission gap t' in
     [0, 2(D + epsilon)]: twice the wait of D + epsilon during which both
     submissions can be pending at once.  Reports payouts and cancellations
-    for the adversary's note in each interleaving.
+    for the adversary's note in each interleaving.  Each run stops once
+    every outcome it reports is settled (`check_race_sweep`).  A sweep in
+    which an adversary submission is rejected for any reason other than
+    nullifier-known never raced: it raises ScenarioError naming t', the
+    order and the reason.
 
     Every execution verifies what it meets: each relayed header, and the
     relation of each proof.  Interleavings share the execution of their
@@ -649,21 +684,31 @@ def explore_races(base: Scenario) -> RaceReport:
     order.  The prover's side is shared through caches: a header that
     several interleavings mine is searched for once (`mine_header`), and
     each note is derived once (`make_note`).  No verifier value is cached."""
-    widest, slack = check_race_sweep(base)
+    horizons = check_race_sweep(base)
+    widest = len(horizons) - 1
     orders = (base.adversary.first_chain, other_chain(base.adversary.first_chain))
 
     def interleaving(t_prime: int, first_chain: str) -> Scenario:
         adv = dataclasses.replace(base.adversary, first_chain=first_chain, gap=t_prime)
-        return dataclasses.replace(base, adversary=adv, horizon=max(base.horizon, slack + t_prime))
+        return dataclasses.replace(base, adversary=adv, horizon=horizons[t_prime])
 
     trunks = {first_chain: _Trunk(interleaving(widest, first_chain)) for first_chain in orders}
     note = base.adversary.note
     rows = []
     for t_prime in range(widest + 1):
         for first_chain in orders:
+            order = f"{first_chain}->{other_chain(first_chain)}"
             transcript = run(interleaving(t_prime, first_chain), trunks[first_chain])
-            tallies = _note_tallies(transcript)
-            payouts, cancels, rejected = tallies.get(transcript.notes[note].nullifier, _NO_EVENTS)
+            tallies, refused = _note_tallies(transcript)
+            sn = transcript.notes[note].nullifier
+            if sn in refused:
+                e = refused[sn]
+                raise ScenarioError(
+                    "adversary",
+                    f"the race at t'={t_prime} order={order} never happened:"
+                    f" {e.get('recipient')} was rejected at t={e.tick} as {e.get('reason')}",
+                )
+            payouts, cancels, rejected = tallies.get(sn, _NO_EVENTS)
             honest = sum(
                 tallies.get(other.nullifier, _NO_EVENTS)[0]
                 for note_id, other in transcript.notes.items()
@@ -672,7 +717,7 @@ def explore_races(base: Scenario) -> RaceReport:
             rows.append(
                 RaceRow(
                     t_prime=t_prime,
-                    order=f"{first_chain}->{other_chain(first_chain)}",
+                    order=order,
                     payouts=payouts,
                     cancellations=cancels,
                     second_rejected=rejected,
@@ -685,7 +730,7 @@ def explore_races(base: Scenario) -> RaceReport:
 def payout_table(transcript: Transcript) -> list:
     """Per-nullifier payout/cancellation tallies for a single run, one row
     (nullifier, payouts, cancels, rejected) per note."""
-    tallies = _note_tallies(transcript)
+    tallies, _ = _note_tallies(transcript)
     return [
         (note.nullifier, *tallies.get(note.nullifier, _NO_EVENTS))
         for note in transcript.notes.values()

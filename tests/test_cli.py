@@ -56,6 +56,9 @@ events:
 """
 
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
 def write_scenario(tmp_path, text, name="scn.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -527,6 +530,38 @@ def test_a_sweep_whose_widest_interleaving_runs_too_long_exits_2_before_running(
     err = capsys.readouterr().err
     assert "error: scenario field 'adversary.first_at': the sweep needs horizon 65540" in err
     assert not (tmp_path / "o").exists()  # checked before --out is made
+
+
+def test_a_sweep_stretched_by_a_late_event_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # each run lasts until D + epsilon after the exit at 65000, tick 65004:
+    # per order the trunk executes that whole, and each fork at t' < 6 its
+    # ticks from first_at + t' on
+    def no_run(scenario, trunk=None):
+        raise AssertionError("an interleaving ran")
+
+    monkeypatch.setattr(simnet, "run", no_run)
+    demo = (DEMOS / "races.yaml").read_text(encoding="utf-8")
+    text = demo.replace("horizon: 20", "horizon: 65536").replace("{at: 4, chain: B", "{at: 65000, chain: B")
+    scn = write_scenario(tmp_path, text)
+    assert cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_INPUT
+    ticks = 2 * (65004 + sum(65004 - 3 - t_prime for t_prime in range(6)))
+    err = capsys.readouterr().err
+    assert f"error: scenario field 'events': the sweep would execute {ticks} ticks, over {simnet.MAX_SWEEP_TICKS}" in err
+    assert not (tmp_path / "o").exists()  # checked before --out is made
+
+
+def test_a_sweep_whose_race_never_happened_exits_2_naming_the_interleaving(tmp_path, capsys):
+    # the relayer takes 4 ticks, past D + epsilon = 3: at t' = 0 the second
+    # submission reaches B at tick 3, before the deposit's root does
+    demo = (DEMOS / "races.yaml").read_text(encoding="utf-8")
+    scn = write_scenario(tmp_path, demo.replace("{id: relayer0, delay: 2}", "{id: relayer0, delay: 4}"))
+    out = tmp_path / "out"
+    assert cli.main(["races", "--scenario", scn, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (
+        "error: scenario field 'adversary': the race at t'=0 order=A->B never happened:"
+        " adv-second was rejected at t=3 as unknown-remote-root\n"
+    )
+    assert not (out / "races.txt").exists()
 
 
 def test_races_requires_adversary(tmp_path, capsys):

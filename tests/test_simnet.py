@@ -19,6 +19,7 @@ from bridgemix.merkle import mt_add, mt_path, mt_setup
 from bridgemix.simnet import (
     CHAINS,
     AdversarySpec,
+    RaceRow,
     RelayerSpec,
     RewardSpec,
     Scenario,
@@ -27,6 +28,7 @@ from bridgemix.simnet import (
     SimInvariantError,
     WORK_TARGET,
     explore_races,
+    other_chain,
     payout_table,
     run,
     scenario_from_dict,
@@ -403,6 +405,50 @@ def test_race_safety_over_the_assumption_space(delay):
         assert report.max_payouts() == (2 if eps < 0 and r == delay else 1), where
 
 
+def full_run_rows(base):
+    """The sweep's rows from fresh runs: each interleaving from tick 0, with
+    no trunk, to the file's horizon or the one its adversary needs,
+    whichever is longer, however long before that its outcome settles."""
+    adv = base.adversary
+    slack = adv.first_at + 2 * base.relay_delay + abs(base.epsilon) + 4
+    rows = []
+    for t_prime in range(2 * (base.relay_delay + base.epsilon) + 1):
+        for first_chain in (adv.first_chain, other_chain(adv.first_chain)):
+            sc = dataclasses.replace(
+                base,
+                adversary=dataclasses.replace(adv, first_chain=first_chain, gap=t_prime),
+                horizon=max(base.horizon, slack + t_prime),
+            )
+            t = run(sc)
+            tallies = {sn: tally for sn, *tally in payout_table(t)}
+            payouts, cancels, rejected = tallies[t.notes[adv.note].nullifier]
+            honest = sum(tallies[note.nullifier][0] for note_id, note in t.notes.items() if note_id != adv.note)
+            order = f"{first_chain}->{other_chain(first_chain)}"
+            rows.append(RaceRow(t_prime, order, payouts, cancels, rejected, honest))
+    return rows
+
+
+@pytest.mark.parametrize("delay", [1, 2, 3])
+def test_a_sweep_that_stops_each_run_once_settled_reports_what_full_runs_do(delay):
+    # an honest exit just before the file's horizon settles after it: the
+    # run still stops at the horizon, and pays no more than a full run does
+    for eps, relayer_delay in itertools.product(range(-1, 3), range(1, 6)):
+        first_at = max(relayer_delay + 1, delay)  # the deposit's root has landed on both chains
+        slack = first_at + 2 * delay + abs(eps) + 4
+        for horizon in (first_at + 1, slack + 2 * (delay + eps) + 4):
+            for exit_at in (relayer_delay + 1, horizon - 2):
+                base = Scenario(
+                    seed=4, horizon=horizon, tree_height=2, hash_rounds=1, relay_delay=delay, epsilon=eps,
+                    relayers=(RelayerSpec("r0", relayer_delay),),
+                    events=(
+                        SimEvent(0, "A", "deposit", note="honest"),
+                        SimEvent(exit_at, "B", "submit_withdrawal", note="honest", recipient="hh"),
+                    ),
+                    adversary=AdversarySpec("adv", "A", 0, "A", first_at),
+                )
+                assert explore_races(base).rows == full_run_rows(base), (eps, relayer_delay, horizon, exit_at)
+
+
 class JitteredRelayer:
     """An honest relayer whose delay is drawn from [1, bound] by a seeded rng
     each time the engine schedules a send: every delivery lands within the
@@ -559,7 +605,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1))
-    assert len(calls) == 973
+    assert len(calls) == 818
 
 
 def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
@@ -743,6 +789,35 @@ def test_a_sweep_checks_its_widest_interleaving_before_its_first_run(monkeypatch
     if not swept:
         assert err.value.field_name == "adversary.first_at"
         assert f"needs horizon {simnet.MAX_HORIZON + 1}," in str(err.value)
+
+
+def sweep_ticks(base):
+    """The ticks a sweep of `base` executes, counted from its run lengths:
+    per order, the trunk's whole horizon and each fork's from its second
+    submission on."""
+    horizons = simnet.check_race_sweep(base)
+    first_at = base.adversary.first_at
+    return 2 * (horizons[-1] + sum(h - first_at - t_prime for t_prime, h in enumerate(horizons[:-1])))
+
+
+@pytest.mark.parametrize("exit_at", [4, 30])
+def test_the_sweep_bound_counts_the_ticks_a_sweep_executes(monkeypatch, exit_at):
+    steps = []
+    real_step = simnet._Engine.step
+    monkeypatch.setattr(simnet._Engine, "step", lambda engine, now: steps.append(now) or real_step(engine, now))
+    base = races_demo(1)
+    honest_exit = dataclasses.replace(base.events[1], at=exit_at)
+    base = dataclasses.replace(base, horizon=40, events=(base.events[0], honest_exit))
+    explore_races(base)
+    assert len(steps) == sweep_ticks(base)
+
+
+def test_the_sweep_bound_admits_the_widest_window():
+    # races.yaml's shape at D = epsilon = 64: 257 gaps in each order
+    base = dataclasses.replace(
+        races_demo(64), relay_delay=64, adversary=dataclasses.replace(races_demo(64).adversary, first_at=64)
+    )
+    assert 10**5 < sweep_ticks(base) <= simnet.MAX_SWEEP_TICKS
 
 
 ROUND_TRIP = {
