@@ -111,11 +111,14 @@ def hash_bytes(data: bytes, params: HashParams) -> FieldElement:
 @functools.lru_cache(maxsize=None)
 def make_params(rounds: int = DEFAULT_ROUNDS) -> HashParams:
     """Derive round constants: c_0 = 0, c_i = H("bridge-mimc" || i) computed
-    with an all-zero-constant bootstrap instance of the same round count."""
+    with an all-zero-constant bootstrap instance of the same round count.
+    Every input starts with the same whole chunk, absorbed once."""
     bootstrap = zero_constant_params(rounds)
+    shared = absorb(0, _CONSTANT_SEED[:CHUNK_SIZE], bootstrap)
+    rest = _CONSTANT_SEED[CHUNK_SIZE:]
     constants = [0]
     for i in range(1, rounds):
-        constants.append(hash_bytes(_CONSTANT_SEED + i.to_bytes(4, "little"), bootstrap))
+        constants.append(absorb(shared, rest + i.to_bytes(4, "little"), bootstrap))
     return HashParams(rounds=rounds, round_constants=tuple(constants))
 
 

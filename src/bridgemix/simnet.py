@@ -52,9 +52,9 @@ MAX_HASH_ROUNDS = 256
 
 # a run takes time in proportion to its horizon, and a race sweep makes
 # 2(2(D + epsilon) + 1) runs, each of which executes on its own the ticks from
-# its second submission until its outcome is settled, at least 2D + |epsilon|
-# + 4, so a sweep's time grows with the square of D + epsilon, and a late
-# event stretches every run; MAX_SWEEP_TICKS bounds the sum
+# its second submission until its outcome is settled, up to a cap of 2D +
+# |epsilon| + 4 ticks that a late event stretches, so a sweep's time grows
+# with the square of D + epsilon; MAX_SWEEP_TICKS bounds the sum of the caps
 MAX_HORIZON = 2**16
 MAX_DELAY = 64  # the most relay_delay, epsilon or a relayer's delay may be
 # the most ticks one race sweep may execute: two trunks of MAX_HORIZON ticks
@@ -225,8 +225,7 @@ class _ChainNode:
 
 class _Engine:
     def __init__(self, scenario: Scenario):
-        validate_scenario(scenario)
-        self.scenario = scenario
+        self._set_scenario(scenario)
         self.params = make_params(scenario.hash_rounds)
         self.events: list = []  # shared, globally ordered transcript
         # both chains share tree shape, so both genesis headers commit the
@@ -252,7 +251,6 @@ class _Engine:
         self.notes: dict = {}
         self.deposits: dict = {}  # nullifier -> DepositInfo, for every note deposited on either chain
         self.deliveries: dict = {}  # tick -> ordered list of (kind, chain, header or attestation)
-        self.user_events = _schedule(scenario)
         self.tick = 0  # the next tick to run
 
     def fork(self, scenario: Scenario) -> "_Engine":
@@ -262,10 +260,8 @@ class _Engine:
         container a tick mutates, each pending withdrawal included, since its
         status changes.  Running `scenario` from tick 0 must reach this
         engine's state at this tick; `_Trunk.branch` checks that it does."""
-        validate_scenario(scenario)
         twin = copy.copy(self)
-        twin.scenario = scenario
-        twin.user_events = _schedule(scenario)
+        twin._set_scenario(scenario)
         twin.events = list(self.events)
         twin.nodes = {
             chain: _ChainNode(_fork_contract(node.contract, twin.events), list(node.headers),
@@ -277,6 +273,13 @@ class _Engine:
         twin.deposits = dict(self.deposits)
         twin.deliveries = {tick: list(bucket) for tick, bucket in self.deliveries.items()}
         return twin
+
+    def _set_scenario(self, scenario: Scenario):
+        """Validate `scenario` and run its schedule from here on."""
+        validate_scenario(scenario)
+        self.scenario = scenario
+        self.user_events = _schedule(scenario)
+        self.last_event = max(self.user_events, default=-1)  # the tick of the last user event
 
     # -- note/derivation helpers ------------------------------------------
     def note(self, note_id: str) -> DepositNote:
@@ -459,14 +462,26 @@ class _Engine:
         except ContractError as err:
             raise SimInvariantError(f"tick {now}: {err}", self._transcript(), err.reason)
 
-    def advance(self, until: int):
-        """Run the ticks from self.tick up to, not including, `until`."""
-        while self.tick < until:
+    def advance(self, until: int, until_settled: bool = False):
+        """Run the ticks from self.tick up to, not including, `until`, or
+        with `until_settled` until `settled()` if that comes first."""
+        while self.tick < until and not (until_settled and self.settled()):
             self.step(self.tick)
             self.tick += 1
 
-    def run(self) -> Transcript:
-        self.advance(self.scenario.horizon)
+    def settled(self) -> bool:
+        """No user event is left and no withdrawal is pending on either
+        chain, so no later tick can pay, cancel or reject a withdrawal: only
+        FINALIZE pays and only a relayed nullifier cancels, each a pending
+        one, and every submission is a user event."""
+        return self.tick > self.last_event and not any(
+            pw.status == contract_mod.PENDING
+            for c in self.contracts
+            for pw in c.pending_withdrawals[c.finalize_cursor:]
+        )
+
+    def run(self, until_settled: bool = False) -> Transcript:
+        self.advance(self.scenario.horizon, until_settled)
         return self._transcript()
 
 
@@ -513,7 +528,8 @@ class _Trunk:
     first branch and only moves forward: each branch advances it to the
     first tick at which the branch's schedule differs from the trunk's and
     forks it there, so the ticks before run once for every branch.  The
-    trunk's own scenario finishes the engine itself."""
+    trunk's own scenario finishes the engine itself.  Advancing never stops
+    early; only `run` stops a branch, or the trunk, once it is settled."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -548,10 +564,14 @@ class _Trunk:
 
 def run(scenario: Scenario, trunk: _Trunk | None = None) -> Transcript:
     """Execute a scenario; the transcript is a pure function of (scenario, seed).
-    With `trunk`, the ticks `scenario` shares with the trunk's interleaving
-    are executed once for both (`_Trunk.branch`)."""
-    engine = _Engine(scenario) if trunk is None else trunk.branch(scenario)
-    return engine.run()
+    Without `trunk` the run lasts the whole horizon.  With `trunk`, the
+    ticks `scenario` shares with the trunk's interleaving are executed once
+    for both (`_Trunk.branch`), and the run stops once it is settled
+    (`_Engine.settled`), so its transcript is a whole-horizon run's cut
+    before that tick, and reports the same payouts and cancellations."""
+    if trunk is None:
+        return _Engine(scenario).run()
+    return trunk.branch(scenario).run(until_settled=True)
 
 
 # -- race exploration ---------------------------------------------------------
@@ -632,17 +652,19 @@ def _note_tallies(transcript: Transcript) -> tuple:
 def check_race_sweep(base: Scenario) -> tuple:
     """The checks a race sweep makes before its first run: `base` has an
     adversary, its window of gaps is not empty, its widest interleaving fits
-    in MAX_HORIZON, and the ticks the sweep executes fit in MAX_SWEEP_TICKS.
-    Raises ScenarioError; returns the horizon of the interleaving at each gap
-    t' in [0, 2(D + epsilon)].
+    in MAX_HORIZON, and the ticks the sweep may execute fit in
+    MAX_SWEEP_TICKS.  Raises ScenarioError; returns the horizon of the
+    interleaving at each gap t' in [0, 2(D + epsilon)].
 
-    The interleaving at gap t' settles the adversary's note by slack + t'.
-    Every other submission pays, is cancelled or is rejected by its own tick
-    + D + epsilon, and none follows the last event, so the run lasts until
-    one tick past that, or the file's horizon if that comes first.  Per
-    order, the widest interleaving executes its whole horizon, and each
-    narrower one its ticks from its second submission, first_at + t', on
-    (`_Trunk`)."""
+    Each horizon is a cap: a run stops sooner once it is settled
+    (`_Engine.settled`).  The interleaving at gap t' settles the
+    adversary's note by slack + t'.  Every other submission pays, is
+    cancelled or is rejected by its own tick + D + epsilon, and none
+    follows the last event, so the cap is one tick past that, or the file's
+    horizon if that comes first.  The count bounds what the sweep executes:
+    per order, the widest interleaving's ticks up to its cap, and each
+    narrower one's from its second submission, first_at + t', up to its
+    cap (`_Trunk`)."""
     adv = base.adversary
     if adv is None:
         raise ScenarioError("adversary", "race exploration requires an adversary spec")
@@ -670,8 +692,10 @@ def explore_races(base: Scenario) -> RaceReport:
     """One run per (t', submission order), for every submission gap t' in
     [0, 2(D + epsilon)]: twice the wait of D + epsilon during which both
     submissions can be pending at once.  Reports payouts and cancellations
-    for the adversary's note in each interleaving.  Each run stops once
-    every outcome it reports is settled (`check_race_sweep`).  A sweep in
+    for the adversary's note in each interleaving.  Each run stops at the
+    tick it is settled, with no user event left and no withdrawal pending
+    (`run` with a trunk), or at its cap (`check_race_sweep`) if that comes
+    first, and reports what a run to the file's horizon does.  A sweep in
     which an adversary submission is rejected for any reason other than
     nullifier-known never raced: it raises ScenarioError naming t', the
     order and the reason.

@@ -177,6 +177,14 @@ class TestParams:
         assert make_params(8) == make_params(8)
         assert make_params(8) != make_params(16)
 
+    @pytest.mark.parametrize("rounds", [1, 2, 8, 64, 256])
+    def test_constants_hash_the_seed_and_index_from_state_zero(self, rounds):
+        # make_params absorbs the inputs' shared first chunk once; each
+        # constant is still the whole input hashed from state 0
+        bootstrap = zero_constant_params(rounds)
+        want = [0] + [hash_bytes(b"bridge-mimc" + i.to_bytes(4, "little"), bootstrap) for i in range(1, rounds)]
+        assert list(make_params(rounds).round_constants) == want
+
     def test_equal_params_hash_equal(self):
         # cache lookups keyed by params use the hash computed at construction
         built = make_params(8)

@@ -408,7 +408,9 @@ def test_race_safety_over_the_assumption_space(delay):
 def full_run_rows(base):
     """The sweep's rows from fresh runs: each interleaving from tick 0, with
     no trunk, to the file's horizon or the one its adversary needs,
-    whichever is longer, however long before that its outcome settles."""
+    whichever is longer, however long before that its outcome settles.
+    Raises what the sweep raises when an adversary submission is rejected
+    for any reason but nullifier-known."""
     adv = base.adversary
     slack = adv.first_at + 2 * base.relay_delay + abs(base.epsilon) + 4
     rows = []
@@ -420,10 +422,18 @@ def full_run_rows(base):
                 horizon=max(base.horizon, slack + t_prime),
             )
             t = run(sc)
-            tallies = {sn: tally for sn, *tally in payout_table(t)}
-            payouts, cancels, rejected = tallies[t.notes[adv.note].nullifier]
-            honest = sum(tallies[note.nullifier][0] for note_id, note in t.notes.items() if note_id != adv.note)
+            sn = t.notes[adv.note].nullifier
             order = f"{first_chain}->{other_chain(first_chain)}"
+            for e in kinds(t, "withdraw-rejected"):
+                if e.get("nullifier") == sn and e.get("reason") != "nullifier-known":
+                    raise ScenarioError(
+                        "adversary",
+                        f"the race at t'={t_prime} order={order} never happened:"
+                        f" {e.get('recipient')} was rejected at t={e.tick} as {e.get('reason')}",
+                    )
+            tallies = {sn: tally for sn, *tally in payout_table(t)}
+            payouts, cancels, rejected = tallies[sn]
+            honest = sum(tallies[note.nullifier][0] for note_id, note in t.notes.items() if note_id != adv.note)
             rows.append(RaceRow(t_prime, order, payouts, cancels, rejected, honest))
     return rows
 
@@ -447,6 +457,50 @@ def test_a_sweep_that_stops_each_run_once_settled_reports_what_full_runs_do(dela
                     adversary=AdversarySpec("adv", "A", 0, "A", first_at),
                 )
                 assert explore_races(base).rows == full_run_rows(base), (eps, relayer_delay, horizon, exit_at)
+
+
+def sweep_outcome(sweep):
+    """The rows `sweep()` returns, or what identifies the error it raises:
+    a stopped run's reason, message and partial transcript, or a scenario
+    error's field and message."""
+    try:
+        return sweep()
+    except SimInvariantError as err:
+        return err.reason, str(err), err.transcript.render()
+    except ScenarioError as err:
+        return err.field_name, str(err)
+
+
+@st.composite
+def race_scenarios(draw):
+    """`engine_scenarios`' events at 1 hash round, with D in 1..4, epsilon
+    in -D..3, one to three relayers (the first honest, the others may
+    withhold state) that may relay slower than D + epsilon, and an
+    adversary whose first submission comes D to D + 4 after its deposit."""
+    sc = draw(engine_scenarios(jitter=False))
+    delay = draw(st.integers(1, 4))
+    eps = draw(st.integers(-delay, 3))
+    relayers = [
+        RelayerSpec(f"r{i}", draw(st.integers(1, delay + eps + 2)), i == 0 or draw(st.booleans()))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    deposit_at = draw(st.integers(0, 2))
+    adversary = AdversarySpec(
+        "adv", draw(st.sampled_from(CHAINS)), deposit_at,
+        draw(st.sampled_from(CHAINS)), deposit_at + draw(st.integers(delay, delay + 4)),
+    )
+    return dataclasses.replace(
+        sc, relay_delay=delay, epsilon=eps, hash_rounds=1, adversary=adversary, relayers=tuple(relayers)
+    )
+
+
+@seed(3303)
+@settings(max_examples=150, deadline=None, database=None)
+@given(base=race_scenarios())
+def test_a_sweep_reports_what_whole_horizon_runs_do(base):
+    # each interleaving stops once settled; fresh runs to the whole horizon
+    # give the same rows, or stop with the same error at the same tick
+    assert sweep_outcome(lambda: explore_races(base).rows) == sweep_outcome(lambda: full_run_rows(base))
 
 
 class JitteredRelayer:
@@ -530,6 +584,20 @@ def races_demo(eps):
     return dataclasses.replace(demo_scenario(DEMO_SCENARIOS / "races.yaml"), epsilon=eps)
 
 
+def settled_run(sc):
+    """A whole-horizon run of `sc` rendered up to the tick a trunked run of
+    it stops at, and that tick: one past the run's last user event or its
+    last payout or cancellation, whichever is later, or its horizon if that
+    comes first.  Every tick mines a header, so a rendering that matches
+    the cut also stopped at that tick."""
+    fresh = run(sc)
+    adv = sc.adversary
+    ticks = [ev.at for ev in sc.events] + [adv.deposit_at, adv.first_at + adv.gap]
+    ticks += [e.tick for e in fresh.events if e.kind in ("withdraw-finalized", "withdraw-cancelled")]
+    stop = min(sc.horizon, 1 + max(ticks))
+    return "".join(e.to_line() + "\n" for e in fresh.events if e.tick < stop), stop
+
+
 @pytest.mark.parametrize("eps", [1, -1])
 def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, monkeypatch):
     base = races_demo(eps)
@@ -549,7 +617,8 @@ def test_sweep_with_shared_memo_renders_each_interleaving_like_a_fresh_run(eps, 
         # the reference run mines, hashes, derives and proves everything itself
         for cached in cached_functions().values():
             cached.cache_clear()
-        assert text == real_run(sc).render(), sc.name
+        want, stop = settled_run(sc)
+        assert text == want and stop < sc.horizon, sc.adversary  # each settles before its cap
 
 
 def test_sweep_mines_each_distinct_header_once(monkeypatch):
@@ -605,7 +674,7 @@ def test_hash_budget_of_a_small_sweep(monkeypatch):
     permute = field_hash.permute
     monkeypatch.setattr(field_hash, "permute", lambda *args: calls.append(1) or permute(*args))
     explore_races(races_demo(1))
-    assert len(calls) == 818
+    assert len(calls) == 541
 
 
 def test_sweep_derives_each_note_once_and_verifies_every_proof(monkeypatch):
@@ -800,8 +869,25 @@ def sweep_ticks(base):
     return 2 * (horizons[-1] + sum(h - first_at - t_prime for t_prime, h in enumerate(horizons[:-1])))
 
 
+def settled_sweep_ticks(base):
+    """The ticks a sweep of `base` executes, counted from where each
+    interleaving settles (`settled_run`): per order, the trunk's ticks up to
+    its stop and each fork's from its second submission to its stop."""
+    horizons = simnet.check_race_sweep(base)
+    adv = base.adversary
+    ticks = 0
+    for first_chain, (t_prime, horizon) in itertools.product(CHAINS, enumerate(horizons)):
+        branch = dataclasses.replace(adv, first_chain=first_chain, gap=t_prime)
+        stop = settled_run(dataclasses.replace(base, adversary=branch, horizon=horizon))[1]
+        ticks += stop if t_prime == len(horizons) - 1 else stop - adv.first_at - t_prime
+    return ticks
+
+
 @pytest.mark.parametrize("exit_at", [4, 30])
 def test_the_sweep_bound_counts_the_ticks_a_sweep_executes(monkeypatch, exit_at):
+    # the bound counts each run to its horizon and a run that settles
+    # sooner stops there: an early honest exit leaves 52 of the 144 counted
+    # ticks, and one at tick 30 keeps every run going to its horizon
     steps = []
     real_step = simnet._Engine.step
     monkeypatch.setattr(simnet._Engine, "step", lambda engine, now: steps.append(now) or real_step(engine, now))
@@ -809,7 +895,9 @@ def test_the_sweep_bound_counts_the_ticks_a_sweep_executes(monkeypatch, exit_at)
     honest_exit = dataclasses.replace(base.events[1], at=exit_at)
     base = dataclasses.replace(base, horizon=40, events=(base.events[0], honest_exit))
     explore_races(base)
-    assert len(steps) == sweep_ticks(base)
+    swept = len(steps)
+    assert swept == settled_sweep_ticks(base) == {4: 52, 30: 410}[exit_at]
+    assert swept <= sweep_ticks(base) == {4: 144, 30: 410}[exit_at]
 
 
 def test_the_sweep_bound_admits_the_widest_window():
@@ -1297,11 +1385,11 @@ def test_a_misused_branch_raises():
         with pytest.raises(ValueError, match="only in its schedule and horizon"):
             run(other, trunk)
     assert trunk.engine is None  # a rejected branch runs nothing
-    assert run(narrow, trunk).render() == run(narrow).render()
+    assert run(narrow, trunk).render() == settled_run(narrow)[0]
     assert trunk.engine.tick == base.adversary.first_at + 1  # where the second submissions part
     with pytest.raises(ValueError, match="which the trunk has passed"):
         run(base, trunk)  # gap 0 leaves the trunk a tick earlier
-    assert run(widest, trunk).render() == run(widest).render()
+    assert run(widest, trunk).render() == settled_run(widest)[0]
     with pytest.raises(ValueError, match="which the trunk has passed"):
         run(narrow, trunk)
 
