@@ -1,34 +1,32 @@
 """Batch command line: run scenarios and emit analysis reports as files.
 
-    bridgemix run   --scenario s.yaml --out dir [--reports a,b] [--seed N]
-                    [--epsilon-override E]
+    bridgemix run   --scenario s.yaml --out dir [--seed N] [--epsilon-override E]
     bridgemix races --scenario s.yaml --out dir [--seed N] [--epsilon-override E]
 
 Every report is UTF-8 text: a human-readable table followed by one
 machine-readable JSON summary as the last line.  Outputs are byte-reproducible
 given (scenario, seed).
 
-Both commands check the report names and load the scenario; races also
-makes the sweep's own checks.  Only then do they create --out, do their work
-and write (a sweep that never raced writes nothing); `main` alone maps how
-they end to an exit code:
+Both commands load the scenario and do their work, and only then create
+--out and write every report, so a command that exits 2 on its input creates
+no --out (a sweep that never raced included); `main` alone maps how they end
+to an exit code:
 0 success; 1 a double payout, and nothing else: a race interleaving paid a
 note twice (races mode), or the run did (run mode, after its reports are
 written; stderr names each payout's chain, wid and tick);
-2 unusable input or output (an unknown or empty --reports list, unreadable
-or non-UTF-8 scenario file, parse error, an anchor, alias, tag or `<<` merge
-key, repeated or non-scalar key, a scalar that cannot be built, an integer
-outside the signed 64-bit range, a second document, nesting deeper than
-MAX_NESTING, bad field, a horizon above simnet.MAX_HORIZON or a relay_delay,
-epsilon or relayer delay above simnet.MAX_DELAY, overrides included, a race
-sweep whose widest interleaving would run past simnet.MAX_HORIZON or that
-would execute more than simnet.MAX_SWEEP_TICKS ticks, a race sweep that never
-raced: an adversary submission rejected for any reason but nullifier-known,
-named with its t', order and reason, an --out that cannot be made a
-directory, a report that cannot be written); 3 a protocol
-invariant broke mid-run, including a payout the paying contract cannot cover
-(run mode dumps the partial transcript, and still exits 3 if that dump
-cannot be written).
+2 unusable input or output (an unreadable or non-UTF-8 scenario file, parse
+error, an anchor, alias, tag or `<<` merge key, repeated or non-scalar key, a
+scalar that cannot be built, an integer outside the signed 64-bit range,
+--seed included, a second document, nesting deeper than MAX_NESTING, bad
+field, a horizon above simnet.MAX_HORIZON or a relay_delay, epsilon or relayer
+delay above simnet.MAX_DELAY, overrides included, a race sweep whose widest
+interleaving would run past simnet.MAX_HORIZON or that would execute more
+than simnet.MAX_SWEEP_TICKS ticks, a race sweep that never raced: an
+adversary submission rejected for any reason but nullifier-known, named with
+its t', order and reason, an --out that cannot be made a directory, a report
+that cannot be written); 3 a protocol invariant broke mid-run, including a
+payout the paying contract cannot cover (run mode makes --out and dumps the
+partial transcript there, and still exits 3 if that dump cannot be written).
 
 The scenario file is plain YAML, read in one pass over the YAML parser's
 events, on libyaml when PyYAML has it, and no node graph is built.  Each
@@ -49,8 +47,6 @@ import yaml
 from . import incentives, metrics, simnet
 from .field_hash import fe_hex
 
-REPORT_NAMES = ("transcript", "races", "anonymity", "liquidity", "storage")
-
 EXIT_OK = 0
 EXIT_DOUBLE_PAYOUT = 1
 EXIT_BAD_INPUT = 2
@@ -61,7 +57,6 @@ EXIT_INVARIANT = 3
 class RunConfig:
     scenario_path: str
     out_dir: str
-    reports: tuple = REPORT_NAMES
     seed_override: int | None = None
     epsilon_override: int | None = None
 
@@ -172,6 +167,8 @@ def load_scenario(config: RunConfig) -> simnet.Scenario:
         raise simnet.ScenarioError("<syntax>", f"unparseable scenario{where}: {err}")
     scenario = simnet.scenario_from_dict(raw)
     if config.seed_override is not None:
+        if config.seed_override not in simnet.INT64:
+            raise simnet.ScenarioError("seed", "integer outside the signed 64-bit range")
         scenario = dataclasses.replace(scenario, seed=config.seed_override)
     if config.epsilon_override is not None:
         scenario = dataclasses.replace(scenario, epsilon=config.epsilon_override)
@@ -209,29 +206,25 @@ def _dump_partial(out_dir: Path, transcript) -> str:
     """Write the transcript up to a failing tick; say where, or why not."""
     dump = out_dir / "transcript-failure.txt"
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_transcript(dump, transcript)
     except OSError as err:
         return f"partial transcript not written: {err}"
     return f"partial transcript in {dump}"
 
 
-def cmd_run(config: RunConfig, scenario: simnet.Scenario, out_dir: Path) -> int:
+def cmd_run(scenario: simnet.Scenario, out_dir: Path) -> int:
     transcript = simnet.run(scenario)
-    if "transcript" in config.reports:
-        _write_transcript(out_dir / "transcript.txt", transcript)
+    out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
+    _write_transcript(out_dir / "transcript.txt", transcript)
     rows = simnet.payout_table(transcript)  # after the transcript: their peaks do not stack
-    if "races" in config.reports:
-        lines, summary = _payout_lines(rows)
-        _write_report(out_dir, "races", lines, summary)
-    if "anonymity" in config.reports:
-        report = metrics.anonymity_report(transcript)
-        _write_report(out_dir, "anonymity", report.render_lines(), report.summary())
-    if "liquidity" in config.reports:
-        series = incentives.vampire_metrics(transcript)
-        _write_report(out_dir, "liquidity", series.render_lines(), series.summary())
-    if "storage" in config.reports:
-        report = metrics.storage_report(transcript)
-        _write_report(out_dir, "storage", report.render_lines(), report.summary())
+    _write_report(out_dir, "races", *_payout_lines(rows))
+    report = metrics.anonymity_report(transcript)
+    _write_report(out_dir, "anonymity", report.render_lines(), report.summary())
+    series = incentives.vampire_metrics(transcript)
+    _write_report(out_dir, "liquidity", series.render_lines(), series.summary())
+    report = metrics.storage_report(transcript)
+    _write_report(out_dir, "storage", report.render_lines(), report.summary())
     paid = {sn: [] for sn, payouts, _, _ in rows if payouts > 1}  # nullifier -> its payouts
     if not paid:
         return EXIT_OK
@@ -245,6 +238,7 @@ def cmd_run(config: RunConfig, scenario: simnet.Scenario, out_dir: Path) -> int:
 
 def cmd_races(scenario: simnet.Scenario, out_dir: Path) -> int:
     report = simnet.explore_races(scenario)
+    out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
     _write_report(out_dir, "races", report.render_lines(), report.summary())
     for row in report.double_payout_rows:
         _fail(f"double payout at t'={row.t_prime} order={row.order} (payouts={row.payouts})")
@@ -258,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("run", "execute a scenario and write the requested reports"),
+        ("run", "execute a scenario and write its five reports"),
         ("races", "sweep double-withdrawal interleavings; fail on double payout"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -271,12 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override epsilon (negative values allowed: negative-control runs)",
         )
-        if name == "run":
-            p.add_argument(
-                "--reports",
-                default=",".join(REPORT_NAMES),
-                help=f"comma-separated subset of: {', '.join(REPORT_NAMES)}",
-            )
     return parser
 
 
@@ -286,33 +274,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:  # argparse exits on bad flags; surface as a code
         return EXIT_BAD_INPUT if err.code else EXIT_OK
-    reports = REPORT_NAMES
-    if getattr(args, "reports", None) is not None:
-        reports = tuple(name.strip() for name in args.reports.split(",") if name.strip())
     config = RunConfig(
         scenario_path=args.scenario,
         out_dir=args.out,
-        reports=reports,
         seed_override=args.seed,
         epsilon_override=args.epsilon_override,
     )
-    if not config.reports:
-        _fail(f"--reports selects no report; choose from {', '.join(REPORT_NAMES)}")
-        return EXIT_BAD_INPUT
-    for name in config.reports:
-        if name not in REPORT_NAMES:
-            _fail(f"unknown report {name!r}; choose from {', '.join(REPORT_NAMES)}")
-            return EXIT_BAD_INPUT
     out_dir = Path(config.out_dir)
     try:
         scenario = load_scenario(config)
-        if args.command == "races":
-            simnet.check_race_sweep(scenario)  # a sweep that cannot start leaves no --out behind
-        out_dir.mkdir(parents=True, exist_ok=True)  # OSError if --out is a file
         if args.command == "run":
-            return cmd_run(config, scenario, out_dir)
+            return cmd_run(scenario, out_dir)
         return cmd_races(scenario, out_dir)
-    except (OSError, simnet.ScenarioError) as err:  # a report that cannot be written too
+    except (OSError, simnet.ScenarioError) as err:  # an --out or report that cannot be written too
         _fail(str(err))
         return EXIT_BAD_INPUT
     except simnet.SimInvariantError as err:

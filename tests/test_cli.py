@@ -85,33 +85,11 @@ def test_run_writes_all_five_reports(tmp_path):
     assert json.loads(files["anonymity.txt"].splitlines()[-1])["withdrawals"] == 1
 
 
-def test_run_report_subset(tmp_path):
-    scn = write_scenario(tmp_path, HAPPY)
+def test_run_takes_no_reports_option(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = cli.main(["run", "--scenario", scn, "--out", str(out), "--reports", "storage,anonymity"])
-    assert rc == 0
-    assert sorted(read_reports(out)) == ["anonymity.txt", "storage.txt"]
-
-
-def test_run_rejects_unknown_report(tmp_path, capsys):
-    scn = write_scenario(tmp_path, HAPPY)
-    rc = cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o"), "--reports", "bogus"])
+    rc = cli.main(["run", "--scenario", write_scenario(tmp_path, HAPPY), "--out", str(out), "--reports", "storage"])
     assert rc == cli.EXIT_BAD_INPUT
-    assert "bogus" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("reports", ["", ",", " , "])
-def test_run_rejects_an_empty_report_list_before_loading(tmp_path, capsys, monkeypatch, reports):
-    def no_load(config):
-        raise AssertionError("scenario loaded")
-
-    monkeypatch.setattr(cli, "load_scenario", no_load)
-    out = tmp_path / "o"
-    scn = write_scenario(tmp_path, HAPPY)
-    assert cli.main(["run", "--scenario", scn, "--out", str(out), "--reports", reports]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --reports selects no report; choose from ")
-    assert all(name in err for name in cli.REPORT_NAMES)
+    assert "unrecognized arguments: --reports" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -405,7 +383,18 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
     rc = cli.main([command, "--scenario", scn, "--out", str(out)])
     assert rc == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert out.read_text() == "keep me\n"
+
+
+def test_a_run_that_breaks_with_out_naming_a_file_still_exits_3(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    rc = cli.main(["run", "--scenario", write_scenario(tmp_path, INSOLVENT), "--out", str(out)])
+    assert rc == cli.EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "tick 7: A cannot cover withdrawal A0" in err
+    assert "partial transcript not written" in err and str(out) in err and "Traceback" not in err
     assert out.read_text() == "keep me\n"
 
 
@@ -432,6 +421,17 @@ def test_seed_override_changes_only_random_material(tmp_path):
     # structure (event kinds per tick) is seed-independent
     strip = lambda text: [line.split(" ev=")[1].split()[0] for line in text.splitlines()]
     assert strip(base["transcript.txt"]) == strip(reseeded["transcript.txt"])
+
+
+@pytest.mark.parametrize("command", ["run", "races"])
+@pytest.mark.parametrize("seed", [str(2**63), str(-(2**63) - 1)])
+def test_seed_override_takes_the_files_range(tmp_path, capsys, command, seed):
+    # the same bound as a file's `seed`, which the reader already rejects
+    out = tmp_path / "out"
+    rc = cli.main([command, "--scenario", write_scenario(tmp_path, RACES), "--out", str(out), "--seed", seed])
+    assert rc == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: scenario field 'seed': integer outside the signed 64-bit range\n"
+    assert not out.exists()
 
 
 def test_run_outputs_are_byte_reproducible(tmp_path):
@@ -472,7 +472,7 @@ def test_run_that_double_pays_exits_one_after_writing_its_reports(tmp_path, caps
         "error: double payout of nullifier 50477695b2f13284: chain=A wid=A0 t=4, chain=B wid=B0 t=4\n"
     )
     reports = read_reports(out)
-    assert sorted(reports) == sorted(f"{name}.txt" for name in cli.REPORT_NAMES)
+    assert sorted(reports) == ["anonymity.txt", "liquidity.txt", "races.txt", "storage.txt", "transcript.txt"]
     assert json.loads(reports["races.txt"].splitlines()[-1])["double_payouts"] == 1
     for payout in ("chain=A ev=withdraw-finalized wid=A0", "chain=B ev=withdraw-finalized wid=B0"):
         assert f"t=4 {payout} nullifier=50477695b2f13284" in reports["transcript.txt"]
@@ -561,7 +561,7 @@ def test_a_sweep_whose_race_never_happened_exits_2_naming_the_interleaving(tmp_p
         "error: scenario field 'adversary': the race at t'=0 order=A->B never happened:"
         " adv-second was rejected at t=3 as unknown-remote-root\n"
     )
-    assert not (out / "races.txt").exists()
+    assert not out.exists()
 
 
 def test_races_requires_adversary(tmp_path, capsys):
@@ -644,21 +644,24 @@ def test_transcript_is_written_without_holding_its_text(tmp_path, monkeypatch):
         relayers=(RelayerSpec("r0", 2),), events=tuple(events),
     ))
     rendered = transcript.render()
+    peaks = []
 
-    def traced_run(scenario, trunk=None):
-        tracemalloc.start()  # traces everything the CLI does after the run
-        return transcript
+    def traced_write(path, transcript):
+        tracemalloc.start()  # traces the transcript's write alone
+        try:
+            real_write(path, transcript)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
 
-    monkeypatch.setattr(cli.simnet, "run", traced_run)
+    real_write = cli._write_transcript
+    monkeypatch.setattr(cli.simnet, "run", lambda scenario, trunk=None: transcript)
+    monkeypatch.setattr(cli, "_write_transcript", traced_write)
     out = tmp_path / "out"
-    try:
-        code = cli.main(["run", "--scenario", write_scenario(tmp_path, HAPPY), "--out", str(out),
-                         "--reports", "transcript"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code = cli.main(["run", "--scenario", write_scenario(tmp_path, HAPPY), "--out", str(out)])
     assert code == cli.EXIT_OK
     assert (out / "transcript.txt").read_text(encoding="utf-8") == rendered
+    [peak] = peaks
     assert peak < len(rendered) / 4
 
 
