@@ -644,6 +644,7 @@ def test_transcript_is_written_without_holding_its_text(tmp_path, monkeypatch):
         relayers=(RelayerSpec("r0", 2),), events=tuple(events),
     ))
     rendered = transcript.render()
+    real_write = cli._write_transcript
     peaks = []
 
     def traced_write(path, transcript):
@@ -654,7 +655,6 @@ def test_transcript_is_written_without_holding_its_text(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    real_write = cli._write_transcript
     monkeypatch.setattr(cli.simnet, "run", lambda scenario, trunk=None: transcript)
     monkeypatch.setattr(cli, "_write_transcript", traced_write)
     out = tmp_path / "out"
