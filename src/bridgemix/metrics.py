@@ -1,8 +1,9 @@
-"""Privacy and storage analyses computed from the public event transcript.
+"""Privacy and storage analyses computed from a run's public record.
 
 Everything here deliberately uses only what an on-chain observer sees: the
-event log and the final contract state.  Note secrets held by the simulator
-are never consulted, so the anonymity numbers mean what they claim.
+event log and the final contract state, whose root histories, withdrawal
+queues and deposit trees are public records.  Note secrets held by the
+simulator are never consulted, so the anonymity numbers mean what they claim.
 """
 from __future__ import annotations
 
@@ -29,43 +30,28 @@ _WITHDRAW_KINDS = frozenset({
 })
 
 
-def _walk(transcript) -> tuple:
-    """One pass over the log: per chain, root -> number of deposits it commits
-    to; wid -> (chain, root_a, root_b) from its first withdraw-submitted event;
-    and (wid, chain) of each withdraw-finalized event, in log order."""
-    counts = {chain: {} for chain in transcript.contracts}
-    subs = {}
-    finalized = []
-    for e in transcript.events:
-        kind = e.kind
-        if kind == "deposit":
-            counts[e.chain][e.get("new_root")] = e.get("index") + 1
-        elif kind == "withdraw-submitted":
-            subs.setdefault(e.get("wid"), (e.chain, e.get("root_a"), e.get("root_b")))
-        elif kind == "withdraw-finalized":
-            finalized.append((e.get("wid"), e.chain))
-        elif kind == "setup":
-            counts[e.chain][e.get("empty_root")] = 0
-    return counts, subs, finalized
-
-
-def _set_size(counts: dict, subs: dict, withdrawal_id: str) -> int:
-    if withdrawal_id not in subs:
-        raise MetricsError(f"no withdraw-submitted event with wid {withdrawal_id!r}")
-    chain, root_a, root_b = subs[withdrawal_id]
-    local = counts[chain].get(root_a)
-    if local is None:
-        raise MetricsError(f"root_a of {withdrawal_id} is not a known {chain} root")
+def _set_sizes(transcript) -> dict:
+    """wid -> anonymity set of each withdrawal the contracts queued, read from
+    their records: entry n of a tree's root_history is its root after n
+    deposits, so a root's index there is the number of deposits under it."""
+    deposits = {chain: {root: n for n, root in enumerate(c.tree.root_history)}
+                for chain, c in transcript.contracts.items()}
     # a remote root that never appeared on the other chain (e.g. the
     # shared empty root before any deposit) contributes nothing
-    return local + counts[other_chain(chain)].get(root_b, 0)
+    return {
+        pw.pending_id: deposits[chain][pw.statement.root_a] + deposits[other_chain(chain)].get(pw.statement.root_b, 0)
+        for chain, c in transcript.contracts.items()
+        for pw in c.pending_withdrawals
+    }
 
 
 def anonymity_set(transcript, withdrawal_id: str) -> int:
     """Size of the set of deposits a withdrawal could plausibly spend: the
     deposits under its local root plus those under its relayed remote root."""
-    counts, subs, _ = _walk(transcript)
-    return _set_size(counts, subs, withdrawal_id)
+    size = _set_sizes(transcript).get(withdrawal_id)
+    if size is None:
+        raise MetricsError(f"no withdraw-submitted event with wid {withdrawal_id!r}")
+    return size
 
 
 @dataclass
@@ -95,9 +81,12 @@ class AnonymityReport:
 
 
 def anonymity_report(transcript) -> AnonymityReport:
-    # sizes are computed after the walk, from the complete counts
-    counts, subs, finalized = _walk(transcript)
-    return AnonymityReport([(wid, chain, _set_size(counts, subs, wid)) for wid, chain in finalized])
+    """The anonymity set of each finalized withdrawal, in the log's order of
+    payouts: the one thing read from the log."""
+    sizes = _set_sizes(transcript)
+    return AnonymityReport([
+        (wid := e.get("wid"), e.chain, sizes[wid]) for e in transcript.events if e.kind == "withdraw-finalized"
+    ])
 
 
 @dataclass
@@ -140,7 +129,7 @@ def linkability_audit(transcript) -> LinkabilityReport:
     withdrawal back to a specific deposit: a forbidden key, or a value equal
     to some deposit commitment (a string value equal to a commitment's
     printed form counts)."""
-    commitments = {e.get("commitment") for e in transcript.events if e.kind == "deposit"}
+    commitments = set().union(*(c.tree.leaves for c in transcript.contracts.values()))
     # an int never equals a str, so one set holds both forms of each commitment
     commitments |= {EventRecord.value_text("commitment", c) for c in commitments}
     findings = []

@@ -170,6 +170,12 @@ def validate_scenario(sc: Scenario):
                 raise ScenarioError(f"{where}", f"no reward scheme configured on {ev.chain}")
     adv = sc.adversary
     if adv is not None:
+        if not adv.note:
+            raise ScenarioError("adversary.note", "note id required")
+        # a note the script also names makes the adversary's deposit a
+        # duplicate, so its submissions would race that note's spends
+        if any(ev.note == adv.note for ev in sc.events):
+            raise ScenarioError("adversary.note", f"{adv.note!r} is also a scripted event's note")
         if adv.deposit_chain not in CHAINS:
             raise ScenarioError("adversary.deposit_chain", "must be 'A' or 'B'")
         if adv.first_chain not in CHAINS:

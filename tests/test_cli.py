@@ -564,6 +564,22 @@ def test_a_sweep_whose_race_never_happened_exits_2_naming_the_interleaving(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "races"])
+@pytest.mark.parametrize(
+    "note, message",
+    [('""', "note id required"), ("honest", "'honest' is also a scripted event's note")],
+)
+def test_an_adversary_without_a_note_of_its_own_exits_2(tmp_path, capsys, command, note, message):
+    # with the bystander's note the adversary's deposit is rejected as a
+    # duplicate and three submissions race one nullifier
+    demo = (DEMOS / "races.yaml").read_text(encoding="utf-8")
+    scn = write_scenario(tmp_path, demo.replace("note: double-spender", f"note: {note}"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: scenario field 'adversary.note': {message}\n"
+    assert not out.exists()
+
+
 def test_races_requires_adversary(tmp_path, capsys):
     scn = write_scenario(tmp_path, HAPPY)
     rc = cli.main(["races", "--scenario", scn, "--out", str(tmp_path / "o")])

@@ -405,6 +405,39 @@ def test_race_safety_over_the_assumption_space(delay):
         assert report.max_payouts() == (2 if eps < 0 and r == delay else 1), where
 
 
+def relayer_rule_cells(delay):
+    """(epsilon, relayers) for epsilon in -D..3: one honest relayer at each
+    delay in 1..D + epsilon + 2, alone, and beside a second one, honest or
+    header-only, at a delay just inside or just outside D + epsilon."""
+    for eps in range(-delay, 4):
+        wait = delay + eps
+        for d in range(1, wait + 3):
+            first = RelayerSpec("r0", d)
+            yield eps, (first,)
+            for d2, honest in itertools.product(range(max(wait, 1), wait + 2), (True, False)):
+                yield eps, (first, RelayerSpec("r1", d2, honest))
+
+
+@pytest.mark.parametrize("delay", [1, 2, 3, 4])
+def test_a_sweep_double_pays_exactly_when_the_fastest_honest_relayer_is_slower_than_the_wait(delay):
+    # the relayer rule: a nullifier exposed at tick s lands on the other
+    # chain at s + d through the fastest honest relayer, and DELIVER precedes
+    # FINALIZE at s + D + epsilon, so the other submission is cancelled or
+    # rejected in time iff d <= D + epsilon.  A header-only relayer delivers
+    # no nullifier, so its delay never counts.  The first submission waits
+    # until the deposit's root has landed on both chains, so every sweep
+    # races (a sweep that never raced raises)
+    for eps, relayers in relayer_rule_cells(delay):
+        fastest = min(r.delay for r in relayers if r.honest)
+        first_at = max(fastest + 1, delay)
+        base = Scenario(
+            seed=2, horizon=first_at + 1, tree_height=2, hash_rounds=1, relay_delay=delay, epsilon=eps,
+            relayers=relayers, adversary=AdversarySpec("adv", "A", 0, "A", first_at),
+        )
+        report = explore_races(base)
+        assert bool(report.double_payout_rows) == (fastest > delay + eps), (eps, relayers)
+
+
 def full_run_rows(base):
     """The sweep's rows from fresh runs: each interleaving from tick 0, with
     no trunk, to the file's horizon or the one its adversary needs,
@@ -826,6 +859,11 @@ def test_claim_on_wrong_chain_rejected():
             dict(adversary=AdversarySpec("a", "A", 0, "A", 11, 5)),
             "horizon",
         ),  # second submission would land past the end
+        (dict(adversary=AdversarySpec("", "A", 0, "A", 3)), "adversary.note"),
+        (
+            dict(events=(SimEvent(0, "A", "deposit", note="a"),), adversary=AdversarySpec("a", "A", 0, "A", 3)),
+            "adversary.note",
+        ),  # the adversary must race a note of its own
         (dict(rewards={"C": RewardSpec()}), "rewards.C"),  # a chain no engine runs
         (dict(horizon=simnet.MAX_HORIZON + 1), "horizon"),
         (dict(relay_delay=simnet.MAX_DELAY + 1), "relay_delay"),
@@ -858,6 +896,20 @@ def test_a_sweep_checks_its_widest_interleaving_before_its_first_run(monkeypatch
     if not swept:
         assert err.value.field_name == "adversary.first_at"
         assert f"needs horizon {simnet.MAX_HORIZON + 1}," in str(err.value)
+
+
+@pytest.mark.parametrize("note", ["", "honest"])
+def test_a_sweep_whose_adversary_has_no_note_of_its_own_raises_before_its_first_tick(monkeypatch, note):
+    # with the bystander's note the adversary's deposit is a duplicate, and
+    # three submissions would race one nullifier
+    def no_step(engine, now):
+        raise AssertionError("a tick ran")
+
+    monkeypatch.setattr(simnet._Engine, "step", no_step)
+    base = race_base(2, 1, adversary=AdversarySpec(note, "A", 0, "A", 3))
+    with pytest.raises(ScenarioError) as err:
+        explore_races(base)
+    assert err.value.field_name == "adversary.note"
 
 
 def sweep_ticks(base):
